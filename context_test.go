@@ -9,6 +9,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"qilabel/internal/naming"
 )
 
 // TestParallelMatchesSerial is the determinism contract behind excluding
@@ -227,10 +229,8 @@ func TestFingerprintExcludesRuntimeKnobs(t *testing.T) {
 	}
 }
 
-// TestVerifyTypedShim: the typed violations and the deprecated
-// VerifyStrings shim must carry the same details — the dedicated test that
-// keeps the shim compiling and faithful until it is removed. New code
-// belongs on Verify's typed []Violation.
+// TestVerifyTypedShim: Verify reports a post-edit sibling homonym as a
+// typed violation carrying its rule, detail and rendering.
 func TestVerifyTypedShim(t *testing.T) {
 	sources, err := BuiltinDomain("Airline")
 	if err != nil {
@@ -240,17 +240,30 @@ func TestVerifyTypedShim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs := res.Verify()
-	ss := res.VerifyStrings()
-	if len(vs) != len(ss) {
-		t.Fatalf("typed (%d) and string (%d) violation counts differ", len(vs), len(ss))
+	if vs := res.Verify(); len(vs) != 0 {
+		t.Fatalf("the algorithm's own labeling fails verification: %v", vs)
 	}
+	var parent *Node
+	res.Tree.Root.Walk(func(n *Node) bool {
+		if parent == nil && len(n.Children) >= 2 &&
+			n.Children[0].Label != "" && n.Children[1].Label != "" {
+			parent = n
+		}
+		return parent == nil
+	})
+	if parent == nil {
+		t.Fatal("no node with two labeled children")
+	}
+	parent.Children[1].Label = parent.Children[0].Label
+	vs := res.Verify()
+	homonym := false
 	for i, v := range vs {
-		if v.Detail != ss[i] {
-			t.Errorf("violation %d: detail %q != string %q", i, v.Detail, ss[i])
+		if v.Rule == "" || v.Detail == "" || v.String() == "" {
+			t.Errorf("violation %d has empty rule, detail or String()", i)
 		}
-		if v.Rule == "" || v.String() == "" {
-			t.Errorf("violation %d has empty rule or String()", i)
-		}
+		homonym = homonym || v.Rule == naming.RuleHomonym
+	}
+	if !homonym {
+		t.Fatalf("sibling homonym not reported: %v", vs)
 	}
 }

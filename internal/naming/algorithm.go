@@ -60,11 +60,13 @@ type Options struct {
 	// labeling — every unit's outcome is a pure function of its input.
 	Parallelism int
 	// DisableMemo switches every worker to the unmemoized reference
-	// kernel: no shared label-analysis table, no Relate memo (each worker
+	// kernels: no shared label-analysis table, no Relate memo (each worker
 	// re-analyzes labels into a cold private cache, as before the kernel
-	// compilation). Verdicts are pure functions of the labels and lexicon,
-	// so this can only change speed, never output — the equivalence tests
-	// run both ways to enforce exactly that. Diagnostics/tests only.
+	// compilation), and the map-based internal-node derivation
+	// (candidateLabels) instead of the indexed one. Verdicts and candidates
+	// are pure functions of the labels, clusters and lexicon, so this can
+	// only change speed, never output — the equivalence tests run both
+	// ways to enforce exactly that. Diagnostics/tests only.
 	DisableMemo bool
 	// Analysis, when non-nil, supplies a label-analysis table precomputed
 	// by the caller (it must have been built over the same Lexicon). The
@@ -83,11 +85,12 @@ type Options struct {
 	// concurrent runs.
 	Memo *RunMemo
 	// Warm, when non-nil, is the cross-run warm cache of a long-lived
-	// handle: group solves, isolated elections and per-node candidate
-	// derivations are answered from it across any number of concurrent
-	// runs, keyed by the same content signatures the Memo uses (so reuse is
-	// equally output-preserving). Probed after the Memo; misses feed both.
-	// Ignored under DisableMemo or when built over a different lexicon.
+	// handle: group solves and isolated elections are answered from it
+	// across any number of concurrent runs, keyed by the same content
+	// signatures the Memo uses (so reuse is equally output-preserving), and
+	// per-node candidate derivations replay from it by WarmKey position.
+	// Probed after the Memo; misses feed both. Ignored under DisableMemo or
+	// when built over a different lexicon.
 	Warm *Warm
 	// WarmKey, when non-empty alongside Warm, is the caller's fingerprint of
 	// the exact canonical source content plus every behavior-affecting
@@ -95,8 +98,9 @@ type Options struct {
 	// on: an identical key means an identical merge result, so group,
 	// isolated and node outcomes can be cached under cheap positional keys
 	// (key + unit index) probed before the content signatures are even
-	// built. Content-signature caching remains the fallback, so corpora
-	// that merely overlap a previous run still reuse per-unit work.
+	// built. Groups and isolated clusters fall back to their content
+	// signatures, so corpora that merely overlap a previous run still reuse
+	// that work; node derivations have no content key (see RunContext).
 	WarmKey string
 }
 
@@ -217,7 +221,6 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 	}
 
 	ifaces := cluster.Interfaces(mr.Sources)
-	units := collectSourceUnits(mr.Sources)
 
 	// ---- Phase 1a: groups. -----------------------------------------------
 	// With a memo or warm cache, relations are built and signatures
@@ -464,10 +467,13 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 	nodeOuts := make([]*NodeReport, len(internals))
 	nodeCounters := make([]Counters, len(internals))
 
-	// Cheap pre-pass: with a corpus fingerprint, the i-th internal node of
-	// an identical corpus is the same node (the tree walk is deterministic),
-	// so its derivation — including its sorted leaf set — replays from the
-	// positional key without touching the content signatures below.
+	// Positional replay: with a corpus fingerprint, the i-th internal node
+	// of an identical corpus is the same node (the tree walk is
+	// deterministic), so its derivation — including its sorted leaf set —
+	// replays from (fingerprint, node index). Nodes have no content key: a
+	// derivation reads every source unit inside X, which a changed corpus
+	// rarely reproduces exactly, so such a key would cost a signature per
+	// node and hit under 2% of probes on the benchmark workloads.
 	work := make([]int, 0, len(internals))
 	for i := range internals {
 		if cheap != "" {
@@ -485,95 +491,35 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 		work = append(work, i)
 	}
 
-	// With a warm cache, each remaining node's derivation is keyed by a
-	// content signature covering exactly what candidateLabels reads: the
-	// solver options, the member content of every cluster in the node's leaf
-	// set X (bound to its name, since units reference clusters by name), and
-	// the sub-list of source units whose cluster sets fall inside X — the
-	// only units the derivation ever consults (both the potential scan and
-	// LI 5 filter on ⊆ X). The per-cluster and per-unit fragments are
-	// serialized once per run (skipped entirely when the cheap pre-pass
-	// answered every node); each node concatenates the relevant ones.
-	var clusterSig map[string]string
-	var unitSigs []string
-	if warm != nil && len(work) > 0 {
-		clusterSig = make(map[string]string, len(mr.Mapping.Clusters))
-		for _, c := range mr.Mapping.Clusters {
-			var b strings.Builder
-			sigMembers(&b, c)
-			clusterSig[c.Name] = b.String()
-		}
-		unitSigs = make([]string, len(units))
-		for i, u := range units {
-			var b strings.Builder
-			sigString(&b, u.iface)
-			sigString(&b, u.label)
-			names := make([]string, 0, len(u.clusters))
-			for n := range u.clusters {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			b.WriteString(strconv.Itoa(len(names)))
-			for _, n := range names {
-				sigString(&b, n)
-			}
-			unitSigs[i] = b.String()
+	// The remaining nodes derive their candidates over a per-run index
+	// (bitset cluster sets, per-cluster content words); the reference
+	// kernels keep the map-based derivation it must match.
+	var units []sourceUnit
+	var ix *nodeIndex
+	if len(work) > 0 {
+		units = collectSourceUnits(mr.Sources)
+		if !opts.DisableMemo {
+			ix = newNodeIndex(sem, mr.Mapping, units, mr.Tree.Root.LeafClusters())
 		}
 	}
-
 	err := pool.ForEach(ctx, workers, len(work), func(w, k int) {
 		i := work[k]
 		so := sopts
 		so.Counters = &nodeCounters[i]
 		x := internals[i].LeafClusters()
 		names := sortedKeys(x)
-		if warm != nil {
-			var b strings.Builder
-			b.WriteByte('n')
-			sigOptions(&b, sopts)
-			for _, nm := range names {
-				sigString(&b, nm)
-				b.WriteString(clusterSig[nm])
-			}
-			b.WriteByte('u')
-			var sub []sourceUnit
-			for k := range units {
-				if subsetSet(units[k].clusters, x) {
-					sub = append(sub, units[k])
-					b.WriteString(unitSigs[k])
-				}
-			}
-			sig := b.String()
-			if e, ok := warm.nodes.lookup(sig); ok {
-				nodeCounters[i] = e.counters
-				nodeOuts[i] = &NodeReport{
-					Node:           internals[i],
-					Clusters:       names,
-					Candidates:     e.cands,
-					PotentialCount: e.potentials,
-				}
-				if cheap != "" {
-					warm.nodes.store(cheap+"|n|"+strconv.Itoa(i), e)
-				}
-				return
-			}
-			// Passing only the ⊆-X units is output-identical: every read of
-			// the unit list filters on that condition.
-			cands, potentials := semFor(w).candidateLabels(x, sub, mr.Mapping, so)
-			e := nodeEntry{clusters: names, cands: cands, potentials: potentials, counters: nodeCounters[i]}
-			warm.nodes.store(sig, e)
-			if cheap != "" {
-				warm.nodes.store(cheap+"|n|"+strconv.Itoa(i), e)
-			}
-			nodeOuts[i] = &NodeReport{
-				Node:           internals[i],
-				Clusters:       names,
-				Candidates:     cands,
-				PotentialCount: potentials,
-			}
-			return
+		var cands []CandidateLabel
+		var potentials int
+		if ix != nil {
+			cands, potentials = semFor(w).candidateLabelsIndexed(ix, ix.setOf(names), so)
+		} else {
+			cands, potentials = semFor(w).candidateLabels(x, units, mr.Mapping, so)
 		}
-		cands, potentials := semFor(w).candidateLabels(x, units, mr.Mapping, so)
+		if cheap != "" {
+			warm.nodes.store(cheap+"|n|"+strconv.Itoa(i), nodeEntry{
+				clusters: names, cands: cands, potentials: potentials, counters: nodeCounters[i],
+			})
+		}
 		nodeOuts[i] = &NodeReport{
 			Node:           internals[i],
 			Clusters:       names,

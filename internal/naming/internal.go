@@ -222,32 +222,46 @@ func (s *Semantics) candidateLabels(x map[string]bool, units []sourceUnit,
 		if rule == 2 {
 			opts.Counters.Add(2)
 		}
-		origins := make([]string, 0, len(p.origins))
-		for o := range p.origins {
-			origins = append(origins, o)
-		}
-		sort.Strings(origins)
-		var alternates []string
-		for f := range p.forms {
-			if f != p.label {
-				alternates = append(alternates, f)
-			}
-		}
-		sort.Slice(alternates, func(i, j int) bool {
-			di, dj := s.ContentWordCount(alternates[i]), s.ContentWordCount(alternates[j])
-			if di != dj {
-				return di > dj
-			}
-			return alternates[i] < alternates[j]
-		})
-		out = append(out, CandidateLabel{
-			Label:       p.label,
-			Origins:     origins,
-			Rule:        rule,
-			Alternates:  alternates,
-			Descriptive: s.ContentWordCount(p.label),
-		})
+		out = append(out, s.newCandidate(p.label, p.forms, p.origins, rule))
 	}
+	rankCandidates(out)
+	return out, len(pots)
+}
+
+// newCandidate renders one surviving potential as a candidate label:
+// origins sorted, the other display forms as alternates, most descriptive
+// first.
+func (s *Semantics) newCandidate(label string, forms, origins map[string]bool, rule int) CandidateLabel {
+	origs := make([]string, 0, len(origins))
+	for o := range origins {
+		origs = append(origs, o)
+	}
+	sort.Strings(origs)
+	var alternates []string
+	for f := range forms {
+		if f != label {
+			alternates = append(alternates, f)
+		}
+	}
+	sort.Slice(alternates, func(i, j int) bool {
+		di, dj := s.ContentWordCount(alternates[i]), s.ContentWordCount(alternates[j])
+		if di != dj {
+			return di > dj
+		}
+		return alternates[i] < alternates[j]
+	})
+	return CandidateLabel{
+		Label:       label,
+		Origins:     origs,
+		Rule:        rule,
+		Alternates:  alternates,
+		Descriptive: s.ContentWordCount(label),
+	}
+}
+
+// rankCandidates orders candidates most descriptive first, then by origin
+// count, then by label.
+func rankCandidates(out []CandidateLabel) {
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Descriptive != out[j].Descriptive {
 			return out[i].Descriptive > out[j].Descriptive
@@ -257,7 +271,6 @@ func (s *Semantics) candidateLabels(x map[string]bool, units []sourceUnit,
 		}
 		return out[i].Label < out[j].Label
 	})
-	return out, len(pots)
 }
 
 // extendMeaning implements LI 5 (§5.1.3): with Y the covered clusters and

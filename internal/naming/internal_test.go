@@ -1,6 +1,8 @@
 package naming
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"qilabel/internal/cluster"
@@ -23,11 +25,43 @@ func mappingFor(trees ...*schema.Tree) *cluster.Mapping {
 	return m
 }
 
+// deriveBoth runs the §5 candidate derivation for X through both kernels —
+// the map-based reference (candidateLabels) and the indexed one
+// (candidateLabelsIndexed), each on its own Semantics — and fails the test
+// unless they agree on the candidates (label, origins, rule, alternates),
+// the potential count and the rule tallies. It returns the reference
+// outcome and adds its tallies to opts.Counters.
+func deriveBoth(t *testing.T, trees []*schema.Tree, x map[string]bool, opts SolverOptions) ([]CandidateLabel, int) {
+	t.Helper()
+	m := mappingFor(trees...)
+	units := collectSourceUnits(trees)
+	var refCnt, ixCnt Counters
+	refOpts, ixOpts := opts, opts
+	refOpts.Counters, ixOpts.Counters = &refCnt, &ixCnt
+	ref, refPots := NewSemantics(nil).candidateLabels(x, units, m, refOpts)
+
+	s := NewSemantics(nil)
+	ix := newNodeIndex(s, m, units, x)
+	got, gotPots := s.candidateLabelsIndexed(ix, ix.setOf(sortedKeys(x)), ixOpts)
+	if !reflect.DeepEqual(got, ref) {
+		t.Errorf("indexed candidates diverge from the reference:\nindexed:   %+v\nreference: %+v", got, ref)
+	}
+	if gotPots != refPots {
+		t.Errorf("indexed potential count %d, reference %d", gotPots, refPots)
+	}
+	if ixCnt != refCnt {
+		t.Errorf("indexed rule tallies %v, reference %v", ixCnt.LI, refCnt.LI)
+	}
+	if opts.Counters != nil {
+		opts.Counters.Merge(refCnt)
+	}
+	return ref, refPots
+}
+
 // TestCandidateLabelsLI2 reproduces Figure 8 (left): the label Location
 // appears in multiple interfaces covering different parts of an address;
 // the union of the covered sets equals X, so Location is a candidate.
 func TestCandidateLabelsLI2(t *testing.T) {
-	s := NewSemantics(nil)
 	trees := []*schema.Tree{
 		schema.NewTree("i1", schema.NewGroup("Location",
 			schema.NewField("City", "c_City"),
@@ -38,11 +72,9 @@ func TestCandidateLabelsLI2(t *testing.T) {
 		schema.NewTree("i3", schema.NewGroup("Location",
 			schema.NewField("County", "c_County"))),
 	}
-	m := mappingFor(trees...)
-	units := collectSourceUnits(trees)
 	x := setOf("c_City", "c_State", "c_Zip", "c_County")
 	var counters Counters
-	cands, _ := s.candidateLabels(x, units, m, SolverOptions{Counters: &counters})
+	cands, _ := deriveBoth(t, trees, x, SolverOptions{Counters: &counters})
 	if len(cands) != 1 || cands[0].Label != "Location" {
 		t.Fatalf("candidates = %+v, want [Location]", cands)
 	}
@@ -61,7 +93,6 @@ func TestCandidateLabelsLI2(t *testing.T) {
 // question "Do you have any preferences?" is a hypernym of both specific
 // preference labels and semantically covers their union.
 func TestCandidateLabelsLI3LI4(t *testing.T) {
-	s := NewSemantics(nil)
 	trees := []*schema.Tree{
 		schema.NewTree("i1", schema.NewGroup("Do you have any preferences?",
 			schema.NewField("Meal", "c_Meal"))),
@@ -70,11 +101,9 @@ func TestCandidateLabelsLI3LI4(t *testing.T) {
 		schema.NewTree("i3", schema.NewGroup("What are your service preferences?",
 			schema.NewField("Service Level", "c_Service"))),
 	}
-	m := mappingFor(trees...)
-	units := collectSourceUnits(trees)
 	x := setOf("c_Meal", "c_Carrier", "c_Service")
 	var counters Counters
-	cands, _ := s.candidateLabels(x, units, m, SolverOptions{Counters: &counters})
+	cands, _ := deriveBoth(t, trees, x, SolverOptions{Counters: &counters})
 	var got *CandidateLabel
 	for i := range cands {
 		if cands[i].Label == "Do you have any preferences?" {
@@ -97,7 +126,6 @@ func TestCandidateLabelsLI3LI4(t *testing.T) {
 // leaves, so the two labels are semantically equivalent in the domain and
 // their coverages merge.
 func TestCandidateLabelsLI1(t *testing.T) {
-	s := NewSemantics(nil)
 	trees := []*schema.Tree{
 		schema.NewTree("i1", schema.NewGroup("Location",
 			schema.NewField("State", "c_State"),
@@ -107,11 +135,9 @@ func TestCandidateLabelsLI1(t *testing.T) {
 			schema.NewField("County", "c_County"),
 			schema.NewField("City", "c_City"))),
 	}
-	m := mappingFor(trees...)
-	units := collectSourceUnits(trees)
 	x := setOf("c_State", "c_County", "c_City")
 	var counters Counters
-	cands, _ := s.candidateLabels(x, units, m, SolverOptions{Counters: &counters})
+	cands, _ := deriveBoth(t, trees, x, SolverOptions{Counters: &counters})
 	if len(cands) != 1 {
 		t.Fatalf("candidates = %+v, want one merged label", cands)
 	}
@@ -132,7 +158,6 @@ func TestCandidateLabelsLI1(t *testing.T) {
 // Make/Model over {Make, Model, Keywords} shows Keywords is characterized
 // by {Make, Model}, extending Car Information over the whole set.
 func TestCandidateLabelsLI5(t *testing.T) {
-	s := NewSemantics(nil)
 	trees := []*schema.Tree{
 		schema.NewTree("i1", schema.NewGroup("Car Information",
 			schema.NewField("Make", "c_Make"),
@@ -144,11 +169,9 @@ func TestCandidateLabelsLI5(t *testing.T) {
 			schema.NewField("Model", "c_Model"),
 			schema.NewField("Keywords", "c_Keyword"))),
 	}
-	m := mappingFor(trees...)
-	units := collectSourceUnits(trees)
 	x := setOf("c_Make", "c_Model", "c_From", "c_To", "c_Keyword")
 	var counters Counters
-	cands, _ := s.candidateLabels(x, units, m, SolverOptions{Counters: &counters})
+	cands, _ := deriveBoth(t, trees, x, SolverOptions{Counters: &counters})
 	var got *CandidateLabel
 	for i := range cands {
 		if cands[i].Label == "Car Information" {
@@ -166,10 +189,37 @@ func TestCandidateLabelsLI5(t *testing.T) {
 	}
 }
 
+// TestCandidateLabelsLI5PeerLabel: a source node whose label is as much
+// about Z as about W ("Drop-off" over Drop-off City/Date/Time) groups
+// peers; it does not let Trip, which covers only City and Date, extend
+// its meaning over Drop-off Time.
+func TestCandidateLabelsLI5PeerLabel(t *testing.T) {
+	trees := []*schema.Tree{
+		schema.NewTree("i1", schema.NewGroup("Trip",
+			schema.NewField("Drop-off City", "c_City"),
+			schema.NewField("Drop-off Date", "c_Date"))),
+		schema.NewTree("i2", schema.NewGroup("Drop-off",
+			schema.NewField("Drop-off City", "c_City"),
+			schema.NewField("Drop-off Date", "c_Date"),
+			schema.NewField("Drop-off Time", "c_Time"))),
+	}
+	x := setOf("c_City", "c_Date", "c_Time")
+	var counters Counters
+	cands, pots := deriveBoth(t, trees, x, SolverOptions{Counters: &counters})
+	if pots != 2 {
+		t.Fatalf("%d potentials, want Trip and Drop-off", pots)
+	}
+	if len(cands) != 1 || cands[0].Label != "Drop-off" || cands[0].Rule != 2 {
+		t.Errorf("candidates = %+v, want only Drop-off by LI2", cands)
+	}
+	if counters.LI[5] != 0 {
+		t.Errorf("LI5 fired %d times, want none", counters.LI[5])
+	}
+}
+
 // TestCandidateLabelsLI5Instances checks LI5's first condition: the
 // instances of Z are a subset of the instances of the covered fields.
 func TestCandidateLabelsLI5Instances(t *testing.T) {
-	s := NewSemantics(nil)
 	trees := []*schema.Tree{
 		schema.NewTree("i1", schema.NewGroup("Vehicle",
 			schema.NewField("Body Style", "c_Body", "sedan", "coupe", "convertible"))),
@@ -177,11 +227,9 @@ func TestCandidateLabelsLI5Instances(t *testing.T) {
 			schema.NewField("Body", "c_Body", "sedan", "coupe", "convertible", "van"),
 			schema.NewField("Style", "c_Style", "sedan", "coupe")),
 	}
-	m := mappingFor(trees...)
-	units := collectSourceUnits(trees)
 	x := setOf("c_Body", "c_Style")
 	var counters Counters
-	cands, _ := s.candidateLabels(x, units, m,
+	cands, _ := deriveBoth(t, trees, x,
 		SolverOptions{UseInstances: true, Counters: &counters})
 	var got *CandidateLabel
 	for i := range cands {
@@ -196,7 +244,7 @@ func TestCandidateLabelsLI5Instances(t *testing.T) {
 		t.Errorf("rule = %d, want LI5 via instance containment", got.Rule)
 	}
 	// Without instances the extension must fail.
-	cands, _ = s.candidateLabels(x, units, m, SolverOptions{UseInstances: false})
+	cands, _ = deriveBoth(t, trees, x, SolverOptions{UseInstances: false})
 	for _, c := range cands {
 		if c.Label == "Vehicle" {
 			t.Error("LI5 instance condition must be off without instances")
@@ -209,7 +257,6 @@ func TestCandidateLabelsLI5Instances(t *testing.T) {
 // of Area) extends it over Locate within; together they make Location a
 // candidate for the full set.
 func TestCandidateLabelsCombination(t *testing.T) {
-	s := NewSemantics(nil)
 	trees := []*schema.Tree{
 		schema.NewTree("i1", schema.NewGroup("Location",
 			schema.NewField("City", "c_City"),
@@ -221,11 +268,9 @@ func TestCandidateLabelsCombination(t *testing.T) {
 			schema.NewField("Locate within", "c_Within"),
 			schema.NewField("Zip", "c_Zip"))),
 	}
-	m := mappingFor(trees...)
-	units := collectSourceUnits(trees)
 	x := setOf("c_City", "c_State", "c_Zip", "c_Within")
 	var counters Counters
-	cands, _ := s.candidateLabels(x, units, m, SolverOptions{Counters: &counters})
+	cands, _ := deriveBoth(t, trees, x, SolverOptions{Counters: &counters})
 	var got *CandidateLabel
 	for i := range cands {
 		if cands[i].Label == "Location" {
@@ -244,19 +289,50 @@ func TestCandidateLabelsCombination(t *testing.T) {
 // applies, the candidate set is empty ("a good chance a label does not
 // exist").
 func TestCandidateLabelsNone(t *testing.T) {
-	s := NewSemantics(nil)
 	trees := []*schema.Tree{
 		schema.NewTree("i1", schema.NewGroup("Departure",
 			schema.NewField("From", "c_From"))),
 		schema.NewTree("i2", schema.NewGroup("Passengers",
 			schema.NewField("Adults", "c_Adult"))),
 	}
-	m := mappingFor(trees...)
-	units := collectSourceUnits(trees)
 	x := setOf("c_From", "c_Adult")
-	cands, _ := s.candidateLabels(x, units, m, SolverOptions{})
+	cands, _ := deriveBoth(t, trees, x, SolverOptions{})
 	if len(cands) != 0 {
 		t.Errorf("candidates = %+v, want none", cands)
+	}
+}
+
+// TestCandidateLabelsStraddlingUnit: a source node whose clusters straddle
+// X — two inside, one outside — is not a potential label of X. Seventy
+// filler clusters number the outside cluster past the first bitset word,
+// so the indexed ⊆ test must reject the unit on a word X leaves empty.
+func TestCandidateLabelsStraddlingUnit(t *testing.T) {
+	fillers := make([]*schema.Node, 70)
+	for i := range fillers {
+		fillers[i] = schema.NewField(fmt.Sprintf("Extra %d", i), fmt.Sprintf("c_Extra%d", i))
+	}
+	trees := []*schema.Tree{
+		schema.NewTree("i1", schema.NewGroup("Location",
+			schema.NewField("City", "c_City"),
+			schema.NewField("State", "c_State"))),
+		schema.NewTree("i2", fillers...),
+		schema.NewTree("i3", schema.NewGroup("Delivery",
+			schema.NewField("City", "c_City"),
+			schema.NewField("State", "c_State"),
+			schema.NewField("Zip Code", "c_Zip"))),
+	}
+	ix := newNodeIndex(NewSemantics(nil), mappingFor(trees...), collectSourceUnits(trees), nil)
+	if zip := ix.ids["c_Zip"]; zip < 64 {
+		t.Fatalf("c_Zip numbered %d, want it past the first bitset word", zip)
+	}
+
+	cands, pots := deriveBoth(t, trees, setOf("c_City", "c_State"), SolverOptions{})
+	if pots != 1 || len(cands) != 1 || cands[0].Label != "Location" || cands[0].Rule != 2 {
+		t.Errorf("X = {City, State}: %d potentials, candidates %+v; want only Location by LI2", pots, cands)
+	}
+	// With the outside cluster in X the unit no longer straddles it.
+	if _, pots := deriveBoth(t, trees, setOf("c_City", "c_State", "c_Zip"), SolverOptions{}); pots != 2 {
+		t.Errorf("X = {City, State, Zip}: %d potentials, want Location and Delivery", pots)
 	}
 }
 

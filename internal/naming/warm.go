@@ -44,7 +44,8 @@ type verdictShard struct {
 }
 
 // nodeEntry is one cached candidate-label derivation for a global internal
-// node: the node's sorted descendant leaf set, the ranked candidates, the
+// node, stored under its positional key (WarmKey + node index) only: the
+// node's sorted descendant leaf set, the ranked candidates, the
 // potential-label count, and the inference-rule tally the derivation
 // produced. The slices are shared on reuse; downstream phases read them
 // without mutating (the assignment phase copies entries before editing).
@@ -149,8 +150,8 @@ type WarmStats struct {
 	SolveHits   uint64
 	SolveMisses uint64
 	Solves      int
-	// NodeHits / NodeMisses count per-node candidate derivations answered
-	// from the cache vs computed; Nodes is the stored population.
+	// NodeHits / NodeMisses count per-node candidate derivations replayed
+	// by position vs computed; Nodes is the stored population.
 	NodeHits   uint64
 	NodeMisses uint64
 	Nodes      int
@@ -192,10 +193,12 @@ type Warm struct {
 
 	shards [warmShards]verdictShard
 
-	// Solve-family caches, keyed by the same content signatures the session
-	// RunMemo uses (groupSignature / isolatedSignature, plus the node
-	// signature RunContext builds): a solve is a pure function of what the
-	// signature serializes and the lexicon epoch.
+	// Solve-family caches. Groups and isolated elections are keyed by the
+	// same content signatures the session RunMemo uses (groupSignature /
+	// isolatedSignature): a solve is a pure function of what the signature
+	// serializes and the lexicon epoch. All three also hold entries under
+	// positional keys (Options.WarmKey + unit index), the only keys node
+	// derivations are stored under.
 	groups   warmTable[groupEntry]
 	isolated warmTable[isolatedEntry]
 	nodes    warmTable[nodeEntry]

@@ -144,8 +144,9 @@ type Config struct {
 
 	// referenceKernels routes the pipeline through the unoptimized
 	// reference kernels: the matcher's exhaustive pairwise pass instead of
-	// the block-key index, and unmemoized Relate without the shared
-	// analysis table. Unexported and test-only — the kernel-equivalence
+	// the block-key index, unmemoized Relate without the shared analysis
+	// table, and the map-based internal-node candidate derivation instead
+	// of the indexed one. Unexported and test-only — the kernel-equivalence
 	// tests pin the optimized pipeline against this path byte for byte. It
 	// cannot change the output, so it is excluded from Fingerprint.
 	referenceKernels bool
@@ -185,11 +186,15 @@ func (c Config) Validate() error {
 // serialization, not the insertion-ordered wire form — so two tenants
 // holding the same lexical facts share one fingerprint (and one cache
 // namespace) while any factual difference separates them, deterministically
-// across processes.
+// across processes. A lexicon whose content address is the embedded
+// default's is the default and fingerprints as such, the same resolution
+// qilabeld applies to a lexicon selection.
 func (c Config) Fingerprint() string {
 	lex := "default"
 	if c.Lexicon != nil {
-		lex = c.Lexicon.VersionID()
+		if id := c.Lexicon.VersionID(); id != lexicon.Default().VersionID() {
+			lex = id
+		}
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "lexicon=%s matcher=%t instances=%t maxLevel=%d minFreq=%d",
@@ -456,19 +461,6 @@ type Violation = naming.Violation
 // against those semantics rather than the weaker default.
 func (r *Result) Verify() []Violation {
 	return r.Naming.VerifyViolations(naming.NewSemantics(r.lex))
-}
-
-// VerifyStrings is Verify rendered as the historical plain-string
-// messages.
-//
-// Deprecated: use Verify, which returns typed []Violation values carrying
-// the offending node and the violated rule alongside the detail text;
-// each string here is exactly the corresponding Violation's Detail. The
-// shim stays so text-oriented consumers (scripts scraping labeler output)
-// keep compiling and seeing unchanged content; TestVerifyTypedShim pins
-// the correspondence.
-func (r *Result) VerifyStrings() []string {
-	return r.Naming.VerifyVertical(naming.NewSemantics(r.lex))
 }
 
 // HTML renders the labeled integrated interface as an HTML form: groups

@@ -86,3 +86,32 @@ func TestVerifyUsesConfiguredLexicon(t *testing.T) {
 		t.Fatalf("default verification failed: %v", v)
 	}
 }
+
+// TestCacheKeyDefaultLexiconContent: a lexicon whose content address is
+// the embedded default's labels exactly as the default does, so it shares
+// the default's fingerprint and cache keys — the resolution qilabeld
+// applies to a lexicon selection, which in-process keys must agree with.
+func TestCacheKeyDefaultLexiconContent(t *testing.T) {
+	sources, err := BuiltinDomain("Airline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := WithLexicon(DefaultLexicon().Clone())
+	if got, want := Fingerprint(clone), Fingerprint(); got != want {
+		t.Fatalf("default-content lexicon fingerprints as %q, want %q", got, want)
+	}
+	if CacheKey(sources, clone) != CacheKey(sources) {
+		t.Fatal("default-content lexicon splits the default's cache key")
+	}
+	plain, err := Integrate(sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloned, err := Integrate(sources, clone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cloned.Summary() != plain.Summary() || cloned.Tree.String() != plain.Tree.String() {
+		t.Fatal("default-content lexicon labels differently from the default")
+	}
+}

@@ -136,8 +136,9 @@ type WarmStats struct {
 	Verdicts                   int
 	// SolveHits / SolveMisses count naming group solves and isolated
 	// elections answered from the warm cache vs computed; NodeHits /
-	// NodeMisses the per-node candidate derivations. Solves and Nodes are
-	// the stored populations.
+	// NodeMisses the per-node candidate derivations, which replay only
+	// when a corpus repeats exactly. Solves and Nodes are the stored
+	// populations.
 	SolveHits, SolveMisses uint64
 	Solves                 int
 	NodeHits, NodeMisses   uint64

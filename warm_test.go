@@ -63,8 +63,8 @@ func TestWarmEquivalence(t *testing.T) {
 			}
 			cold := warmGoldenBytes(t, domain, sources, coldRes)
 			// Three passes on one handle: the first fills the caches, the
-			// second replays via content signatures and corpus keys, the
-			// third re-replays (promotion paths).
+			// second replays by corpus key and position, the third
+			// re-replays (promotion paths).
 			for pass := 1; pass <= 3; pass++ {
 				res, err := warmIG.Integrate(sources)
 				if err != nil {
