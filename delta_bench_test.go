@@ -72,7 +72,7 @@ func BenchmarkDeltaAddSource(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		// One untimed cycle warms the memo for the held-out source too.
+		// One untimed cycle warms the caches for the held-out source too.
 		h, err := sess.AddSource(ctx, last)
 		if err != nil {
 			b.Fatal(err)

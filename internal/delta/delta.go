@@ -1,27 +1,23 @@
 // Package delta is the incremental integration engine: the pipeline core
 // shared by the one-shot qilabel.IntegrateContext and the stateful Session
-// (AddSource / RemoveSource / UpdateSource), plus the cross-run caches
-// that make a delta cheap.
+// (AddSource / RemoveSource / UpdateSource).
 //
 // The engine's contract is *equivalence*: a Session's outcome after any
 // delta sequence is byte-identical to a from-scratch run over the same
 // final source set. That holds by construction — the session runs the
-// exact same pipeline (the one function below), and every cache it
-// consults (the matcher's pair-verdict memo, the naming run memo) stores
-// results of pure functions keyed by the full content those functions
-// read. Reuse changes only what is recomputed, never what comes out; the
-// delta equivalence gate in the root package pins it across the synth and
-// golden corpora, serial and parallel.
+// exact same pipeline (the one function below) on the same caches a
+// one-shot run consults: the Integrator's warm tables (naming.Warm,
+// match.Warm, SourceLabelMemo), which store results of pure functions
+// keyed by the full content those functions read. Reuse changes only what
+// is recomputed, never what comes out; the delta equivalence gate in the
+// root package pins it across the synth and golden corpora, serial and
+// parallel.
 package delta
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
-	"io"
 	"sort"
-	"strconv"
 	"time"
 
 	"qilabel/internal/cluster"
@@ -43,10 +39,18 @@ type Config struct {
 	MinFrequency     int
 	Parallelism      int
 	// ReferenceKernels routes the run through the unoptimized reference
-	// kernels and bypasses every cross-run cache: each delta is a full
-	// from-scratch recomputation. Test-only, like qilabel's unexported
-	// twin.
+	// kernels: the matcher's exhaustive pairwise pass, unmemoized Relate
+	// and the map-based internal-node derivation. It selects kernels only:
+	// the Integrator attaches no caches to a reference configuration, and
+	// the reference kernels ignore any that are attached. Test-only, like
+	// qilabel's unexported twin.
 	ReferenceKernels bool
+	// Fingerprint is the configuration's fingerprint (qilabel's
+	// Config.Fingerprint, cached by the Integrator). With a warm cache
+	// attached, a run keys its whole-corpus replays by
+	// schema.CacheKey(source hashes, Fingerprint) — the result's own cache
+	// key. Empty: no corpus key, so nothing replays by position.
+	Fingerprint string
 	// MatchScratch, when non-nil, lends the matcher's pairwise pass
 	// reusable per-worker buffers pooled across runs (the Integrator keeps
 	// one per configuration). Pure accelerator; nil degrades to per-run
@@ -56,35 +60,30 @@ type Config struct {
 	// analyses, shared Relate verdicts, group/isolated/node solve caches)
 	// the run's analysis table is built through and the naming passes
 	// consult. Pure accelerator with byte-identical output; nil degrades
-	// to a per-run table. ReferenceKernels bypasses it.
+	// to a per-run table.
 	Warm *naming.Warm
 	// MatchWarm, when non-nil, caches the matcher's block keys and pair
 	// verdicts across runs by field content. Pure accelerator; nil
-	// degrades to per-run derivation. ReferenceKernels bypasses it.
+	// degrades to per-run derivation.
 	MatchWarm *match.Warm
 	// SourceLabels, when non-nil, memoizes each source tree's distinct
 	// label list by canonical hash so re-submitted sources skip the
 	// label-collection walk. Pure accelerator; nil degrades to a fresh
-	// walk. ReferenceKernels bypasses it.
+	// walk.
 	SourceLabels *SourceLabelMemo
 }
 
 // Outcome is one pipeline run's full output: the working trees (clones,
 // canonically ordered, 1:m-expanded, matcher-annotated), the cluster
-// mapping, and the merge and naming results.
+// mapping, and the merge and naming results. Reuse and Pairs count what
+// this run answered from the warm caches versus computed.
 type Outcome struct {
 	Trees   []*schema.Tree
 	Mapping *cluster.Mapping
 	Merge   *merge.Result
 	Naming  *naming.Result
-}
-
-// Caches is the cross-run state a Session threads through consecutive
-// pipeline runs. A nil Caches (or nil fields) degrades to a full
-// recomputation — the one-shot path.
-type Caches struct {
-	Match  *match.Memo
-	Naming *naming.RunMemo
+	Reuse   naming.ReuseCounts
+	Pairs   match.PairCounts
 }
 
 // ErrNoSources is returned by a run over an empty source set; the string
@@ -102,7 +101,7 @@ var ErrNoClusters = errors.New("qilabel: no clusters; annotate the sources or us
 // observe hook, when non-nil, receives one call per completed stage
 // ("match", "merge", "naming") with the stage's unit count; the caller
 // tracks durations.
-func Run(ctx context.Context, trees []*schema.Tree, cfg Config, caches *Caches, observe func(stage string, units int)) (*Outcome, error) {
+func Run(ctx context.Context, trees []*schema.Tree, cfg Config, observe func(stage string, units int)) (*Outcome, error) {
 	if len(trees) == 0 {
 		return nil, ErrNoSources
 	}
@@ -111,27 +110,16 @@ func Run(ctx context.Context, trees []*schema.Tree, cfg Config, caches *Caches, 
 	}
 	hashes := canonicalizeSourceOrderHashed(trees)
 	cluster.ExpandOneToMany(trees)
+	out := &Outcome{Trees: trees}
 
-	// Corpus fingerprint for the warm caches' whole-run fast paths: the
-	// canonical pre-expansion hashes plus every behavior-affecting config
-	// facet determine the entire pipeline outcome (the same invariant
-	// CacheKey-based result sharing relies on), so stages can key replayable
-	// results by it. Empty when no warm cache is attached.
+	// Corpus key for the warm caches' whole-run fast paths: the result's
+	// own cache key. The canonical pre-expansion hashes plus the
+	// fingerprint determine the entire pipeline outcome (the invariant
+	// CacheKey-based result sharing relies on), so stages can key
+	// replayable results by it.
 	warmKey := ""
-	if !cfg.ReferenceKernels && (cfg.Warm != nil || cfg.MatchWarm != nil) {
-		h := sha256.New()
-		for _, hs := range hashes {
-			io.WriteString(h, hs)
-			io.WriteString(h, "\x00")
-		}
-		io.WriteString(h, strconv.FormatBool(cfg.UseMatcher))
-		io.WriteString(h, "|")
-		io.WriteString(h, strconv.FormatBool(cfg.DisableInstances))
-		io.WriteString(h, "|")
-		io.WriteString(h, strconv.Itoa(cfg.MaxLevel))
-		io.WriteString(h, "|")
-		io.WriteString(h, strconv.Itoa(cfg.MinFrequency))
-		warmKey = hex.EncodeToString(h.Sum(nil))
+	if cfg.Fingerprint != "" && (cfg.Warm != nil || cfg.MatchWarm != nil) {
+		warmKey = schema.CacheKey(hashes, cfg.Fingerprint)
 	}
 
 	// One label-analysis table serves the whole run: the matcher's pairwise
@@ -139,8 +127,8 @@ func Run(ctx context.Context, trees []*schema.Tree, cfg Config, caches *Caches, 
 	// labels, and both previously built separate tables over mostly the
 	// same strings. The table is a pure accelerator (labels outside it fall
 	// back to per-worker caches), so sharing it cannot change output — the
-	// reference path skips it entirely to stay a true baseline. With a warm
-	// handle, the table is interned through the cross-run caches: the
+	// reference kernels skip it entirely to stay a true baseline. With a
+	// warm handle, the table is interned through the cross-run caches: the
 	// source-label memo skips re-collecting labels of already-seen trees
 	// (keyed by the pre-expansion canonical hash, which determines the
 	// expanded labels), and the Warm cache skips re-analyzing already-seen
@@ -165,25 +153,16 @@ func Run(ctx context.Context, trees []*schema.Tree, cfg Config, caches *Caches, 
 	if cfg.UseMatcher {
 		// After expansion, so matcher-assigned clusters replace every
 		// annotation uniformly (including the expanded 1:m children).
-		var n int
-		var err error
-		if caches != nil && caches.Match != nil && !cfg.ReferenceKernels {
-			n, err = caches.Match.AssignIncremental(ctx, trees)
-		} else {
-			sem := naming.NewSemantics(cfg.Lexicon)
-			if cfg.ReferenceKernels {
-				sem = naming.NewSemanticsUnmemoized(cfg.Lexicon)
-			}
-			n, err = match.AssignContext(ctx, trees, match.Options{
-				Semantics:       sem,
-				Parallelism:     cfg.Parallelism,
-				DisableBlocking: cfg.ReferenceKernels,
-				Analysis:        analysis,
-				Scratch:         cfg.MatchScratch,
-				Warm:            cfg.MatchWarm,
-				WarmKey:         warmKey,
-			})
-		}
+		n, err := match.AssignContext(ctx, trees, match.Options{
+			Semantics:       naming.NewSemantics(cfg.Lexicon),
+			Parallelism:     cfg.Parallelism,
+			DisableBlocking: cfg.ReferenceKernels,
+			Analysis:        analysis,
+			Scratch:         cfg.MatchScratch,
+			Warm:            cfg.MatchWarm,
+			WarmKey:         warmKey,
+			Pairs:           &out.Pairs,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -199,33 +178,29 @@ func Run(ctx context.Context, trees []*schema.Tree, cfg Config, caches *Caches, 
 	if len(m.Clusters) == 0 {
 		return nil, ErrNoClusters
 	}
-	mr, err := merge.MergeContext(ctx, trees, m)
+	out.Mapping = m
+	out.Merge, err = merge.MergeContext(ctx, trees, m)
 	if err != nil {
 		return nil, err
 	}
 	observe("merge", len(m.Clusters))
 
-	var namingMemo *naming.RunMemo
-	if caches != nil && !cfg.ReferenceKernels {
-		namingMemo = caches.Naming
-	}
-	nres, err := naming.RunContext(ctx, mr, naming.Options{
+	out.Naming, err = naming.RunContext(ctx, out.Merge, naming.Options{
 		Lexicon:          cfg.Lexicon,
 		MaxLevel:         naming.Level(cfg.MaxLevel),
 		DisableInstances: cfg.DisableInstances,
 		Parallelism:      cfg.Parallelism,
 		DisableMemo:      cfg.ReferenceKernels,
-		Memo:             namingMemo,
 		Analysis:         analysis,
 		Warm:             cfg.Warm,
 		WarmKey:          warmKey,
+		Reuse:            &out.Reuse,
 	})
 	if err != nil {
 		return nil, err
 	}
-	observe("naming", len(nres.Groups)+len(nres.Nodes))
-
-	return &Outcome{Trees: trees, Mapping: m, Merge: mr, Naming: nres}, nil
+	observe("naming", len(out.Naming.Groups)+len(out.Naming.Nodes))
+	return out, nil
 }
 
 // CanonicalizeSourceOrder sorts the working copies of the sources by their

@@ -5,13 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
-	"qilabel/internal/cluster"
-	"qilabel/internal/match"
 	"qilabel/internal/naming"
 	"qilabel/internal/schema"
 )
@@ -28,8 +24,9 @@ var ErrUnknownSource = errors.New("qilabel: unknown source hash")
 // component counts as reused when a cluster with identical member content
 // (interface, label, instances — names excluded, the matcher renumbers
 // them) existed after the previous operation, i.e. the source change did
-// not touch it and its match edges and naming solution came from the
-// session caches.
+// not touch it and its match edges and naming solution came from the warm
+// caches. The cache counters are tallied by the operation's own run, never
+// read off the shared caches, which concurrent runs also move.
 type Stats struct {
 	// Op is "add", "update" or "remove".
 	Op string
@@ -42,14 +39,16 @@ type Stats struct {
 	ComponentsReused     int
 	ComponentsRecomputed int
 	// GroupsReused / GroupsComputed count naming group solves answered
-	// from the run memo vs. executed; Isolated* likewise for isolated
+	// from the warm cache vs. executed; Isolated* likewise for isolated
 	// cluster elections.
 	GroupsReused     int
 	GroupsComputed   int
 	IsolatedReused   int
 	IsolatedComputed int
 	// PairsEvaluated / PairHits count matcher pair verdicts computed vs.
-	// answered from the pair memo (matcher sessions only).
+	// answered from the warm cache (matcher sessions only). A corpus the
+	// matcher has seen before replays its whole assignment and counts
+	// neither.
 	PairsEvaluated int
 	PairHits       int
 	// Duration is the operation's pipeline time.
@@ -77,17 +76,16 @@ type entry struct {
 
 // Session owns a live integration state over a mutable source multiset.
 // Each delta operation (AddSource, UpdateSource, RemoveSource) re-runs
-// the shared pipeline over the updated set, threading the session caches
-// so only the work the change touches is recomputed; the resulting
-// Outcome is always exactly what a from-scratch run over the same set
-// would produce. Operations are serialized by an internal mutex; a failed
-// or canceled operation leaves the session state unchanged (the caches
-// may have absorbed partial work — harmless, they store pure-function
-// results).
+// the shared pipeline over the updated set on the configuration's warm
+// caches, so only the work the change touches is recomputed; the
+// resulting Outcome is always exactly what a from-scratch run over the
+// same set would produce. Operations are serialized by an internal mutex;
+// a failed or canceled operation leaves the session state unchanged (the
+// caches may have absorbed partial work — harmless, they store
+// pure-function results).
 type Session struct {
 	mu       sync.Mutex
 	cfg      Config
-	caches   *Caches
 	entries  []entry // sorted by hash
 	out      *Outcome
 	prevSigs map[string]int // cluster content signature -> count, last run
@@ -95,18 +93,11 @@ type Session struct {
 	totals   Totals
 }
 
-// NewSession returns an empty session. The configuration is fixed for the
-// session's lifetime — the caches key on content only because the options
-// cannot change under them.
+// NewSession returns an empty session over the given configuration, fixed
+// for the session's lifetime. The session reuses work through the
+// configuration's warm caches; it holds none of its own.
 func NewSession(cfg Config) *Session {
-	s := &Session{cfg: cfg}
-	if !cfg.ReferenceKernels {
-		s.caches = &Caches{Naming: naming.NewRunMemo()}
-		if cfg.UseMatcher {
-			s.caches.Match = match.NewMemo(cfg.Lexicon)
-		}
-	}
-	return s
+	return &Session{cfg: cfg}
 }
 
 // AddSource validates and adds one source tree (the input is cloned,
@@ -240,14 +231,14 @@ func (s *Session) recompute(ctx context.Context, op string, next []entry) error 
 			working = append(working, e.tree.Clone())
 		}
 	}
-	out, err := Run(ctx, working, s.cfg, s.caches, nil)
+	out, err := Run(ctx, working, s.cfg, nil)
 	if err != nil {
 		return err
 	}
 
 	sigs := make(map[string]int, len(out.Mapping.Clusters))
 	for _, c := range out.Mapping.Clusters {
-		sigs[clusterSignature(c)]++
+		sigs[naming.ClusterSignature(c)]++
 	}
 	st.Components = len(out.Mapping.Clusters)
 	for sig, n := range sigs {
@@ -260,15 +251,9 @@ func (s *Session) recompute(ctx context.Context, op string, next []entry) error 
 		}
 	}
 	st.ComponentsRecomputed = st.Components - st.ComponentsReused
-	if s.caches != nil && s.caches.Naming != nil {
-		m := s.caches.Naming
-		st.GroupsReused, st.GroupsComputed = m.GroupsReused, m.GroupsComputed
-		st.IsolatedReused, st.IsolatedComputed = m.IsolatedReused, m.IsolatedComputed
-	}
-	if s.caches != nil && s.caches.Match != nil {
-		ms := s.caches.Match.Stats()
-		st.PairsEvaluated, st.PairHits = ms.PairsEvaluated, ms.PairHits
-	}
+	st.GroupsReused, st.GroupsComputed = out.Reuse.GroupsReused, out.Reuse.GroupsComputed
+	st.IsolatedReused, st.IsolatedComputed = out.Reuse.IsolatedReused, out.Reuse.IsolatedComputed
+	st.PairsEvaluated, st.PairHits = out.Pairs.Evaluated, out.Pairs.Hits
 	st.Duration = elapsed()
 
 	s.entries = next
@@ -361,28 +346,4 @@ func (s *Session) TotalStats() Totals {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.totals
-}
-
-// clusterSignature serializes a cluster's member content — interface,
-// label, instances per member, in member order; the cluster name is
-// excluded (matcher numbering is global and shifts on any change). Two
-// clusters with equal signatures received identical treatment from the
-// matching and naming passes.
-func clusterSignature(c *cluster.Cluster) string {
-	var b strings.Builder
-	for _, m := range c.Members {
-		sigStr(&b, m.Interface)
-		sigStr(&b, m.Leaf.Label)
-		b.WriteString(strconv.Itoa(len(m.Leaf.Instances)))
-		for _, v := range m.Leaf.Instances {
-			sigStr(&b, v)
-		}
-	}
-	return b.String()
-}
-
-func sigStr(b *strings.Builder, s string) {
-	b.WriteString(strconv.Itoa(len(s)))
-	b.WriteByte(':')
-	b.WriteString(s)
 }

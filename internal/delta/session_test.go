@@ -9,6 +9,8 @@ import (
 
 	"qilabel/internal/cluster"
 	"qilabel/internal/lexicon"
+	"qilabel/internal/match"
+	"qilabel/internal/naming"
 	"qilabel/internal/schema"
 	"qilabel/internal/synth"
 )
@@ -29,8 +31,21 @@ func pool(t *testing.T, seed uint64, sources int) []*schema.Tree {
 	return trees
 }
 
+// testConfig attaches warm caches the way the Integrator does, with a
+// stand-in fingerprint naming the one facet the tests vary.
 func testConfig(matcher bool) Config {
-	return Config{Lexicon: lexicon.Default(), UseMatcher: matcher}
+	lex := lexicon.Default()
+	cfg := Config{
+		Lexicon:      lex,
+		UseMatcher:   matcher,
+		Fingerprint:  fmt.Sprintf("matcher=%t", matcher),
+		Warm:         naming.NewWarm(lex, 0, 0),
+		SourceLabels: NewSourceLabelMemo(0),
+	}
+	if matcher {
+		cfg.MatchWarm = match.NewWarm(lex, 0, 0, 0)
+	}
+	return cfg
 }
 
 // renderOutcome serializes the observables equivalence cares about at
@@ -49,7 +64,7 @@ func renderOutcome(out *Outcome) string {
 	fmt.Fprintf(&b, "class=%v\n", out.Naming.Class)
 	sigs := make([]string, 0, len(out.Mapping.Clusters))
 	for _, c := range out.Mapping.Clusters {
-		sigs = append(sigs, clusterSignature(c))
+		sigs = append(sigs, naming.ClusterSignature(c))
 	}
 	fmt.Fprintf(&b, "clusters=%d %q\n", len(sigs), sigs)
 	return b.String()
@@ -63,7 +78,8 @@ func fromScratch(t *testing.T, cfg Config, sources []*schema.Tree) *Outcome {
 	for i, src := range sources {
 		working[i] = src.Clone()
 	}
-	out, err := Run(context.Background(), working, cfg, nil, nil)
+	cold := Config{Lexicon: cfg.Lexicon, UseMatcher: cfg.UseMatcher, ReferenceKernels: cfg.ReferenceKernels}
+	out, err := Run(context.Background(), working, cold, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +181,7 @@ func TestSessionLifecycle(t *testing.T) {
 				t.Fatalf("no component reuse across the lifecycle: %+v", tot)
 			}
 			if matcher && tot.PairHits == 0 {
-				t.Fatalf("matcher session never hit the pair memo: %+v", tot)
+				t.Fatalf("matcher session never hit the warm pair cache: %+v", tot)
 			}
 		})
 	}
@@ -192,7 +208,7 @@ func TestSessionDuplicateMirrorsScratch(t *testing.T) {
 	if _, err := s.AddSource(ctx, src); err == nil {
 		t.Fatal("duplicate interface integrated")
 	}
-	if _, err := Run(ctx, []*schema.Tree{src.Clone(), src.Clone()}, cfg, nil, nil); err == nil {
+	if _, err := Run(ctx, []*schema.Tree{src.Clone(), src.Clone()}, cfg, nil); err == nil {
 		t.Fatal("session rejected the duplicate but a from-scratch run accepts it")
 	}
 	if s.Len() != 1 || s.TotalStats().Ops != 1 {
@@ -302,30 +318,27 @@ func TestSessionCanceledOpRollsBack(t *testing.T) {
 	}
 }
 
-// TestSessionReferenceKernels: the test-only reference configuration runs
-// every delta from scratch (no caches) and still reaches the same states.
+// TestSessionReferenceKernels: the test-only reference configuration,
+// which the Integrator builds without warm caches, runs every delta from
+// scratch and still reaches the same states.
 func TestSessionReferenceKernels(t *testing.T) {
-	cfg := testConfig(true)
-	cfg.ReferenceKernels = true
+	cfg := Config{Lexicon: lexicon.Default(), UseMatcher: true, ReferenceKernels: true}
 	s := NewSession(cfg)
-	if s.caches != nil {
-		t.Fatal("reference session allocated caches")
-	}
 	ctx := context.Background()
 	for _, src := range pool(t, 17, 3) {
 		if _, err := s.AddSource(ctx, src); err != nil {
 			t.Fatal(err)
 		}
+		if st := s.LastStats(); st.GroupsReused+st.IsolatedReused+st.PairHits != 0 {
+			t.Fatalf("reference session reported cache reuse: %+v", st)
+		}
 	}
 	assertMatchesScratch(t, s, cfg)
-	if st := s.LastStats(); st.GroupsReused != 0 || st.PairHits != 0 {
-		t.Fatalf("reference session reported cache reuse: %+v", st)
-	}
 }
 
 func TestRunErrors(t *testing.T) {
 	cfg := testConfig(false)
-	if _, err := Run(context.Background(), nil, cfg, nil, nil); !errors.Is(err, ErrNoSources) {
+	if _, err := Run(context.Background(), nil, cfg, nil); !errors.Is(err, ErrNoSources) {
 		t.Errorf("Run(no trees) = %v, want ErrNoSources", err)
 	}
 	// Strip every annotation: without the matcher there is nothing to
@@ -337,7 +350,7 @@ func TestRunErrors(t *testing.T) {
 			leaf.MultiClusters = nil
 		}
 	}
-	if _, err := Run(context.Background(), trees, cfg, nil, nil); !errors.Is(err, ErrNoClusters) {
+	if _, err := Run(context.Background(), trees, cfg, nil); !errors.Is(err, ErrNoClusters) {
 		t.Errorf("Run(unannotated) = %v, want ErrNoClusters", err)
 	}
 }
@@ -347,7 +360,7 @@ func TestRunErrors(t *testing.T) {
 func TestRunObserve(t *testing.T) {
 	trees := pool(t, 23, 3)
 	stages := map[string]int{}
-	_, err := Run(context.Background(), trees, testConfig(true), nil,
+	_, err := Run(context.Background(), trees, testConfig(true),
 		func(stage string, units int) { stages[stage] = units })
 	if err != nil {
 		t.Fatal(err)

@@ -56,10 +56,11 @@ type Options struct {
 	// deterministic at any setting: matched pairs are collected per row and
 	// union order never changes the connected components.
 	Parallelism int
-	// DisableBlocking forces the exhaustive pairwise pass instead of the
-	// block-key candidate index. The output is identical either way; the
-	// exhaustive pass exists as the reference for equivalence tests and
-	// benchmarks.
+	// DisableBlocking forces the reference pass: every pair evaluated
+	// exhaustively instead of through the block-key candidate index, on an
+	// unmemoized Semantics over the same lexicon. The output is identical
+	// either way; the exhaustive pass exists as the reference for
+	// equivalence tests and benchmarks.
 	DisableBlocking bool
 	// Analysis, when non-nil, supplies a precomputed label-analysis table
 	// (built over the same lexicon as Semantics) that already covers the
@@ -87,6 +88,15 @@ type Options struct {
 	// identical key means an identical assignment: the warm cache replays
 	// the leaf->cluster vector and skips the pairwise pass entirely.
 	WarmKey string
+	// Pairs, when non-nil, receives this run's candidate-pair tallies.
+	Pairs *PairCounts
+}
+
+// PairCounts tallies one run's candidate pairs: verdicts answered from the
+// warm cache versus evaluated. A replayed whole-corpus assignment counts
+// neither.
+type PairCounts struct {
+	Hits, Evaluated int
 }
 
 // Scratch pools the per-worker buffers of the pairwise pass so repeated
@@ -158,6 +168,9 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 	sem := opts.Semantics
 	if sem == nil {
 		sem = naming.NewSemantics(nil)
+	}
+	if opts.DisableBlocking {
+		sem = naming.NewSemanticsUnmemoized(sem.Lexicon())
 	}
 	if opts.MinInstanceOverlap == 0 {
 		opts.MinInstanceOverlap = 0.5
@@ -254,6 +267,7 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 		scratch = &Scratch{}
 	}
 	rows := make([]*rowBuf, workers)
+	tally := make([]PairCounts, workers)
 	matches := make([][]int, len(fields))
 	err := pool.ForEach(ctx, workers, len(fields), func(w, i int) {
 		if sems[w] == nil {
@@ -264,16 +278,21 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 			}
 		}
 		fi := &fields[i]
+		// Pair tallies go to the worker's slot once per row: the slots
+		// share cache lines, so per-pair increments would contend.
 		if opts.DisableBlocking {
+			evaluated := 0
 			for j := i + 1; j < len(fields); j++ {
 				// Fields of the same interface never match each other.
 				if fields[j].iface == fi.iface {
 					continue
 				}
+				evaluated++
 				if matchFields(sems[w], fi, &fields[j], opts.MinInstanceOverlap) {
 					matches[i] = append(matches[i], j)
 				}
 			}
+			tally[w].Evaluated += evaluated
 			return
 		}
 		// Candidates: fields after i sharing at least one block key,
@@ -297,12 +316,15 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 				}
 			}
 		}
+		hits := 0
 		for _, j := range cand {
 			var matched bool
 			if warm != nil {
 				key := pairIDKey(ids[i], ids[j])
 				v, ok := warm.pair(key)
-				if !ok {
+				if ok {
+					hits++
+				} else {
 					v = matchFields(sems[w], fi, &fields[j], opts.MinInstanceOverlap)
 					warm.storePair(key, v)
 				}
@@ -315,6 +337,8 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 			}
 		}
 		rows[w].cand = cand
+		tally[w].Hits += hits
+		tally[w].Evaluated += len(cand) - hits
 	})
 	for _, rb := range rows {
 		if rb != nil {
@@ -323,6 +347,12 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 	}
 	if err != nil {
 		return 0, err
+	}
+	if opts.Pairs != nil {
+		for _, t := range tally {
+			opts.Pairs.Hits += t.Hits
+			opts.Pairs.Evaluated += t.Evaluated
+		}
 	}
 	n := clusterize(fields, matches, prefix)
 	if akey != "" {
@@ -379,9 +409,7 @@ func collectFields(trees []*schema.Tree) []fieldInfo {
 }
 
 // clusterize turns the pairwise match lists into cluster annotations on
-// the leaves and returns the number of clusters formed. It is shared by
-// the one-shot and incremental matchers, so their outputs can only differ
-// if their match sets differ.
+// the leaves and returns the number of clusters formed.
 func clusterize(fields []fieldInfo, matches [][]int, prefix string) int {
 	parent := make([]int, len(fields))
 	for i := range parent {

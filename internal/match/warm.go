@@ -1,11 +1,17 @@
-// Cross-run warm caching for the matcher: the Integrator-owned analogue of
-// the session Memo. Where Memo serves one serial delta session, Warm serves
-// any number of concurrent one-shot runs on one handle — the same two pure
-// facts (a field's block keys, a pair's match verdict) cached under the
-// same content keys, but bounded, concurrency-safe and epoch-invalidated.
+// Cross-run warm caching for the matcher, owned by the Integrator: two pure
+// facts — a field's block keys and a pair's match verdict — cached under
+// field-content keys for any number of concurrent runs on one handle,
+// one-shot integrations and delta sessions alike, bounded,
+// concurrency-safe and epoch-invalidated. A delta session reuses the
+// verdicts of every pair whose two endpoints both existed in an earlier
+// run; cluster names still renumber on every run (they follow field
+// order), but renaming is linear and cheap.
 package match
 
 import (
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -293,6 +299,29 @@ func (w *Warm) intern(ckey string, e warmKey) {
 		}
 	}
 	w.cur[ckey] = e
+}
+
+// contentKey serializes exactly the field content the similarity signals
+// read: the trimmed label and the normalized (case-folded, trimmed,
+// deduplicated) instance value set, sorted for stability. Fields with
+// equal content keys receive identical block keys, and identical verdicts
+// against any third field.
+func contentKey(f *fieldInfo) string {
+	var b strings.Builder
+	b.WriteString(strconv.Itoa(len(f.label)))
+	b.WriteByte(':')
+	b.WriteString(f.label)
+	vals := make([]string, 0, len(f.inst))
+	for v := range f.inst {
+		vals = append(vals, v)
+	}
+	sort.Strings(vals)
+	for _, v := range vals {
+		b.WriteString(strconv.Itoa(len(v)))
+		b.WriteByte(':')
+		b.WriteString(v)
+	}
+	return b.String()
 }
 
 // pairIDKey builds the order-independent verdict key of two content IDs

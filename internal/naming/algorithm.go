@@ -76,21 +76,15 @@ type Options struct {
 	// the option is a pure accelerator: it can never change the labeling.
 	// Ignored under DisableMemo.
 	Analysis *Analysis
-	// Memo, when non-nil, caches group solves and isolated-cluster
-	// elections across runs, keyed by content signatures; a run over a
-	// slightly changed source set then recomputes only the groups the
-	// change touched. Both units are pure functions of what the signatures
-	// cover, so reuse cannot change the output (the delta equivalence gate
-	// pins this byte for byte). The memo must not be shared between
-	// concurrent runs.
-	Memo *RunMemo
 	// Warm, when non-nil, is the cross-run warm cache of a long-lived
-	// handle: group solves and isolated elections are answered from it
-	// across any number of concurrent runs, keyed by the same content
-	// signatures the Memo uses (so reuse is equally output-preserving), and
-	// per-node candidate derivations replay from it by WarmKey position.
-	// Probed after the Memo; misses feed both. Ignored under DisableMemo or
-	// when built over a different lexicon.
+	// handle, the one layer through which runs reuse each other's work:
+	// group solves and isolated elections are answered from it across any
+	// number of concurrent runs — one-shot integrations and delta sessions
+	// alike — keyed by content signatures that cover everything a solve
+	// reads (so reuse cannot change the output; the delta and warm
+	// equivalence gates pin this byte for byte), and per-node candidate
+	// derivations replay from it by WarmKey position. Ignored under
+	// DisableMemo or when built over a different lexicon.
 	Warm *Warm
 	// WarmKey, when non-empty alongside Warm, is the caller's fingerprint of
 	// the exact canonical source content plus every behavior-affecting
@@ -102,6 +96,17 @@ type Options struct {
 	// signatures, so corpora that merely overlap a previous run still reuse
 	// that work; node derivations have no content key (see RunContext).
 	WarmKey string
+	// Reuse, when non-nil, receives this run's reuse tallies, the way
+	// SolverOptions.Counters receives rule tallies.
+	Reuse *ReuseCounts
+}
+
+// ReuseCounts tallies how one run answered its group solves and
+// isolated-cluster elections: from the warm cache (by position or content)
+// versus computed. The root group counts as a group.
+type ReuseCounts struct {
+	GroupsReused, GroupsComputed     int
+	IsolatedReused, IsolatedComputed int
 }
 
 // GroupReport records the solving of one group.
@@ -222,17 +227,12 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 
 	ifaces := cluster.Interfaces(mr.Sources)
 
-	// ---- Phase 1a: groups. -----------------------------------------------
-	// With a memo or warm cache, relations are built and signatures
-	// consulted serially; only the cache misses fan out to the solver
-	// workers, and their results are stored serially afterwards. Reused
-	// outcomes are rebound to the current run's cluster objects; reused
-	// counter tallies merge exactly as a fresh solve's would (addition
-	// commutes). The session memo is probed first (it is private to the
-	// run), the shared warm cache second; a warm hit seeds the memo and a
-	// miss feeds both.
-	memo := opts.Memo
-	memo.beginRun()
+	// ---- Phase 1a: groups, the root group last. ----------------------------
+	// With a warm cache, each group is probed by its positional key, then by
+	// its content signature, and only the misses are solved — fanned out to
+	// the workers and stored under both keys afterwards. Reused outcomes are
+	// rebound to the current run's cluster objects; reused rule tallies
+	// merge exactly as a fresh solve's would (addition commutes).
 	warm := opts.Warm
 	if opts.DisableMemo || (warm != nil && warm.lex != sem.Lexicon()) {
 		warm = nil
@@ -250,209 +250,113 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 	if warm != nil && opts.WarmKey != "" {
 		cheap = opts.WarmKey
 	}
-	groupOuts := make([]*GroupOutcome, len(mr.Groups))
-	groupCounters := make([]Counters, len(mr.Groups))
-	if memo != nil || warm != nil {
-		rels := make([]*cluster.Relation, len(mr.Groups))
-		sigs := make([]string, len(mr.Groups))
-		var miss []int
-		for i, g := range mr.Groups {
-			gkey := ""
-			if cheap != "" {
-				gkey = cheap + "|g|" + strconv.Itoa(i)
-				if e, ok := warm.groups.lookup(gkey); ok {
-					groupOuts[i] = e.outcomeFor(g)
-					groupCounters[i] = e.counters
-					continue
-				}
+	reuse := opts.Reuse
+	if reuse == nil {
+		reuse = new(ReuseCounts)
+	}
+	groups := mr.Groups
+	if len(mr.Root) > 0 {
+		groups = append(groups[:len(groups):len(groups)], mr.Root)
+	}
+	groupKey := func(i int) string { return cheap + "|g|" + strconv.Itoa(i) }
+	groupOuts := make([]*GroupOutcome, len(groups))
+	groupCounters := make([]Counters, len(groups))
+	rels := make([]*cluster.Relation, len(groups))
+	sigs := make([]string, len(groups))
+	var solve []int
+	for i, g := range groups {
+		if cheap != "" {
+			if e, ok := warm.groups.lookup(groupKey(i)); ok {
+				groupOuts[i], groupCounters[i] = e.outcomeFor(g), e.counters
+				reuse.GroupsReused++
+				continue
 			}
+		}
+		if warm != nil {
 			rels[i] = cluster.BuildRelation(g, ifaces)
 			sigs[i] = groupSignature(g, rels[i], sopts)
-			if memo != nil {
-				if e, ok := memo.lookupGroup(sigs[i]); ok {
-					groupOuts[i] = e.outcomeFor(g)
-					groupCounters[i] = e.counters
-					memo.GroupsReused++
-					if gkey != "" {
-						warm.groups.store(gkey, groupEntry{outcome: e.outcome, counters: e.counters})
-					}
-					continue
-				}
-			}
-			if warm != nil {
-				if e, ok := warm.groups.lookup(sigs[i]); ok {
-					groupOuts[i] = e.outcomeFor(g)
-					groupCounters[i] = e.counters
-					if memo != nil {
-						memo.storeGroup(sigs[i], e.outcome, e.counters)
-						memo.GroupsReused++
-					}
-					if gkey != "" {
-						warm.groups.store(gkey, e)
-					}
-					continue
-				}
-			}
-			miss = append(miss, i)
-		}
-		err := pool.ForEach(ctx, workers, len(miss), func(w, k int) {
-			i := miss[k]
-			so := sopts
-			so.Counters = &groupCounters[i]
-			groupOuts[i] = semFor(w).SolveGroup(rels[i], so)
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, i := range miss {
-			if memo != nil {
-				memo.storeGroup(sigs[i], groupOuts[i], groupCounters[i])
-				memo.GroupsComputed++
-			}
-			if warm != nil {
-				e := groupEntry{outcome: groupOuts[i], counters: groupCounters[i]}
-				warm.groups.store(sigs[i], e)
+			if e, ok := warm.groups.lookup(sigs[i]); ok {
+				groupOuts[i], groupCounters[i] = e.outcomeFor(g), e.counters
+				reuse.GroupsReused++
 				if cheap != "" {
-					warm.groups.store(cheap+"|g|"+strconv.Itoa(i), e)
+					warm.groups.store(groupKey(i), e)
 				}
+				continue
 			}
 		}
-	} else {
-		err := pool.ForEach(ctx, workers, len(mr.Groups), func(w, i int) {
-			so := sopts
-			so.Counters = &groupCounters[i]
-			rel := cluster.BuildRelation(mr.Groups[i], ifaces)
-			groupOuts[i] = semFor(w).SolveGroup(rel, so)
-		})
-		if err != nil {
-			return nil, err
+		solve = append(solve, i)
+	}
+	err := pool.ForEach(ctx, workers, len(solve), func(w, k int) {
+		i := solve[k]
+		if rels[i] == nil {
+			rels[i] = cluster.BuildRelation(groups[i], ifaces)
+		}
+		so := sopts
+		so.Counters = &groupCounters[i]
+		groupOuts[i] = semFor(w).SolveGroup(rels[i], so)
+	})
+	if err != nil {
+		return nil, err
+	}
+	reuse.GroupsComputed += len(solve)
+	if warm != nil {
+		for _, i := range solve {
+			e := groupEntry{outcome: groupOuts[i], counters: groupCounters[i]}
+			warm.groups.store(sigs[i], e)
+			if cheap != "" {
+				warm.groups.store(groupKey(i), e)
+			}
 		}
 	}
-	for i, g := range mr.Groups {
+	for i, g := range groups {
 		res.Counters.Merge(groupCounters[i])
-		res.Groups = append(res.Groups, &GroupReport{
-			Clusters: clusterNames(g),
-			Outcome:  groupOuts[i],
-			IsRoot:   false,
-			Parent:   mr.GroupParent(g),
-		})
-	}
-	if len(mr.Root) > 0 {
-		var out *GroupOutcome
-		rootCheap := false
-		if cheap != "" {
-			if e, ok := warm.groups.lookup(cheap + "|g|root"); ok {
-				out = e.outcomeFor(mr.Root)
-				res.Counters.Merge(e.counters)
-				rootCheap = true
-			}
+		gr := &GroupReport{Clusters: clusterNames(g), Outcome: groupOuts[i]}
+		if i < len(mr.Groups) {
+			gr.Parent = mr.GroupParent(g)
+		} else {
+			gr.IsRoot = true
 		}
-		if !rootCheap {
-			rel := cluster.BuildRelation(mr.Root, ifaces)
-			if memo != nil || warm != nil {
-				sig := groupSignature(mr.Root, rel, sopts)
-				var e groupEntry
-				var hit bool
-				if memo != nil {
-					if e, hit = memo.lookupGroup(sig); hit {
-						memo.GroupsReused++
-					}
-				}
-				if !hit && warm != nil {
-					if e, hit = warm.groups.lookup(sig); hit && memo != nil {
-						memo.storeGroup(sig, e.outcome, e.counters)
-						memo.GroupsReused++
-					}
-				}
-				if hit {
-					out = e.outcomeFor(mr.Root)
-					res.Counters.Merge(e.counters)
-					if cheap != "" {
-						warm.groups.store(cheap+"|g|root", e)
-					}
-				} else {
-					var cnt Counters
-					so := sopts
-					so.Counters = &cnt
-					out = sem.SolveGroup(rel, so)
-					if memo != nil {
-						memo.storeGroup(sig, out, cnt)
-						memo.GroupsComputed++
-					}
-					if warm != nil {
-						e := groupEntry{outcome: out, counters: cnt}
-						warm.groups.store(sig, e)
-						if cheap != "" {
-							warm.groups.store(cheap+"|g|root", e)
-						}
-					}
-					res.Counters.Merge(cnt)
-				}
-			} else {
-				out = sem.SolveGroup(rel, sopts)
-			}
-		}
-		res.Groups = append(res.Groups, &GroupReport{
-			Clusters: clusterNames(mr.Root),
-			Outcome:  out,
-			IsRoot:   true,
-		})
+		res.Groups = append(res.Groups, gr)
 	}
 
-	// ---- Phase 1b: isolated clusters. --------------------------------------
+	// ---- Phase 1b: isolated clusters, probed like the groups. --------------
 	for ci, c := range mr.Isolated {
-		if memo != nil || warm != nil {
-			ikey := ""
-			if cheap != "" {
-				ikey = cheap + "|s|" + strconv.Itoa(ci)
-				if e, ok := warm.isolated.lookup(ikey); ok {
-					res.IsolatedLabels[c.Name] = e.label
-					res.Counters.Merge(e.counters)
-					continue
-				}
-			}
-			sig := isolatedSignature(c, sopts)
-			var e isolatedEntry
-			var hit bool
-			if memo != nil {
-				if e, hit = memo.lookupIsolated(sig); hit {
-					memo.IsolatedReused++
-				}
-			}
-			if !hit && warm != nil {
-				if e, hit = warm.isolated.lookup(sig); hit && memo != nil {
-					memo.storeIsolated(sig, e.label, e.counters)
-					memo.IsolatedReused++
-				}
-			}
-			if hit {
+		var ikey, sig string
+		if cheap != "" {
+			ikey = cheap + "|s|" + strconv.Itoa(ci)
+			if e, ok := warm.isolated.lookup(ikey); ok {
 				res.IsolatedLabels[c.Name] = e.label
 				res.Counters.Merge(e.counters)
+				reuse.IsolatedReused++
+				continue
+			}
+		}
+		if warm != nil {
+			sig = isolatedSignature(c, sopts)
+			if e, ok := warm.isolated.lookup(sig); ok {
+				res.IsolatedLabels[c.Name] = e.label
+				res.Counters.Merge(e.counters)
+				reuse.IsolatedReused++
 				if ikey != "" {
 					warm.isolated.store(ikey, e)
 				}
-			} else {
-				var cnt Counters
-				so := sopts
-				so.Counters = &cnt
-				label := sem.LabelIsolated(c, so)
-				res.IsolatedLabels[c.Name] = label
-				res.Counters.Merge(cnt)
-				if memo != nil {
-					memo.storeIsolated(sig, label, cnt)
-					memo.IsolatedComputed++
-				}
-				if warm != nil {
-					e := isolatedEntry{label: label, counters: cnt}
-					warm.isolated.store(sig, e)
-					if ikey != "" {
-						warm.isolated.store(ikey, e)
-					}
-				}
+				continue
 			}
-			continue
 		}
-		res.IsolatedLabels[c.Name] = sem.LabelIsolated(c, sopts)
+		var cnt Counters
+		so := sopts
+		so.Counters = &cnt
+		label := sem.LabelIsolated(c, so)
+		res.IsolatedLabels[c.Name] = label
+		res.Counters.Merge(cnt)
+		reuse.IsolatedComputed++
+		if warm != nil {
+			e := isolatedEntry{label: label, counters: cnt}
+			warm.isolated.store(sig, e)
+			if ikey != "" {
+				warm.isolated.store(ikey, e)
+			}
+		}
 	}
 
 	// ---- Phase 1c: candidate labels for internal nodes (bottom-up). --------
@@ -502,7 +406,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 			ix = newNodeIndex(sem, mr.Mapping, units, mr.Tree.Root.LeafClusters())
 		}
 	}
-	err := pool.ForEach(ctx, workers, len(work), func(w, k int) {
+	err = pool.ForEach(ctx, workers, len(work), func(w, k int) {
 		i := work[k]
 		so := sopts
 		so.Counters = &nodeCounters[i]

@@ -18,9 +18,7 @@ const (
 )
 
 // Violation is one failed verification check: which node broke which rule,
-// with a human-readable explanation. The Detail string is the exact
-// message VerifyVertical has always produced, so string-based consumers
-// can shim through Violations without output changes.
+// with a human-readable explanation.
 type Violation struct {
 	// Node is the label of the offending node (the descendant for
 	// generality violations, the parent for homonym violations).
@@ -36,7 +34,7 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: %s", v.Rule, v.Detail)
 }
 
-// VerifyVertical checks Definition 7's first condition over the assigned
+// VerifyViolations checks Definition 7's first condition over the assigned
 // labels of the integrated tree: along every ancestor–descendant pair of
 // labeled internal nodes, the ancestor's label must be semantically at
 // least as general as the descendant's. Generality holds lexically
@@ -47,25 +45,8 @@ func (v Violation) String() string {
 // tree outside the algorithm).
 //
 // It also checks that no two labeled siblings of one parent carry the same
-// name (the homonym condition of §4.2.3) and that every leaf label is
-// string-identical to some source label of its cluster (provenance).
-// It returns a list of human-readable violations, empty when the labeling
-// is vertically sound. The typed form is VerifyViolations; this shim keeps
-// the historical string output.
-func (r *Result) VerifyVertical(sem *Semantics) []string {
-	vs := r.VerifyViolations(sem)
-	if len(vs) == 0 {
-		return nil
-	}
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = v.Detail
-	}
-	return out
-}
-
-// VerifyViolations runs the same checks as VerifyVertical and returns the
-// violations in typed form.
+// name (the homonym condition of §4.2.3). It returns the violations,
+// empty when the labeling is vertically sound.
 func (r *Result) VerifyViolations(sem *Semantics) []Violation {
 	if sem == nil {
 		sem = NewSemantics(nil)

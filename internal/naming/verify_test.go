@@ -1,6 +1,8 @@
 package naming
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"qilabel/internal/cluster"
@@ -29,8 +31,8 @@ func TestVerifyVerticalOnCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range res.VerifyVertical(sem) {
-			t.Errorf("%s: %s", d.Name, v)
+		for _, v := range res.VerifyViolations(sem) {
+			t.Errorf("%s: %s", d.Name, v.Detail)
 		}
 	}
 }
@@ -60,8 +62,8 @@ func TestVerifyVerticalDetectsViolations(t *testing.T) {
 		// Swapping alone keeps structural generality (the parent still
 		// covers a superset), so no violation is expected — the structural
 		// half of Definition 5 legitimately accepts it.
-		if v := res.VerifyVertical(sem); len(v) != 0 {
-			t.Errorf("structural generality should absorb the swap: %v", v)
+		if v := res.VerifyViolations(sem); len(v) != 0 {
+			t.Errorf("structural generality should absorb the swap: %v", v[0].Detail)
 		}
 		parent.Label, child.Label = child.Label, parent.Label
 	}
@@ -79,8 +81,10 @@ func TestVerifyVerticalDetectsViolations(t *testing.T) {
 		if sibling != nil {
 			saved := sibling.Label
 			sibling.Label = leaves[0].Label
-			if v := res.VerifyVertical(sem); len(v) == 0 {
+			if v := res.VerifyViolations(sem); len(v) == 0 {
 				t.Error("sibling homonym not detected")
+			} else if want := fmt.Sprintf("siblings share the name %q", leaves[0].Label); !strings.Contains(v[0].Detail, want) {
+				t.Errorf("homonym detail %q does not name %q", v[0].Detail, leaves[0].Label)
 			}
 			sibling.Label = saved
 		}
@@ -112,7 +116,7 @@ func TestVerifyVerticalForeignLabel(t *testing.T) {
 		}
 		return true
 	})
-	if v := res.VerifyVertical(sem); len(v) != 0 {
-		t.Errorf("unexpected violations: %v", v)
+	if v := res.VerifyViolations(sem); len(v) != 0 {
+		t.Errorf("unexpected violations: %v", v[0].Detail)
 	}
 }

@@ -1,9 +1,12 @@
 package naming
 
 import (
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
+	"qilabel/internal/cluster"
 	"qilabel/internal/lexicon"
 )
 
@@ -41,6 +44,20 @@ type verdictShard struct {
 	mu  sync.RWMutex
 	cur map[uint64]Rel
 	old map[uint64]Rel
+}
+
+// groupEntry stores one solved group: the outcome and the inference-rule
+// tally the solve produced. The outcome's Relation still references the
+// clusters of the run that solved it; outcomeFor rebinds it before reuse.
+type groupEntry struct {
+	outcome  *GroupOutcome
+	counters Counters
+}
+
+// isolatedEntry stores one isolated-cluster election.
+type isolatedEntry struct {
+	label    string
+	counters Counters
 }
 
 // nodeEntry is one cached candidate-label derivation for a global internal
@@ -193,12 +210,12 @@ type Warm struct {
 
 	shards [warmShards]verdictShard
 
-	// Solve-family caches. Groups and isolated elections are keyed by the
-	// same content signatures the session RunMemo uses (groupSignature /
-	// isolatedSignature): a solve is a pure function of what the signature
-	// serializes and the lexicon epoch. All three also hold entries under
-	// positional keys (Options.WarmKey + unit index), the only keys node
-	// derivations are stored under.
+	// Solve-family caches, shared by one-shot runs and delta sessions.
+	// Groups and isolated elections are keyed by content signature
+	// (groupSignature / isolatedSignature): a solve is a pure function of
+	// what the signature serializes and the lexicon epoch. All three also
+	// hold entries under positional keys (Options.WarmKey + unit index),
+	// the only keys node derivations are stored under.
 	groups   warmTable[groupEntry]
 	isolated warmTable[isolatedEntry]
 	nodes    warmTable[nodeEntry]
@@ -450,4 +467,102 @@ func (w *Warm) Stats() WarmStats {
 	st.NodeMisses = w.nodes.misses.Load()
 	st.Nodes = w.nodes.size()
 	return st
+}
+
+// outcomeFor returns the stored outcome rebound to the current run's
+// cluster objects: a shallow copy of the outcome with a shallow copy of
+// its relation whose Clusters field points at the live group. The tuples,
+// solutions and partitions are shared with the stored outcome — all
+// effectively immutable after the solve.
+func (e groupEntry) outcomeFor(group []*cluster.Cluster) *GroupOutcome {
+	out := *e.outcome
+	rel := *e.outcome.Relation
+	rel.Clusters = group
+	out.Relation = &rel
+	return &out
+}
+
+// sigString appends a length-prefixed string, so no two distinct content
+// sequences serialize to the same signature by concatenation.
+func sigString(b *strings.Builder, s string) {
+	b.WriteString(strconv.Itoa(len(s)))
+	b.WriteByte(':')
+	b.WriteString(s)
+}
+
+// sigMembers serializes a cluster's full member content: interface, label
+// and instance list of every member, in member order. Cluster names are
+// deliberately excluded: the matcher renumbers them globally on any source
+// change, and no naming pass reads them.
+func sigMembers(b *strings.Builder, c *cluster.Cluster) {
+	b.WriteByte('c')
+	b.WriteString(strconv.Itoa(len(c.Members)))
+	for _, m := range c.Members {
+		sigString(b, m.Interface)
+		sigString(b, m.Leaf.Label)
+		b.WriteString(strconv.Itoa(len(m.Leaf.Instances)))
+		for _, v := range m.Leaf.Instances {
+			sigString(b, v)
+		}
+	}
+}
+
+// sigOptions serializes the solver options a solve depends on.
+func sigOptions(b *strings.Builder, opts SolverOptions) {
+	b.WriteByte('o')
+	b.WriteString(strconv.Itoa(int(opts.maxLevel())))
+	if opts.UseInstances {
+		b.WriteByte('i')
+	} else {
+		b.WriteByte('-')
+	}
+}
+
+// groupSignature derives the content key of one group solve: solver
+// options, each cluster's member content, and the relation's tuple
+// sequence (the tuple *order* follows the global interface order, which
+// member content alone does not determine). SolveGroup reads the
+// relation's tuples and, through the LI 7 value-label drop, every member
+// of every cluster — unlabeled members included, whose instances can
+// demote a sibling's label to a data value — so the signature covers
+// exactly what the solve reads. Downstream phases read a reused outcome
+// only through its Solutions, Partitions and Relation.Tuples; outcomeFor
+// rebinds Relation.Clusters to the live run so reports stay
+// self-consistent.
+func groupSignature(group []*cluster.Cluster, rel *cluster.Relation, opts SolverOptions) string {
+	var b strings.Builder
+	b.WriteByte('g')
+	sigOptions(&b, opts)
+	for _, c := range group {
+		sigMembers(&b, c)
+	}
+	b.WriteByte('t')
+	b.WriteString(strconv.Itoa(len(rel.Tuples)))
+	for _, t := range rel.Tuples {
+		sigString(&b, t.Interface)
+		for _, l := range t.Labels {
+			sigString(&b, l)
+		}
+	}
+	return b.String()
+}
+
+// isolatedSignature derives the content key of one isolated-cluster
+// election.
+func isolatedSignature(c *cluster.Cluster, opts SolverOptions) string {
+	var b strings.Builder
+	b.WriteByte('s')
+	sigOptions(&b, opts)
+	sigMembers(&b, c)
+	return b.String()
+}
+
+// ClusterSignature is the member-content signature of one cluster (the
+// encoding the solve signatures are built from): clusters with equal
+// signatures receive identical treatment from the matching and naming
+// passes, whatever their names.
+func ClusterSignature(c *cluster.Cluster) string {
+	var b strings.Builder
+	sigMembers(&b, c)
+	return b.String()
 }

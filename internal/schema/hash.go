@@ -28,25 +28,56 @@ func (t *Tree) CanonicalHash() string {
 // therefore yields the same hash — the property the server's result cache
 // keys on.
 func HashTrees(trees []*Tree) string {
+	return CombineHashes(TreeHashes(trees))
+}
+
+// TreeHashes returns the canonical hash of every tree, in slice order.
+func TreeHashes(trees []*Tree) []string {
 	digests := make([]string, len(trees))
 	for i, t := range trees {
 		digests[i] = t.CanonicalHash()
 	}
-	return CombineHashes(digests)
+	return digests
 }
 
-// CombineHashes combines per-tree canonical digests into the set digest
-// HashTrees would produce over trees with those hashes. Callers that
-// already track per-tree digests (the delta session) use it to derive the
-// set identity without re-hashing every tree.
+// CombineHashes combines per-tree canonical digests, in any order, into the
+// set digest HashTrees would produce over trees with those hashes.
 func CombineHashes(digests []string) string {
+	sum := setSum(digests)
+	return hex.EncodeToString(sum[:])
+}
+
+// setSum hashes the sorted digests, each length-prefixed the way
+// writeString frames a string, from one buffer.
+func setSum(digests []string) [sha256.Size]byte {
 	sorted := append([]string(nil), digests...)
 	sort.Strings(sorted)
-	h := sha256.New()
+	n := 0
 	for _, d := range sorted {
-		writeString(h, d)
+		n += 4 + len(d)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	buf := make([]byte, 0, n)
+	for _, d := range sorted {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(d)))
+		buf = append(buf, d...)
+	}
+	return sha256.Sum256(buf)
+}
+
+// CacheKey is the one definition of the key identifying an integration:
+// the hex set digest of the sources' canonical hashes (in any order, see
+// CombineHashes), a zero byte, and the configuration fingerprint, hashed.
+// The result caches key on it, and the pipeline keys its whole-corpus warm
+// replays on it, so a key that identifies a result also identifies every
+// intermediate the result was built from.
+func CacheKey(digests []string, fingerprint string) string {
+	const setLen = 2 * sha256.Size
+	set := setSum(digests)
+	buf := make([]byte, setLen+1+len(fingerprint)) // buf[setLen] stays zero
+	hex.Encode(buf, set[:])
+	copy(buf[setLen+1:], fingerprint)
+	key := sha256.Sum256(buf)
+	return hex.EncodeToString(key[:])
 }
 
 func writeNode(h hash.Hash, n *Node) {

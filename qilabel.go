@@ -2,11 +2,8 @@ package qilabel
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -127,19 +124,23 @@ type Config struct {
 	Observer func(StageEvent)
 
 	// DisableWarmCache turns off the Integrator's cross-run warm caches
-	// (interned label analyses, shared Relate verdicts, per-source label
-	// memo). The caches store pure functions of the inputs and the lexicon,
-	// so they never change a result — only how fast repeated label sets
-	// integrate — and the setting is excluded from Fingerprint and
-	// CacheKey like the other execution-only knobs.
+	// (interned label analyses, shared Relate verdicts, matcher block keys
+	// and pair verdicts, naming solves, per-source label memo). These are
+	// also the only caches a Session reuses work through, so with them off
+	// every session delta recomputes in full. The caches store pure
+	// functions of the inputs and the lexicon, so they never change a
+	// result — only how fast repeated label sets integrate — and the
+	// setting is excluded from Fingerprint and CacheKey like the other
+	// execution-only knobs.
 	DisableWarmCache bool
 	// WarmLabelCap bounds the distinct label analyses a warm Integrator
-	// interns across runs (0: a default of 65536 labels). Excluded from
-	// Fingerprint and CacheKey.
+	// interns across runs, and the field contents whose matcher block keys
+	// it remembers (0: a default of 65536 each). Excluded from Fingerprint
+	// and CacheKey.
 	WarmLabelCap int
 	// WarmVerdictCap bounds the Relate verdicts the warm Integrator shares
-	// across runs (0: a default of ~1M entries). Excluded from Fingerprint
-	// and CacheKey.
+	// across runs, and the matcher pair verdicts it remembers (0: a default
+	// of ~1M each). Excluded from Fingerprint and CacheKey.
 	WarmVerdictCap int
 
 	// referenceKernels routes the pipeline through the unoptimized
@@ -254,14 +255,14 @@ func WithoutWarmCache() Option {
 	return func(c *Config) { c.DisableWarmCache = true }
 }
 
-// WithWarmLabelCap bounds the warm Integrator's interned label analyses;
-// see Config.WarmLabelCap.
+// WithWarmLabelCap bounds the warm Integrator's interned label analyses
+// and remembered matcher field contents; see Config.WarmLabelCap.
 func WithWarmLabelCap(n int) Option {
 	return func(c *Config) { c.WarmLabelCap = n }
 }
 
-// WithWarmVerdictCap bounds the warm Integrator's shared Relate verdicts;
-// see Config.WarmVerdictCap.
+// WithWarmVerdictCap bounds the warm Integrator's shared Relate and
+// matcher pair verdicts; see Config.WarmVerdictCap.
 func WithWarmVerdictCap(n int) Option {
 	return func(c *Config) { c.WarmVerdictCap = n }
 }
@@ -430,11 +431,7 @@ func Fingerprint(opts ...Option) string {
 // any label, instance list or cluster annotation, or any effective option
 // changes.
 func CacheKey(sources []*Tree, opts ...Option) string {
-	h := sha256.New()
-	io.WriteString(h, schema.HashTrees(sources))
-	io.WriteString(h, "\x00")
-	io.WriteString(h, Fingerprint(opts...))
-	return hex.EncodeToString(h.Sum(nil))
+	return schema.CacheKey(schema.TreeHashes(sources), Fingerprint(opts...))
 }
 
 // Summary renders a human-readable synopsis: the classification, each

@@ -2,11 +2,8 @@ package qilabel
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -35,8 +32,10 @@ import (
 //
 // Beyond scratch reuse, an Integrator is a *warm engine*: it owns bounded
 // cross-run caches — interned label analyses, a shared Relate-verdict
-// cache, and a per-source label memo keyed by canonical tree hash — so
-// integrating corpora that share vocabulary gets cheaper run over run.
+// cache, matcher block keys and pair verdicts, naming solves, and a
+// per-source label memo keyed by canonical tree hash — shared by every
+// Integrate call and Session on the handle, so integrating corpora that
+// share vocabulary gets cheaper run over run.
 // Every cached fact is a pure function of the inputs and the (frozen)
 // lexicon, so warm results stay byte-identical to cold ones; WarmStats
 // reports hit rates, and Config.DisableWarmCache / WarmLabelCap /
@@ -102,17 +101,14 @@ func (ig *Integrator) Fingerprint() string {
 // CacheKey(sources, opts...) for options building the same Config, but the
 // fingerprint component comes from the integrator's cache.
 func (ig *Integrator) CacheKey(sources []*Tree) string {
-	h := sha256.New()
-	io.WriteString(h, schema.HashTrees(sources))
-	io.WriteString(h, "\x00")
-	io.WriteString(h, ig.Fingerprint())
-	return hex.EncodeToString(h.Sum(nil))
+	return schema.CacheKey(schema.TreeHashes(sources), ig.Fingerprint())
 }
 
 // deltaConfig mirrors the configuration into the delta engine, threading
-// the integrator's scratch pools along.
+// the integrator's scratch pools, warm caches and cached fingerprint along.
 func (ig *Integrator) deltaConfig() delta.Config {
 	dc := ig.cfg.deltaConfig()
+	dc.Fingerprint = ig.Fingerprint()
 	dc.MatchScratch = ig.scratch
 	dc.Warm = ig.warm
 	dc.MatchWarm = ig.matchWarm
@@ -224,7 +220,7 @@ func (ig *Integrator) IntegrateContext(ctx context.Context, sources []*Tree) (*R
 	// merging, naming) lives in internal/delta, shared with the
 	// incremental Session — one definition, so the one-shot and delta
 	// paths cannot drift apart.
-	out, err := delta.Run(ctx, trees, ig.deltaConfig(), nil, stageDone)
+	out, err := delta.Run(ctx, trees, ig.deltaConfig(), stageDone)
 	if err != nil {
 		return nil, err
 	}
@@ -270,8 +266,9 @@ func (ig *Integrator) IntegrateBatch(ctx context.Context, sets [][]*Tree, parall
 
 // NewSession creates an empty incremental integration session over this
 // configuration. Sessions created from one Integrator share its scratch
-// pools and cached fingerprint; see Session for the delta-equivalence
-// contract.
+// pools, cached fingerprint and warm caches — the only layer through which
+// a session reuses earlier work, its own or that of any other run on this
+// handle; see Session for the delta-equivalence contract.
 func (ig *Integrator) NewSession() *Session {
 	return &Session{inner: delta.NewSession(ig.deltaConfig()), ig: ig}
 }

@@ -2,9 +2,6 @@ package qilabel
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"io"
 	"time"
 
 	"qilabel/internal/delta"
@@ -43,8 +40,10 @@ type Session struct {
 
 // SessionStats profiles the most recent delta operation: total pipeline
 // components (clusters) and how many were reused vs. recomputed, naming
-// group solves answered from the session cache vs. executed, matcher pair
-// verdicts served from cache vs. evaluated, and the operation's duration.
+// group solves answered from the Integrator's warm caches vs. executed,
+// matcher pair verdicts served from cache vs. evaluated, and the
+// operation's duration. The operation's own run tallies the cache
+// counters, so concurrent runs on the same Integrator never move them.
 type SessionStats struct {
 	Op                   string        `json:"op"`
 	Sources              int           `json:"sources"`
@@ -79,8 +78,8 @@ type SessionTotals struct {
 // given options (the same options Integrate takes; Observer is unused by
 // sessions). It is a thin wrapper over NewIntegrator + Integrator.NewSession;
 // callers opening many sessions with one configuration should hold the
-// Integrator and create sessions from it, sharing its scratch pools and
-// cached fingerprint.
+// Integrator and create sessions from it, sharing its scratch pools, warm
+// caches and cached fingerprint.
 func NewSession(opts ...Option) (*Session, error) {
 	ig, err := newIntegratorFromOptions(opts)
 	if err != nil {
@@ -182,9 +181,5 @@ func (s *Session) Fingerprint() string { return s.ig.Fingerprint() }
 // re-fingerprinting the configuration. The key identifies the session's
 // Result in the server's cache.
 func (s *Session) CacheKey() string {
-	h := sha256.New()
-	io.WriteString(h, schema.CombineHashes(s.inner.Hashes()))
-	io.WriteString(h, "\x00")
-	io.WriteString(h, s.ig.Fingerprint())
-	return hex.EncodeToString(h.Sum(nil))
+	return schema.CacheKey(s.inner.Hashes(), s.ig.Fingerprint())
 }

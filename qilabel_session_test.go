@@ -242,7 +242,7 @@ func TestSessionReuse(t *testing.T) {
 			}
 
 			// Remove the source again: back to the previous state, with
-			// every naming solution answered from the memo.
+			// every naming solution answered from the warm caches.
 			if err := sess.RemoveSource(ctx, h); err != nil {
 				t.Fatal(err)
 			}

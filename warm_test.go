@@ -2,6 +2,7 @@ package qilabel
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -194,6 +195,124 @@ func TestWarmStress(t *testing.T) {
 	if st.LabelHits == 0 || st.VerdictHits+st.MatchPairHits == 0 {
 		t.Errorf("stress run never hit the warm caches: %+v", st)
 	}
+}
+
+// TestWarmSharedBySessions drives eight sessions from one Integrator while
+// one-shot Integrate calls run beside them on the same handle. Sessions
+// read and write the Integrator's warm caches from many goroutines at once,
+// over overlapping windows of two corpora sharing one vocabulary, so under
+// -race every shared table is exercised by sessions and one-shot runs
+// together. Every session state must equal a cold from-scratch run.
+func TestWarmSharedBySessions(t *testing.T) {
+	cfg := synth.Config{Seed: 23, Domain: "warm-shared", Sources: 7, Concepts: 9,
+		GroupFanout: 3, Depth: 2, InstanceRatio: 0.5,
+		Perturb: synth.Perturb{SynonymSwap: 0.3, NumberVary: 0.15, Noise: 0.15, Dropout: 0.3, Reorder: 0.2}}
+	corpora, err := synth.Corpus(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, matcher := range []bool{false, true} {
+		t.Run(fmt.Sprintf("matcher=%v", matcher), func(t *testing.T) {
+			ig, err := NewIntegrator(Config{UseMatcher: matcher})
+			if err != nil {
+				t.Fatal(err)
+			}
+			coldIG, err := NewIntegrator(Config{UseMatcher: matcher, DisableWarmCache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold := func(sources []*Tree) (string, error) {
+				res, err := coldIG.Integrate(sources)
+				if err != nil {
+					return "", err
+				}
+				return renderFull(res), nil
+			}
+
+			const sessions, oneShots = 8, 4
+			var wg sync.WaitGroup
+			for g := 0; g < sessions; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					if err := driveSharedSession(ig, corpora[g%len(corpora)], g, cold); err != nil {
+						t.Errorf("session %d: %v", g, err)
+					}
+				}(g)
+			}
+			for g := 0; g < oneShots; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					pool := corpora[g%len(corpora)]
+					for n := 2; n <= len(pool); n++ {
+						sources := pool[len(pool)-n:]
+						res, err := ig.Integrate(sources)
+						if err != nil {
+							t.Errorf("one-shot %d n=%d: %v", g, n, err)
+							return
+						}
+						want, err := cold(sources)
+						if err != nil {
+							t.Errorf("one-shot %d n=%d cold: %v", g, n, err)
+							return
+						}
+						if renderFull(res) != want {
+							t.Errorf("one-shot %d n=%d diverges from cold", g, n)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			if st := ig.WarmStats(); st.SolveHits == 0 || (matcher && st.MatchPairHits == 0) {
+				t.Errorf("sessions and one-shot runs never shared the warm caches: %+v", st)
+			}
+		})
+	}
+}
+
+// driveSharedSession runs one session of TestWarmSharedBySessions: five
+// adds over a window of the pool starting at g, an update and a remove,
+// checking the state against a cold run after every operation.
+func driveSharedSession(ig *Integrator, pool []*Tree, g int, cold func([]*Tree) (string, error)) error {
+	ctx := context.Background()
+	sess := ig.NewSession()
+	check := func(op string) error {
+		res, err := sess.Result()
+		if err != nil {
+			return fmt.Errorf("%s: %w", op, err)
+		}
+		want, err := cold(sess.Sources())
+		if err != nil {
+			return fmt.Errorf("%s cold: %w", op, err)
+		}
+		if renderFull(res) != want {
+			return fmt.Errorf("%s: session state diverges from a cold run", op)
+		}
+		return nil
+	}
+	var hashes []string
+	for k := 0; k < 5; k++ {
+		h, err := sess.AddSource(ctx, pool[(g+k)%len(pool)])
+		if err != nil {
+			return err
+		}
+		hashes = append(hashes, h)
+		if err := check(fmt.Sprintf("add %d", k)); err != nil {
+			return err
+		}
+	}
+	if _, err := sess.UpdateSource(ctx, hashes[1], pool[(g+5)%len(pool)]); err != nil {
+		return err
+	}
+	if err := check("update"); err != nil {
+		return err
+	}
+	if err := sess.RemoveSource(ctx, hashes[0]); err != nil {
+		return err
+	}
+	return check("remove")
 }
 
 // TestWarmEpochResetExactlyOnce pins the warm caches' invalidation
