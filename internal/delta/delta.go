@@ -7,11 +7,11 @@
 // final source set. That holds by construction — the session runs the
 // exact same pipeline (the one function below) on the same caches a
 // one-shot run consults: the Integrator's warm tables (naming.Warm,
-// match.Warm, SourceLabelMemo), which store results of pure functions
-// keyed by the full content those functions read. Reuse changes only what
-// is recomputed, never what comes out; the delta equivalence gate in the
-// root package pins it across the synth and golden corpora, serial and
-// parallel.
+// match.Warm, the source-label table), which store results of pure
+// functions keyed by the full content those functions read. Reuse changes
+// only what is recomputed, never what comes out; the delta equivalence
+// gate in the root package pins it across the synth and golden corpora,
+// serial and parallel.
 package delta
 
 import (
@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"qilabel/internal/cluster"
+	"qilabel/internal/gencache"
 	"qilabel/internal/lexicon"
 	"qilabel/internal/match"
 	"qilabel/internal/merge"
@@ -51,11 +52,6 @@ type Config struct {
 	// schema.CacheKey(source hashes, Fingerprint) — the result's own cache
 	// key. Empty: no corpus key, so nothing replays by position.
 	Fingerprint string
-	// MatchScratch, when non-nil, lends the matcher's pairwise pass
-	// reusable per-worker buffers pooled across runs (the Integrator keeps
-	// one per configuration). Pure accelerator; nil degrades to per-run
-	// buffers.
-	MatchScratch *match.Scratch
 	// Warm, when non-nil, is the cross-run warm cache (interned label
 	// analyses, shared Relate verdicts, group/isolated/node solve caches)
 	// the run's analysis table is built through and the naming passes
@@ -68,9 +64,11 @@ type Config struct {
 	MatchWarm *match.Warm
 	// SourceLabels, when non-nil, memoizes each source tree's distinct
 	// label list by canonical hash so re-submitted sources skip the
-	// label-collection walk. Pure accelerator; nil degrades to a fresh
-	// walk.
-	SourceLabels *SourceLabelMemo
+	// label-collection walk (see sourceLabels). Pure accelerator; nil
+	// degrades to a fresh walk. A table must only ever see one UseMatcher
+	// setting, because the list depends on it: the Integrator holds one
+	// per fixed configuration.
+	SourceLabels *gencache.Table[string, []string]
 }
 
 // Outcome is one pipeline run's full output: the working trees (clones,
@@ -137,11 +135,7 @@ func Run(ctx context.Context, trees []*schema.Tree, cfg Config, observe func(sta
 	if !cfg.ReferenceKernels {
 		var labels []string
 		for i, t := range trees {
-			if cfg.SourceLabels != nil {
-				labels = append(labels, cfg.SourceLabels.labels(t, hashes[i], cfg.UseMatcher)...)
-			} else {
-				labels = append(labels, treeLabels(t, cfg.UseMatcher)...)
-			}
+			labels = append(labels, sourceLabels(cfg.SourceLabels, t, hashes[i], cfg.UseMatcher)...)
 		}
 		if cfg.Warm != nil {
 			analysis = cfg.Warm.Analysis(labels)
@@ -158,7 +152,6 @@ func Run(ctx context.Context, trees []*schema.Tree, cfg Config, observe func(sta
 			Parallelism:     cfg.Parallelism,
 			DisableBlocking: cfg.ReferenceKernels,
 			Analysis:        analysis,
-			Scratch:         cfg.MatchScratch,
 			Warm:            cfg.MatchWarm,
 			WarmKey:         warmKey,
 			Pairs:           &out.Pairs,

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"qilabel/internal/cluster"
+	"qilabel/internal/gencache"
 	"qilabel/internal/lexicon"
 	"qilabel/internal/match"
 	"qilabel/internal/naming"
@@ -39,11 +40,11 @@ func testConfig(matcher bool) Config {
 		Lexicon:      lex,
 		UseMatcher:   matcher,
 		Fingerprint:  fmt.Sprintf("matcher=%t", matcher),
-		Warm:         naming.NewWarm(lex, 0, 0),
-		SourceLabels: NewSourceLabelMemo(0),
+		Warm:         naming.NewWarm(lex),
+		SourceLabels: gencache.NewTable[string, []string](SourceLabelCap),
 	}
 	if matcher {
-		cfg.MatchWarm = match.NewWarm(lex, 0, 0, 0)
+		cfg.MatchWarm = match.NewWarm(lex)
 	}
 	return cfg
 }

@@ -7,99 +7,30 @@ package delta
 
 import (
 	"strings"
-	"sync"
-	"sync/atomic"
 
+	"qilabel/internal/gencache"
 	"qilabel/internal/schema"
 )
 
-// DefaultSourceLabelCap bounds the trees a SourceLabelMemo remembers.
-const DefaultSourceLabelCap = 4096
+// SourceLabelCap bounds the trees a source-label table remembers.
+const SourceLabelCap = 4096
 
-// SourceLabelMemo caches, per canonical tree hash, the distinct labels the
-// source contributes to a run's analysis table (in first-appearance order,
-// post 1:m expansion). The cached list is a pure function of the tree
-// content the hash covers, so reuse cannot change which labels a run
-// analyzes — only skip re-collecting them.
-//
-// The memo is safe for concurrent use and bounded by the two-generation
-// scheme shared with naming.Warm: inserts land in the current generation,
-// which becomes the old one when it reaches half the cap; hits in the old
-// generation promote. One memo must only ever see one UseMatcher setting
-// (the label list depends on it); the Integrator owns exactly one memo per
-// fixed configuration, which guarantees that.
-type SourceLabelMemo struct {
-	cap int
-
-	mu  sync.Mutex
-	cur map[string][]string
-	old map[string][]string
-
-	hits, misses atomic.Uint64
-}
-
-// NewSourceLabelMemo creates a memo bounded to cap trees (0 or negative:
-// DefaultSourceLabelCap).
-func NewSourceLabelMemo(cap int) *SourceLabelMemo {
-	if cap <= 0 {
-		cap = DefaultSourceLabelCap
+// sourceLabels returns the distinct labels the (expanded) tree whose
+// pre-expansion canonical hash is hash contributes to a run's analysis
+// table, from the memo when one is given. The list is a pure function of
+// the tree content the hash covers, so reuse cannot change which labels a
+// run analyzes — only skip re-collecting them. The returned slice is
+// shared and must not be mutated.
+func sourceLabels(memo *gencache.Table[string, []string], t *schema.Tree, hash string, useMatcher bool) []string {
+	if memo == nil {
+		return treeLabels(t, useMatcher)
 	}
-	if cap < 2 {
-		cap = 2
-	}
-	return &SourceLabelMemo{cap: cap, cur: make(map[string][]string)}
-}
-
-// SourceLabelStats is a snapshot of the memo's counters.
-type SourceLabelStats struct {
-	Hits, Misses uint64
-	Trees        int
-}
-
-// Stats snapshots the memo counters and population.
-func (m *SourceLabelMemo) Stats() SourceLabelStats {
-	st := SourceLabelStats{Hits: m.hits.Load(), Misses: m.misses.Load()}
-	m.mu.Lock()
-	st.Trees = len(m.cur) + len(m.old)
-	m.mu.Unlock()
-	return st
-}
-
-// labels returns the distinct labels of the (expanded) tree whose
-// pre-expansion canonical hash is hash, from the memo when possible. The
-// returned slice is shared and must not be mutated.
-func (m *SourceLabelMemo) labels(t *schema.Tree, hash string, useMatcher bool) []string {
-	m.mu.Lock()
-	if ls, ok := m.cur[hash]; ok {
-		m.mu.Unlock()
-		m.hits.Add(1)
+	if ls, ok := memo.Get(hash); ok {
 		return ls
 	}
-	if ls, ok := m.old[hash]; ok {
-		delete(m.old, hash)
-		m.store(hash, ls)
-		m.mu.Unlock()
-		m.hits.Add(1)
-		return ls
-	}
-	m.mu.Unlock()
-	m.misses.Add(1)
 	ls := treeLabels(t, useMatcher)
-	m.mu.Lock()
-	m.store(hash, ls)
-	m.mu.Unlock()
+	memo.Put(hash, ls)
 	return ls
-}
-
-// store inserts under m.mu, rotating generations at half the cap.
-func (m *SourceLabelMemo) store(hash string, ls []string) {
-	if len(m.cur) >= m.cap/2 {
-		if _, ok := m.cur[hash]; !ok {
-			m.old = m.cur
-			m.cur = make(map[string][]string, m.cap/2)
-		}
-	}
-	m.cur[hash] = ls
 }
 
 // treeLabels collects the distinct labels one (expanded) source tree feeds

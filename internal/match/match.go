@@ -34,13 +34,16 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"unicode"
 
 	"qilabel/internal/naming"
 	"qilabel/internal/pool"
 	"qilabel/internal/schema"
 )
+
+// defaultMinOverlap is the instance-overlap threshold a zero
+// Options.MinInstanceOverlap selects, and the only one a Warm serves.
+const defaultMinOverlap = 0.5
 
 // Options tune the matcher.
 type Options struct {
@@ -69,17 +72,12 @@ type Options struct {
 	// per-worker caches — a pure accelerator, never an output change.
 	// Ignored under DisableBlocking (the reference pass stays cold).
 	Analysis *naming.Analysis
-	// Scratch, when non-nil, lends the pairwise pass reusable per-worker
-	// buffers (candidate sets) pooled across calls — the Integrator keeps
-	// one Scratch per configuration so warm integrations stop paying the
-	// per-row allocation. A nil Scratch degrades to per-call buffers.
-	Scratch *Scratch
 	// Warm, when non-nil, caches block keys and pair verdicts across runs
 	// by field content (the Integrator owns one per configuration). Both
 	// facts are pure functions of (content, lexicon, threshold), so the
 	// assignment is identical with or without it. Ignored under
-	// DisableBlocking or when the Warm was built for a different lexicon
-	// or threshold.
+	// DisableBlocking, for a lexicon other than the Warm's, or for a
+	// threshold other than the default.
 	Warm *Warm
 	// WarmKey, when non-empty alongside Warm, is the caller's fingerprint
 	// of the exact canonical source content plus every assignment-affecting
@@ -97,14 +95,6 @@ type Options struct {
 // neither.
 type PairCounts struct {
 	Hits, Evaluated int
-}
-
-// Scratch pools the per-worker buffers of the pairwise pass so repeated
-// matcher runs (a warm Integrator, the server's request loop) reuse them
-// instead of reallocating. Safe for concurrent use; the zero value is
-// ready.
-type Scratch struct {
-	pool sync.Pool
 }
 
 // rowBuf is one worker's reusable state: the candidate-index buffer the
@@ -133,15 +123,6 @@ func (b *rowBuf) beginRow(n int) int32 {
 	}
 	return b.epoch
 }
-
-func (s *Scratch) get() *rowBuf {
-	if v := s.pool.Get(); v != nil {
-		return v.(*rowBuf)
-	}
-	return &rowBuf{}
-}
-
-func (s *Scratch) put(b *rowBuf) { s.pool.Put(b) }
 
 // fieldInfo is one leaf of the source trees with the normalizations the
 // similarity signals need, computed once instead of per pair.
@@ -173,7 +154,7 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 		sem = naming.NewSemanticsUnmemoized(sem.Lexicon())
 	}
 	if opts.MinInstanceOverlap == 0 {
-		opts.MinInstanceOverlap = 0.5
+		opts.MinInstanceOverlap = defaultMinOverlap
 	}
 	prefix := opts.ClusterPrefix
 	if prefix == "" {
@@ -181,11 +162,11 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 	}
 
 	// The cross-run warm cache applies only to the blocked pass (the
-	// reference pass stays cold) and only when it was built for this
-	// lexicon and threshold — a verdict is a pure function of both.
+	// reference pass stays cold) and only to its own lexicon at the
+	// default threshold — a verdict is a pure function of both.
 	warm := opts.Warm
 	if opts.DisableBlocking || warm == nil ||
-		warm.lex != sem.Lexicon() || warm.minOverlap != opts.MinInstanceOverlap {
+		warm.lex != sem.Lexicon() || opts.MinInstanceOverlap != defaultMinOverlap {
 		warm = nil
 	}
 	if warm != nil {
@@ -198,7 +179,7 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 	akey := ""
 	if warm != nil && opts.WarmKey != "" {
 		akey = opts.WarmKey + "|a|" + prefix
-		if e, ok := warm.assignLookup(akey); ok {
+		if e, ok := warm.assigns.Get(akey); ok {
 			if applyAssignment(trees, e.names) {
 				return e.n, nil
 			}
@@ -262,10 +243,6 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 	workers := pool.Workers(opts.Parallelism)
 	sems := make([]*naming.Semantics, workers)
 	sems[0] = sem // the serial path reuses the caller's cache
-	scratch := opts.Scratch
-	if scratch == nil {
-		scratch = &Scratch{}
-	}
 	rows := make([]*rowBuf, workers)
 	tally := make([]PairCounts, workers)
 	matches := make([][]int, len(fields))
@@ -301,9 +278,9 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 		// lists instead of ascending j, which cannot change the outcome —
 		// verdicts are pure, and the union-find components (hence the
 		// cluster assignment) are invariant to the union order. The buffer
-		// is per-worker and pooled across calls.
+		// is per-worker and kept for every row the worker takes.
 		if rows[w] == nil {
-			rows[w] = scratch.get()
+			rows[w] = &rowBuf{}
 		}
 		rb := rows[w]
 		epoch := rb.beginRow(len(fields))
@@ -321,12 +298,12 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 			var matched bool
 			if warm != nil {
 				key := pairIDKey(ids[i], ids[j])
-				v, ok := warm.pair(key)
+				v, ok := warm.pairs.Get(key)
 				if ok {
 					hits++
 				} else {
 					v = matchFields(sems[w], fi, &fields[j], opts.MinInstanceOverlap)
-					warm.storePair(key, v)
+					warm.pairs.Put(key, v)
 				}
 				matched = v
 			} else {
@@ -340,11 +317,6 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 		tally[w].Hits += hits
 		tally[w].Evaluated += len(cand) - hits
 	})
-	for _, rb := range rows {
-		if rb != nil {
-			scratch.put(rb)
-		}
-	}
 	if err != nil {
 		return 0, err
 	}
@@ -360,7 +332,7 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 		for i := range fields {
 			names[i] = fields[i].leaf.Cluster
 		}
-		warm.assignStore(akey, assignEntry{names: names, n: n})
+		warm.assigns.Put(akey, assignEntry{names: names, n: n})
 	}
 	return n, nil
 }

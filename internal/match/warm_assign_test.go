@@ -62,7 +62,7 @@ func TestWarmAssignEquivalence(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			trees := growingCorpus(t, seed, 6)
-			w := NewWarm(nil, 0, 0, 0)
+			w := NewWarm(nil)
 			ctx := context.Background()
 			var hits int
 			for n := 1; n <= len(trees); n++ {
@@ -98,7 +98,7 @@ func TestWarmAssignEquivalence(t *testing.T) {
 // pair — every candidate pair is answered from the Warm.
 func TestWarmAssignReuse(t *testing.T) {
 	trees := growingCorpus(t, 7, 5)
-	w := NewWarm(nil, 0, 0, 0)
+	w := NewWarm(nil)
 	ctx := context.Background()
 	var first, second PairCounts
 	if _, err := AssignContext(ctx, cloneTrees(trees), Options{Warm: w, Pairs: &first}); err != nil {

@@ -11,7 +11,7 @@ import (
 func TestWarmKeyCapBound(t *testing.T) {
 	const keyCap = 32
 	const pairCap = 128
-	w := NewWarm(nil, 0, keyCap, pairCap)
+	w := newWarm(nil, keyCap, pairCap)
 	var ids []int32
 	for i := 0; i < 500; i++ {
 		ck := fmt.Sprintf("content-%d", i)
@@ -33,7 +33,7 @@ func TestWarmKeyCapBound(t *testing.T) {
 		seen[id] = true
 	}
 	for i := 0; i+1 < len(ids); i++ {
-		w.storePair(pairIDKey(ids[i], ids[i+1]), i%2 == 0)
+		w.pairs.Put(pairIDKey(ids[i], ids[i+1]), i%2 == 0)
 		if st := w.Stats(); st.Pairs > pairCap {
 			t.Fatalf("after %d verdicts the pair table holds %d, cap is %d", i+1, st.Pairs, pairCap)
 		}
@@ -49,14 +49,33 @@ func TestWarmKeyCapBound(t *testing.T) {
 
 // TestWarmAssignBound: the whole-corpus assignment table is bounded too.
 func TestWarmAssignBound(t *testing.T) {
-	w := NewWarm(nil, 0, 0, 0)
-	for i := 0; i < DefaultWarmAssignCap*2; i++ {
-		w.assignStore(fmt.Sprintf("corpus-%d|a|m", i), assignEntry{names: []string{"m_001"}, n: 1})
-		if st := w.Stats(); st.Assigns > DefaultWarmAssignCap {
-			t.Fatalf("assignment table holds %d, cap is %d", st.Assigns, DefaultWarmAssignCap)
+	w := NewWarm(nil)
+	for i := 0; i < warmAssignCap*2; i++ {
+		w.assigns.Put(fmt.Sprintf("corpus-%d|a|m", i), assignEntry{names: []string{"m_001"}, n: 1})
+		if st := w.Stats(); st.Assigns > warmAssignCap {
+			t.Fatalf("assignment table holds %d, cap is %d", st.Assigns, warmAssignCap)
 		}
 	}
-	if e, ok := w.assignLookup(fmt.Sprintf("corpus-%d|a|m", DefaultWarmAssignCap*2-1)); !ok || e.n != 1 {
+	if e, ok := w.assigns.Get(fmt.Sprintf("corpus-%d|a|m", warmAssignCap*2-1)); !ok || e.n != 1 {
 		t.Fatal("newest assignment entry unreachable")
+	}
+}
+
+// TestWarmPairPromotionCountsOnce: a verdict promoted out of the old
+// generation moves instead of holding a slot in both, so the population
+// Stats reports is the number of distinct pairs.
+func TestWarmPairPromotionCountsOnce(t *testing.T) {
+	// Four verdicts per shard: the current generation rotates at two.
+	w := newWarm(nil, warmKeyCap, 4*64)
+	// (key^(key>>32))%64 is 0 for all three keys: they share one shard.
+	keys := []uint64{pairIDKey(0, 0), pairIDKey(1, 1), pairIDKey(2, 2)}
+	for _, k := range keys { // the third store rotates
+		w.pairs.Put(k, true)
+	}
+	if v, ok := w.pairs.Get(keys[0]); !ok || !v { // an old-generation hit
+		t.Fatalf("rotated verdict = %v, %v; want true, true", v, ok)
+	}
+	if st := w.Stats(); st.Pairs != len(keys) || st.PairHits != 1 {
+		t.Fatalf("Pairs = %d, PairHits = %d after one promotion; want %d and 1", st.Pairs, st.PairHits, len(keys))
 	}
 }

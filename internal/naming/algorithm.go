@@ -266,7 +266,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 	var solve []int
 	for i, g := range groups {
 		if cheap != "" {
-			if e, ok := warm.groups.lookup(groupKey(i)); ok {
+			if e, ok := warm.groups.Get(groupKey(i)); ok {
 				groupOuts[i], groupCounters[i] = e.outcomeFor(g), e.counters
 				reuse.GroupsReused++
 				continue
@@ -275,11 +275,11 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 		if warm != nil {
 			rels[i] = cluster.BuildRelation(g, ifaces)
 			sigs[i] = groupSignature(g, rels[i], sopts)
-			if e, ok := warm.groups.lookup(sigs[i]); ok {
+			if e, ok := warm.groups.Get(sigs[i]); ok {
 				groupOuts[i], groupCounters[i] = e.outcomeFor(g), e.counters
 				reuse.GroupsReused++
 				if cheap != "" {
-					warm.groups.store(groupKey(i), e)
+					warm.groups.Put(groupKey(i), e)
 				}
 				continue
 			}
@@ -302,9 +302,9 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 	if warm != nil {
 		for _, i := range solve {
 			e := groupEntry{outcome: groupOuts[i], counters: groupCounters[i]}
-			warm.groups.store(sigs[i], e)
+			warm.groups.Put(sigs[i], e)
 			if cheap != "" {
-				warm.groups.store(groupKey(i), e)
+				warm.groups.Put(groupKey(i), e)
 			}
 		}
 	}
@@ -324,7 +324,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 		var ikey, sig string
 		if cheap != "" {
 			ikey = cheap + "|s|" + strconv.Itoa(ci)
-			if e, ok := warm.isolated.lookup(ikey); ok {
+			if e, ok := warm.isolated.Get(ikey); ok {
 				res.IsolatedLabels[c.Name] = e.label
 				res.Counters.Merge(e.counters)
 				reuse.IsolatedReused++
@@ -333,12 +333,12 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 		}
 		if warm != nil {
 			sig = isolatedSignature(c, sopts)
-			if e, ok := warm.isolated.lookup(sig); ok {
+			if e, ok := warm.isolated.Get(sig); ok {
 				res.IsolatedLabels[c.Name] = e.label
 				res.Counters.Merge(e.counters)
 				reuse.IsolatedReused++
 				if ikey != "" {
-					warm.isolated.store(ikey, e)
+					warm.isolated.Put(ikey, e)
 				}
 				continue
 			}
@@ -352,9 +352,9 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 		reuse.IsolatedComputed++
 		if warm != nil {
 			e := isolatedEntry{label: label, counters: cnt}
-			warm.isolated.store(sig, e)
+			warm.isolated.Put(sig, e)
 			if ikey != "" {
-				warm.isolated.store(ikey, e)
+				warm.isolated.Put(ikey, e)
 			}
 		}
 	}
@@ -381,7 +381,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 	work := make([]int, 0, len(internals))
 	for i := range internals {
 		if cheap != "" {
-			if e, ok := warm.nodes.lookup(cheap + "|n|" + strconv.Itoa(i)); ok {
+			if e, ok := warm.nodes.Get(cheap + "|n|" + strconv.Itoa(i)); ok {
 				nodeCounters[i] = e.counters
 				nodeOuts[i] = &NodeReport{
 					Node:           internals[i],
@@ -420,7 +420,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 			cands, potentials = semFor(w).candidateLabels(x, units, mr.Mapping, so)
 		}
 		if cheap != "" {
-			warm.nodes.store(cheap+"|n|"+strconv.Itoa(i), nodeEntry{
+			warm.nodes.Put(cheap+"|n|"+strconv.Itoa(i), nodeEntry{
 				clusters: names, cands: cands, potentials: potentials, counters: nodeCounters[i],
 			})
 		}

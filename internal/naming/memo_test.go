@@ -59,29 +59,6 @@ func TestRelateMemoMatchesUnmemoized(t *testing.T) {
 	}
 }
 
-// TestRelateMemoBounded: the memo must reset, not grow, past relMemoLimit,
-// and verdicts must survive the reset unchanged.
-func TestRelateMemoBounded(t *testing.T) {
-	s := NewSemantics(nil)
-	s.memo = make(map[uint64]Rel, 8)
-	// Shrink the effective limit by pre-filling near the bound is impractical
-	// (2^17 entries); instead drive distinct synthetic pairs through a small
-	// window and assert the invariant len(memo) <= relMemoLimit directly.
-	labels := domainLabels(t)
-	for i, a := range labels {
-		for _, b := range labels[:min(len(labels), i+8)] {
-			s.Relate(a, b)
-			if len(s.memo) > relMemoLimit {
-				t.Fatalf("memo grew to %d entries, limit is %d", len(s.memo), relMemoLimit)
-			}
-		}
-	}
-	ref := NewSemanticsUnmemoized(nil)
-	if got, want := s.Relate(labels[0], labels[1]), ref.Relate(labels[0], labels[1]); got != want {
-		t.Fatalf("post-sweep Relate = %v, reference says %v", got, want)
-	}
-}
-
 // TestSharedAnalysisOutOfTable: labels absent from the shared table must fall
 // back to the worker-local cache with identical verdicts.
 func TestSharedAnalysisOutOfTable(t *testing.T) {

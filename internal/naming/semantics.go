@@ -26,6 +26,7 @@ import (
 	"sort"
 	"strings"
 
+	"qilabel/internal/gencache"
 	"qilabel/internal/lexicon"
 	"qilabel/internal/stem"
 	"qilabel/internal/token"
@@ -141,7 +142,7 @@ func (a *Analysis) Semantics() *Semantics {
 }
 
 // relMemoLimit bounds the per-Semantics memo of Relate verdicts (the sum
-// of its two generations — see memoStore), keeping long-lived Semantics —
+// of its two generations, see gencache), keeping long-lived Semantics —
 // the long-running server's verify path, REPL-style callers — at a flat
 // memory ceiling of ~2 MiB while staying maximally warm for the group
 // solver's quadratic access patterns.
@@ -155,9 +156,8 @@ type Semantics struct {
 	shared *Analysis // optional read-only table (nil: none)
 	warm   *Warm     // optional shared cross-run verdict cache (nil: none)
 	cache  map[string]*labelWords
-	ids    map[string]int32 // local label IDs (negative: disjoint from table IDs)
-	memo   map[uint64]Rel   // Relate verdicts keyed by interned label-pair IDs
-	old    map[uint64]Rel   // previous memo generation (see memoStore)
+	ids    map[string]int32          // local label IDs (negative: disjoint from table IDs)
+	memo   gencache.Map[uint64, Rel] // the overlay: Relate verdicts keyed by interned label-pair IDs
 	noMemo bool
 
 	// Reusable scratch for the group solver's hot loops (a Semantics is
@@ -178,7 +178,7 @@ func NewSemantics(lex *lexicon.Lexicon) *Semantics {
 		lex:   lex,
 		cache: make(map[string]*labelWords),
 		ids:   make(map[string]int32),
-		memo:  make(map[uint64]Rel),
+		memo:  gencache.NewMap[uint64, Rel](relMemoLimit),
 	}
 }
 
@@ -329,11 +329,7 @@ func (s *Semantics) Relate(a, b string) Rel {
 	}
 	ia, ib := s.labelID(a), s.labelID(b)
 	key := uint64(uint32(ia))<<32 | uint64(uint32(ib))
-	if r, ok := s.memo[key]; ok {
-		return r
-	}
-	if r, ok := s.old[key]; ok {
-		s.memoStore(key, r) // promote: steadily hot pairs survive rotation
+	if r, ok := s.memo.Get(key); ok {
 		return r
 	}
 	// Both labels from the shared table of a warm handle: the verdict may
@@ -341,33 +337,17 @@ func (s *Semantics) Relate(a, b string) Rel {
 	// the only locking touch on the hot path, and the overlay above bounds
 	// it to once per distinct pair per worker per run.
 	if s.warm != nil && ia >= 0 && ib >= 0 {
-		if r, ok := s.warm.verdict(key); ok {
-			s.memoStore(key, r)
-			return r
+		r, ok := s.warm.verdicts.Get(key)
+		if !ok {
+			r = s.relate(a, b)
+			s.warm.verdicts.Put(key, r)
 		}
-		r := s.relate(a, b)
-		s.warm.storeVerdict(key, r)
-		s.memoStore(key, r)
+		s.memo.Put(key, r)
 		return r
 	}
 	r := s.relate(a, b)
-	s.memoStore(key, r)
+	s.memo.Put(key, r)
 	return r
-}
-
-// memoStore records a verdict in the per-Semantics overlay under a
-// two-generation bound: when the current generation reaches half of
-// relMemoLimit it becomes the old generation (dropping the previous one)
-// and a fresh map starts. Entries re-referenced within a generation are
-// promoted by Relate, so — unlike the historical wholesale clear — a warm
-// working set survives arbitrarily long runs while memory stays capped at
-// relMemoLimit entries across both generations.
-func (s *Semantics) memoStore(key uint64, r Rel) {
-	if len(s.memo) >= relMemoLimit/2 {
-		s.old = s.memo
-		s.memo = make(map[uint64]Rel)
-	}
-	s.memo[key] = r
 }
 
 // relate is the unmemoized Definition 1 evaluation.

@@ -7,27 +7,22 @@ import (
 	"sync/atomic"
 
 	"qilabel/internal/cluster"
+	"qilabel/internal/gencache"
 	"qilabel/internal/lexicon"
 )
 
-// Default capacity bounds for a Warm cache. The label cap bounds interned
-// analyses (a few hundred bytes each: ~tens of MiB worst case); the verdict
-// cap bounds shared Relate entries (16 bytes each: ~16 MiB worst case).
-// Both are two-generation bounds — see the eviction notes on Warm.
+// Capacity bounds of a Warm cache, each the population of both
+// generations of its table (see gencache). The label cap bounds interned
+// analyses (a few hundred bytes each: ~tens of MiB worst case); the
+// verdict cap bounds shared Relate entries (16 bytes each: ~16 MiB worst
+// case); the solve cap bounds each of the three solve-family tables (group
+// solves, isolated elections, per-node candidate derivations), whose
+// entries — an outcome with its solutions — are heavier.
 const (
-	DefaultWarmLabelCap   = 1 << 16
-	DefaultWarmVerdictCap = 1 << 20
+	warmLabelCap   = 1 << 16
+	warmVerdictCap = 1 << 20
+	warmSolveCap   = 1 << 14
 )
-
-// DefaultWarmSolveCap bounds each of the three solve-family tables (group
-// solves, isolated elections, per-node candidate derivations). Entries are
-// heavier than verdicts — an outcome with its solutions — so the cap is
-// smaller.
-const DefaultWarmSolveCap = 1 << 14
-
-// warmShards spreads the shared verdict map over independently locked
-// shards so concurrent runs on one handle rarely contend.
-const warmShards = 64
 
 // warmLabel is one interned label: its analysis and the stable ID Relate
 // memo keys are built from. IDs are non-negative and never reused within an
@@ -36,14 +31,6 @@ const warmShards = 64
 type warmLabel struct {
 	lw *labelWords
 	id int32
-}
-
-// verdictShard is one shard of the shared cross-run Relate cache, bounded
-// by the same two-generation scheme as the label table.
-type verdictShard struct {
-	mu  sync.RWMutex
-	cur map[uint64]Rel
-	old map[uint64]Rel
 }
 
 // groupEntry stores one solved group: the outcome and the inference-rule
@@ -71,76 +58,6 @@ type nodeEntry struct {
 	cands      []CandidateLabel
 	potentials int
 	counters   Counters
-}
-
-// warmTable is a bounded, concurrency-safe two-generation map — the
-// building block of the solve-family caches. Inserts land in the current
-// generation, which becomes the old one at half the cap; old-generation
-// hits promote.
-type warmTable[V any] struct {
-	cap int
-
-	mu  sync.RWMutex
-	cur map[string]V
-	old map[string]V
-
-	hits, misses atomic.Uint64
-}
-
-func (t *warmTable[V]) lookup(key string) (V, bool) {
-	t.mu.RLock()
-	if v, ok := t.cur[key]; ok {
-		t.mu.RUnlock()
-		t.hits.Add(1)
-		return v, true
-	}
-	v, ok := t.old[key]
-	t.mu.RUnlock()
-	if !ok {
-		t.misses.Add(1)
-		var zero V
-		return zero, false
-	}
-	t.hits.Add(1)
-	t.mu.Lock()
-	if _, again := t.cur[key]; !again {
-		delete(t.old, key)
-		t.storeLocked(key, v)
-	}
-	t.mu.Unlock()
-	return v, true
-}
-
-func (t *warmTable[V]) store(key string, v V) {
-	t.mu.Lock()
-	t.storeLocked(key, v)
-	t.mu.Unlock()
-}
-
-func (t *warmTable[V]) storeLocked(key string, v V) {
-	if t.cur == nil {
-		t.cur = make(map[string]V)
-	}
-	if len(t.cur) >= t.cap/2 {
-		if _, ok := t.cur[key]; !ok {
-			t.old = t.cur
-			t.cur = make(map[string]V)
-		}
-	}
-	t.cur[key] = v
-}
-
-func (t *warmTable[V]) reset() {
-	t.mu.Lock()
-	t.cur = nil
-	t.old = nil
-	t.mu.Unlock()
-}
-
-func (t *warmTable[V]) size() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.cur) + len(t.old)
 }
 
 // WarmStats is a point-in-time snapshot of a Warm cache's counters.
@@ -177,38 +94,34 @@ type WarmStats struct {
 }
 
 // Warm is the cross-run cache bundle a long-lived handle (qilabel's
-// Integrator) owns: a bounded intern table of label analyses and a sharded
-// shared cache of Relate verdicts, both keyed under one lexicon epoch.
+// Integrator) owns: a bounded intern table of label analyses, a sharded
+// shared cache of Relate verdicts and the solve-family tables, all keyed
+// under one lexicon epoch.
 //
 // Every cached fact is a pure function of (label(s), lexicon), so reuse can
 // never change an outcome, only skip recomputing it — warm runs stay
 // byte-identical to cold ones. Staleness is handled by epoch: the Warm
 // snapshots lexicon.Generation and drops everything when it moves.
 //
-// Bounding uses two generations (a hand-rolled SIEVE/CLOCK relative):
-// inserts land in the current generation; when it reaches half the cap the
-// current generation becomes the old one and a fresh map starts; hits in
-// the old generation promote back. Entries referenced at least once per
-// rotation period therefore survive indefinitely, and the total population
-// never exceeds the cap.
+// Every table is bounded by gencache's two-generation policy. The intern
+// table is a bare gencache.Map under the Warm's own lock, because issuing
+// a label's ID and storing it must happen under one lock; the verdicts
+// are a gencache.Sharded map and the solve-family tables gencache.Tables.
 //
 // A Warm is safe for concurrent use. The per-run hot path stays lock-free:
 // workers consult their private Semantics overlay first and touch the
 // shared shards only on overlay misses (at most once per distinct label
 // pair per worker per run).
 type Warm struct {
-	lex        *lexicon.Lexicon
-	labelCap   int
-	verdictCap int // per shard
+	lex *lexicon.Lexicon
 
 	gen atomic.Uint64 // lexicon generation the contents belong to
 
-	mu     sync.RWMutex // guards cur/old/nextID
-	cur    map[string]warmLabel
-	old    map[string]warmLabel
+	mu     sync.RWMutex // guards labels and nextID
+	labels gencache.Map[string, warmLabel]
 	nextID int32
 
-	shards [warmShards]verdictShard
+	verdicts *gencache.Sharded[Rel]
 
 	// Solve-family caches, shared by one-shot runs and delta sessions.
 	// Groups and isolated elections are keyed by content signature
@@ -216,44 +129,34 @@ type Warm struct {
 	// what the signature serializes and the lexicon epoch. All three also
 	// hold entries under positional keys (Options.WarmKey + unit index),
 	// the only keys node derivations are stored under.
-	groups   warmTable[groupEntry]
-	isolated warmTable[isolatedEntry]
-	nodes    warmTable[nodeEntry]
+	groups   *gencache.Table[string, groupEntry]
+	isolated *gencache.Table[string, isolatedEntry]
+	nodes    *gencache.Table[string, nodeEntry]
 
 	labelHits, labelMisses, labelsEvicted atomic.Uint64
-	verdictHits, verdictMisses            atomic.Uint64
 	epochResets                           atomic.Uint64
 }
 
 // NewWarm creates a warm cache over the given lexicon (nil: the embedded
-// default). labelCap bounds interned label analyses, verdictCap the shared
-// Relate verdicts; zero or negative caps select the defaults.
-func NewWarm(lex *lexicon.Lexicon, labelCap, verdictCap int) *Warm {
+// default).
+func NewWarm(lex *lexicon.Lexicon) *Warm {
+	return newWarm(lex, warmLabelCap, warmVerdictCap)
+}
+
+// newWarm is NewWarm with explicit label and verdict caps, for the bound
+// tests.
+func newWarm(lex *lexicon.Lexicon, labelCap, verdictCap int) *Warm {
 	if lex == nil {
 		lex = lexicon.Default()
 	}
-	if labelCap <= 0 {
-		labelCap = DefaultWarmLabelCap
-	}
-	if labelCap < 2 {
-		labelCap = 2
-	}
-	if verdictCap <= 0 {
-		verdictCap = DefaultWarmVerdictCap
-	}
-	perShard := verdictCap / warmShards
-	if perShard < 2 {
-		perShard = 2
-	}
 	w := &Warm{
-		lex:        lex,
-		labelCap:   labelCap,
-		verdictCap: perShard,
-		cur:        make(map[string]warmLabel),
+		lex:      lex,
+		labels:   gencache.NewMap[string, warmLabel](labelCap),
+		verdicts: gencache.NewSharded[Rel](verdictCap),
+		groups:   gencache.NewTable[string, groupEntry](warmSolveCap),
+		isolated: gencache.NewTable[string, isolatedEntry](warmSolveCap),
+		nodes:    gencache.NewTable[string, nodeEntry](warmSolveCap),
 	}
-	w.groups.cap = DefaultWarmSolveCap
-	w.isolated.cap = DefaultWarmSolveCap
-	w.nodes.cap = DefaultWarmSolveCap
 	w.gen.Store(lex.Generation())
 	return w
 }
@@ -277,21 +180,14 @@ func (w *Warm) ensureEpoch() {
 	w.mu.Unlock()
 }
 
-// reset clears all generations and shards; callers hold w.mu.
+// reset clears every table; callers hold w.mu.
 func (w *Warm) reset(gen uint64) {
-	w.cur = make(map[string]warmLabel)
-	w.old = nil
+	w.labels.Reset()
 	w.nextID = 0
-	for i := range w.shards {
-		sh := &w.shards[i]
-		sh.mu.Lock()
-		sh.cur = nil
-		sh.old = nil
-		sh.mu.Unlock()
-	}
-	w.groups.reset()
-	w.isolated.reset()
-	w.nodes.reset()
+	w.verdicts.Reset()
+	w.groups.Reset()
+	w.isolated.Reset()
+	w.nodes.Reset()
 	w.gen.Store(gen)
 	w.epochResets.Add(1)
 }
@@ -318,15 +214,12 @@ func (w *Warm) Analysis(labels []string) *Analysis {
 		if _, ok := a.byLabel[l]; ok {
 			continue
 		}
-		if e, ok := w.cur[l]; ok {
+		if e, ok, old := w.labels.Peek(l); ok {
 			a.byLabel[l] = e.lw
 			a.ids[l] = e.id
-			continue
-		}
-		if e, ok := w.old[l]; ok {
-			a.byLabel[l] = e.lw
-			a.ids[l] = e.id
-			promote = append(promote, l)
+			if old {
+				promote = append(promote, l)
+			}
 			continue
 		}
 		a.byLabel[l] = nil // dedup marker; filled below
@@ -347,23 +240,18 @@ func (w *Warm) Analysis(labels []string) *Analysis {
 	// meanwhile; its entry wins so every run shares one canonical analysis
 	// and ID per label.
 	if len(promote) > 0 || len(misses) > 0 {
+		evicted := 0
 		w.mu.Lock()
 		for _, l := range promote {
-			if e, ok := w.old[l]; ok {
-				delete(w.old, l)
-				w.intern(l, e)
+			// No longer old: either promoted by a concurrent run or
+			// dropped by a rotation in between; the analysis and ID
+			// resolved in pass 1 stay valid for this run either way.
+			if e, _, old := w.labels.Peek(l); old {
+				evicted += w.labels.Put(l, e)
 			}
-			// Missing from old: either promoted by a concurrent run (cur
-			// has it) or dropped by a rotation in between; the analysis
-			// and ID resolved in pass 1 stay valid for this run either way.
 		}
 		for i, l := range misses {
-			if e, ok := w.cur[l]; ok {
-				a.byLabel[l] = e.lw
-				a.ids[l] = e.id
-				continue
-			}
-			if e, ok := w.old[l]; ok {
+			if e, ok, _ := w.labels.Peek(l); ok {
 				a.byLabel[l] = e.lw
 				a.ids[l] = e.id
 				continue
@@ -373,72 +261,14 @@ func (w *Warm) Analysis(labels []string) *Analysis {
 			}
 			e := warmLabel{lw: fresh[i], id: w.nextID}
 			w.nextID++
-			w.intern(l, e)
+			evicted += w.labels.Put(l, e)
 			a.byLabel[l] = e.lw
 			a.ids[l] = e.id
 		}
 		w.mu.Unlock()
+		w.labelsEvicted.Add(uint64(evicted))
 	}
 	return a
-}
-
-// intern inserts into the current generation, rotating generations at half
-// the cap; callers hold w.mu.
-func (w *Warm) intern(label string, e warmLabel) {
-	if len(w.cur) >= w.labelCap/2 && w.cur[label].lw == nil {
-		w.labelsEvicted.Add(uint64(len(w.old)))
-		w.old = w.cur
-		w.cur = make(map[string]warmLabel, w.labelCap/2)
-	}
-	w.cur[label] = e
-}
-
-// verdict probes the shared Relate cache. Old-generation hits promote so
-// steadily referenced pairs survive rotation.
-func (w *Warm) verdict(key uint64) (Rel, bool) {
-	sh := &w.shards[(key^(key>>32))%warmShards]
-	sh.mu.RLock()
-	if r, ok := sh.cur[key]; ok {
-		sh.mu.RUnlock()
-		w.verdictHits.Add(1)
-		return r, true
-	}
-	r, ok := sh.old[key]
-	sh.mu.RUnlock()
-	if !ok {
-		w.verdictMisses.Add(1)
-		return RelNone, false
-	}
-	w.verdictHits.Add(1)
-	sh.mu.Lock()
-	if _, again := sh.cur[key]; !again {
-		sh.storeLocked(key, r, w)
-	}
-	sh.mu.Unlock()
-	return r, true
-}
-
-// storeVerdict publishes a freshly computed verdict to the shared cache.
-func (w *Warm) storeVerdict(key uint64, r Rel) {
-	sh := &w.shards[(key^(key>>32))%warmShards]
-	sh.mu.Lock()
-	sh.storeLocked(key, r, w)
-	sh.mu.Unlock()
-}
-
-// storeLocked inserts under the shard lock, rotating generations at half
-// the per-shard cap.
-func (sh *verdictShard) storeLocked(key uint64, r Rel, w *Warm) {
-	if sh.cur == nil {
-		sh.cur = make(map[uint64]Rel)
-	}
-	if len(sh.cur) >= w.verdictCap/2 {
-		if _, ok := sh.cur[key]; !ok {
-			sh.old = sh.cur
-			sh.cur = make(map[uint64]Rel)
-		}
-	}
-	sh.cur[key] = r
 }
 
 // Stats snapshots the cache counters and populations.
@@ -447,25 +277,18 @@ func (w *Warm) Stats() WarmStats {
 		LabelHits:     w.labelHits.Load(),
 		LabelMisses:   w.labelMisses.Load(),
 		LabelsEvicted: w.labelsEvicted.Load(),
-		VerdictHits:   w.verdictHits.Load(),
-		VerdictMisses: w.verdictMisses.Load(),
 		EpochResets:   w.epochResets.Load(),
 	}
 	w.mu.RLock()
-	st.LabelsInterned = len(w.cur) + len(w.old)
+	st.LabelsInterned = w.labels.Len()
 	w.mu.RUnlock()
-	for i := range w.shards {
-		sh := &w.shards[i]
-		sh.mu.RLock()
-		st.Verdicts += len(sh.cur) + len(sh.old)
-		sh.mu.RUnlock()
-	}
-	st.SolveHits = w.groups.hits.Load() + w.isolated.hits.Load()
-	st.SolveMisses = w.groups.misses.Load() + w.isolated.misses.Load()
-	st.Solves = w.groups.size() + w.isolated.size()
-	st.NodeHits = w.nodes.hits.Load()
-	st.NodeMisses = w.nodes.misses.Load()
-	st.Nodes = w.nodes.size()
+	v := w.verdicts.Stats()
+	st.VerdictHits, st.VerdictMisses, st.Verdicts = v.Hits, v.Misses, v.Len
+	g, i, n := w.groups.Stats(), w.isolated.Stats(), w.nodes.Stats()
+	st.SolveHits = g.Hits + i.Hits
+	st.SolveMisses = g.Misses + i.Misses
+	st.Solves = g.Len + i.Len
+	st.NodeHits, st.NodeMisses, st.Nodes = n.Hits, n.Misses, n.Len
 	return st
 }
 

@@ -83,7 +83,7 @@ func TestWarmRunEquivalence(t *testing.T) {
 			}
 			want := renderNaming(base)
 
-			w := NewWarm(nil, 0, 0)
+			w := NewWarm(nil)
 			for pass, key := range []string{"", "", d.Name, d.Name} {
 				var reuse ReuseCounts
 				res, err := Run(domainMerge(t, d.Name), Options{Warm: w, WarmKey: key, Reuse: &reuse})
@@ -120,7 +120,7 @@ func TestWarmRunEquivalence(t *testing.T) {
 // clusters of the run that reused it, not the run that solved it —
 // otherwise reports would leak stale cluster objects across runs.
 func TestWarmRebindsRelation(t *testing.T) {
-	w := NewWarm(nil, 0, 0)
+	w := NewWarm(nil)
 	if _, err := Run(domainMerge(t, "Airline"), Options{Warm: w}); err != nil {
 		t.Fatal(err)
 	}

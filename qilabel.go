@@ -133,15 +133,6 @@ type Config struct {
 	// setting is excluded from Fingerprint and CacheKey like the other
 	// execution-only knobs.
 	DisableWarmCache bool
-	// WarmLabelCap bounds the distinct label analyses a warm Integrator
-	// interns across runs, and the field contents whose matcher block keys
-	// it remembers (0: a default of 65536 each). Excluded from Fingerprint
-	// and CacheKey.
-	WarmLabelCap int
-	// WarmVerdictCap bounds the Relate verdicts the warm Integrator shares
-	// across runs, and the matcher pair verdicts it remembers (0: a default
-	// of ~1M each). Excluded from Fingerprint and CacheKey.
-	WarmVerdictCap int
 
 	// referenceKernels routes the pipeline through the unoptimized
 	// reference kernels: the matcher's exhaustive pairwise pass instead of
@@ -165,12 +156,6 @@ func (c Config) Validate() error {
 	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("qilabel: negative Parallelism %d", c.Parallelism)
-	}
-	if c.WarmLabelCap < 0 {
-		return fmt.Errorf("qilabel: negative WarmLabelCap %d", c.WarmLabelCap)
-	}
-	if c.WarmVerdictCap < 0 {
-		return fmt.Errorf("qilabel: negative WarmVerdictCap %d", c.WarmVerdictCap)
 	}
 	return nil
 }
@@ -255,18 +240,6 @@ func WithoutWarmCache() Option {
 	return func(c *Config) { c.DisableWarmCache = true }
 }
 
-// WithWarmLabelCap bounds the warm Integrator's interned label analyses
-// and remembered matcher field contents; see Config.WarmLabelCap.
-func WithWarmLabelCap(n int) Option {
-	return func(c *Config) { c.WarmLabelCap = n }
-}
-
-// WithWarmVerdictCap bounds the warm Integrator's shared Relate and
-// matcher pair verdicts; see Config.WarmVerdictCap.
-func WithWarmVerdictCap(n int) Option {
-	return func(c *Config) { c.WarmVerdictCap = n }
-}
-
 // Result is the outcome of integrating and labeling a set of interfaces.
 type Result struct {
 	// Tree is the labeled integrated schema tree.
@@ -313,7 +286,7 @@ func Integrate(sources []*Tree, opts ...Option) (*Result, error) {
 //
 // IntegrateContext is a thin wrapper constructing a throwaway Integrator
 // per call; callers integrating repeatedly with the same options should
-// hold a NewIntegrator handle to reuse its scratch pools and cached
+// hold a NewIntegrator handle to reuse its warm caches and cached
 // fingerprint.
 func IntegrateContext(ctx context.Context, sources []*Tree, opts ...Option) (*Result, error) {
 	if len(sources) == 0 {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"qilabel/internal/delta"
+	"qilabel/internal/gencache"
 	"qilabel/internal/match"
 	"qilabel/internal/naming"
 	"qilabel/internal/pool"
@@ -17,9 +18,9 @@ import (
 // Integrator is the primary entry point of the package: a validated,
 // reusable handle over one configuration. Construction pays the per-config
 // costs exactly once — validation, freezing the compiled form of a custom
-// lexicon — and the handle owns the per-worker scratch pools the pipeline
-// stages reuse across calls, so a warm Integrator allocates measurably
-// less than the equivalent sequence of one-shot Integrate calls.
+// lexicon — and the handle owns the warm caches described below, so a warm
+// Integrator does measurably less work than the equivalent sequence of
+// one-shot Integrate calls.
 //
 // The package-level Integrate, IntegrateContext, IntegrateBatch and
 // NewSession are thin wrappers constructing a throwaway Integrator per
@@ -30,22 +31,21 @@ import (
 // An Integrator is immutable after construction and safe for concurrent
 // use: every method may be called from any number of goroutines.
 //
-// Beyond scratch reuse, an Integrator is a *warm engine*: it owns bounded
-// cross-run caches — interned label analyses, a shared Relate-verdict
-// cache, matcher block keys and pair verdicts, naming solves, and a
-// per-source label memo keyed by canonical tree hash — shared by every
-// Integrate call and Session on the handle, so integrating corpora that
-// share vocabulary gets cheaper run over run.
-// Every cached fact is a pure function of the inputs and the (frozen)
-// lexicon, so warm results stay byte-identical to cold ones; WarmStats
-// reports hit rates, and Config.DisableWarmCache / WarmLabelCap /
-// WarmVerdictCap control the machinery.
+// An Integrator is a *warm engine*: it owns bounded cross-run caches —
+// interned label analyses, a shared Relate-verdict cache, matcher block
+// keys and pair verdicts, naming solves, and a per-source label memo keyed
+// by canonical tree hash — shared by every Integrate call and Session on
+// the handle, so integrating corpora that share vocabulary gets cheaper
+// run over run. Every table is bounded by one two-generation eviction
+// policy (internal/gencache) at fixed caps. Every cached fact is a pure
+// function of the inputs and the (frozen) lexicon, so warm results stay
+// byte-identical to cold ones; WarmStats reports hit rates, and
+// Config.DisableWarmCache turns the machinery off.
 type Integrator struct {
 	cfg       Config
-	scratch   *match.Scratch
 	warm      *naming.Warm
 	matchWarm *match.Warm
-	sources   *delta.SourceLabelMemo
+	sources   *gencache.Table[string, []string]
 
 	fpOnce sync.Once
 	fp     string
@@ -63,13 +63,13 @@ func NewIntegrator(cfg Config) (*Integrator, error) {
 	if cfg.Lexicon != nil {
 		cfg.Lexicon.Compile()
 	}
-	ig := &Integrator{cfg: cfg, scratch: &match.Scratch{}}
+	ig := &Integrator{cfg: cfg}
 	if !cfg.DisableWarmCache && !cfg.referenceKernels {
-		ig.warm = naming.NewWarm(cfg.Lexicon, cfg.WarmLabelCap, cfg.WarmVerdictCap)
+		ig.warm = naming.NewWarm(cfg.Lexicon)
 		if cfg.UseMatcher {
-			ig.matchWarm = match.NewWarm(cfg.Lexicon, 0, cfg.WarmLabelCap, cfg.WarmVerdictCap)
+			ig.matchWarm = match.NewWarm(cfg.Lexicon)
 		}
-		ig.sources = delta.NewSourceLabelMemo(0)
+		ig.sources = gencache.NewTable[string, []string](delta.SourceLabelCap)
 	}
 	return ig, nil
 }
@@ -105,11 +105,10 @@ func (ig *Integrator) CacheKey(sources []*Tree) string {
 }
 
 // deltaConfig mirrors the configuration into the delta engine, threading
-// the integrator's scratch pools, warm caches and cached fingerprint along.
+// the integrator's warm caches and cached fingerprint along.
 func (ig *Integrator) deltaConfig() delta.Config {
 	dc := ig.cfg.deltaConfig()
 	dc.Fingerprint = ig.Fingerprint()
-	dc.MatchScratch = ig.scratch
 	dc.Warm = ig.warm
 	dc.MatchWarm = ig.matchWarm
 	dc.SourceLabels = ig.sources
@@ -121,8 +120,8 @@ func (ig *Integrator) deltaConfig() delta.Config {
 // the per-source label memo. All zeros when warm caching is disabled.
 type WarmStats struct {
 	// LabelHits / LabelMisses count labels resolved from the intern cache
-	// vs analyzed fresh; LabelsEvicted counts analyses dropped under
-	// WarmLabelCap; LabelsInterned is the current population.
+	// vs analyzed fresh; LabelsEvicted counts analyses dropped under the
+	// table's cap; LabelsInterned is the current population.
 	LabelHits, LabelMisses, LabelsEvicted uint64
 	LabelsInterned                        int
 	// VerdictHits / VerdictMisses count shared Relate-cache probes (made
@@ -150,7 +149,8 @@ type WarmStats struct {
 	// population.
 	SourceHits, SourceMisses uint64
 	SourcesMemoized          int
-	// EpochResets counts wholesale invalidations after lexicon mutations.
+	// EpochResets counts wholesale invalidations after lexicon mutations:
+	// one per Generation bump, though every warm layer resets on it.
 	EpochResets uint64
 }
 
@@ -171,11 +171,12 @@ func (ig *Integrator) WarmStats() WarmStats {
 		st.MatchKeyHits, st.MatchKeyMisses = ms.KeyHits, ms.KeyMisses
 		st.MatchPairHits, st.MatchPairMisses = ms.PairHits, ms.PairMisses
 		st.MatchKeys, st.MatchPairs = ms.Keys, ms.Pairs
-		st.EpochResets += ms.EpochResets
+		// The matcher's Warm resets on the same Generation bumps the
+		// naming Warm counted above.
 	}
 	if ig.sources != nil {
 		ss := ig.sources.Stats()
-		st.SourceHits, st.SourceMisses, st.SourcesMemoized = ss.Hits, ss.Misses, ss.Trees
+		st.SourceHits, st.SourceMisses, st.SourcesMemoized = ss.Hits, ss.Misses, ss.Len
 	}
 	return st
 }
@@ -229,8 +230,8 @@ func (ig *Integrator) IntegrateContext(ctx context.Context, sources []*Tree) (*R
 
 // IntegrateBatch integrates many source-tree sets; see the package-level
 // IntegrateBatch for the deduplication and cancellation contract. The sets
-// share this integrator's caches and scratch, and every set's Key comes
-// from the cached fingerprint.
+// share this integrator's caches, and every set's Key comes from the
+// cached fingerprint.
 func (ig *Integrator) IntegrateBatch(ctx context.Context, sets [][]*Tree, parallelism int) []BatchItem {
 	if ctx == nil {
 		ctx = context.Background()
@@ -265,10 +266,10 @@ func (ig *Integrator) IntegrateBatch(ctx context.Context, sets [][]*Tree, parall
 }
 
 // NewSession creates an empty incremental integration session over this
-// configuration. Sessions created from one Integrator share its scratch
-// pools, cached fingerprint and warm caches — the only layer through which
-// a session reuses earlier work, its own or that of any other run on this
-// handle; see Session for the delta-equivalence contract.
+// configuration. Sessions created from one Integrator share its cached
+// fingerprint and warm caches — the only layer through which a session
+// reuses earlier work, its own or that of any other run on this handle;
+// see Session for the delta-equivalence contract.
 func (ig *Integrator) NewSession() *Session {
 	return &Session{inner: delta.NewSession(ig.deltaConfig()), ig: ig}
 }

@@ -9,7 +9,7 @@ import (
 // TestIntegratorMatchesPackageLevel pins the thin-wrapper contract: an
 // Integrator's output is byte-identical to the package-level entry points
 // over the same configuration, and stays identical across warm repeat
-// calls (the reused scratch pools are pure accelerators).
+// calls (the warm caches are pure accelerators).
 func TestIntegratorMatchesPackageLevel(t *testing.T) {
 	sources, err := BuiltinDomain("Airline")
 	if err != nil {

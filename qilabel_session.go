@@ -78,8 +78,8 @@ type SessionTotals struct {
 // given options (the same options Integrate takes; Observer is unused by
 // sessions). It is a thin wrapper over NewIntegrator + Integrator.NewSession;
 // callers opening many sessions with one configuration should hold the
-// Integrator and create sessions from it, sharing its scratch pools, warm
-// caches and cached fingerprint.
+// Integrator and create sessions from it, sharing its warm caches and
+// cached fingerprint.
 func NewSession(opts ...Option) (*Session, error) {
 	ig, err := newIntegratorFromOptions(opts)
 	if err != nil {

@@ -48,7 +48,7 @@ func BenchmarkScale(b *testing.B) {
 					b.Fatal(err)
 				}
 				if _, err := ig.Integrate(sources); err != nil {
-					b.Fatal(err) // warm the scratch pools outside the timer
+					b.Fatal(err) // warm the caches outside the timer
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -63,9 +63,9 @@ func BenchmarkScale(b *testing.B) {
 }
 
 // BenchmarkWarm contrasts a cache-cold Integrator (DisableWarmCache: every
-// iteration recomputes the full pipeline, scratch pools still warm) with a
-// warm one repeatedly integrating the same corpus — the cross-run cache
-// curves behind BENCH_pr8.json. Warm output is byte-identical to cold
+// iteration recomputes the full pipeline) with a warm one repeatedly
+// integrating the same corpus — the cross-run cache curves behind
+// BENCH_pr8.json. Warm output is byte-identical to cold
 // (TestWarmEquivalence); only the time differs.
 func BenchmarkWarm(b *testing.B) {
 	for _, size := range []string{"small", "medium", "mega"} {
@@ -82,7 +82,7 @@ func BenchmarkWarm(b *testing.B) {
 					b.Fatal(err)
 				}
 				if _, err := ig.Integrate(sources); err != nil {
-					b.Fatal(err) // prime scratch pools (and, if enabled, the caches)
+					b.Fatal(err) // prime the caches, if enabled
 				}
 				b.ReportAllocs()
 				b.ResetTimer()

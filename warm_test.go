@@ -319,60 +319,65 @@ func driveSharedSession(ig *Integrator, pool []*Tree, g int, cold func([]*Tree) 
 // contract the versioned-lexicon layer leans on: mutating the lexicon
 // bumps its Generation, and the Integrator's warm layers reset exactly
 // ONCE per bump — even when 32 goroutines observe the stale generation
-// simultaneously — and never otherwise. (Registered registry versions are
-// immutable, so under multi-tenant serving this counter stays at zero;
-// see the server's hot-reload test.)
+// simultaneously, and with the matcher's Warm resetting beside naming's —
+// and never otherwise. (Registered registry versions are immutable, so
+// under multi-tenant serving this counter stays at zero; see the server's
+// hot-reload test.)
 func TestWarmEpochResetExactlyOnce(t *testing.T) {
 	sources, err := BuiltinDomain(BuiltinDomains()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	lex := DefaultLexicon().Clone()
-	ig, err := NewIntegrator(Config{Lexicon: lex})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, matcher := range []bool{false, true} {
+		t.Run(fmt.Sprintf("matcher=%t", matcher), func(t *testing.T) {
+			lex := DefaultLexicon().Clone()
+			ig, err := NewIntegrator(Config{Lexicon: lex, UseMatcher: matcher})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	hammer := func() {
-		t.Helper()
-		var wg sync.WaitGroup
-		errs := make(chan error, 32)
-		for g := 0; g < 32; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := ig.Integrate(sources); err != nil {
-					errs <- err
+			hammer := func() {
+				t.Helper()
+				var wg sync.WaitGroup
+				errs := make(chan error, 32)
+				for g := 0; g < 32; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if _, err := ig.Integrate(sources); err != nil {
+							errs <- err
+						}
+					}()
 				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Error(err)
-		}
-	}
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					t.Error(err)
+				}
+			}
 
-	hammer()
-	if r := ig.WarmStats().EpochResets; r != 0 {
-		t.Fatalf("EpochResets = %d before any lexicon mutation, want 0", r)
-	}
+			hammer()
+			if r := ig.WarmStats().EpochResets; r != 0 {
+				t.Fatalf("EpochResets = %d before any lexicon mutation, want 0", r)
+			}
 
-	// One bump, 32 concurrent observers: exactly one reset.
-	lex.AddSynonyms("teleport", "blink")
-	hammer()
-	if r := ig.WarmStats().EpochResets; r != 1 {
-		t.Fatalf("EpochResets = %d after one Generation bump, want exactly 1", r)
-	}
+			// One bump, 32 concurrent observers: exactly one reset.
+			lex.AddSynonyms("teleport", "blink")
+			hammer()
+			if r := ig.WarmStats().EpochResets; r != 1 {
+				t.Fatalf("EpochResets = %d after one Generation bump, want exactly 1", r)
+			}
 
-	// Steady state stays steady; a second bump costs exactly one more.
-	hammer()
-	if r := ig.WarmStats().EpochResets; r != 1 {
-		t.Fatalf("EpochResets = %d with no further mutation, want still 1", r)
-	}
-	lex.AddSynonyms("jaunt", "hop")
-	hammer()
-	if r := ig.WarmStats().EpochResets; r != 2 {
-		t.Fatalf("EpochResets = %d after the second bump, want 2", r)
+			// Steady state stays steady; a second bump costs exactly one more.
+			hammer()
+			if r := ig.WarmStats().EpochResets; r != 1 {
+				t.Fatalf("EpochResets = %d with no further mutation, want still 1", r)
+			}
+			lex.AddSynonyms("jaunt", "hop")
+			hammer()
+			if r := ig.WarmStats().EpochResets; r != 2 {
+				t.Fatalf("EpochResets = %d after the second bump, want 2", r)
+			}
+		})
 	}
 }
