@@ -212,18 +212,22 @@ func CanonicalizeSourceOrder(trees []*schema.Tree) {
 // canonical hashes aligned with the sorted trees, so Run can key per-source
 // caches without hashing twice.
 func canonicalizeSourceOrderHashed(trees []*schema.Tree) []string {
-	hashes := make(map[*schema.Tree]string, len(trees))
-	for _, tr := range trees {
-		hashes[tr] = tr.CanonicalHash()
-	}
-	sort.SliceStable(trees, func(i, j int) bool {
-		return hashes[trees[i]] < hashes[trees[j]]
-	})
-	out := make([]string, len(trees))
-	for i, tr := range trees {
-		out[i] = hashes[tr]
-	}
-	return out
+	hashes := schema.TreeHashes(trees)
+	sort.Stable(byHash{trees, hashes})
+	return hashes
+}
+
+// byHash sorts trees by their canonical hashes, keeping both aligned.
+type byHash struct {
+	trees  []*schema.Tree
+	hashes []string
+}
+
+func (s byHash) Len() int           { return len(s.trees) }
+func (s byHash) Less(i, j int) bool { return s.hashes[i] < s.hashes[j] }
+func (s byHash) Swap(i, j int) {
+	s.trees[i], s.trees[j] = s.trees[j], s.trees[i]
+	s.hashes[i], s.hashes[j] = s.hashes[j], s.hashes[i]
 }
 
 // PruneRareClusters rebuilds the mapping without the clusters appearing on

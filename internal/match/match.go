@@ -23,6 +23,18 @@
 // output is identical to the exhaustive O(F²) pass (pinned by
 // TestBlockedMatchesUnblocked).
 //
+// Naming needs only the clusters, the connected components of the match
+// graph, so the blocked pass also skips every pair whose fields are
+// already connected. It runs in rounds of a fixed number of rows over one
+// union-find forest. Within a round the rows fan out over the worker pool
+// and only read the forest: row i skips each candidate already in its
+// component as the round began. After the round, its matched pairs are
+// unioned serially in row order. The forest at every round's start, and so
+// the set of probed pairs, depends on the input alone, never on
+// Parallelism or scheduling (pinned by TestRoundsScheduleIndependent).
+// A skipped pair's fields are already connected, so the components come
+// out as the exhaustive pass's.
+//
 // The evaluation benches use ground-truth clusters, as the paper does, so
 // matcher noise cannot pollute the labeling results; the matcher exists
 // for end-to-end runs over raw input.
@@ -56,8 +68,10 @@ type Options struct {
 	ClusterPrefix string
 	// Parallelism bounds the workers of the pairwise similarity pass, the
 	// matcher's O(F²) hot loop (0: GOMAXPROCS, 1: serial). The pass is
-	// deterministic at any setting: matched pairs are collected per row and
-	// union order never changes the connected components.
+	// deterministic at any setting: it runs in rounds of rows, workers only
+	// read the union-find forest during a round, and each round's matched
+	// pairs are unioned serially in row order, so the probed pairs and the
+	// components depend on the input alone.
 	Parallelism int
 	// DisableBlocking forces the reference pass: every pair evaluated
 	// exhaustively instead of through the block-key candidate index, on an
@@ -90,19 +104,26 @@ type Options struct {
 	Pairs *PairCounts
 }
 
-// PairCounts tallies one run's candidate pairs: verdicts answered from the
-// warm cache versus evaluated. A replayed whole-corpus assignment counts
-// neither.
+// PairCounts tallies one run's probed candidate pairs: verdicts answered
+// from the warm cache versus evaluated. A candidate already connected to
+// its row's field is skipped and counts as neither, and so does a replayed
+// whole-corpus assignment. The sum depends on the input alone; at
+// Parallelism > 1 the split may not, since two workers can evaluate one
+// content pair in the same run.
 type PairCounts struct {
 	Hits, Evaluated int
 }
 
-// rowBuf is one worker's reusable state: the candidate-index buffer the
-// blocked pass fills once per row, and the seen-stamp array that
+// roundRows is the number of rows the blocked pass probes between two
+// updates of the union-find forest. Smaller rounds see more of the
+// earlier rows' unions, so they skip more connected candidates, at the
+// price of one worker-pool barrier per round.
+const roundRows = 64
+
+// rowBuf is one worker's reusable state: the seen-stamp array that
 // deduplicates postings in O(1) per posting (stamp[j] == epoch marks j as
-// already collected for the current row, so no per-row clearing).
+// already probed for the current row, so no per-row clearing).
 type rowBuf struct {
-	cand  []int
 	stamp []int32
 	epoch int32
 }
@@ -124,11 +145,79 @@ func (b *rowBuf) beginRow(n int) int32 {
 	return b.epoch
 }
 
+// forest is the pairwise pass's union-find over field indices, kept flat:
+// root[x] is x's component label, so a worker reads it with one load and
+// never writes. A union relabels the smaller component and splices the two
+// member rings, so each index is relabeled at most log2(n) times.
+type forest struct {
+	root []int32
+	next []int32 // ring of each component's members
+	size []int32 // member count, valid at a component's label
+}
+
+func newForest(n int) *forest {
+	f := &forest{root: make([]int32, n), next: make([]int32, n), size: make([]int32, n)}
+	for i := range f.root {
+		f.root[i], f.next[i], f.size[i] = int32(i), int32(i), 1
+	}
+	return f
+}
+
+// union joins the components of a and b (serial use only).
+func (f *forest) union(a, b int32) {
+	ra, rb := f.root[a], f.root[b]
+	if ra == rb {
+		return
+	}
+	if f.size[ra] < f.size[rb] {
+		ra, rb = rb, ra
+	}
+	for x := rb; ; {
+		f.root[x] = ra
+		if x = f.next[x]; x == rb {
+			break
+		}
+	}
+	f.next[ra], f.next[rb] = f.next[rb], f.next[ra]
+	f.size[ra] += f.size[rb]
+}
+
+// blockIndex is the blocked pass's candidate index. Field i's block keys
+// are the dense key IDs ids[off[i]:off[i+1]]; postings[id] lists the
+// fields carrying key id in ascending order, and at[k] is field i's
+// position in the posting list of ids[k], so a row enters each list right
+// after itself.
+type blockIndex struct {
+	off, ids, at []int32
+	postings     [][]int32
+	byKey        map[string]int32
+}
+
+func newBlockIndex(n int) blockIndex {
+	return blockIndex{off: make([]int32, 1, n+1), byKey: make(map[string]int32)}
+}
+
+// add appends the next field's block keys.
+func (x *blockIndex) add(keys []string) {
+	i := int32(len(x.off) - 1)
+	for _, k := range keys {
+		id, ok := x.byKey[k]
+		if !ok {
+			id = int32(len(x.postings))
+			x.byKey[k] = id
+			x.postings = append(x.postings, nil)
+		}
+		x.ids = append(x.ids, id)
+		x.at = append(x.at, int32(len(x.postings[id])))
+		x.postings[id] = append(x.postings[id], i)
+	}
+	x.off = append(x.off, int32(len(x.ids)))
+}
+
 // fieldInfo is one leaf of the source trees with the normalizations the
 // similarity signals need, computed once instead of per pair.
 type fieldInfo struct {
 	leaf  *schema.Node
-	iface string
 	label string          // trimmed label ("" when unusable)
 	inst  map[string]bool // case-folded, trimmed instance values
 }
@@ -186,7 +275,7 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 		}
 	}
 
-	fields := collectFields(trees)
+	fields, ifaces := collectFields(trees)
 
 	var ids []int32 // stable warm content IDs, aligned with fields
 	if warm != nil {
@@ -198,8 +287,7 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 	// cache. The reference pass skips it (and the block-key index) so it
 	// stays a true pre-optimization baseline.
 	var analysis *naming.Analysis
-	var keys [][]string
-	var index map[string][]int
+	var index blockIndex
 	if !opts.DisableBlocking {
 		analysis = opts.Analysis
 		if analysis == nil {
@@ -212,41 +300,48 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 			analysis = naming.PrecomputeAnalysis(sem.Lexicon(), labels)
 		}
 
-		// Block-key index: key -> fields carrying it, in index order. With
-		// a warm cache, contents seen by an earlier run skip the derivation.
+		// Block-key index over the fields in index order. With a warm
+		// cache, contents seen by an earlier run skip the derivation.
 		keySem := analysis.Semantics()
-		keys = make([][]string, len(fields))
-		index = make(map[string][]int)
+		index = newBlockIndex(len(fields))
 		for i := range fields {
+			var ks []string
 			if warm != nil {
 				ck := contentKey(&fields[i])
-				ks, id, ok := warm.fieldKeys(ck)
+				var ok bool
+				ks, ids[i], ok = warm.fieldKeys(ck)
 				if !ok {
 					ks = blockKeys(keySem, &fields[i], opts.MinInstanceOverlap)
-					id = warm.internKeys(ck, ks)
+					ids[i] = warm.internKeys(ck, ks)
 				}
-				keys[i], ids[i] = ks, id
 			} else {
-				keys[i] = blockKeys(keySem, &fields[i], opts.MinInstanceOverlap)
+				ks = blockKeys(keySem, &fields[i], opts.MinInstanceOverlap)
 			}
-			for _, k := range keys[i] {
-				index[k] = append(index[k], i)
-			}
+			index.add(ks)
 		}
 	}
 
-	// Pairwise similarity, one row per field: row i records every j > i it
-	// matches. Rows are independent, so they fan out over the worker pool;
-	// each worker carries its own Semantics (the Relate memo is not
-	// concurrency-safe) over the shared analysis table, which cannot change
-	// any verdict — only its speed.
+	// Pairwise similarity in rounds of roundRows rows, one row per field:
+	// row i probes its candidates j > i and records those it matches.
+	// Within a round the rows fan out over the worker pool and only read
+	// the forest; after it, the round's matches are unioned serially in row
+	// order. The blocked pass skips every candidate already in row i's
+	// component as the round began, since that pair cannot change the
+	// components. The forest at each round's start, and so every probed
+	// pair, depends on the input alone, never on the schedule. Each worker
+	// carries its own Semantics (the Relate memo is not concurrency-safe)
+	// over the shared analysis table, which cannot change any verdict —
+	// only its speed.
 	workers := pool.Workers(opts.Parallelism)
 	sems := make([]*naming.Semantics, workers)
 	sems[0] = sem // the serial path reuses the caller's cache
 	rows := make([]*rowBuf, workers)
 	tally := make([]PairCounts, workers)
-	matches := make([][]int, len(fields))
-	err := pool.ForEach(ctx, workers, len(fields), func(w, i int) {
+	roots := newForest(len(fields))
+	matched := make([][]int32, min(roundRows, len(fields))) // per row of the round
+	start := 0                                              // the round's first row
+	row := func(w, k int) {
+		i := start + k
 		if sems[w] == nil {
 			if analysis != nil {
 				sems[w] = analysis.Semantics()
@@ -254,71 +349,80 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 				sems[w] = naming.NewSemanticsUnmemoized(sem.Lexicon())
 			}
 		}
-		fi := &fields[i]
+		fi, got := &fields[i], matched[k][:0]
 		// Pair tallies go to the worker's slot once per row: the slots
 		// share cache lines, so per-pair increments would contend.
 		if opts.DisableBlocking {
 			evaluated := 0
 			for j := i + 1; j < len(fields); j++ {
 				// Fields of the same interface never match each other.
-				if fields[j].iface == fi.iface {
+				if ifaces[j] == ifaces[i] {
 					continue
 				}
 				evaluated++
 				if matchFields(sems[w], fi, &fields[j], opts.MinInstanceOverlap) {
-					matches[i] = append(matches[i], j)
+					got = append(got, int32(j))
 				}
 			}
+			matched[k] = got
 			tally[w].Evaluated += evaluated
 			return
 		}
-		// Candidates: fields after i sharing at least one block key,
-		// deduplicated by seen-stamps. The candidate *set* is exactly what
-		// the exhaustive scan evaluates; its order follows the posting
-		// lists instead of ascending j, which cannot change the outcome —
-		// verdicts are pure, and the union-find components (hence the
-		// cluster assignment) are invariant to the union order. The buffer
-		// is per-worker and kept for every row the worker takes.
+		// Candidates: fields after i sharing at least one block key, outside
+		// i's interface and component, deduplicated by seen-stamps. Short of
+		// the connected ones, the candidate *set* is exactly what the
+		// exhaustive scan evaluates; its order follows the posting lists
+		// instead of ascending j, which cannot change the outcome — verdicts
+		// are pure, and the components are invariant to the union order.
 		if rows[w] == nil {
 			rows[w] = &rowBuf{}
 		}
 		rb := rows[w]
 		epoch := rb.beginRow(len(fields))
-		cand := rb.cand[:0]
-		for _, k := range keys[i] {
-			for _, j := range index[k] {
-				if j > i && fields[j].iface != fi.iface && rb.stamp[j] != epoch {
-					rb.stamp[j] = epoch
-					cand = append(cand, j)
+		iface, root := ifaces[i], roots.root[i]
+		probed, hits := 0, 0
+		for p := index.off[i]; p < index.off[i+1]; p++ {
+			for _, j := range index.postings[index.ids[p]][index.at[p]+1:] {
+				if ifaces[j] == iface || roots.root[j] == root || rb.stamp[j] == epoch {
+					continue
 				}
-			}
-		}
-		hits := 0
-		for _, j := range cand {
-			var matched bool
-			if warm != nil {
-				key := pairIDKey(ids[i], ids[j])
-				v, ok := warm.pairs.Get(key)
-				if ok {
-					hits++
+				rb.stamp[j] = epoch
+				probed++
+				var ok bool
+				if warm != nil {
+					pk := pairIDKey(ids[i], ids[j])
+					var hit bool
+					if ok, hit = warm.pairs.Get(pk); hit {
+						hits++
+					} else {
+						ok = matchFields(sems[w], fi, &fields[j], opts.MinInstanceOverlap)
+						warm.pairs.Put(pk, ok)
+					}
 				} else {
-					v = matchFields(sems[w], fi, &fields[j], opts.MinInstanceOverlap)
-					warm.pairs.Put(key, v)
+					ok = matchFields(sems[w], fi, &fields[j], opts.MinInstanceOverlap)
 				}
-				matched = v
-			} else {
-				matched = matchFields(sems[w], fi, &fields[j], opts.MinInstanceOverlap)
-			}
-			if matched {
-				matches[i] = append(matches[i], j)
+				if ok {
+					got = append(got, j)
+				}
 			}
 		}
-		rows[w].cand = cand
+		matched[k] = got
 		tally[w].Hits += hits
-		tally[w].Evaluated += len(cand) - hits
-	})
-	if err != nil {
+		tally[w].Evaluated += probed - hits
+	}
+	if err := ctx.Err(); err != nil {
 		return 0, err
+	}
+	for ; start < len(fields); start += roundRows {
+		n := min(roundRows, len(fields)-start)
+		if err := pool.ForEach(ctx, workers, n, row); err != nil {
+			return 0, err
+		}
+		for k, js := range matched[:n] {
+			for _, j := range js {
+				roots.union(int32(start+k), j)
+			}
+		}
 	}
 	if opts.Pairs != nil {
 		for _, t := range tally {
@@ -326,7 +430,7 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 			opts.Pairs.Evaluated += t.Evaluated
 		}
 	}
-	n := clusterize(fields, matches, prefix)
+	n := clusterize(fields, ifaces, roots.root, prefix)
 	if akey != "" {
 		names := make([]string, len(fields))
 		for i := range fields {
@@ -361,13 +465,21 @@ func applyAssignment(trees []*schema.Tree, names []string) bool {
 
 // collectFields flattens the trees' leaves into fieldInfos with the
 // normalizations the similarity signals need, computed once instead of per
-// pair.
-func collectFields(trees []*schema.Tree) []fieldInfo {
+// pair. It also returns each field's interface ordinal, equal exactly when
+// the Interface strings are: a session may stack two copies of one
+// interface, so an interface's fields need not be contiguous.
+func collectFields(trees []*schema.Tree) ([]fieldInfo, []int32) {
 	var fields []fieldInfo
+	var ifaces []int32
+	ordinal := make(map[string]int32)
 	for _, t := range trees {
+		o, ok := ordinal[t.Interface]
+		if !ok {
+			o = int32(len(ordinal))
+			ordinal[t.Interface] = o
+		}
 		for _, leaf := range t.Leaves() {
-			f := fieldInfo{leaf: leaf, iface: t.Interface,
-				label: strings.TrimSpace(leaf.Label)}
+			f := fieldInfo{leaf: leaf, label: strings.TrimSpace(leaf.Label)}
 			if len(leaf.Instances) > 0 {
 				f.inst = make(map[string]bool, len(leaf.Instances))
 				for _, v := range leaf.Instances {
@@ -375,34 +487,15 @@ func collectFields(trees []*schema.Tree) []fieldInfo {
 				}
 			}
 			fields = append(fields, f)
+			ifaces = append(ifaces, o)
 		}
 	}
-	return fields
+	return fields, ifaces
 }
 
-// clusterize turns the pairwise match lists into cluster annotations on
-// the leaves and returns the number of clusters formed.
-func clusterize(fields []fieldInfo, matches [][]int, prefix string) int {
-	parent := make([]int, len(fields))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) { parent[find(b)] = find(a) }
-
-	for i, js := range matches {
-		for _, j := range js {
-			union(i, j)
-		}
-	}
-
+// clusterize turns the forest's components into cluster
+// annotations on the leaves and returns the number of clusters formed.
+func clusterize(fields []fieldInfo, ifaces []int32, roots []int32, prefix string) int {
 	// A cluster may not contain two fields of one interface. Transitive
 	// closure can still glue them together (both date groups label a field
 	// "Month", chained through other interfaces), so components are split
@@ -411,25 +504,19 @@ func clusterize(fields []fieldInfo, matches [][]int, prefix string) int {
 	// occurrences across interfaces land together — exactly how paired
 	// concepts (departure month / return month) separate.
 	type slot struct {
-		root int
-		occ  int
+		root, occ int32
 	}
-	occIndex := make([]int, len(fields))
-	perIface := make(map[string]map[int]int) // interface -> component -> count
-	for i, f := range fields {
-		r := find(i)
-		m := perIface[f.iface]
-		if m == nil {
-			m = make(map[int]int)
-			perIface[f.iface] = m
-		}
-		occIndex[i] = m[r]
-		m[r]++
+	occIndex := make([]int32, len(fields))
+	count := make(map[[2]int32]int32) // (component, interface) -> fields so far
+	for i := range fields {
+		c := [2]int32{roots[i], ifaces[i]}
+		occIndex[i] = count[c]
+		count[c]++
 	}
 	names := make(map[slot]string)
 	next := 1
 	for i, f := range fields {
-		key := slot{find(i), occIndex[i]}
+		key := slot{roots[i], occIndex[i]}
 		name, ok := names[key]
 		if !ok {
 			name = fmt.Sprintf("%s_%03d", prefix, next)
@@ -538,20 +625,6 @@ func jaccardSets(a, b map[string]bool) float64 {
 		return 0
 	}
 	return float64(inter) / float64(unionSize)
-}
-
-// jaccard computes case-insensitive Jaccard similarity of two raw value
-// slices (the normalization matchFields precomputes into fieldInfo.inst).
-func jaccard(a, b []string) float64 {
-	setA := make(map[string]bool, len(a))
-	for _, v := range a {
-		setA[strings.ToLower(strings.TrimSpace(v))] = true
-	}
-	setB := make(map[string]bool, len(b))
-	for _, v := range b {
-		setB[strings.ToLower(strings.TrimSpace(v))] = true
-	}
-	return jaccardSets(setA, setB)
 }
 
 // Quality compares matcher-assigned clusters against ground truth,

@@ -104,11 +104,18 @@ func TestEvaluateOnCorpus(t *testing.T) {
 	}
 }
 
+// TestJaccard covers the instance signal through collectFields'
+// normalization: values compare case-folded and trimmed.
 func TestJaccard(t *testing.T) {
-	if j := jaccard([]string{"a", "b"}, []string{"B", "c"}); j < 0.33 || j > 0.34 {
-		t.Errorf("jaccard = %v, want 1/3 (case-insensitive)", j)
+	fields, _ := collectFields([]*schema.Tree{
+		schema.NewTree("a", schema.NewField("", "", "a", " b")),
+		schema.NewTree("b", schema.NewField("", "", "B", "c ")),
+		schema.NewTree("c", schema.NewField("", "")),
+	})
+	if j := jaccardSets(fields[0].inst, fields[1].inst); j < 0.33 || j > 0.34 {
+		t.Errorf("jaccardSets = %v, want 1/3 (case-insensitive, trimmed)", j)
 	}
-	if j := jaccard(nil, nil); j != 0 {
-		t.Errorf("jaccard of empties = %v, want 0", j)
+	if j := jaccardSets(fields[2].inst, fields[2].inst); j != 0 {
+		t.Errorf("jaccardSets of empties = %v, want 0", j)
 	}
 }

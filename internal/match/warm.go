@@ -3,9 +3,10 @@
 // field-content keys for any number of concurrent runs on one handle,
 // one-shot integrations and delta sessions alike, bounded,
 // concurrency-safe and epoch-invalidated. A delta session reuses the
-// verdicts of every pair whose two endpoints both existed in an earlier
-// run; cluster names still renumber on every run (they follow field
-// order), but renaming is linear and cheap.
+// verdict of every pair an earlier run probed (a run skips pairs its
+// rounds have already connected, so only probed pairs are stored);
+// cluster names still renumber on every run (they follow field order),
+// but renaming is linear and cheap.
 package match
 
 import (
@@ -52,8 +53,8 @@ type WarmStats struct {
 	// answered from the cache vs derived fresh.
 	KeyHits   uint64
 	KeyMisses uint64
-	// PairHits / PairMisses count candidate pairs answered from the verdict
-	// cache vs evaluated by matchFields.
+	// PairHits / PairMisses count probed candidate pairs answered from the
+	// verdict cache vs evaluated by matchFields (see PairCounts).
 	PairHits   uint64
 	PairMisses uint64
 	// Keys / Pairs are the current populations (both generations).

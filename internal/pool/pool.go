@@ -1,11 +1,13 @@
 // Package pool is the pipeline's work scheduler: a bounded parallel-for
 // with cooperative cancellation. The embarrassingly-parallel stages of the
-// labeling pipeline — the matcher's pairwise similarity pass and the naming
-// algorithm's per-group solver and per-node candidate derivation — fan out
-// through ForEach, writing results into index-addressed slots so the
-// parallel schedule can never change the output: every unit is a pure
-// function of its input, and slot i holds unit i's result regardless of
-// which worker computed it or when.
+// labeling pipeline — the rows of each round of the matcher's pairwise
+// similarity pass, and the naming algorithm's per-group solver and
+// per-node candidate derivation — fan out through ForEach, writing results
+// into index-addressed slots so the parallel schedule can never change the
+// output: every unit is a pure function of its input, and slot i holds
+// unit i's result regardless of which worker computed it or when. (The
+// matcher's rows read a union-find forest that only changes between
+// rounds, so each row stays a pure function of the input.)
 package pool
 
 import (

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"sort"
 )
 
@@ -16,10 +15,20 @@ import (
 // the encoding (every field is length-prefixed, so no two distinct trees
 // collide by concatenation).
 func (t *Tree) CanonicalHash() string {
-	h := sha256.New()
-	writeString(h, t.Interface)
-	writeNode(h, t.Root)
-	return hex.EncodeToString(h.Sum(nil))
+	var buf []byte
+	return t.canonicalHash(&buf)
+}
+
+// canonicalHash serializes the canonical form into *buf, reusing its
+// storage, and hashes the bytes in one call.
+func (t *Tree) canonicalHash(buf *[]byte) string {
+	b := appendString((*buf)[:0], t.Interface)
+	b = appendNode(b, t.Root)
+	*buf = b
+	sum := sha256.Sum256(b)
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }
 
 // HashTrees returns a digest identifying the *set* of trees independent of
@@ -32,10 +41,12 @@ func HashTrees(trees []*Tree) string {
 }
 
 // TreeHashes returns the canonical hash of every tree, in slice order.
+// The trees share one serialization buffer.
 func TreeHashes(trees []*Tree) []string {
 	digests := make([]string, len(trees))
+	var buf []byte
 	for i, t := range trees {
-		digests[i] = t.CanonicalHash()
+		digests[i] = t.canonicalHash(&buf)
 	}
 	return digests
 }
@@ -48,7 +59,7 @@ func CombineHashes(digests []string) string {
 }
 
 // setSum hashes the sorted digests, each length-prefixed the way
-// writeString frames a string, from one buffer.
+// appendString frames a string, from one buffer.
 func setSum(digests []string) [sha256.Size]byte {
 	sorted := append([]string(nil), digests...)
 	sort.Strings(sorted)
@@ -80,40 +91,35 @@ func CacheKey(digests []string, fingerprint string) string {
 	return hex.EncodeToString(key[:])
 }
 
-func writeNode(h hash.Hash, n *Node) {
+func appendNode(b []byte, n *Node) []byte {
 	if n == nil {
-		writeUint(h, ^uint32(0))
-		return
+		return binary.BigEndian.AppendUint32(b, ^uint32(0))
 	}
-	writeString(h, n.Label)
-	writeString(h, n.Cluster)
-	writeStrings(h, n.Instances)
-	writeStrings(h, n.MultiClusters)
+	b = appendString(b, n.Label)
+	b = appendString(b, n.Cluster)
+	b = appendStrings(b, n.Instances)
+	b = appendStrings(b, n.MultiClusters)
 	if n.Aggregated {
-		h.Write([]byte{1})
+		b = append(b, 1)
 	} else {
-		h.Write([]byte{0})
+		b = append(b, 0)
 	}
-	writeUint(h, uint32(len(n.Children)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(n.Children)))
 	for _, c := range n.Children {
-		writeNode(h, c)
+		b = appendNode(b, c)
 	}
+	return b
 }
 
-func writeStrings(h hash.Hash, ss []string) {
-	writeUint(h, uint32(len(ss)))
+func appendStrings(b []byte, ss []string) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(ss)))
 	for _, s := range ss {
-		writeString(h, s)
+		b = appendString(b, s)
 	}
+	return b
 }
 
-func writeString(h hash.Hash, s string) {
-	writeUint(h, uint32(len(s)))
-	h.Write([]byte(s))
-}
-
-func writeUint(h hash.Hash, v uint32) {
-	var buf [4]byte
-	binary.BigEndian.PutUint32(buf[:], v)
-	h.Write(buf[:])
+func appendString(b []byte, s string) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
 }

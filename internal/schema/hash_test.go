@@ -1,6 +1,9 @@
 package schema
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func hashTree() *Tree {
 	return NewTree("aa",
@@ -71,5 +74,27 @@ func TestHashTreesOrderIndependent(t *testing.T) {
 	}
 	if h1 == HashTrees([]*Tree{t1, t2}) {
 		t.Fatal("dropping a tree did not change the set hash")
+	}
+}
+
+// TestTreeHashesAllocs: TreeHashes serializes every tree into one buffer
+// shared by the call and hashes it in one piece, so its allocations per
+// tree are bounded by a constant (the digest string, plus the buffer's
+// amortized growth), whatever the size of the trees.
+func TestTreeHashesAllocs(t *testing.T) {
+	trees := make([]*Tree, 48)
+	for i := range trees {
+		var fields []*Node
+		for f := 0; f < 40; f++ {
+			fields = append(fields, NewField(fmt.Sprintf("Field %d", f), fmt.Sprintf("c_%d", f),
+				"one", "two", "three"))
+		}
+		trees[i] = NewTree(fmt.Sprintf("s%02d", i), NewGroup("Group", fields[:20]...),
+			NewGroup("Other", fields[20:]...))
+	}
+	allocs := testing.AllocsPerRun(20, func() { TreeHashes(trees) })
+	if perTree := allocs / float64(len(trees)); perTree > 2 {
+		t.Fatalf("TreeHashes made %.0f allocations for %d trees (%.1f per tree), want at most 2 per tree",
+			allocs, len(trees), perTree)
 	}
 }
