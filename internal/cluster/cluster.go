@@ -169,9 +169,21 @@ func ExpandOneToMany(trees []*schema.Tree) {
 // trees; unannotated leaves are ignored (they correspond to source-specific
 // fields the matcher could not align).
 func FromTrees(trees []*schema.Tree) (*Mapping, error) {
+	// Count each cluster's fields first, so every Members slice is
+	// allocated once at its final size.
+	leaves := make([][]*schema.Node, len(trees))
+	counts := make(map[string]int)
+	for i, t := range trees {
+		leaves[i] = t.Leaves()
+		for _, leaf := range leaves[i] {
+			if leaf.Cluster != "" {
+				counts[leaf.Cluster]++
+			}
+		}
+	}
 	m := NewMapping()
-	for _, t := range trees {
-		for _, leaf := range t.Leaves() {
+	for i, t := range trees {
+		for _, leaf := range leaves[i] {
 			if len(leaf.MultiClusters) > 0 {
 				return nil, fmt.Errorf(
 					"cluster: leaf %q of %s has an unexpanded 1:m correspondence",
@@ -182,7 +194,7 @@ func FromTrees(trees []*schema.Tree) (*Mapping, error) {
 			}
 			c := m.Get(leaf.Cluster)
 			if c == nil {
-				c = &Cluster{Name: leaf.Cluster}
+				c = &Cluster{Name: leaf.Cluster, Members: make([]Member, 0, counts[leaf.Cluster])}
 				m.add(c)
 			}
 			if _, dup := c.MemberFor(t.Interface); dup {

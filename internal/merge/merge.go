@@ -20,9 +20,12 @@
 package merge
 
 import (
+	"container/heap"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -182,33 +185,6 @@ func key(set map[string]bool) string {
 	return strings.Join(names, "\x00")
 }
 
-// iunit is the interned working form of a unit inside selectLaminar: the
-// cluster set is a sorted slice of dense cluster IDs, so crossing tests and
-// unions are merge-scans instead of map walks, and the lexicographic order
-// of two units' canonical keys is exactly the lexicographic order of their
-// ID slices (IDs are assigned in sorted-name order and names are
-// separator-free, so joined-name comparison and ID-sequence comparison
-// agree).
-type iunit struct {
-	set         []int32
-	mkey        string // binary encoding of set: the work-map dedup key
-	support     int
-	occurrences []occurrence
-	alive       bool
-}
-
-// lamPair is a candidate crossing pair with a.set < b.set. Pairs are only
-// created while both endpoints are alive; a live unit's set never changes,
-// so a popped pair with two live endpoints is still crossing.
-type lamPair struct{ a, b *iunit }
-
-func pairLess(x, y lamPair) bool {
-	if c := cmpIDs(x.a.set, y.a.set); c != 0 {
-		return c < 0
-	}
-	return cmpIDs(x.b.set, y.b.set) < 0
-}
-
 // selectLaminar turns the observed units into a laminar (non-crossing)
 // family by repeatedly replacing two crossing units with their union: two
 // groups sharing a field are fragments of one semantic unit of the
@@ -216,21 +192,46 @@ func pairLess(x, y lamPair) bool {
 // clusters no single source covers). Units nested by containment survive as
 // hierarchy (super-groups). Units covering the entire universe are
 // redundant with the root and dropped.
+func selectLaminar(ctx context.Context, units map[string]*unit, universeSize int) ([]*unit, error) {
+	family, err := unionCrossing(ctx, units)
+	if err != nil {
+		return nil, err
+	}
+	out := family[:0]
+	for _, u := range family {
+		if u.size < universeSize {
+			out = append(out, u)
+		}
+	}
+	return dropUnobservedNesting(out), nil
+}
+
+// unionCrossing runs the union steps of selectLaminar and returns the
+// resulting family sorted by key.
 //
 // The union order matters: the laminar family is not unique, so the result
-// is pinned to the historical deterministic sequence — at every step, merge
-// the lexicographically smallest crossing pair (keyA, keyB), keyA < keyB.
-// Rather than rescanning all O(U²) pairs per step, candidate pairs live in
-// a min-heap fed by an inverted cluster→units index: two units can only
-// cross if they share a cluster, every unit's crossing partners are
-// enumerated once at its creation, and stale heap entries (an endpoint
-// already merged away) are discarded lazily on pop.
-func selectLaminar(ctx context.Context, units map[string]*unit, universeSize int) ([]*unit, error) {
+// is pinned to one deterministic sequence — at every step, merge the
+// lexicographically smallest crossing pair (keyA, keyB), keyA < keyB.
+// Candidate units wait in a min-heap in key order; each unit enters it
+// once, when it is created, and the heap holds every live unit that has a
+// crossing partner above it. A popped live unit a is therefore crossed
+// only by units above it (a smaller one would still be in the heap and
+// would have been popped first), so its smallest crossing partner b,
+// found through a cluster→units inverted index, makes (a, b) the smallest
+// crossing pair; a popped unit without a partner is dropped. A union keeps
+// that invariant without putting any dropped unit back: the new unit
+// w = a ∪ b sorts below b, since the lowest cluster where a and b differ
+// is in a (so in w) and b holds a cluster above it. A dropped unit x that
+// crosses w crosses a or b (a and b overlap), and all of x's partners sort
+// below x, so x sorts above b (b is a's smallest partner) and so above w.
+func unionCrossing(ctx context.Context, units map[string]*unit) ([]*unit, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	// Intern cluster names in sorted order so ID order mirrors name order.
+	// Intern cluster names in sorted order so ID order mirrors name order:
+	// the lexicographic order of two sorted ID slices is then the order of
+	// the units' joined-name keys (names are separator-free).
 	nameSet := make(map[string]struct{})
 	for _, u := range units {
 		for c := range u.clusters {
@@ -247,167 +248,149 @@ func selectLaminar(ctx context.Context, units map[string]*unit, universeSize int
 		id[c] = int32(i)
 	}
 
-	encode := func(set []int32) string {
-		buf := make([]byte, 0, 4*len(set))
-		for _, v := range set {
-			buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		}
-		return string(buf)
-	}
-
-	ius := make([]*iunit, 0, len(units))
-	work := make(map[string]*iunit, len(units))
+	l := &unionState{inv: make([][]*lamUnit, len(names))}
+	work := make(map[string]*lamUnit, len(units))
+	var buf []byte
 	for _, u := range units {
 		set := make([]int32, 0, u.size)
 		for c := range u.clusters {
 			set = append(set, id[c])
 		}
-		sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
-		w := &iunit{set: set, mkey: encode(set), support: u.support,
+		slices.Sort(set)
+		buf = appendIDs(buf[:0], set)
+		w := &lamUnit{set: set, key: string(buf), support: u.support,
 			occurrences: u.occurrences, alive: true}
-		work[w.mkey] = w
-		ius = append(ius, w)
+		work[w.key] = w
+		l.add(w)
 	}
 
-	// Inverted index clusterID → indices into ius. Dead units linger in the
-	// lists and are skipped on enumeration; seen-stamps dedupe partners that
-	// share several clusters with the probe unit.
-	inv := make([][]int32, len(names))
-	seen := make([]int, len(ius))
-	stamp := 0
-	var heap pairHeap
-	// enumerate pushes the crossing pairs between w (index wi, not yet in
-	// inv) and every live unit already indexed, then indexes w. Feeding the
-	// index incrementally yields each unordered pair exactly once.
-	enumerate := func(w *iunit, wi int32) {
-		stamp++
-		for _, c := range w.set {
-			for _, vi := range inv[c] {
-				v := ius[vi]
-				if !v.alive || seen[vi] == stamp {
-					continue
-				}
-				seen[vi] = stamp
-				if crossesIDs(w.set, v.set) {
-					p := lamPair{a: w, b: v}
-					if cmpIDs(v.set, w.set) < 0 {
-						p = lamPair{a: v, b: w}
-					}
-					heap.push(p)
-				}
-			}
-			inv[c] = append(inv[c], wi)
-		}
-	}
-	for i, w := range ius {
-		enumerate(w, int32(i))
-	}
-
-	for len(heap) > 0 {
+	for len(l.heap) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p := heap.pop()
-		if !p.a.alive || !p.b.alive {
+		a := heap.Pop(&l.heap).(*lamUnit)
+		if !a.alive {
 			continue
 		}
-		a, b := p.a, p.b
+		b := l.partner(a)
+		if b == nil {
+			continue
+		}
 		a.alive, b.alive = false, false
-		delete(work, a.mkey)
-		delete(work, b.mkey)
+		delete(work, a.key)
+		delete(work, b.key)
 		merged := unionIDs(a.set, b.set)
-		k := encode(merged)
-		if ex, ok := work[k]; ok {
-			// The union coincides with a live unit: its set — and therefore
-			// its already-enumerated crossing pairs — are unchanged, so only
-			// the evidence is folded in.
+		buf = appendIDs(buf[:0], merged)
+		if ex, ok := work[string(buf)]; ok {
+			// The union coincides with a live unit: its set, and therefore
+			// its crossing partners, are unchanged, so only the evidence
+			// is folded in.
 			ex.support += a.support + b.support
 			ex.occurrences = append(ex.occurrences, a.occurrences...)
 			ex.occurrences = append(ex.occurrences, b.occurrences...)
-		} else {
-			w := &iunit{set: merged, mkey: k, support: a.support + b.support,
-				occurrences: append(append([]occurrence(nil),
-					a.occurrences...), b.occurrences...), alive: true}
-			work[k] = w
-			wi := int32(len(ius))
-			ius = append(ius, w)
-			seen = append(seen, 0)
-			enumerate(w, wi)
+			continue
 		}
+		w := &lamUnit{set: merged, key: string(buf), support: a.support + b.support,
+			occurrences: append(append([]occurrence(nil),
+				a.occurrences...), b.occurrences...), alive: true}
+		work[w.key] = w
+		l.add(w)
 	}
 
 	out := make([]*unit, 0, len(work))
 	for _, w := range work {
-		if len(w.set) >= universeSize {
-			continue
-		}
 		clusters := make(map[string]bool, len(w.set))
 		ns := make([]string, len(w.set))
-		for i, cid := range w.set {
-			clusters[names[cid]] = true
-			ns[i] = names[cid]
+		for i, c := range w.set {
+			clusters[names[c]] = true
+			ns[i] = names[c]
 		}
 		out = append(out, &unit{key: strings.Join(ns, "\x00"), clusters: clusters,
 			support: w.support, size: len(w.set), occurrences: w.occurrences})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	return dropUnobservedNesting(out), nil
+	return out, nil
 }
 
-// cmpIDs compares two sorted ID slices lexicographically (a proper prefix
-// sorts first), matching the order of the units' joined-name keys.
-func cmpIDs(a, b []int32) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+// lamUnit is the working form of a unit inside unionCrossing.
+type lamUnit struct {
+	set         []int32 // sorted cluster IDs
+	key         string  // appendIDs(set): the work-map dedup key
+	support     int
+	occurrences []occurrence
+	alive       bool
+	seen        int // stamp of the last partner search that met it
+	shared      int // clusters it shares with that search's unit
+}
+
+// unionState is unionCrossing's candidate heap and inverted index.
+type unionState struct {
+	heap  unitHeap
+	inv   [][]*lamUnit // cluster ID → units holding it
+	stamp int
+	met   []*lamUnit // reused: the units one partner search meets
+}
+
+// add indexes a new live unit and makes it a candidate.
+func (l *unionState) add(u *lamUnit) {
+	for _, c := range u.set {
+		l.inv[c] = append(l.inv[c], u)
 	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
+	heap.Push(&l.heap, u)
+}
+
+// partner returns the smallest live unit crossing a, or nil. It walks the
+// index lists of a's clusters and drops the dead units from them, so a
+// search costs what the live overlap does. The walk meets a unit v once
+// for every cluster v shares with a, so v crosses a exactly when that
+// count is below both sizes (a itself shares all of its clusters).
+func (l *unionState) partner(a *lamUnit) *lamUnit {
+	l.stamp++
+	met := l.met[:0]
+	for _, c := range a.set {
+		list := l.inv[c]
+		n := 0
+		for _, v := range list {
+			if !v.alive {
+				continue
 			}
-			return 1
+			list[n] = v
+			n++
+			if v.seen != l.stamp {
+				v.seen, v.shared = l.stamp, 0
+				met = append(met, v)
+			}
+			v.shared++
+		}
+		clear(list[n:])
+		l.inv[c] = list[:n]
+	}
+	var best *lamUnit
+	for _, v := range met {
+		if v.shared < len(a.set) && v.shared < len(v.set) &&
+			(best == nil || slices.Compare(v.set, best.set) < 0) {
+			best = v
 		}
 	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
+	l.met = met
+	return best
 }
 
-// crossesIDs reports whether two sorted ID sets overlap without one
-// containing the other, with an early exit once all three witnesses
-// (shared element, a-only element, b-only element) are found.
-func crossesIDs(a, b []int32) bool {
-	inter, aOnly, bOnly := false, false, false
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			inter = true
-			i++
-			j++
-		case a[i] < b[j]:
-			aOnly = true
-			i++
-		default:
-			bOnly = true
-			j++
-		}
-		if inter && aOnly && bOnly {
-			return true
-		}
-	}
-	if i < len(a) {
-		aOnly = true
-	}
-	if j < len(b) {
-		bOnly = true
-	}
-	return inter && aOnly && bOnly
+// unitHeap is a min-heap of candidate units in set order (container/heap).
+// slices.Compare orders sorted ID slices lexicographically, a proper
+// prefix first: the order of the units' keys.
+type unitHeap []*lamUnit
+
+func (h unitHeap) Len() int           { return len(h) }
+func (h unitHeap) Less(i, j int) bool { return slices.Compare(h[i].set, h[j].set) < 0 }
+func (h unitHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *unitHeap) Push(x any)        { *h = append(*h, x.(*lamUnit)) }
+func (h *unitHeap) Pop() any {
+	s := *h
+	u := s[len(s)-1]
+	s[len(s)-1] = nil
+	*h = s[:len(s)-1]
+	return u
 }
 
 // unionIDs merges two sorted ID sets into a fresh sorted set.
@@ -433,50 +416,13 @@ func unionIDs(a, b []int32) []int32 {
 	return out
 }
 
-// pairHeap is a hand-rolled binary min-heap of candidate crossing pairs
-// ordered by pairLess; pairs are unique by their endpoint sets, so pop
-// order is deterministic.
-type pairHeap []lamPair
-
-func (h *pairHeap) push(p lamPair) {
-	*h = append(*h, p)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !pairLess(s[i], s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
+// appendIDs appends the 4-byte little-endian encoding of a sorted ID set
+// to buf: the set's dedup key.
+func appendIDs(buf []byte, set []int32) []byte {
+	for _, c := range set {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
 	}
-}
-
-func (h *pairHeap) pop() lamPair {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = lamPair{}
-	*h = s[:n]
-	s = s[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && pairLess(s[l], s[small]) {
-			small = l
-		}
-		if r < n && pairLess(s[r], s[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s[i], s[small] = s[small], s[i]
-		i = small
-	}
-	return top
+	return buf
 }
 
 // dropUnobservedNesting flattens containment relations that no source
@@ -530,25 +476,6 @@ func nestingObserved(inner, outer *unit) bool {
 		}
 	}
 	return false
-}
-
-// crosses reports whether two sets overlap without one containing the
-// other. (The merge loop itself works over sorted interned IDs via
-// crossesIDs; this map form remains for tests asserting the laminar
-// property of results.)
-func crosses(a, b map[string]bool) bool {
-	inter, aInB, bInA := 0, 0, 0
-	for x := range a {
-		if b[x] {
-			inter++
-		}
-	}
-	if inter == 0 {
-		return false
-	}
-	aInB = inter
-	bInA = inter
-	return aInB != len(a) && bInA != len(b)
 }
 
 // averagePositions computes, per cluster, the average normalized position

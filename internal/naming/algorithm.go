@@ -301,7 +301,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 	reuse.GroupsComputed += len(solve)
 	if warm != nil {
 		for _, i := range solve {
-			e := groupEntry{outcome: groupOuts[i], counters: groupCounters[i]}
+			e := groupEntry{outcome: detach(groupOuts[i]), counters: groupCounters[i]}
 			warm.groups.Put(sigs[i], e)
 			if cheap != "" {
 				warm.groups.Put(groupKey(i), e)

@@ -14,9 +14,6 @@ type Partition struct {
 	// Covered[i] reports whether cluster i of the relation has a label in
 	// some tuple of the partition.
 	Covered []bool
-	// tupleIndex remembers which relation rows belong to the partition, so
-	// Definition 6 can test membership of an interface's tuple.
-	tupleIndex map[int]bool
 }
 
 // CoversAll reports whether the partition covers every cluster of the
@@ -89,21 +86,26 @@ func (s *Semantics) Partitions(rel *cluster.Relation, level Level) []*Partition 
 			}
 		}
 	}
-	byRoot := make(map[int]*Partition)
+	// Count each component's tuples first, so every partition's Tuples
+	// is allocated once at its final size.
+	size := make([]int, n)
+	for i := 0; i < n; i++ {
+		size[find(i)]++
+	}
+	byRoot := make([]*Partition, n)
 	var order []*Partition
 	for i := 0; i < n; i++ {
 		r := find(i)
 		p := byRoot[r]
 		if p == nil {
 			p = &Partition{
-				Covered:    make([]bool, len(rel.Clusters)),
-				tupleIndex: make(map[int]bool),
+				Tuples:  make([]cluster.Tuple, 0, size[r]),
+				Covered: make([]bool, len(rel.Clusters)),
 			}
 			byRoot[r] = p
 			order = append(order, p)
 		}
 		p.Tuples = append(p.Tuples, rel.Tuples[i])
-		p.tupleIndex[i] = true
 		for c, l := range rel.Tuples[i].Labels {
 			if l != "" {
 				p.Covered[c] = true

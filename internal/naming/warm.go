@@ -1,6 +1,7 @@
 package naming
 
 import (
+	"crypto/sha256"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,8 +35,8 @@ type warmLabel struct {
 }
 
 // groupEntry stores one solved group: the outcome and the inference-rule
-// tally the solve produced. The outcome's Relation still references the
-// clusters of the run that solved it; outcomeFor rebinds it before reuse.
+// tally the solve produced. The outcome's Relation has no Clusters (see
+// detach); outcomeFor binds the reusing run's group before reuse.
 type groupEntry struct {
 	outcome  *GroupOutcome
 	counters Counters
@@ -124,11 +125,11 @@ type Warm struct {
 	verdicts *gencache.Sharded[Rel]
 
 	// Solve-family caches, shared by one-shot runs and delta sessions.
-	// Groups and isolated elections are keyed by content signature
-	// (groupSignature / isolatedSignature): a solve is a pure function of
-	// what the signature serializes and the lexicon epoch. All three also
-	// hold entries under positional keys (Options.WarmKey + unit index),
-	// the only keys node derivations are stored under.
+	// Groups and isolated elections are keyed by the SHA-256 of a content
+	// signature (groupSignature / isolatedSignature): a solve is a pure
+	// function of what the signature serializes and the lexicon epoch.
+	// All three also hold entries under positional keys (Options.WarmKey
+	// + unit index), the only keys node derivations are stored under.
 	groups   *gencache.Table[string, groupEntry]
 	isolated *gencache.Table[string, isolatedEntry]
 	nodes    *gencache.Table[string, nodeEntry]
@@ -305,6 +306,17 @@ func (e groupEntry) outcomeFor(group []*cluster.Cluster) *GroupOutcome {
 	return &out
 }
 
+// detach returns the copy of a fresh outcome a groupEntry stores: its
+// relation without Clusters, which would pin the run that solved it —
+// each cluster's members reach every source leaf of that run.
+func detach(o *GroupOutcome) *GroupOutcome {
+	out := *o
+	rel := *o.Relation
+	rel.Clusters = nil
+	out.Relation = &rel
+	return &out
+}
+
 // sigString appends a length-prefixed string, so no two distinct content
 // sequences serialize to the same signature by concatenation.
 func sigString(b *strings.Builder, s string) {
@@ -341,16 +353,16 @@ func sigOptions(b *strings.Builder, opts SolverOptions) {
 	}
 }
 
-// groupSignature derives the content key of one group solve: solver
-// options, each cluster's member content, and the relation's tuple
-// sequence (the tuple *order* follows the global interface order, which
-// member content alone does not determine). SolveGroup reads the
+// groupSignature derives the content key of one group solve: the SHA-256
+// of the solver options, each cluster's member content, and the relation's
+// tuple sequence (the tuple *order* follows the global interface order,
+// which member content alone does not determine). SolveGroup reads the
 // relation's tuples and, through the LI 7 value-label drop, every member
 // of every cluster — unlabeled members included, whose instances can
 // demote a sibling's label to a data value — so the signature covers
 // exactly what the solve reads. Downstream phases read a reused outcome
 // only through its Solutions, Partitions and Relation.Tuples; outcomeFor
-// rebinds Relation.Clusters to the live run so reports stay
+// binds Relation.Clusters to the live run so reports stay
 // self-consistent.
 func groupSignature(group []*cluster.Cluster, rel *cluster.Relation, opts SolverOptions) string {
 	var b strings.Builder
@@ -367,17 +379,25 @@ func groupSignature(group []*cluster.Cluster, rel *cluster.Relation, opts Solver
 			sigString(&b, l)
 		}
 	}
-	return b.String()
+	return digest(b.String())
 }
 
 // isolatedSignature derives the content key of one isolated-cluster
-// election.
+// election: the SHA-256 of the solver options and the member content.
 func isolatedSignature(c *cluster.Cluster, opts SolverOptions) string {
 	var b strings.Builder
 	b.WriteByte('s')
 	sigOptions(&b, opts)
 	sigMembers(&b, c)
-	return b.String()
+	return digest(b.String())
+}
+
+// digest returns the SHA-256 of a signature as a string key. The solve
+// tables keep the 32-byte sum rather than the multi-KB signature itself:
+// the same content-address trust schema.CacheKey relies on.
+func digest(sig string) string {
+	sum := sha256.Sum256([]byte(sig))
+	return string(sum[:])
 }
 
 // ClusterSignature is the member-content signature of one cluster (the

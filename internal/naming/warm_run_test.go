@@ -2,8 +2,10 @@ package naming
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"qilabel/internal/cluster"
 	"qilabel/internal/dataset"
@@ -143,5 +145,35 @@ func TestWarmRebindsRelation(t *testing.T) {
 				t.Fatalf("group %v: relation references a cluster object from a previous run", g.Clusters)
 			}
 		}
+	}
+}
+
+// TestWarmDoesNotPinRuns: a stored group solve must not keep the run that
+// solved it alive. Once that run's result is dropped, its source leaves are
+// collectable, while the Warm still answers the run's solves.
+func TestWarmDoesNotPinRuns(t *testing.T) {
+	w := NewWarm(nil)
+	collected := make(chan struct{})
+	func() {
+		mr := domainMerge(t, "Airline")
+		leaf := mr.Groups[0][0].Members[0].Leaf
+		runtime.SetFinalizer(leaf, func(*schema.Node) { close(collected) })
+		if _, err := Run(mr, Options{Warm: w}); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	runtime.GC()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a source leaf of a dropped run is still reachable from the Warm")
+	}
+	var reuse ReuseCounts
+	if _, err := Run(domainMerge(t, "Airline"), Options{Warm: w, Reuse: &reuse}); err != nil {
+		t.Fatal(err)
+	}
+	if reuse.GroupsComputed != 0 || reuse.GroupsReused == 0 {
+		t.Fatalf("the Warm no longer answers the dropped run's solves: %+v", reuse)
 	}
 }

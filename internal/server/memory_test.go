@@ -1,13 +1,19 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"sort"
 	"testing"
 
 	"qilabel"
+	"qilabel/internal/synth"
 )
 
 // disjointSources builds a small annotated corpus whose labels are unique
@@ -77,5 +83,75 @@ func TestServerMemoryBounded(t *testing.T) {
 	if grown > base+limit {
 		t.Fatalf("GC'd heap grew %d bytes over %d disjoint requests (limit %d): per-request state is being retained",
 			grown-base, n, limit)
+	}
+}
+
+// TestRetainedBytesPerOp measures what a cold integration leaves behind
+// with the result cache off: the warm tables and anything else that
+// outlives a request. It replays distinct 32-source subsets of a
+// 96-source medium-preset population, with the matcher and the
+// population's own uploaded vocabulary, and bounds the live heap growth
+// per request after a warm-up request.
+func TestRetainedBytesPerOp(t *testing.T) {
+	cfg, err := synth.Preset("medium")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Sources = 96
+	pop, lex, err := synth.GenerateWithLexicon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := lex.EncodeArtifact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{CacheSize: -1})
+	h := s.Handler()
+	serve := func(method, path string, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body.String())
+		}
+	}
+	serve(http.MethodPut, "/v1/lexicons/bench-medium", art)
+
+	const ops = 60
+	r := rand.New(rand.NewPCG(96, 32))
+	seen := make(map[string]bool)
+	var bodies [][]byte
+	for len(bodies) < ops+1 {
+		idx := r.Perm(len(pop))[:32]
+		sort.Ints(idx)
+		if k := fmt.Sprint(idx); !seen[k] {
+			seen[k] = true
+			req := integrateRequest{Options: requestOptions{Matcher: true, Lexicon: "bench-medium"}}
+			for _, i := range idx {
+				req.Sources = append(req.Sources, pop[i])
+			}
+			data, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies = append(bodies, data)
+		}
+	}
+
+	serve(http.MethodPost, "/v1/integrate", bodies[0])
+	runtime.GC()
+	base := heapAlloc()
+	for _, b := range bodies[1:] {
+		serve(http.MethodPost, "/v1/integrate", b)
+	}
+	runtime.GC()
+	grown := heapAlloc()
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(bodies)
+	perOp := (float64(grown) - float64(base)) / ops / (1 << 20)
+	t.Logf("%.3f MB retained per op (%d ops, live heap %d → %d bytes)", perOp, ops, base, grown)
+	const limit = 0.25
+	if perOp > limit {
+		t.Fatalf("%.3f MB retained per op, limit %.2f", perOp, limit)
 	}
 }
