@@ -1,12 +1,11 @@
 package qilabel
 
 // Delta-integration benchmarks, the performance claim behind the session
-// engine (BENCH_pr6.json): a warm session absorbing a single-source change
-// must beat re-running the whole pipeline over the final source set. Each
-// size is measured both ways over the same synthetic domain — one
+// engine: a warm session absorbing a single-source change must beat
+// re-running the whole pipeline over the final source set. Each size is
+// measured both ways over the same synthetic domain — one
 // AddSource+RemoveSource round trip (two delta operations) against one
-// from-scratch Integrate — so the committed numbers compare like with
-// like.
+// from-scratch Integrate — so the two numbers compare like with like.
 
 import (
 	"context"

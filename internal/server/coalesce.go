@@ -138,12 +138,18 @@ type apiError struct {
 // a slot instead.
 func (s *Server) integrateShared(ctx context.Context, key string, sources []*qilabel.Tree, domain string, ropts requestOptions, block bool) (integrateResponse, string, *apiError) {
 	lexLabel := lexiconLabel(ropts.Lexicon)
-	if e, hit := s.cache.Get(key); hit {
+	hit := func(e *cacheEntry) (integrateResponse, string, *apiError) {
 		s.metrics.cacheHits.Add(1)
 		s.metrics.recordLexicon(lexLabel, statusHit)
 		resp := e.resp
 		resp.Cached = true
 		return resp, statusHit, nil
+	}
+	if e, ok := s.cache.Get(key); ok {
+		return hit(e)
+	}
+	if s.testHookMissed != nil {
+		s.testHookMissed()
 	}
 
 	// The waiter's own budget: the request context bounded by the
@@ -153,6 +159,13 @@ func (s *Server) integrateShared(ctx context.Context, key string, sources []*qil
 
 	f, leader := s.flights.join(key, s.cfg.RequestTimeout)
 	if leader {
+		// A flight for key may have cached its result and finished between
+		// the probe above and join. Probe again before computing: its
+		// entry answers this request, and any waiter that already joined.
+		if e, ok := s.cache.Get(key); ok {
+			s.flights.finish(key, f, e.resp, nil)
+			return hit(e)
+		}
 		s.metrics.cacheMisses.Add(1)
 		s.metrics.recordLexicon(lexLabel, statusComputed)
 		go s.runFlight(f, key, sources, domain, ropts, block)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -222,5 +224,91 @@ func TestCoalescedErrorDoesNotLeakFlight(t *testing.T) {
 	// flight entry.
 	if got := s.metrics.cacheMisses.Load(); got != 2 {
 		t.Fatalf("cache misses = %d, want 2 (each failed attempt recomputes)", got)
+	}
+}
+
+// TestMissedProbeServedFromCache: a request whose cache probe misses, but
+// that joins a flight only after an identical request has computed,
+// cached and finished, is answered from the cache instead of leading a
+// second computation. The hook between the probe and the join runs that
+// identical request to completion, so the window is hit every time. Batch
+// items take the same path.
+func TestMissedProbeServedFromCache(t *testing.T) {
+	body, err := json.Marshal(integrateRequest{Sources: fixtureSources()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		// send issues the late request and returns its item status.
+		send func(t *testing.T, url string) string
+	}{
+		{"single", func(t *testing.T, url string) string {
+			resp := postJSON(t, url+"/v1/integrate", integrateRequest{Sources: fixtureSources()})
+			var out integrateResponse
+			decodeBody(t, resp, &out)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status = %d, want 200", resp.StatusCode)
+			}
+			switch {
+			case out.Cached:
+				return statusHit
+			case out.Coalesced:
+				return statusCoalesced
+			}
+			return statusComputed
+		}},
+		{"batch", func(t *testing.T, url string) string {
+			status, items, _ := postBatch(t, url, batchRequest{Items: []integrateRequest{{Sources: fixtureSources()}}})
+			if status != http.StatusOK || len(items) != 1 {
+				t.Fatalf("batch status = %d with %d items, want 200 with 1", status, len(items))
+			}
+			return items[0].Status
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{})
+			// The hook runs on a handler goroutine: it reports what the
+			// racing request got through raced, not through t.
+			raced := make(chan string, 1)
+			var calls atomic.Int32
+			s.testHookMissed = func() {
+				if calls.Add(1) != 1 {
+					return // the racing request's own probe
+				}
+				resp, err := http.Post(ts.URL+"/v1/integrate", "application/json", bytes.NewReader(body))
+				if err != nil {
+					raced <- err.Error()
+					return
+				}
+				defer resp.Body.Close()
+				var out integrateResponse
+				if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+					raced <- err.Error()
+					return
+				}
+				raced <- fmt.Sprintf("status %d cached %v coalesced %v", resp.StatusCode, out.Cached, out.Coalesced)
+			}
+			if got := tc.send(t, ts.URL); got != statusHit {
+				t.Errorf("late request was %s, want a cache hit", got)
+			}
+			// The late request answers only after its hook returned.
+			select {
+			case got := <-raced:
+				if want := "status 200 cached false coalesced false"; got != want {
+					t.Errorf("racing request: %s, want %s", got, want)
+				}
+			default:
+				t.Error("the hook between probe and join never ran")
+			}
+			snap := s.metrics.snapshot(s.cache.Len(), s.cfg.CacheSize, 0)
+			if snap.Cache.Misses != 1 || snap.Cache.Hits != 1 {
+				t.Errorf("cache misses = %d, hits = %d, want exactly 1 each", snap.Cache.Misses, snap.Cache.Hits)
+			}
+			if c := snap.Stages["naming"].Count; c != 1 {
+				t.Errorf("naming ran %d times, want exactly 1", c)
+			}
+			waitDrained(t, s)
+		})
 	}
 }

@@ -1,14 +1,18 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"qilabel"
+	"qilabel/internal/synth"
 )
 
 // ingestLexicon mirrors the discover package's test vocabulary: three
@@ -208,6 +212,131 @@ func TestIngestConcurrentSameDomain(t *testing.T) {
 	decodeBody(t, mustGet(t, ts.URL+"/metrics"), &snap)
 	if snap.Discovery.Ingested != n || snap.Discovery.Created != 1 {
 		t.Fatalf("discovery metrics %+v, want %d ingested / 1 created", snap.Discovery, n)
+	}
+}
+
+// TestIngestSynthStreamRecoversPartition streams a shuffled two-domain
+// synth corpus through /v1/ingest from concurrent workers, re-ingesting
+// every other form right after its first ingest. No request may fail, the
+// final listing must hold exactly the ground-truth domains member for
+// member, a translate against a discovered domain must answer, and the
+// /metrics discovery counters must account for every request.
+func TestIngestSynthStreamRecoversPartition(t *testing.T) {
+	const workers = 3
+	stream, lex, err := synth.Stream(synth.StreamConfig{
+		Seed:    21,
+		Domains: 2,
+		Base: synth.Config{
+			Sources: 4, Concepts: 5,
+			Perturb: synth.Perturb{SynonymSwap: 0.4, Noise: 0.3, Reorder: 0.3},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Lexicon: lex, MaxInflight: workers})
+
+	// ingest runs on the worker goroutines, so it returns its failure
+	// instead of failing t.
+	ingest := func(i int, tree *qilabel.Tree, wantDuplicate bool) error {
+		data, err := json.Marshal(ingestRequest{Source: tree})
+		if err != nil {
+			return err
+		}
+		resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", bytes.NewReader(data))
+		if err != nil {
+			return fmt.Errorf("form %d: %v", i, err)
+		}
+		defer resp.Body.Close()
+		var out ingestResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			return fmt.Errorf("form %d: decoding response: %v", i, err)
+		}
+		switch {
+		case resp.StatusCode != http.StatusOK:
+			return fmt.Errorf("form %d: status %d", i, resp.StatusCode)
+		case len(out.Assignments) != 1 || out.Assignments[0].Domain == "":
+			return fmt.Errorf("form %d: assignments %+v, want one with a domain", i, out.Assignments)
+		case out.Assignments[0].Duplicate != wantDuplicate:
+			return fmt.Errorf("form %d: duplicate = %v, want %v", i, out.Assignments[0].Duplicate, wantDuplicate)
+		}
+		return nil
+	}
+	work := make(chan int)
+	errs := make(chan error, 2*len(stream))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				if err := ingest(i, stream[i].Tree, false); err != nil {
+					errs <- err
+				} else if i%2 == 0 {
+					if err := ingest(i, stream[i].Tree, true); err != nil {
+						errs <- err
+					}
+				}
+			}
+		}()
+	}
+	for i := range stream {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	// The partition, member for member: each discovered domain's form
+	// hashes must be exactly one ground-truth domain's.
+	want := make(map[string]bool)
+	members := make(map[int][]string)
+	for _, f := range stream {
+		members[f.Domain] = append(members[f.Domain], f.Tree.CanonicalHash())
+	}
+	for _, hashes := range members {
+		sort.Strings(hashes)
+		want[strings.Join(hashes, ",")] = true
+	}
+	var listing discoveredResponse
+	doJSON(t, http.MethodGet, ts.URL+"/v1/domains/discovered", nil, &listing)
+	if len(listing.Domains) != len(want) {
+		t.Fatalf("discovered %d domains, want the %d ground-truth domains", len(listing.Domains), len(want))
+	}
+	for _, d := range listing.Domains {
+		if !want[strings.Join(d.Forms, ",")] {
+			t.Errorf("discovered domain %s (forms %v) matches no ground-truth domain", d.ID, d.Forms)
+		}
+	}
+
+	d := listing.Domains[0]
+	if len(d.Clusters) == 0 {
+		t.Fatalf("discovered domain %s has no clusters", d.ID)
+	}
+	var tr translateResponse
+	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/translate",
+		translateRequest{Key: d.Key, Query: map[string]string{d.Clusters[0].Name: "1"}}, &tr)
+	if resp.StatusCode != http.StatusOK || len(tr.SubQueries) == 0 {
+		t.Errorf("translate against discovered domain %s: status %d, %d subqueries", d.ID, resp.StatusCode, len(tr.SubQueries))
+	}
+
+	// Every ingest reached the engine, every re-ingest was absorbed as a
+	// duplicate, and nothing was evicted.
+	dups := (len(stream) + 1) / 2
+	var snap snapshot
+	decodeBody(t, mustGet(t, ts.URL+"/metrics"), &snap)
+	dm := snap.Discovery
+	if dm.Ingested != uint64(len(stream)+dups) || dm.Duplicates != uint64(dups) {
+		t.Errorf("discovery ingested %d (%d duplicates), want %d (%d)", dm.Ingested, dm.Duplicates, len(stream)+dups, dups)
+	}
+	if dm.Created+dm.Merged < uint64(len(want)) || dm.Evicted != 0 || dm.Active != len(want) || dm.Forms != len(stream) {
+		t.Errorf("discovery metrics %+v, want %d live domains over %d forms and no eviction", dm, len(want), len(stream))
 	}
 }
 

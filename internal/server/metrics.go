@@ -224,8 +224,7 @@ type snapshot struct {
 // Integrator-owned caches (label interning, Relate verdicts, matcher block
 // keys and pair verdicts, solve/node derivations, source-label memo)
 // aggregated over every cached Integrator. HitRate is total hits over
-// total probes across every layer — the single number qiload's -warm
-// column reports.
+// total probes across every layer.
 type warmSnapshot struct {
 	Integrators     int     `json:"integrators"`
 	LabelHits       uint64  `json:"labelHits"`

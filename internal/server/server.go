@@ -156,8 +156,11 @@ type Server struct {
 	discoverNow func() time.Time
 
 	// testHookSlow, when set, runs inside every integration worker before
-	// the pipeline; tests use it to hold requests in flight.
-	testHookSlow func()
+	// the pipeline; tests use it to hold requests in flight. testHookMissed
+	// runs after an integration's cache probe misses, before it joins a
+	// flight.
+	testHookSlow   func()
+	testHookMissed func()
 }
 
 // New builds a Server with the given configuration.

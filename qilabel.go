@@ -123,16 +123,16 @@ type Config struct {
 	// Fingerprint and CacheKey.
 	Observer func(StageEvent)
 
-	// DisableWarmCache turns off the Integrator's cross-run warm caches
+	// disableWarmCache turns off the Integrator's cross-run warm caches
 	// (interned label analyses, shared Relate verdicts, matcher block keys
 	// and pair verdicts, naming solves, per-source label memo). These are
 	// also the only caches a Session reuses work through, so with them off
-	// every session delta recomputes in full. The caches store pure
-	// functions of the inputs and the lexicon, so they never change a
-	// result — only how fast repeated label sets integrate — and the
-	// setting is excluded from Fingerprint and CacheKey like the other
-	// execution-only knobs.
-	DisableWarmCache bool
+	// every session delta recomputes in full. Unexported and test-only —
+	// the warm-equivalence tests compare warm runs against this cold path,
+	// and the cold benchmarks and allocation budgets measure it. The caches
+	// store pure functions of the inputs and the lexicon, so the setting
+	// never changes a result and is excluded from Fingerprint.
+	disableWarmCache bool
 
 	// referenceKernels routes the pipeline through the unoptimized
 	// reference kernels: the matcher's exhaustive pairwise pass instead of
@@ -232,12 +232,6 @@ func WithParallelism(n int) Option {
 // WithObserver installs a per-stage observer; see StageEvent.
 func WithObserver(fn func(StageEvent)) Option {
 	return func(c *Config) { c.Observer = fn }
-}
-
-// WithoutWarmCache disables the Integrator's cross-run warm caches; see
-// Config.DisableWarmCache. Never affects the resulting labeling.
-func WithoutWarmCache() Option {
-	return func(c *Config) { c.DisableWarmCache = true }
 }
 
 // Result is the outcome of integrating and labeling a set of interfaces.

@@ -39,8 +39,7 @@ import (
 // run over run. Every table is bounded by one two-generation eviction
 // policy (internal/gencache) at fixed caps. Every cached fact is a pure
 // function of the inputs and the (frozen) lexicon, so warm results stay
-// byte-identical to cold ones; WarmStats reports hit rates, and
-// Config.DisableWarmCache turns the machinery off.
+// byte-identical to cold ones, and WarmStats reports hit rates.
 type Integrator struct {
 	cfg       Config
 	warm      *naming.Warm
@@ -64,7 +63,7 @@ func NewIntegrator(cfg Config) (*Integrator, error) {
 		cfg.Lexicon.Compile()
 	}
 	ig := &Integrator{cfg: cfg}
-	if !cfg.DisableWarmCache && !cfg.referenceKernels {
+	if !cfg.disableWarmCache && !cfg.referenceKernels {
 		ig.warm = naming.NewWarm(cfg.Lexicon)
 		if cfg.UseMatcher {
 			ig.matchWarm = match.NewWarm(cfg.Lexicon)

@@ -187,7 +187,7 @@ func TestDeltaEquivalenceGolden(t *testing.T) {
 // TestSessionReuse pins that deltas actually reuse work: after adding one
 // source to a warm medium-sized session, the recomputed-component counter
 // stays below the total and reuse is nonzero — the observable claim
-// behind BENCH_pr6.
+// behind BenchmarkDeltaAddSource.
 func TestSessionReuse(t *testing.T) {
 	ctx := context.Background()
 	for _, matcher := range []bool{false, true} {

@@ -4,21 +4,21 @@ import (
 	"fmt"
 	"testing"
 
+	"qilabel/internal/naming"
 	"qilabel/internal/synth"
 )
 
-// Scale harness: the worker × domain-size matrix behind BENCH_pr7.json.
-// The three synth presets (small 8×12, medium 32×32, mega 192×96 with a
-// synthesized vocabulary) share one perturbation profile, so the curve
-// isolates scale. Every cell reuses one warm Integrator — the redesigned
-// entry point the curve is meant to certify — and the serial/parallel
-// byte-equivalence of the same corpora is pinned by TestScaleSerialParallel
-// below, so the benchmark never trades determinism for speed.
+// Scale harness: the three synth presets (small 8×12, medium 32×32, mega
+// 192×96 with a synthesized vocabulary) share one perturbation profile, so
+// they isolate scale. BenchmarkWarm times a cold and a warm Integrator on
+// each; TestScaleSerialParallel pins serial ≡ parallel output on each, and
+// TestIntegrateAllocBudget bounds what each allocates. Timing claims come
+// from the repository benchmark (qibench/ under BENCHMARK.json) alone.
 
 // scaleCorpus generates a preset corpus and the base Config that labels
 // it: the (possibly extended) lexicon, with the matcher on — pairwise
-// matching is one of the two embarrassingly-parallel stages the scaling
-// curve is meant to expose, so every cell pays it.
+// matching is one of the two embarrassingly-parallel stages, so every
+// preset pays it.
 func scaleCorpus(tb testing.TB, size string) ([]*Tree, Config) {
 	tb.Helper()
 	cfg, err := synth.Preset(size)
@@ -32,41 +32,11 @@ func scaleCorpus(tb testing.TB, size string) ([]*Tree, Config) {
 	return trees, Config{Lexicon: lex, UseMatcher: true}
 }
 
-// BenchmarkScale measures warm Integrator throughput across the worker ×
-// domain-size matrix. On a single-core machine the workers>1 cells
-// document scheduling overhead rather than speedup; run on a multi-core
-// machine to see the parallel stages pay.
-func BenchmarkScale(b *testing.B) {
-	for _, size := range []string{"small", "medium", "mega"} {
-		sources, cfg := scaleCorpus(b, size)
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", size, workers), func(b *testing.B) {
-				c := cfg
-				c.Parallelism = workers
-				ig, err := NewIntegrator(c)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := ig.Integrate(sources); err != nil {
-					b.Fatal(err) // warm the caches outside the timer
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := ig.Integrate(sources); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkWarm contrasts a cache-cold Integrator (DisableWarmCache: every
+// BenchmarkWarm contrasts a cache-cold Integrator (disableWarmCache: every
 // iteration recomputes the full pipeline) with a warm one repeatedly
-// integrating the same corpus — the cross-run cache curves behind
-// BENCH_pr8.json. Warm output is byte-identical to cold
-// (TestWarmEquivalence); only the time differs.
+// integrating the same corpus, which replays by whole-corpus key. Warm
+// output is byte-identical to cold (TestWarmEquivalence); only the time
+// differs.
 func BenchmarkWarm(b *testing.B) {
 	for _, size := range []string{"small", "medium", "mega"} {
 		sources, cfg := scaleCorpus(b, size)
@@ -76,7 +46,7 @@ func BenchmarkWarm(b *testing.B) {
 		}{{"cold", true}, {"warm", false}} {
 			b.Run(size+"/"+mode.name, func(b *testing.B) {
 				c := cfg
-				c.DisableWarmCache = mode.disable
+				c.disableWarmCache = mode.disable
 				ig, err := NewIntegrator(c)
 				if err != nil {
 					b.Fatal(err)
@@ -93,67 +63,6 @@ func BenchmarkWarm(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// warmOverlapCorpora builds two medium corpora drawn from one synthesized
-// vocabulary (seed-shifted, lexicon pinned), so alternating them exercises
-// the content-signature fallback of the warm caches — substantial label
-// overlap, but no run is an exact repeat of the previous one.
-func warmOverlapCorpora(tb testing.TB) ([]*Tree, []*Tree, Config) {
-	tb.Helper()
-	cfgA, err := synth.Preset("medium")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	treesA, lex, err := synth.GenerateWithLexicon(cfgA)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	cfgB := cfgA
-	cfgB.Seed += 7
-	cfgB.SynthVocab = false
-	cfgB.Lexicon = lex
-	treesB, _, err := synth.GenerateWithLexicon(cfgB)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return treesA, treesB, Config{Lexicon: lex, UseMatcher: true}
-}
-
-// BenchmarkWarmOverlap alternates the two overlapping medium corpora on
-// one Integrator: the whole-corpus replay keys hit every other run, and
-// the label/verdict/solve caches absorb the shared vocabulary in between.
-func BenchmarkWarmOverlap(b *testing.B) {
-	treesA, treesB, cfg := warmOverlapCorpora(b)
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"cold", true}, {"warm", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			c := cfg
-			c.DisableWarmCache = mode.disable
-			ig, err := NewIntegrator(c)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, s := range [][]*Tree{treesA, treesB} {
-				if _, err := ig.Integrate(s); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s := treesA
-				if i%2 == 1 {
-					s = treesB
-				}
-				if _, err := ig.Integrate(s); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -196,35 +105,114 @@ func TestScaleSerialParallel(t *testing.T) {
 	}
 }
 
-// TestIntegrateAllocBudget pins the allocation diet: a warm Integrator
-// over the medium preset (32 sources × 32 concepts, matcher on) must stay
-// under an explicit allocs-per-run ceiling. The ceiling carries ~40%
-// headroom over the measured steady state, so it only trips on a real
-// regression (the pre-diet pipeline sat several times higher), not on
-// noise. Update the constant deliberately when the pipeline legitimately
-// changes shape.
-func TestIntegrateAllocBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc accounting skipped in -short mode")
-	}
-	const ceiling = 90_000 // measured steady state: ~64k allocs/run
+// allocSlack is how far above its measured count a TestIntegrateAllocBudget
+// row may allocate before it fails.
+const allocSlack = 1.15
 
-	sources, cfg := scaleCorpus(t, "medium")
-	cfg.Parallelism = 1 // AllocsPerRun pins GOMAXPROCS to 1 anyway
-	ig, err := NewIntegrator(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestIntegrateAllocBudget pins allocations per operation, which unlike
+// time do not depend on the hardware: a row fails when its operation
+// allocates more than allocSlack times the count measured when the row was
+// last set. The rows are the Hotels one-shot with the matcher (serial and
+// four workers), each synth preset through a cold (disableWarmCache) and a
+// warm Integrator, and the Relate memo resident and under churn. Update a
+// measured count deliberately when the pipeline legitimately changes
+// shape; run with -v to see every count.
+func TestIntegrateAllocBudget(t *testing.T) {
+	rows := []struct {
+		name     string
+		measured float64 // allocs per run (Go 1.24, linux/amd64)
+		long     bool    // skipped in -short mode
+		op       func(t *testing.T) func()
+	}{
+		{"hotels/serial", 15_550, false, hotelsOneShot(1)},
+		{"hotels/parallel", 14_712, false, hotelsOneShot(4)},
+		{"small/cold", 4_949, false, presetRun("small", true)},
+		{"small/warm", 1_179, false, presetRun("small", false)},
+		{"medium/cold", 36_328, false, presetRun("medium", true)},
+		{"medium/warm", 8_048, false, presetRun("medium", false)},
+		{"mega/cold", 494_138, true, presetRun("mega", true)},
+		{"mega/warm", 106_457, true, presetRun("mega", false)},
+		{"relate-memo/resident", 0, false, relateMemoPasses(60)},
+		{"relate-memo/churn", 3_795_464, true, relateMemoPasses(360)},
 	}
-	if _, err := ig.Integrate(sources); err != nil {
-		t.Fatal(err) // warm the scratch pools before counting
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			if r.long && testing.Short() {
+				t.Skip("skipped in -short mode")
+			}
+			op := r.op(t)
+			// AllocsPerRun runs op once before counting, which also primes
+			// the warm rows' caches, and pins GOMAXPROCS to 1.
+			allocs := testing.AllocsPerRun(1, op)
+			ceiling := allocSlack * r.measured
+			t.Logf("%.0f allocs/run (measured %.0f, ceiling %.0f)", allocs, r.measured, ceiling)
+			if allocs > ceiling {
+				t.Fatalf("%.0f allocs/run exceeds the ceiling %.0f (%.2f × the measured %.0f)",
+					allocs, ceiling, allocSlack, r.measured)
+			}
+		})
 	}
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := ig.Integrate(sources); err != nil {
+}
+
+// hotelsOneShot is BenchmarkIntegrate's operation: a one-shot Integrate of
+// the Hotels domain (30 interfaces) with the matcher on, at the given
+// worker count.
+func hotelsOneShot(workers int) func(t *testing.T) func() {
+	return func(t *testing.T) func() {
+		sources, err := BuiltinDomain("Hotels")
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("warm medium-domain Integrate: %.0f allocs/run (ceiling %d)", allocs, ceiling)
-	if allocs > ceiling {
-		t.Fatalf("warm medium-domain Integrate allocated %.0f times, ceiling is %d", allocs, ceiling)
+		return func() {
+			if _, err := Integrate(sources, WithMatcher(), WithParallelism(workers)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// presetRun is BenchmarkWarm's operation: one serial integration of a
+// synth preset on an Integrator whose warm caches are off (cold) or primed
+// by the previous run (warm).
+func presetRun(size string, cold bool) func(t *testing.T) func() {
+	return func(t *testing.T) func() {
+		sources, cfg := scaleCorpus(t, size)
+		cfg.Parallelism = 1
+		cfg.disableWarmCache = cold
+		ig, err := NewIntegrator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			if _, err := ig.Integrate(sources); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// relateMemoPasses is BenchmarkRelateMemo's operation (internal/naming):
+// every ordered pair of n labels through one Semantics' Relate memo, with
+// the label analyses pre-warmed. 60 labels (3.6k pairs) stay inside one
+// memo generation, so once the first pass has filled it every verdict is a
+// hit and a pass allocates nothing; 360 (129.6k pairs) rotate it on every
+// pass.
+func relateMemoPasses(n int) func(t *testing.T) func() {
+	return func(t *testing.T) func() {
+		labels := make([]string, n)
+		for i := range labels {
+			labels[i] = fmt.Sprintf("departure city %d", i)
+		}
+		sem := naming.NewSemantics(nil)
+		for _, l := range labels {
+			sem.Relate(l, l)
+		}
+		return func() {
+			for _, a := range labels {
+				for _, b := range labels {
+					sem.Relate(a, b)
+				}
+			}
+		}
 	}
 }

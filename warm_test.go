@@ -50,7 +50,7 @@ func TestWarmEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coldIG, err := NewIntegrator(Config{DisableWarmCache: true})
+			coldIG, err := NewIntegrator(Config{disableWarmCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +97,7 @@ func TestWarmEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coldIG, err := NewIntegrator(Config{UseMatcher: true, DisableWarmCache: true})
+		coldIG, err := NewIntegrator(Config{UseMatcher: true, disableWarmCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestWarmStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coldIG, err := NewIntegrator(Config{UseMatcher: true, DisableWarmCache: true})
+	coldIG, err := NewIntegrator(Config{UseMatcher: true, disableWarmCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestWarmSharedBySessions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coldIG, err := NewIntegrator(Config{UseMatcher: matcher, DisableWarmCache: true})
+			coldIG, err := NewIntegrator(Config{UseMatcher: matcher, disableWarmCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}
