@@ -7,11 +7,13 @@
 // final source set. That holds by construction — the session runs the
 // exact same pipeline (the one function below) on the same caches a
 // one-shot run consults: the Integrator's warm tables (naming.Warm,
-// match.Warm, the source-label table), which store results of pure
-// functions keyed by the full content those functions read. Reuse changes
-// only what is recomputed, never what comes out; the delta equivalence
-// gate in the root package pins it across the synth and golden corpora,
-// serial and parallel.
+// match.Warm, the source-label table), which hold per-label and per-pair
+// facts — label analyses, Relate verdicts, block keys, pair verdicts, a
+// source's label list — each a pure function of the content it is keyed
+// by. Every run re-derives its matching, merge and naming from those
+// facts; reuse changes only what is recomputed, never what comes out. The
+// delta equivalence gate in the root package pins it across the synth and
+// golden corpora, serial and parallel.
 package delta
 
 import (
@@ -46,16 +48,9 @@ type Config struct {
 	// the reference kernels ignore any that are attached. Test-only, like
 	// qilabel's unexported twin.
 	ReferenceKernels bool
-	// Fingerprint is the configuration's fingerprint (qilabel's
-	// Config.Fingerprint, cached by the Integrator). With a warm cache
-	// attached, a run keys its whole-corpus replays by
-	// schema.CacheKey(source hashes, Fingerprint) — the result's own cache
-	// key. Empty: no corpus key, so nothing replays by position.
-	Fingerprint string
 	// Warm, when non-nil, is the cross-run warm cache (interned label
-	// analyses, shared Relate verdicts, group/isolated/node solve caches)
-	// the run's analysis table is built through and the naming passes
-	// consult. Pure accelerator with byte-identical output; nil degrades
+	// analyses, shared Relate verdicts) the run's analysis table is built
+	// through. Pure accelerator with byte-identical output; nil degrades
 	// to a per-run table.
 	Warm *naming.Warm
 	// MatchWarm, when non-nil, caches the matcher's block keys and pair
@@ -73,14 +68,13 @@ type Config struct {
 
 // Outcome is one pipeline run's full output: the working trees (clones,
 // canonically ordered, 1:m-expanded, matcher-annotated), the cluster
-// mapping, and the merge and naming results. Reuse and Pairs count what
-// this run answered from the warm caches versus computed.
+// mapping, and the merge and naming results. Pairs counts the matcher
+// pair verdicts this run answered from the warm cache versus evaluated.
 type Outcome struct {
 	Trees   []*schema.Tree
 	Mapping *cluster.Mapping
 	Merge   *merge.Result
 	Naming  *naming.Result
-	Reuse   naming.ReuseCounts
 	Pairs   match.PairCounts
 }
 
@@ -109,16 +103,6 @@ func Run(ctx context.Context, trees []*schema.Tree, cfg Config, observe func(sta
 	hashes := canonicalizeSourceOrderHashed(trees)
 	cluster.ExpandOneToMany(trees)
 	out := &Outcome{Trees: trees}
-
-	// Corpus key for the warm caches' whole-run fast paths: the result's
-	// own cache key. The canonical pre-expansion hashes plus the
-	// fingerprint determine the entire pipeline outcome (the invariant
-	// CacheKey-based result sharing relies on), so stages can key
-	// replayable results by it.
-	warmKey := ""
-	if cfg.Fingerprint != "" && (cfg.Warm != nil || cfg.MatchWarm != nil) {
-		warmKey = schema.CacheKey(hashes, cfg.Fingerprint)
-	}
 
 	// One label-analysis table serves the whole run: the matcher's pairwise
 	// pass reads trimmed leaf labels, the naming phases read raw node
@@ -153,7 +137,6 @@ func Run(ctx context.Context, trees []*schema.Tree, cfg Config, observe func(sta
 			DisableBlocking: cfg.ReferenceKernels,
 			Analysis:        analysis,
 			Warm:            cfg.MatchWarm,
-			WarmKey:         warmKey,
 			Pairs:           &out.Pairs,
 		})
 		if err != nil {
@@ -185,9 +168,6 @@ func Run(ctx context.Context, trees []*schema.Tree, cfg Config, observe func(sta
 		Parallelism:      cfg.Parallelism,
 		DisableMemo:      cfg.ReferenceKernels,
 		Analysis:         analysis,
-		Warm:             cfg.Warm,
-		WarmKey:          warmKey,
-		Reuse:            &out.Reuse,
 	})
 	if err != nil {
 		return nil, err

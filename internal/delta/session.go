@@ -24,9 +24,10 @@ var ErrUnknownSource = errors.New("qilabel: unknown source hash")
 // component counts as reused when a cluster with identical member content
 // (interface, label, instances — names excluded, the matcher renumbers
 // them) existed after the previous operation, i.e. the source change did
-// not touch it and its match edges and naming solution came from the warm
-// caches. The cache counters are tallied by the operation's own run, never
-// read off the shared caches, which concurrent runs also move.
+// not touch it, so its labels' analyses and verdicts and its match edges
+// came from the warm caches. The pair counters are tallied by the
+// operation's own run, never read off the shared caches, which concurrent
+// runs also move.
 type Stats struct {
 	// Op is "add", "update" or "remove".
 	Op string
@@ -38,17 +39,8 @@ type Stats struct {
 	Components           int
 	ComponentsReused     int
 	ComponentsRecomputed int
-	// GroupsReused / GroupsComputed count naming group solves answered
-	// from the warm cache vs. executed; Isolated* likewise for isolated
-	// cluster elections.
-	GroupsReused     int
-	GroupsComputed   int
-	IsolatedReused   int
-	IsolatedComputed int
 	// PairsEvaluated / PairHits count matcher pair verdicts computed vs.
-	// answered from the warm cache (matcher sessions only). A corpus the
-	// matcher has seen before replays its whole assignment and counts
-	// neither.
+	// answered from the warm cache (matcher sessions only).
 	PairsEvaluated int
 	PairHits       int
 	// Duration is the operation's pipeline time.
@@ -59,7 +51,6 @@ type Stats struct {
 type Totals struct {
 	Ops, Adds, Updates, Removes            int64
 	ComponentsReused, ComponentsRecomputed int64
-	GroupsReused, GroupsComputed           int64
 	PairsEvaluated, PairHits               int64
 }
 
@@ -77,12 +68,13 @@ type entry struct {
 // Session owns a live integration state over a mutable source multiset.
 // Each delta operation (AddSource, UpdateSource, RemoveSource) re-runs
 // the shared pipeline over the updated set on the configuration's warm
-// caches, so only the work the change touches is recomputed; the
-// resulting Outcome is always exactly what a from-scratch run over the
-// same set would produce. Operations are serialized by an internal mutex;
-// a failed or canceled operation leaves the session state unchanged (the
-// caches may have absorbed partial work — harmless, they store
-// pure-function results).
+// caches, so the label analyses, Relate verdicts, block keys and pair
+// verdicts of untouched sources are not recomputed; the resulting Outcome
+// is always exactly what a from-scratch run over the same set would
+// produce. Operations are serialized by an internal mutex; a failed or
+// canceled operation leaves the session state unchanged (the caches may
+// have absorbed partial work — harmless, they store pure-function
+// results).
 type Session struct {
 	mu       sync.Mutex
 	cfg      Config
@@ -251,8 +243,6 @@ func (s *Session) recompute(ctx context.Context, op string, next []entry) error 
 		}
 	}
 	st.ComponentsRecomputed = st.Components - st.ComponentsReused
-	st.GroupsReused, st.GroupsComputed = out.Reuse.GroupsReused, out.Reuse.GroupsComputed
-	st.IsolatedReused, st.IsolatedComputed = out.Reuse.IsolatedReused, out.Reuse.IsolatedComputed
 	st.PairsEvaluated, st.PairHits = out.Pairs.Evaluated, out.Pairs.Hits
 	st.Duration = elapsed()
 
@@ -277,8 +267,6 @@ func (s *Session) commit(st Stats) {
 	}
 	s.totals.ComponentsReused += int64(st.ComponentsReused)
 	s.totals.ComponentsRecomputed += int64(st.ComponentsRecomputed)
-	s.totals.GroupsReused += int64(st.GroupsReused + st.IsolatedReused)
-	s.totals.GroupsComputed += int64(st.GroupsComputed + st.IsolatedComputed)
 	s.totals.PairsEvaluated += int64(st.PairsEvaluated)
 	s.totals.PairHits += int64(st.PairHits)
 }

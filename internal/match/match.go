@@ -93,23 +93,15 @@ type Options struct {
 	// DisableBlocking, for a lexicon other than the Warm's, or for a
 	// threshold other than the default.
 	Warm *Warm
-	// WarmKey, when non-empty alongside Warm, is the caller's fingerprint
-	// of the exact canonical source content plus every assignment-affecting
-	// option. Because the whole pipeline is a pure function of that content
-	// (the invariant IntegrateBatch's result sharing already relies on), an
-	// identical key means an identical assignment: the warm cache replays
-	// the leaf->cluster vector and skips the pairwise pass entirely.
-	WarmKey string
 	// Pairs, when non-nil, receives this run's candidate-pair tallies.
 	Pairs *PairCounts
 }
 
 // PairCounts tallies one run's probed candidate pairs: verdicts answered
 // from the warm cache versus evaluated. A candidate already connected to
-// its row's field is skipped and counts as neither, and so does a replayed
-// whole-corpus assignment. The sum depends on the input alone; at
-// Parallelism > 1 the split may not, since two workers can evaluate one
-// content pair in the same run.
+// its row's field is skipped and counts as neither. The sum depends on the
+// input alone; at Parallelism > 1 the split may not, since two workers can
+// evaluate one content pair in the same run.
 type PairCounts struct {
 	Hits, Evaluated int
 }
@@ -260,19 +252,6 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 	}
 	if warm != nil {
 		warm.ensureEpoch()
-	}
-
-	// Whole-corpus fast path: a remembered corpus fingerprint replays the
-	// exact leaf->cluster vector (leaves enumerate in the same canonical
-	// order both times) without normalizing a single field.
-	akey := ""
-	if warm != nil && opts.WarmKey != "" {
-		akey = opts.WarmKey + "|a|" + prefix
-		if e, ok := warm.assigns.Get(akey); ok {
-			if applyAssignment(trees, e.names) {
-				return e.n, nil
-			}
-		}
 	}
 
 	fields, ifaces := collectFields(trees)
@@ -430,37 +409,7 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 			opts.Pairs.Evaluated += t.Evaluated
 		}
 	}
-	n := clusterize(fields, ifaces, roots.root, prefix)
-	if akey != "" {
-		names := make([]string, len(fields))
-		for i := range fields {
-			names[i] = fields[i].leaf.Cluster
-		}
-		warm.assigns.Put(akey, assignEntry{names: names, n: n})
-	}
-	return n, nil
-}
-
-// applyAssignment writes a cached leaf->cluster vector onto the trees'
-// leaves in the same enumeration order collectFields flattens them. A
-// length mismatch (a colliding key, which a sha256 corpus fingerprint makes
-// vanishingly unlikely) reports false and writes nothing.
-func applyAssignment(trees []*schema.Tree, names []string) bool {
-	total := 0
-	for _, t := range trees {
-		total += len(t.Leaves())
-	}
-	if total != len(names) {
-		return false
-	}
-	idx := 0
-	for _, t := range trees {
-		for _, leaf := range t.Leaves() {
-			leaf.Cluster = names[idx]
-			idx++
-		}
-	}
-	return true
+	return clusterize(fields, ifaces, roots.root, prefix), nil
 }
 
 // collectFields flattens the trees' leaves into fieldInfos with the

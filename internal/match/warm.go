@@ -23,12 +23,10 @@ import (
 // Capacity bounds of a matcher Warm cache, each the population of both
 // generations of its table (see gencache). The key cap bounds remembered
 // field contents (block keys plus a stable ID each); the pair cap bounds
-// match verdicts (one byte of payload per 8-byte key); the assign cap
-// bounds remembered whole-corpus assignments.
+// match verdicts (one byte of payload per 8-byte key).
 const (
-	warmKeyCap    = 1 << 16
-	warmPairCap   = 1 << 20
-	warmAssignCap = 1 << 10
+	warmKeyCap  = 1 << 16
+	warmPairCap = 1 << 20
 )
 
 // warmKey is one remembered field content: its block keys and the stable
@@ -38,13 +36,6 @@ const (
 type warmKey struct {
 	keys []string
 	id   int32
-}
-
-// assignEntry is one cached whole-corpus assignment: the cluster name of
-// every leaf in canonical enumeration order, and the cluster count.
-type assignEntry struct {
-	names []string
-	n     int
 }
 
 // WarmStats is a point-in-time snapshot of a matcher Warm cache.
@@ -60,12 +51,6 @@ type WarmStats struct {
 	// Keys / Pairs are the current populations (both generations).
 	Keys  int
 	Pairs int
-	// AssignHits / AssignMisses count whole-corpus assignment probes
-	// (keyed by Options.WarmKey) answered from the cache vs matched in
-	// full; Assigns is the population.
-	AssignHits   uint64
-	AssignMisses uint64
-	Assigns      int
 	// EpochResets counts wholesale invalidations after a lexicon mutation.
 	EpochResets uint64
 }
@@ -97,13 +82,6 @@ type Warm struct {
 
 	pairs *gencache.Sharded[bool]
 
-	// Whole-corpus assignment cache, keyed by Options.WarmKey (the caller's
-	// fingerprint of the exact canonical source content plus every
-	// assignment-affecting option). A hit replays the leaf->cluster vector
-	// and skips the pairwise pass entirely; the content-keyed tables above
-	// still accelerate misses.
-	assigns *gencache.Table[string, assignEntry]
-
 	keyHits, keyMisses atomic.Uint64
 	epochResets        atomic.Uint64
 }
@@ -120,10 +98,9 @@ func newWarm(lex *lexicon.Lexicon, keyCap, pairCap int) *Warm {
 		lex = lexicon.Default()
 	}
 	w := &Warm{
-		lex:     lex,
-		keys:    gencache.NewMap[string, warmKey](keyCap),
-		pairs:   gencache.NewSharded[bool](pairCap),
-		assigns: gencache.NewTable[string, assignEntry](warmAssignCap),
+		lex:   lex,
+		keys:  gencache.NewMap[string, warmKey](keyCap),
+		pairs: gencache.NewSharded[bool](pairCap),
 	}
 	w.gen.Store(lex.Generation())
 	return w
@@ -151,7 +128,6 @@ func (w *Warm) reset(gen uint64) {
 	w.keys.Reset()
 	w.nextID = 0
 	w.pairs.Reset()
-	w.assigns.Reset()
 	w.gen.Store(gen)
 	w.epochResets.Add(1)
 }
@@ -235,8 +211,7 @@ func (w *Warm) Stats() WarmStats {
 	w.mu.RLock()
 	st.Keys = w.keys.Len()
 	w.mu.RUnlock()
-	p, a := w.pairs.Stats(), w.assigns.Stats()
+	p := w.pairs.Stats()
 	st.PairHits, st.PairMisses, st.Pairs = p.Hits, p.Misses, p.Len
-	st.AssignHits, st.AssignMisses, st.Assigns = a.Hits, a.Misses, a.Len
 	return st
 }

@@ -93,9 +93,9 @@ func TestWarmAssignEquivalence(t *testing.T) {
 	}
 }
 
-// TestWarmAssignReuse: re-running over unchanged content with an empty
-// WarmKey (so no whole-corpus replay) derives no block key and evaluates no
-// pair — every candidate pair is answered from the Warm.
+// TestWarmAssignReuse: re-running over unchanged content derives no block
+// key and evaluates no pair — every candidate pair is answered from the
+// Warm.
 func TestWarmAssignReuse(t *testing.T) {
 	trees := growingCorpus(t, 7, 5)
 	w := NewWarm(nil)
@@ -111,8 +111,8 @@ func TestWarmAssignReuse(t *testing.T) {
 	if _, err := AssignContext(ctx, cloneTrees(trees), Options{Warm: w, Pairs: &second}); err != nil {
 		t.Fatal(err)
 	}
-	if st := w.Stats(); st.KeyMisses != cold.KeyMisses || st.AssignHits != 0 {
-		t.Fatalf("warm run derived block keys or replayed a corpus: %+v", st)
+	if st := w.Stats(); st.KeyMisses != cold.KeyMisses {
+		t.Fatalf("warm run derived block keys: %+v", st)
 	}
 	if second.Evaluated != 0 {
 		t.Fatalf("warm run evaluated %d pairs", second.Evaluated)

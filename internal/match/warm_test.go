@@ -47,20 +47,6 @@ func TestWarmKeyCapBound(t *testing.T) {
 	}
 }
 
-// TestWarmAssignBound: the whole-corpus assignment table is bounded too.
-func TestWarmAssignBound(t *testing.T) {
-	w := NewWarm(nil)
-	for i := 0; i < warmAssignCap*2; i++ {
-		w.assigns.Put(fmt.Sprintf("corpus-%d|a|m", i), assignEntry{names: []string{"m_001"}, n: 1})
-		if st := w.Stats(); st.Assigns > warmAssignCap {
-			t.Fatalf("assignment table holds %d, cap is %d", st.Assigns, warmAssignCap)
-		}
-	}
-	if e, ok := w.assigns.Get(fmt.Sprintf("corpus-%d|a|m", warmAssignCap*2-1)); !ok || e.n != 1 {
-		t.Fatal("newest assignment entry unreachable")
-	}
-}
-
 // TestWarmPairPromotionCountsOnce: a verdict promoted out of the old
 // generation moves instead of holding a slot in both, so the population
 // Stats reports is the number of distinct pairs.

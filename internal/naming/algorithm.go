@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sort"
-	"strconv"
 	"strings"
 
 	"qilabel/internal/cluster"
@@ -74,39 +73,10 @@ type Options struct {
 	// and the naming passes instead of each stage re-analyzing the same
 	// labels. Labels outside the table fall back to per-worker caches, so
 	// the option is a pure accelerator: it can never change the labeling.
-	// Ignored under DisableMemo.
+	// Ignored under DisableMemo. A table built by Warm.Analysis also
+	// carries the Warm's shared Relate verdicts to every worker, the one
+	// way a run reuses the work of earlier runs.
 	Analysis *Analysis
-	// Warm, when non-nil, is the cross-run warm cache of a long-lived
-	// handle, the one layer through which runs reuse each other's work:
-	// group solves and isolated elections are answered from it across any
-	// number of concurrent runs — one-shot integrations and delta sessions
-	// alike — keyed by content signatures that cover everything a solve
-	// reads (so reuse cannot change the output; the delta and warm
-	// equivalence gates pin this byte for byte), and per-node candidate
-	// derivations replay from it by WarmKey position. Ignored under
-	// DisableMemo or when built over a different lexicon.
-	Warm *Warm
-	// WarmKey, when non-empty alongside Warm, is the caller's fingerprint of
-	// the exact canonical source content plus every behavior-affecting
-	// option — the invariant the pipeline's result sharing already relies
-	// on: an identical key means an identical merge result, so group,
-	// isolated and node outcomes can be cached under cheap positional keys
-	// (key + unit index) probed before the content signatures are even
-	// built. Groups and isolated clusters fall back to their content
-	// signatures, so corpora that merely overlap a previous run still reuse
-	// that work; node derivations have no content key (see RunContext).
-	WarmKey string
-	// Reuse, when non-nil, receives this run's reuse tallies, the way
-	// SolverOptions.Counters receives rule tallies.
-	Reuse *ReuseCounts
-}
-
-// ReuseCounts tallies how one run answered its group solves and
-// isolated-cluster elections: from the warm cache (by position or content)
-// versus computed. The root group counts as a group.
-type ReuseCounts struct {
-	GroupsReused, GroupsComputed     int
-	IsolatedReused, IsolatedComputed int
 }
 
 // GroupReport records the solving of one group.
@@ -228,85 +198,19 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 	ifaces := cluster.Interfaces(mr.Sources)
 
 	// ---- Phase 1a: groups, the root group last. ----------------------------
-	// With a warm cache, each group is probed by its positional key, then by
-	// its content signature, and only the misses are solved — fanned out to
-	// the workers and stored under both keys afterwards. Reused outcomes are
-	// rebound to the current run's cluster objects; reused rule tallies
-	// merge exactly as a fresh solve's would (addition commutes).
-	warm := opts.Warm
-	if opts.DisableMemo || (warm != nil && warm.lex != sem.Lexicon()) {
-		warm = nil
-	}
-	if warm != nil {
-		warm.ensureEpoch()
-	}
-	// Cheap positional keys: with a corpus fingerprint, every unit's outcome
-	// is additionally cached under (fingerprint, unit index) — the pipeline
-	// is deterministic, so the i-th group of an identical corpus is the same
-	// group. A cheap hit skips building the relation and the content
-	// signature entirely; misses resolve through the content signatures and
-	// then alias-store under the cheap key for the next identical run.
-	cheap := ""
-	if warm != nil && opts.WarmKey != "" {
-		cheap = opts.WarmKey
-	}
-	reuse := opts.Reuse
-	if reuse == nil {
-		reuse = new(ReuseCounts)
-	}
 	groups := mr.Groups
 	if len(mr.Root) > 0 {
 		groups = append(groups[:len(groups):len(groups)], mr.Root)
 	}
-	groupKey := func(i int) string { return cheap + "|g|" + strconv.Itoa(i) }
 	groupOuts := make([]*GroupOutcome, len(groups))
 	groupCounters := make([]Counters, len(groups))
-	rels := make([]*cluster.Relation, len(groups))
-	sigs := make([]string, len(groups))
-	var solve []int
-	for i, g := range groups {
-		if cheap != "" {
-			if e, ok := warm.groups.Get(groupKey(i)); ok {
-				groupOuts[i], groupCounters[i] = e.outcomeFor(g), e.counters
-				reuse.GroupsReused++
-				continue
-			}
-		}
-		if warm != nil {
-			rels[i] = cluster.BuildRelation(g, ifaces)
-			sigs[i] = groupSignature(g, rels[i], sopts)
-			if e, ok := warm.groups.Get(sigs[i]); ok {
-				groupOuts[i], groupCounters[i] = e.outcomeFor(g), e.counters
-				reuse.GroupsReused++
-				if cheap != "" {
-					warm.groups.Put(groupKey(i), e)
-				}
-				continue
-			}
-		}
-		solve = append(solve, i)
-	}
-	err := pool.ForEach(ctx, workers, len(solve), func(w, k int) {
-		i := solve[k]
-		if rels[i] == nil {
-			rels[i] = cluster.BuildRelation(groups[i], ifaces)
-		}
+	err := pool.ForEach(ctx, workers, len(groups), func(w, i int) {
 		so := sopts
 		so.Counters = &groupCounters[i]
-		groupOuts[i] = semFor(w).SolveGroup(rels[i], so)
+		groupOuts[i] = semFor(w).SolveGroup(cluster.BuildRelation(groups[i], ifaces), so)
 	})
 	if err != nil {
 		return nil, err
-	}
-	reuse.GroupsComputed += len(solve)
-	if warm != nil {
-		for _, i := range solve {
-			e := groupEntry{outcome: detach(groupOuts[i]), counters: groupCounters[i]}
-			warm.groups.Put(sigs[i], e)
-			if cheap != "" {
-				warm.groups.Put(groupKey(i), e)
-			}
-		}
 	}
 	for i, g := range groups {
 		res.Counters.Merge(groupCounters[i])
@@ -319,44 +223,9 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 		res.Groups = append(res.Groups, gr)
 	}
 
-	// ---- Phase 1b: isolated clusters, probed like the groups. --------------
-	for ci, c := range mr.Isolated {
-		var ikey, sig string
-		if cheap != "" {
-			ikey = cheap + "|s|" + strconv.Itoa(ci)
-			if e, ok := warm.isolated.Get(ikey); ok {
-				res.IsolatedLabels[c.Name] = e.label
-				res.Counters.Merge(e.counters)
-				reuse.IsolatedReused++
-				continue
-			}
-		}
-		if warm != nil {
-			sig = isolatedSignature(c, sopts)
-			if e, ok := warm.isolated.Get(sig); ok {
-				res.IsolatedLabels[c.Name] = e.label
-				res.Counters.Merge(e.counters)
-				reuse.IsolatedReused++
-				if ikey != "" {
-					warm.isolated.Put(ikey, e)
-				}
-				continue
-			}
-		}
-		var cnt Counters
-		so := sopts
-		so.Counters = &cnt
-		label := sem.LabelIsolated(c, so)
-		res.IsolatedLabels[c.Name] = label
-		res.Counters.Merge(cnt)
-		reuse.IsolatedComputed++
-		if warm != nil {
-			e := isolatedEntry{label: label, counters: cnt}
-			warm.isolated.Put(sig, e)
-			if ikey != "" {
-				warm.isolated.Put(ikey, e)
-			}
-		}
+	// ---- Phase 1b: isolated clusters. --------------------------------------
+	for _, c := range mr.Isolated {
+		res.IsolatedLabels[c.Name] = sem.LabelIsolated(c, sopts)
 	}
 
 	// ---- Phase 1c: candidate labels for internal nodes (bottom-up). --------
@@ -368,46 +237,20 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 		return true
 	})
 
+	// Nodes derive their candidates over a per-run index (bitset cluster
+	// sets, per-cluster content words); the reference kernels keep the
+	// map-based derivation it must match.
 	nodeOuts := make([]*NodeReport, len(internals))
 	nodeCounters := make([]Counters, len(internals))
-
-	// Positional replay: with a corpus fingerprint, the i-th internal node
-	// of an identical corpus is the same node (the tree walk is
-	// deterministic), so its derivation — including its sorted leaf set —
-	// replays from (fingerprint, node index). Nodes have no content key: a
-	// derivation reads every source unit inside X, which a changed corpus
-	// rarely reproduces exactly, so such a key would cost a signature per
-	// node and hit under 2% of probes on the benchmark workloads.
-	work := make([]int, 0, len(internals))
-	for i := range internals {
-		if cheap != "" {
-			if e, ok := warm.nodes.Get(cheap + "|n|" + strconv.Itoa(i)); ok {
-				nodeCounters[i] = e.counters
-				nodeOuts[i] = &NodeReport{
-					Node:           internals[i],
-					Clusters:       e.clusters,
-					Candidates:     e.cands,
-					PotentialCount: e.potentials,
-				}
-				continue
-			}
-		}
-		work = append(work, i)
-	}
-
-	// The remaining nodes derive their candidates over a per-run index
-	// (bitset cluster sets, per-cluster content words); the reference
-	// kernels keep the map-based derivation it must match.
 	var units []sourceUnit
 	var ix *nodeIndex
-	if len(work) > 0 {
+	if len(internals) > 0 {
 		units = collectSourceUnits(mr.Sources)
 		if !opts.DisableMemo {
 			ix = newNodeIndex(sem, mr.Mapping, units, mr.Tree.Root.LeafClusters())
 		}
 	}
-	err = pool.ForEach(ctx, workers, len(work), func(w, k int) {
-		i := work[k]
+	err = pool.ForEach(ctx, workers, len(internals), func(w, i int) {
 		so := sopts
 		so.Counters = &nodeCounters[i]
 		x := internals[i].LeafClusters()
@@ -418,11 +261,6 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 			cands, potentials = semFor(w).candidateLabelsIndexed(ix, ix.setOf(names), so)
 		} else {
 			cands, potentials = semFor(w).candidateLabels(x, units, mr.Mapping, so)
-		}
-		if cheap != "" {
-			warm.nodes.Put(cheap+"|n|"+strconv.Itoa(i), nodeEntry{
-				clusters: names, cands: cands, potentials: potentials, counters: nodeCounters[i],
-			})
 		}
 		nodeOuts[i] = &NodeReport{
 			Node:           internals[i],

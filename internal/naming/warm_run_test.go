@@ -70,12 +70,11 @@ func renderNaming(res *Result) string {
 }
 
 // TestWarmRunEquivalence pins the warm cache's contract on every corpus
-// domain: runs answered from a Warm produce results indistinguishable from
-// a plain Run — tree labels, classification, group reports (with relations
-// rebound to the live clusters), isolated labels, node reports and rule
-// counters. The passes walk the probe order: a cold Warm, the same Warm by
-// content signature, then with a corpus key, whose first run aliases the
-// content hits under positional keys and whose second replays by position.
+// domain: runs whose analysis table is interned through a Warm produce
+// results indistinguishable from a plain Run — tree labels,
+// classification, group reports, isolated labels, node reports and rule
+// counters. The first pass fills the Warm; the later ones resolve every
+// label and shared verdict from it.
 func TestWarmRunEquivalence(t *testing.T) {
 	for _, d := range dataset.Domains() {
 		t.Run(d.Name, func(t *testing.T) {
@@ -86,71 +85,25 @@ func TestWarmRunEquivalence(t *testing.T) {
 			want := renderNaming(base)
 
 			w := NewWarm(nil)
-			for pass, key := range []string{"", "", d.Name, d.Name} {
-				var reuse ReuseCounts
-				res, err := Run(domainMerge(t, d.Name), Options{Warm: w, WarmKey: key, Reuse: &reuse})
+			for pass := 0; pass < 3; pass++ {
+				mr := domainMerge(t, d.Name)
+				res, err := Run(mr, Options{Analysis: w.Analysis(sourceLabels(mr.Sources))})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := renderNaming(res); got != want {
 					t.Fatalf("pass %d diverges:\n--- warm\n%s--- plain\n%s", pass, got, want)
 				}
-				if pass == 0 {
-					if reuse.GroupsReused != 0 || reuse.GroupsComputed == 0 {
-						t.Fatalf("cold run reuse tallies: %+v", reuse)
-					}
-					if st := w.Stats(); st.Solves != reuse.GroupsComputed+reuse.IsolatedComputed {
-						t.Fatalf("%d solves stored, %+v computed", st.Solves, reuse)
-					}
-					continue
-				}
-				if reuse.GroupsComputed != 0 || reuse.IsolatedComputed != 0 {
-					t.Fatalf("pass %d recomputed: %+v", pass, reuse)
-				}
-				if reuse.GroupsReused == 0 {
-					t.Fatalf("pass %d reused nothing: %+v", pass, reuse)
-				}
 			}
-			if st := w.Stats(); st.NodeHits == 0 {
-				t.Fatalf("repeated corpus key replayed no node: %+v", st)
+			if st := w.Stats(); st.LabelHits == 0 || st.VerdictHits == 0 {
+				t.Fatalf("repeated runs never hit the Warm: %+v", st)
 			}
 		})
 	}
 }
 
-// TestWarmRebindsRelation: a warm-hit group outcome must reference the
-// clusters of the run that reused it, not the run that solved it —
-// otherwise reports would leak stale cluster objects across runs.
-func TestWarmRebindsRelation(t *testing.T) {
-	w := NewWarm(nil)
-	if _, err := Run(domainMerge(t, "Airline"), Options{Warm: w}); err != nil {
-		t.Fatal(err)
-	}
-	mr := domainMerge(t, "Airline")
-	var reuse ReuseCounts
-	warm, err := Run(mr, Options{Warm: w, Reuse: &reuse})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reuse.GroupsReused != len(warm.Groups) {
-		t.Fatalf("%d of %d groups answered from the warm cache", reuse.GroupsReused, len(warm.Groups))
-	}
-	live := make(map[*cluster.Cluster]bool)
-	for _, c := range mr.Mapping.Clusters {
-		live[c] = true
-	}
-	for _, g := range warm.Groups {
-		for _, c := range g.Outcome.Relation.Clusters {
-			if !live[c] {
-				t.Fatalf("group %v: relation references a cluster object from a previous run", g.Clusters)
-			}
-		}
-	}
-}
-
-// TestWarmDoesNotPinRuns: a stored group solve must not keep the run that
-// solved it alive. Once that run's result is dropped, its source leaves are
-// collectable, while the Warm still answers the run's solves.
+// TestWarmDoesNotPinRuns: the Warm must not keep a run alive. Once that
+// run's result is dropped, its source leaves are collectable.
 func TestWarmDoesNotPinRuns(t *testing.T) {
 	w := NewWarm(nil)
 	collected := make(chan struct{})
@@ -158,7 +111,7 @@ func TestWarmDoesNotPinRuns(t *testing.T) {
 		mr := domainMerge(t, "Airline")
 		leaf := mr.Groups[0][0].Members[0].Leaf
 		runtime.SetFinalizer(leaf, func(*schema.Node) { close(collected) })
-		if _, err := Run(mr, Options{Warm: w}); err != nil {
+		if _, err := Run(mr, Options{Analysis: w.Analysis(sourceLabels(mr.Sources))}); err != nil {
 			t.Fatal(err)
 		}
 	}()
@@ -168,12 +121,5 @@ func TestWarmDoesNotPinRuns(t *testing.T) {
 	case <-collected:
 	case <-time.After(5 * time.Second):
 		t.Fatal("a source leaf of a dropped run is still reachable from the Warm")
-	}
-	var reuse ReuseCounts
-	if _, err := Run(domainMerge(t, "Airline"), Options{Warm: w, Reuse: &reuse}); err != nil {
-		t.Fatal(err)
-	}
-	if reuse.GroupsComputed != 0 || reuse.GroupsReused == 0 {
-		t.Fatalf("the Warm no longer answers the dropped run's solves: %+v", reuse)
 	}
 }

@@ -78,9 +78,8 @@ func setSum(digests []string) [sha256.Size]byte {
 // CacheKey is the one definition of the key identifying an integration:
 // the hex set digest of the sources' canonical hashes (in any order, see
 // CombineHashes), a zero byte, and the configuration fingerprint, hashed.
-// The result caches key on it, and the pipeline keys its whole-corpus warm
-// replays on it, so a key that identifies a result also identifies every
-// intermediate the result was built from.
+// The result caches key on it, so a key that identifies a result also
+// identifies every intermediate the result was built from.
 func CacheKey(digests []string, fingerprint string) string {
 	const setLen = 2 * sha256.Size
 	set := setSum(digests)

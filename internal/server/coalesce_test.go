@@ -32,16 +32,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // observer events — and all 50 receive the same successful result.
 func TestCoalescingSingleRun(t *testing.T) {
 	const clients = 50
-	unblock := make(chan struct{})
 	s, ts := newTestServer(t, Config{MaxInflight: 2})
-	s.testHookSlow = func() {
-		// Hold the single flight open until every other request has
-		// coalesced onto it, so none can slip in late and hit the cache.
-		waitFor(t, "all waiters to coalesce", func() bool {
-			return s.metrics.coalesced.Load() == clients-1
-		})
-		<-unblock
-	}
+	// Hold the single flight open until the test has seen every other
+	// request coalesce onto it, so none can slip in late and hit the cache.
+	unblock, release := holdHook(t)
+	s.testHookSlow = func() { <-unblock }
 
 	body, err := json.Marshal(integrateRequest{Sources: fixtureSources()})
 	if err != nil {
@@ -71,10 +66,9 @@ func TestCoalescingSingleRun(t *testing.T) {
 			replies <- reply{resp.StatusCode, out}
 		}()
 	}
-	// All 49 followers have joined once the hook's wait returns; release
-	// the run.
+	// Release the run once all 49 followers have joined.
 	waitFor(t, "flight to form", func() bool { return s.metrics.coalesced.Load() == clients-1 })
-	close(unblock)
+	release()
 	wg.Wait()
 	close(replies)
 
@@ -126,8 +120,8 @@ func TestCoalescingSingleRun(t *testing.T) {
 // and the surviving waiter still receives the full result.
 func TestCoalescingLeaderDisconnect(t *testing.T) {
 	entered := make(chan struct{})
-	unblock := make(chan struct{})
 	s, ts := newTestServer(t, Config{})
+	unblock, release := holdHook(t)
 	s.testHookSlow = func() {
 		close(entered)
 		<-unblock
@@ -151,7 +145,11 @@ func TestCoalescingLeaderDisconnect(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	<-entered
+	select {
+	case <-entered:
+	case <-leaderDone:
+		t.Fatal("the initiating request finished before reaching the pipeline")
+	}
 
 	// A second identical request joins the flight.
 	type result struct {
@@ -178,7 +176,7 @@ func TestCoalescingLeaderDisconnect(t *testing.T) {
 	// The initiator walks away; the waiter remains.
 	cancelLeader()
 	<-leaderDone
-	close(unblock)
+	release()
 
 	got := <-waiterDone
 	if got.status != http.StatusOK {

@@ -188,8 +188,11 @@ func TestIngestConcurrentSameDomain(t *testing.T) {
 			defer wg.Done()
 			tree := ingestTree(fmt.Sprintf("flights-%02d", i), "Passenger", "Destination")
 			var out ingestResponse
-			resp := doJSON(t, http.MethodPost, ts.URL+"/v1/ingest", ingestRequest{Source: tree}, &out)
-			if resp.StatusCode != http.StatusOK {
+			resp, err := tryDoJSON(http.MethodPost, ts.URL+"/v1/ingest", ingestRequest{Source: tree}, &out)
+			switch {
+			case err != nil:
+				errs <- fmt.Errorf("ingest %d: %w", i, err)
+			case resp.StatusCode != http.StatusOK:
 				errs <- fmt.Errorf("ingest %d: status %d", i, resp.StatusCode)
 			}
 		}(i)

@@ -50,8 +50,7 @@ func putLexiconBody(t *testing.T, baseURL, name string, body []byte) (lexiconPut
 // everything except the cache-routing fields (Key embeds the lexicon
 // fingerprint and Cached/Coalesced depend on timing), rendered as
 // canonical JSON for byte-level comparison.
-func semanticBody(t *testing.T, resp integrateResponse) string {
-	t.Helper()
+func semanticBody(resp integrateResponse) (string, error) {
 	data, err := json.Marshal(struct {
 		Class  string            `json:"class"`
 		Labels map[string]string `json:"labels"`
@@ -60,10 +59,7 @@ func semanticBody(t *testing.T, resp integrateResponse) string {
 		Report reportJSON        `json:"report"`
 		Rules  map[string]int    `json:"rules"`
 	}{resp.Class, resp.Labels, resp.Tree, resp.Text, resp.Report, resp.Rules})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
+	return string(data), err
 }
 
 // dedicatedRun integrates the fixtures on a throwaway single-tenant
@@ -74,7 +70,11 @@ func dedicatedRun(t *testing.T, lex *qilabel.Lexicon) string {
 	_, ts := newTestServer(t, Config{Lexicon: lex})
 	var out integrateResponse
 	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Sources: fixtureSources()}), &out)
-	return semanticBody(t, out)
+	body, err := semanticBody(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
 }
 
 func artifactOf(t *testing.T, lex *qilabel.Lexicon) []byte {
@@ -315,8 +315,9 @@ func TestTenantIsolation(t *testing.T) {
 				defer wg.Done()
 				for k := 0; k < perG; k++ {
 					var resp *http.Response
+					var err error
 					if (g+k)%2 == 0 {
-						resp = postJSON(t, ts.URL+"/v1/integrate", integrateRequest{
+						resp, err = tryPostJSON(ts.URL+"/v1/integrate", integrateRequest{
 							Sources: fixtureSources(),
 							Options: requestOptions{Lexicon: fmt.Sprintf("tenant-%d", tn)},
 						})
@@ -325,12 +326,11 @@ func TestTenantIsolation(t *testing.T) {
 						req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/integrate", bytes.NewReader(data))
 						req.Header.Set("Content-Type", "application/json")
 						req.Header.Set("X-Lexicon", ids[tn])
-						var err error
 						resp, err = http.DefaultClient.Do(req)
-						if err != nil {
-							errs <- err
-							continue
-						}
+					}
+					if err != nil {
+						errs <- fmt.Errorf("tenant %d: %w", tn, err)
+						continue
 					}
 					if resp.StatusCode != http.StatusOK {
 						errs <- fmt.Errorf("tenant %d: status %d", tn, resp.StatusCode)
@@ -338,9 +338,12 @@ func TestTenantIsolation(t *testing.T) {
 						continue
 					}
 					var out integrateResponse
-					decodeBody(t, resp, &out)
-					if got := semanticBody(t, out); got != want[tn] {
-						errs <- fmt.Errorf("tenant %d: response diverges from its dedicated run", tn)
+					if err := tryDecodeBody(resp, &out); err != nil {
+						errs <- fmt.Errorf("tenant %d: %w", tn, err)
+						continue
+					}
+					if got, err := semanticBody(out); err != nil || got != want[tn] {
+						errs <- fmt.Errorf("tenant %d: response diverges from its dedicated run (%v)", tn, err)
 					}
 					mu.Lock()
 					keys[tn][out.Key] = true
@@ -438,33 +441,49 @@ func TestLexiconHotReloadUnderTraffic(t *testing.T) {
 	decodeBody(t, postJSON(t, ts.URL+"/v1/sessions",
 		sessionCreateRequest{Options: requestOptions{Lexicon: "tenant"}}), &pinned)
 
+	// The traffic helpers run on worker goroutines, so they return their
+	// failures instead of failing t.
 	integrateOnce := func(g, k int) (string, error) {
-		resp := postJSON(t, ts.URL+"/v1/integrate", integrateRequest{
+		resp, err := tryPostJSON(ts.URL+"/v1/integrate", integrateRequest{
 			Sources: fixtureSources(),
 			Options: requestOptions{Lexicon: "tenant"},
 		})
+		if err != nil {
+			return "", err
+		}
 		if resp.StatusCode != http.StatusOK {
 			resp.Body.Close()
 			return "", fmt.Errorf("goroutine %d op %d: status %d", g, k, resp.StatusCode)
 		}
 		var out integrateResponse
-		decodeBody(t, resp, &out)
-		return semanticBody(t, out), nil
+		if err := tryDecodeBody(resp, &out); err != nil {
+			return "", err
+		}
+		return semanticBody(out)
 	}
 
 	sessionOnce := func(g, k int) (string, error) {
+		resp, err := tryPostJSON(ts.URL+"/v1/sessions",
+			sessionCreateRequest{Options: requestOptions{Lexicon: "tenant"}})
+		if err != nil {
+			return "", err
+		}
 		var created sessionCreateResponse
-		decodeBody(t, postJSON(t, ts.URL+"/v1/sessions",
-			sessionCreateRequest{Options: requestOptions{Lexicon: "tenant"}}), &created)
+		if err := tryDecodeBody(resp, &created); err != nil {
+			return "", err
+		}
 		for _, src := range fixtureSources() {
-			resp := postJSON(t, ts.URL+"/v1/sessions/"+created.ID+"/sources", sessionSourceRequest{Source: src})
+			resp, err := tryPostJSON(ts.URL+"/v1/sessions/"+created.ID+"/sources", sessionSourceRequest{Source: src})
+			if err != nil {
+				return "", err
+			}
 			if resp.StatusCode != http.StatusOK {
 				resp.Body.Close()
 				return "", fmt.Errorf("goroutine %d op %d: session add status %d", g, k, resp.StatusCode)
 			}
 			resp.Body.Close()
 		}
-		resp, err := http.Get(ts.URL + "/v1/sessions/" + created.ID + "/result")
+		resp, err = http.Get(ts.URL + "/v1/sessions/" + created.ID + "/result")
 		if err != nil {
 			return "", err
 		}
@@ -473,13 +492,18 @@ func TestLexiconHotReloadUnderTraffic(t *testing.T) {
 			return "", fmt.Errorf("goroutine %d op %d: session result status %d", g, k, resp.StatusCode)
 		}
 		var out integrateResponse
-		decodeBody(t, resp, &out)
-		return semanticBody(t, out), nil
+		if err := tryDecodeBody(resp, &out); err != nil {
+			return "", err
+		}
+		return semanticBody(out)
 	}
 
 	ingestOnce := func(g, k int) error {
-		resp := postJSON(t, ts.URL+"/v1/ingest",
+		resp, err := tryPostJSON(ts.URL+"/v1/ingest",
 			ingestRequest{Source: fixtureSources()[g%3], Lexicon: "tenant"})
+		if err != nil {
+			return err
+		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			return fmt.Errorf("goroutine %d op %d: ingest status %d", g, k, resp.StatusCode)
@@ -498,10 +522,11 @@ func TestLexiconHotReloadUnderTraffic(t *testing.T) {
 	errCh := make(chan error, goroutines*perG)
 	bodies := make(chan string, goroutines*perG)
 	swap := make(chan struct{}) // closed after the reload completes
+	artB := artifactOf(t, lexB)
 	wg.Add(1)
 	go func() { // the swapper, concurrent with the traffic
 		defer wg.Done()
-		if err := os.WriteFile(file, artifactOf(t, lexB), 0o644); err != nil {
+		if err := os.WriteFile(file, artB, 0o644); err != nil {
 			errCh <- err
 		}
 		if _, err := s.ReloadLexicons(); err != nil {
@@ -564,7 +589,7 @@ func TestLexiconHotReloadUnderTraffic(t *testing.T) {
 	}
 	var pinnedOut integrateResponse
 	decodeBody(t, resp, &pinnedOut)
-	if got := semanticBody(t, pinnedOut); got != wantA {
+	if got, err := semanticBody(pinnedOut); err != nil || got != wantA {
 		t.Fatal("session created before the swap no longer runs on its pinned version")
 	}
 	var fresh sessionCreateResponse

@@ -150,7 +150,7 @@ func TestRetainedBytesPerOp(t *testing.T) {
 	runtime.KeepAlive(bodies)
 	perOp := (float64(grown) - float64(base)) / ops / (1 << 20)
 	t.Logf("%.3f MB retained per op (%d ops, live heap %d → %d bytes)", perOp, ops, base, grown)
-	const limit = 0.25
+	const limit = 0.05
 	if perOp > limit {
 		t.Fatalf("%.3f MB retained per op, limit %.2f", perOp, limit)
 	}

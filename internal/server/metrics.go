@@ -222,19 +222,14 @@ type snapshot struct {
 
 // warmSnapshot is the cross-run warm-cache section of /metrics: the
 // Integrator-owned caches (label interning, Relate verdicts, matcher block
-// keys and pair verdicts, solve/node derivations, source-label memo)
-// aggregated over every cached Integrator. HitRate is total hits over
-// total probes across every layer.
+// keys and pair verdicts, source-label memo) aggregated over every cached
+// Integrator. HitRate is total hits over total probes across every layer.
 type warmSnapshot struct {
 	Integrators     int     `json:"integrators"`
 	LabelHits       uint64  `json:"labelHits"`
 	LabelMisses     uint64  `json:"labelMisses"`
 	VerdictHits     uint64  `json:"verdictHits"`
 	VerdictMisses   uint64  `json:"verdictMisses"`
-	SolveHits       uint64  `json:"solveHits"`
-	SolveMisses     uint64  `json:"solveMisses"`
-	NodeHits        uint64  `json:"nodeHits"`
-	NodeMisses      uint64  `json:"nodeMisses"`
 	MatchKeyHits    uint64  `json:"matchKeyHits"`
 	MatchKeyMisses  uint64  `json:"matchKeyMisses"`
 	MatchPairHits   uint64  `json:"matchPairHits"`
@@ -253,10 +248,6 @@ func warmSnapshotOf(stats []qilabel.WarmStats) warmSnapshot {
 		w.LabelMisses += st.LabelMisses
 		w.VerdictHits += st.VerdictHits
 		w.VerdictMisses += st.VerdictMisses
-		w.SolveHits += st.SolveHits
-		w.SolveMisses += st.SolveMisses
-		w.NodeHits += st.NodeHits
-		w.NodeMisses += st.NodeMisses
 		w.MatchKeyHits += st.MatchKeyHits
 		w.MatchKeyMisses += st.MatchKeyMisses
 		w.MatchPairHits += st.MatchPairHits
@@ -265,10 +256,8 @@ func warmSnapshotOf(stats []qilabel.WarmStats) warmSnapshot {
 		w.SourceMisses += st.SourceMisses
 		w.EpochResets += st.EpochResets
 	}
-	hits := w.LabelHits + w.VerdictHits + w.SolveHits + w.NodeHits +
-		w.MatchKeyHits + w.MatchPairHits + w.SourceHits
-	misses := w.LabelMisses + w.VerdictMisses + w.SolveMisses + w.NodeMisses +
-		w.MatchKeyMisses + w.MatchPairMisses + w.SourceMisses
+	hits := w.LabelHits + w.VerdictHits + w.MatchKeyHits + w.MatchPairHits + w.SourceHits
+	misses := w.LabelMisses + w.VerdictMisses + w.MatchKeyMisses + w.MatchPairMisses + w.SourceMisses
 	if hits+misses > 0 {
 		w.HitRate = float64(hits) / float64(hits+misses)
 	}

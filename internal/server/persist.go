@@ -54,13 +54,11 @@ type cacheSnapshotEntry struct {
 }
 
 // baseFingerprint identifies the server configuration for snapshot
-// validation: the option fingerprint of a bare request, which pins the
-// configured lexicon (the one server setting that changes results).
+// validation: the fingerprint of a bare request's configuration, which
+// pins the configured lexicon (the one server setting that changes
+// results).
 func (s *Server) baseFingerprint() string {
-	if ig, err := s.integrator(requestOptions{}); err == nil {
-		return ig.Fingerprint()
-	}
-	return qilabel.Fingerprint(s.options(requestOptions{})...)
+	return qilabel.Config{Lexicon: s.cfg.Lexicon}.Fingerprint()
 }
 
 // SaveCache atomically writes the current result cache to path and returns

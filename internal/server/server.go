@@ -88,8 +88,8 @@ type Config struct {
 	// registry's default bound.
 	MaxLexicons int
 	// Parallelism bounds the worker pool each pipeline computation fans its
-	// parallel stages out over (0: GOMAXPROCS, 1: serial). Never changes
-	// results, so it does not participate in cache keys.
+	// parallel stages out over (0 or negative: GOMAXPROCS, 1: serial).
+	// Never changes results, so it does not participate in cache keys.
 	Parallelism int
 	// MaxBatchItems caps how many source-tree sets one /v1/integrate/batch
 	// request may carry. Zero: 64.
@@ -179,6 +179,9 @@ func New(cfg Config) *Server {
 		cfg.CacheSize = 128
 	case cfg.CacheSize < 0:
 		cfg.CacheSize = 0
+	}
+	if cfg.Parallelism < 0 {
+		cfg.Parallelism = 0
 	}
 	if cfg.MaxBatchItems <= 0 {
 		cfg.MaxBatchItems = 64
@@ -356,26 +359,6 @@ func (s *Server) integrator(o requestOptions) (*qilabel.Integrator, error) {
 		s.igMap[o] = ig
 	}
 	return ig, nil
-}
-
-func (s *Server) options(o requestOptions) []qilabel.Option {
-	var opts []qilabel.Option
-	if s.cfg.Lexicon != nil {
-		opts = append(opts, qilabel.WithLexicon(s.cfg.Lexicon))
-	}
-	if o.Matcher {
-		opts = append(opts, qilabel.WithMatcher())
-	}
-	if o.NoInstances {
-		opts = append(opts, qilabel.WithoutInstances())
-	}
-	if o.MaxLevel > 0 {
-		opts = append(opts, qilabel.WithMaxLevel(o.MaxLevel))
-	}
-	if o.MinFrequency > 0 {
-		opts = append(opts, qilabel.WithMinFrequency(o.MinFrequency))
-	}
-	return opts
 }
 
 type integrateRequest struct {

@@ -56,23 +56,50 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
 	t.Helper()
-	data, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
+	resp, err := tryPostJSON(url, body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return resp
 }
 
+// tryPostJSON is postJSON returning its failure instead of failing the
+// test, for goroutines other than the test's own.
+func tryPostJSON(url string, body any) (*http.Response, error) {
+	data, err := json.Marshal(body)
+	if err != nil {
+		return nil, err
+	}
+	return http.Post(url, "application/json", bytes.NewReader(data))
+}
+
 func decodeBody(t *testing.T, resp *http.Response, v any) {
 	t.Helper()
+	if err := tryDecodeBody(resp, v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tryDecodeBody is decodeBody returning its failure instead of failing
+// the test, for goroutines other than the test's own.
+func tryDecodeBody(resp *http.Response, v any) error {
 	defer resp.Body.Close()
 	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		t.Fatalf("decoding response: %v", err)
+		return fmt.Errorf("decoding response: %w", err)
 	}
+	return nil
+}
+
+// holdHook returns the channel a blocking test hook waits on and the
+// function that releases it. The release also runs as a cleanup, so a
+// test that fails before releasing still lets the held flight finish and
+// the test server close. Call it after newTestServer: cleanups run
+// last-registered first, and the server's Close waits for the flight.
+func holdHook(t *testing.T) (<-chan struct{}, func()) {
+	unblock := make(chan struct{})
+	release := sync.OnceFunc(func() { close(unblock) })
+	t.Cleanup(release)
+	return unblock, release
 }
 
 func TestIntegrateHappyPathAndWarmCache(t *testing.T) {
@@ -108,6 +135,19 @@ func TestIntegrateHappyPathAndWarmCache(t *testing.T) {
 	}
 	if hits := s.metrics.cacheHits.Load(); hits != 1 {
 		t.Fatalf("cache hits = %d, want 1", hits)
+	}
+}
+
+// TestNegativeParallelismServes: New normalizes a negative Parallelism
+// to GOMAXPROCS, as it normalizes its other sizes, instead of handing it
+// to every Integrator, whose Config rejects it on each integration.
+func TestNegativeParallelismServes(t *testing.T) {
+	_, ts := newTestServer(t, Config{Parallelism: -1})
+	resp := postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Domain: "Airline"})
+	var out integrateResponse
+	decodeBody(t, resp, &out)
+	if resp.StatusCode != http.StatusOK || out.Tree == nil {
+		t.Fatalf("status = %d, want 200 with a result", resp.StatusCode)
 	}
 }
 
@@ -190,9 +230,9 @@ func TestOversizedBody(t *testing.T) {
 }
 
 func TestSaturationReturns503(t *testing.T) {
-	entered := make(chan struct{})
-	unblock := make(chan struct{})
+	entered := make(chan struct{}, 1)
 	s, ts := newTestServer(t, Config{MaxInflight: 1})
+	unblock, release := holdHook(t)
 	s.testHookSlow = func() {
 		entered <- struct{}{}
 		<-unblock
@@ -200,7 +240,11 @@ func TestSaturationReturns503(t *testing.T) {
 
 	errCh := make(chan error, 1)
 	go func() {
-		resp := postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Sources: fixtureSources()})
+		resp, err := tryPostJSON(ts.URL+"/v1/integrate", integrateRequest{Sources: fixtureSources()})
+		if err != nil {
+			errCh <- fmt.Errorf("first request: %w", err)
+			return
+		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			errCh <- fmt.Errorf("first request: status %d", resp.StatusCode)
@@ -208,7 +252,11 @@ func TestSaturationReturns503(t *testing.T) {
 			errCh <- nil
 		}
 	}()
-	<-entered // the single worker slot is now held
+	select { // the single worker slot is now held
+	case <-entered:
+	case err := <-errCh:
+		t.Fatalf("first request finished without holding the slot: %v", err)
+	}
 
 	resp := postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Domain: "Book"})
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -223,7 +271,7 @@ func TestSaturationReturns503(t *testing.T) {
 		t.Fatalf("error code = %q, want %q", env.Error.Code, codeSaturated)
 	}
 
-	close(unblock)
+	release()
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
@@ -469,8 +517,12 @@ func TestConcurrentIntegrate(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				resp := postJSON(t, ts.URL+"/v1/integrate",
+				resp, err := tryPostJSON(ts.URL+"/v1/integrate",
 					integrateRequest{Sources: pools[(g+i)%len(pools)]})
+				if err != nil {
+					errs <- fmt.Errorf("goroutine %d: %w", g, err)
+					continue
+				}
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 				switch resp.StatusCode {
@@ -515,21 +567,33 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	httpSrv := &http.Server{Handler: s.Handler()}
 	go httpSrv.Serve(ln)
 
-	status := make(chan int, 1)
+	done := make(chan error, 1)
 	go func() {
-		resp := postJSON(t, "http://"+ln.Addr().String()+"/v1/integrate",
+		resp, err := tryPostJSON("http://"+ln.Addr().String()+"/v1/integrate",
 			integrateRequest{Sources: fixtureSources()})
+		if err != nil {
+			done <- err
+			return
+		}
 		resp.Body.Close()
-		status <- resp.StatusCode
+		if resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("in-flight request got %d, want 200", resp.StatusCode)
+		}
+		done <- err
 	}()
-	<-entered
+	select {
+	case <-entered:
+	case err := <-done:
+		httpSrv.Close()
+		t.Fatalf("request finished before reaching the pipeline: %v", err)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown did not drain: %v", err)
 	}
-	if got := <-status; got != http.StatusOK {
-		t.Fatalf("in-flight request got %d, want 200", got)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

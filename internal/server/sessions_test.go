@@ -13,28 +13,37 @@ import (
 // doJSON issues a request with an arbitrary method and decodes the reply.
 func doJSON(t *testing.T, method, url string, body any, out any) *http.Response {
 	t.Helper()
+	resp, err := tryDoJSON(method, url, body, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// tryDoJSON is doJSON returning its failure instead of failing the test,
+// for goroutines other than the test's own.
+func tryDoJSON(method, url string, body any, out any) (*http.Response, error) {
 	var data []byte
 	if body != nil {
 		var err error
 		if data, err = json.Marshal(body); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
 	req, err := http.NewRequest(method, url, bytes.NewReader(data))
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	if out != nil {
-		decodeBody(t, resp, out)
-	} else {
+	if out == nil {
 		resp.Body.Close()
+		return resp, nil
 	}
-	return resp
+	return resp, tryDecodeBody(resp, out)
 }
 
 func createSession(t *testing.T, url string, opts requestOptions) sessionCreateResponse {

@@ -125,9 +125,9 @@ type Config struct {
 
 	// disableWarmCache turns off the Integrator's cross-run warm caches
 	// (interned label analyses, shared Relate verdicts, matcher block keys
-	// and pair verdicts, naming solves, per-source label memo). These are
-	// also the only caches a Session reuses work through, so with them off
-	// every session delta recomputes in full. Unexported and test-only —
+	// and pair verdicts, per-source label memo). These are also the only
+	// caches a Session reuses work through, so with them off every session
+	// delta recomputes in full. Unexported and test-only —
 	// the warm-equivalence tests compare warm runs against this cold path,
 	// and the cold benchmarks and allocation budgets measure it. The caches
 	// store pure functions of the inputs and the lexicon, so the setting

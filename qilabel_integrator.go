@@ -31,15 +31,18 @@ import (
 // An Integrator is immutable after construction and safe for concurrent
 // use: every method may be called from any number of goroutines.
 //
-// An Integrator is a *warm engine*: it owns bounded cross-run caches —
-// interned label analyses, a shared Relate-verdict cache, matcher block
-// keys and pair verdicts, naming solves, and a per-source label memo keyed
-// by canonical tree hash — shared by every Integrate call and Session on
-// the handle, so integrating corpora that share vocabulary gets cheaper
-// run over run. Every table is bounded by one two-generation eviction
-// policy (internal/gencache) at fixed caps. Every cached fact is a pure
-// function of the inputs and the (frozen) lexicon, so warm results stay
-// byte-identical to cold ones, and WarmStats reports hit rates.
+// An Integrator is a *warm engine*: it owns bounded cross-run caches of
+// per-label and per-pair facts — interned label analyses, a shared
+// Relate-verdict cache, matcher block keys and pair verdicts, and a
+// per-source label memo keyed by canonical tree hash — shared by every
+// Integrate call and Session on the handle, so integrating corpora that
+// share vocabulary gets cheaper run over run. Group solves, isolated
+// elections and internal-node derivations are recomputed by every run
+// from those facts, so no table is keyed by a whole corpus. Every table
+// is bounded by one two-generation eviction policy (internal/gencache) at
+// fixed caps. Every cached fact is a pure function of the inputs and the
+// (frozen) lexicon, so warm results stay byte-identical to cold ones, and
+// WarmStats reports hit rates.
 type Integrator struct {
 	cfg       Config
 	warm      *naming.Warm
@@ -104,10 +107,9 @@ func (ig *Integrator) CacheKey(sources []*Tree) string {
 }
 
 // deltaConfig mirrors the configuration into the delta engine, threading
-// the integrator's warm caches and cached fingerprint along.
+// the integrator's warm caches along.
 func (ig *Integrator) deltaConfig() delta.Config {
 	dc := ig.cfg.deltaConfig()
-	dc.Fingerprint = ig.Fingerprint()
 	dc.Warm = ig.warm
 	dc.MatchWarm = ig.matchWarm
 	dc.SourceLabels = ig.sources
@@ -128,15 +130,6 @@ type WarmStats struct {
 	// per-worker overlay absorbs repeats); Verdicts is the population.
 	VerdictHits, VerdictMisses uint64
 	Verdicts                   int
-	// SolveHits / SolveMisses count naming group solves and isolated
-	// elections answered from the warm cache vs computed; NodeHits /
-	// NodeMisses the per-node candidate derivations, which replay only
-	// when a corpus repeats exactly. Solves and Nodes are the stored
-	// populations.
-	SolveHits, SolveMisses uint64
-	Solves                 int
-	NodeHits, NodeMisses   uint64
-	Nodes                  int
 	// MatchKeyHits / MatchKeyMisses count matcher field contents whose
 	// block keys came from the warm cache; MatchPairHits / MatchPairMisses
 	// count candidate pairs answered without a similarity evaluation.
@@ -161,8 +154,6 @@ func (ig *Integrator) WarmStats() WarmStats {
 		st.LabelHits, st.LabelMisses, st.LabelsEvicted = ws.LabelHits, ws.LabelMisses, ws.LabelsEvicted
 		st.LabelsInterned = ws.LabelsInterned
 		st.VerdictHits, st.VerdictMisses, st.Verdicts = ws.VerdictHits, ws.VerdictMisses, ws.Verdicts
-		st.SolveHits, st.SolveMisses, st.Solves = ws.SolveHits, ws.SolveMisses, ws.Solves
-		st.NodeHits, st.NodeMisses, st.Nodes = ws.NodeHits, ws.NodeMisses, ws.Nodes
 		st.EpochResets = ws.EpochResets
 	}
 	if ig.matchWarm != nil {
@@ -267,8 +258,9 @@ func (ig *Integrator) IntegrateBatch(ctx context.Context, sets [][]*Tree, parall
 // NewSession creates an empty incremental integration session over this
 // configuration. Sessions created from one Integrator share its cached
 // fingerprint and warm caches — the only layer through which a session
-// reuses earlier work, its own or that of any other run on this handle;
-// see Session for the delta-equivalence contract.
+// reuses earlier work, its own or that of any other run on this handle:
+// label analyses, Relate verdicts, block keys and pair verdicts, not
+// group solves. See Session for the delta-equivalence contract.
 func (ig *Integrator) NewSession() *Session {
 	return &Session{inner: delta.NewSession(ig.deltaConfig()), ig: ig}
 }

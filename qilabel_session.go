@@ -18,9 +18,11 @@ var (
 
 // Session is a live integration over a mutable source set: add, update and
 // remove source interfaces one at a time and read the labeled integrated
-// interface after every change, paying only for the work the change
-// touches. The configuration (options) is fixed when the session is
-// created, mirroring IntegrateContext's semantics exactly:
+// interface after every change. Each change re-runs the pipeline on the
+// Integrator's warm caches, so the per-label and per-pair facts of
+// untouched sources are not re-derived. The configuration (options) is
+// fixed when the session is created, mirroring IntegrateContext's
+// semantics exactly:
 //
 //	After any sequence of delta operations, Result is byte-identical to
 //	IntegrateContext over the session's current source set with the same
@@ -39,10 +41,9 @@ type Session struct {
 }
 
 // SessionStats profiles the most recent delta operation: total pipeline
-// components (clusters) and how many were reused vs. recomputed, naming
-// group solves answered from the Integrator's warm caches vs. executed,
-// matcher pair verdicts served from cache vs. evaluated, and the
-// operation's duration. The operation's own run tallies the cache
+// components (clusters) and how many were reused vs. recomputed, matcher
+// pair verdicts served from the Integrator's warm cache vs. evaluated, and
+// the operation's duration. The operation's own run tallies the pair
 // counters, so concurrent runs on the same Integrator never move them.
 type SessionStats struct {
 	Op                   string        `json:"op"`
@@ -50,10 +51,6 @@ type SessionStats struct {
 	Components           int           `json:"components"`
 	ComponentsReused     int           `json:"componentsReused"`
 	ComponentsRecomputed int           `json:"componentsRecomputed"`
-	GroupsReused         int           `json:"groupsReused"`
-	GroupsComputed       int           `json:"groupsComputed"`
-	IsolatedReused       int           `json:"isolatedReused"`
-	IsolatedComputed     int           `json:"isolatedComputed"`
 	PairsEvaluated       int           `json:"pairsEvaluated"`
 	PairHits             int           `json:"pairHits"`
 	Duration             time.Duration `json:"-"`
@@ -68,8 +65,6 @@ type SessionTotals struct {
 	Removes              int64 `json:"removes"`
 	ComponentsReused     int64 `json:"componentsReused"`
 	ComponentsRecomputed int64 `json:"componentsRecomputed"`
-	GroupsReused         int64 `json:"groupsReused"`
-	GroupsComputed       int64 `json:"groupsComputed"`
 	PairsEvaluated       int64 `json:"pairsEvaluated"`
 	PairHits             int64 `json:"pairHits"`
 }
@@ -142,10 +137,6 @@ func (s *Session) Stats() SessionStats {
 		Components:           st.Components,
 		ComponentsReused:     st.ComponentsReused,
 		ComponentsRecomputed: st.ComponentsRecomputed,
-		GroupsReused:         st.GroupsReused,
-		GroupsComputed:       st.GroupsComputed,
-		IsolatedReused:       st.IsolatedReused,
-		IsolatedComputed:     st.IsolatedComputed,
 		PairsEvaluated:       st.PairsEvaluated,
 		PairHits:             st.PairHits,
 		Duration:             st.Duration,
@@ -163,8 +154,6 @@ func (s *Session) Totals() SessionTotals {
 		Removes:              t.Removes,
 		ComponentsReused:     t.ComponentsReused,
 		ComponentsRecomputed: t.ComponentsRecomputed,
-		GroupsReused:         t.GroupsReused,
-		GroupsComputed:       t.GroupsComputed,
 		PairsEvaluated:       t.PairsEvaluated,
 		PairHits:             t.PairHits,
 	}

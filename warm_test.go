@@ -14,8 +14,8 @@ import (
 
 // Warm-cache equivalence suite: an Integrator's cross-run caches (label
 // interning, shared Relate verdicts, matcher block keys and pair verdicts,
-// solve/node caches, whole-corpus replay keys) are pure accelerators, so a
-// warm run must be byte-identical to a cold one — and to the committed
+// source-label lists) are pure accelerators, so a warm run must be
+// byte-identical to a cold one — and to the committed
 // golden corpus. These tests are meant to run under -race -cpu=1,4: the
 // stress test below hammers one handle from 32 goroutines precisely to let
 // the race detector see every cache path under contention.
@@ -41,8 +41,8 @@ func warmGoldenBytes(_ *testing.T, domain string, sources []*Tree, res *Result) 
 
 // TestWarmEquivalence pins warm ≡ cold ≡ golden over the seven builtin
 // domains, then warm ≡ cold over a sweep of synthetic corpora sharing one
-// vocabulary (so later seeds hit analyses, verdicts and solves cached by
-// earlier ones — the adversarial case for cross-corpus reuse).
+// vocabulary (so later seeds hit analyses and verdicts cached by earlier
+// ones — the adversarial case for cross-corpus reuse).
 func TestWarmEquivalence(t *testing.T) {
 	for _, domain := range BuiltinDomains() {
 		t.Run(domain, func(t *testing.T) {
@@ -64,8 +64,7 @@ func TestWarmEquivalence(t *testing.T) {
 			}
 			cold := warmGoldenBytes(t, domain, sources, coldRes)
 			// Three passes on one handle: the first fills the caches, the
-			// second replays by corpus key and position, the third
-			// re-replays (promotion paths).
+			// second answers from them, the third from promoted entries.
 			for pass := 1; pass <= 3; pass++ {
 				res, err := warmIG.Integrate(sources)
 				if err != nil {
@@ -124,7 +123,7 @@ func TestWarmEquivalence(t *testing.T) {
 			}
 		}
 		st := warmIG.WarmStats()
-		if st.LabelHits == 0 || st.SolveHits == 0 {
+		if st.LabelHits == 0 || st.VerdictHits == 0 || st.MatchPairHits == 0 {
 			t.Errorf("synth sweep never hit the warm caches: %+v", st)
 		}
 	})
@@ -133,8 +132,8 @@ func TestWarmEquivalence(t *testing.T) {
 // TestWarmStress hammers one Integrator from 32 goroutines with four
 // overlapping corpora (one vocabulary, stepped seeds): every concurrent
 // warm result must match its cold reference byte for byte. Run under
-// -race, this drives every cache path — intern, verdict shards, solve
-// tables, whole-corpus replay, generation rotation — under contention.
+// -race, this drives every cache path — intern, verdict shards, block
+// keys, pair verdicts, generation rotation — under contention.
 func TestWarmStress(t *testing.T) {
 	cfg := synth.Config{Seed: 11, Domain: "warm-stress", Sources: 6, Concepts: 10,
 		GroupFanout: 3, Depth: 2, InstanceRatio: 0.5,
@@ -265,7 +264,7 @@ func TestWarmSharedBySessions(t *testing.T) {
 				}(g)
 			}
 			wg.Wait()
-			if st := ig.WarmStats(); st.SolveHits == 0 || (matcher && st.MatchPairHits == 0) {
+			if st := ig.WarmStats(); st.VerdictHits == 0 || (matcher && st.MatchPairHits == 0) {
 				t.Errorf("sessions and one-shot runs never shared the warm caches: %+v", st)
 			}
 		})
