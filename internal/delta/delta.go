@@ -5,25 +5,24 @@
 // The engine's contract is *equivalence*: a Session's outcome after any
 // delta sequence is byte-identical to a from-scratch run over the same
 // final source set. That holds by construction — the session runs the
-// exact same pipeline (the one function below) on the same caches a
-// one-shot run consults: the Integrator's warm tables (naming.Warm,
-// match.Warm, the source-label table), which hold per-label and per-pair
-// facts — label analyses, Relate verdicts, block keys, pair verdicts, a
-// source's label list — each a pure function of the content it is keyed
-// by. Every run re-derives its matching, merge and naming from those
-// facts; reuse changes only what is recomputed, never what comes out. The
-// delta equivalence gate in the root package pins it across the synth and
-// golden corpora, serial and parallel.
+// exact same pipeline (the one function below) on the same cache a
+// one-shot run consults: the Integrator's naming.Warm, which holds
+// per-label and per-pair facts — label analyses with their equivalence
+// keys, and Relate verdicts — each a pure function of the labels it is
+// keyed by. Every run re-derives its matching, merge and naming from
+// those facts; reuse changes only what is recomputed, never what comes
+// out. The delta equivalence gate in the root package pins it across the
+// synth and golden corpora, serial and parallel.
 package delta
 
 import (
 	"context"
 	"errors"
 	"sort"
+	"strings"
 	"time"
 
 	"qilabel/internal/cluster"
-	"qilabel/internal/gencache"
 	"qilabel/internal/lexicon"
 	"qilabel/internal/match"
 	"qilabel/internal/merge"
@@ -50,32 +49,22 @@ type Config struct {
 	ReferenceKernels bool
 	// Warm, when non-nil, is the cross-run warm cache (interned label
 	// analyses, shared Relate verdicts) the run's analysis table is built
-	// through. Pure accelerator with byte-identical output; nil degrades
-	// to a per-run table.
+	// through; the matcher and the naming phases both read it through that
+	// table. Pure accelerator with byte-identical output; nil degrades to a
+	// per-run table.
 	Warm *naming.Warm
-	// MatchWarm, when non-nil, caches the matcher's block keys and pair
-	// verdicts across runs by field content. Pure accelerator; nil
-	// degrades to per-run derivation.
-	MatchWarm *match.Warm
-	// SourceLabels, when non-nil, memoizes each source tree's distinct
-	// label list by canonical hash so re-submitted sources skip the
-	// label-collection walk (see sourceLabels). Pure accelerator; nil
-	// degrades to a fresh walk. A table must only ever see one UseMatcher
-	// setting, because the list depends on it: the Integrator holds one
-	// per fixed configuration.
-	SourceLabels *gencache.Table[string, []string]
 }
 
 // Outcome is one pipeline run's full output: the working trees (clones,
 // canonically ordered, 1:m-expanded, matcher-annotated), the cluster
-// mapping, and the merge and naming results. Pairs counts the matcher
-// pair verdicts this run answered from the warm cache versus evaluated.
+// mapping, and the merge and naming results. Pairs counts the candidate
+// pairs the matcher evaluated.
 type Outcome struct {
 	Trees   []*schema.Tree
 	Mapping *cluster.Mapping
 	Merge   *merge.Result
 	Naming  *naming.Result
-	Pairs   match.PairCounts
+	Pairs   int
 }
 
 // ErrNoSources is returned by a run over an empty source set; the string
@@ -100,7 +89,7 @@ func Run(ctx context.Context, trees []*schema.Tree, cfg Config, observe func(sta
 	if observe == nil {
 		observe = func(string, int) {}
 	}
-	hashes := canonicalizeSourceOrderHashed(trees)
+	CanonicalizeSourceOrder(trees)
 	cluster.ExpandOneToMany(trees)
 	out := &Outcome{Trees: trees}
 
@@ -110,17 +99,11 @@ func Run(ctx context.Context, trees []*schema.Tree, cfg Config, observe func(sta
 	// same strings. The table is a pure accelerator (labels outside it fall
 	// back to per-worker caches), so sharing it cannot change output — the
 	// reference kernels skip it entirely to stay a true baseline. With a
-	// warm handle, the table is interned through the cross-run caches: the
-	// source-label memo skips re-collecting labels of already-seen trees
-	// (keyed by the pre-expansion canonical hash, which determines the
-	// expanded labels), and the Warm cache skips re-analyzing already-seen
-	// labels.
+	// warm handle, the table is interned through the cross-run cache, which
+	// skips re-analyzing already-seen labels.
 	var analysis *naming.Analysis
 	if !cfg.ReferenceKernels {
-		var labels []string
-		for i, t := range trees {
-			labels = append(labels, sourceLabels(cfg.SourceLabels, t, hashes[i], cfg.UseMatcher)...)
-		}
+		labels := runLabels(trees, cfg.UseMatcher)
 		if cfg.Warm != nil {
 			analysis = cfg.Warm.Analysis(labels)
 		} else {
@@ -132,11 +115,10 @@ func Run(ctx context.Context, trees []*schema.Tree, cfg Config, observe func(sta
 		// After expansion, so matcher-assigned clusters replace every
 		// annotation uniformly (including the expanded 1:m children).
 		n, err := match.AssignContext(ctx, trees, match.Options{
-			Semantics:       naming.NewSemantics(cfg.Lexicon),
+			Lexicon:         cfg.Lexicon,
 			Parallelism:     cfg.Parallelism,
 			DisableBlocking: cfg.ReferenceKernels,
 			Analysis:        analysis,
-			Warm:            cfg.MatchWarm,
 			Pairs:           &out.Pairs,
 		})
 		if err != nil {
@@ -185,16 +167,7 @@ func Run(ctx context.Context, trees []*schema.Tree, cfg Config, observe func(sta
 // identical trees compare equal and keep their relative order, which is
 // harmless — they are interchangeable everywhere downstream.
 func CanonicalizeSourceOrder(trees []*schema.Tree) {
-	canonicalizeSourceOrderHashed(trees)
-}
-
-// canonicalizeSourceOrderHashed is CanonicalizeSourceOrder returning the
-// canonical hashes aligned with the sorted trees, so Run can key per-source
-// caches without hashing twice.
-func canonicalizeSourceOrderHashed(trees []*schema.Tree) []string {
-	hashes := schema.TreeHashes(trees)
-	sort.Stable(byHash{trees, hashes})
-	return hashes
+	sort.Stable(byHash{trees, schema.TreeHashes(trees)})
 }
 
 // byHash sorts trees by their canonical hashes, keeping both aligned.
@@ -208,6 +181,28 @@ func (s byHash) Less(i, j int) bool { return s.hashes[i] < s.hashes[j] }
 func (s byHash) Swap(i, j int) {
 	s.trees[i], s.trees[j] = s.trees[j], s.trees[i]
 	s.hashes[i], s.hashes[j] = s.hashes[j], s.hashes[i]
+}
+
+// runLabels collects, in one walk over the (expanded) trees, the labels a
+// run's analysis table covers: raw node labels (the naming phases) plus,
+// when the matcher runs, the trimmed leaf labels its similarity signals
+// compare. Repeats stay in: the table deduplicates.
+func runLabels(trees []*schema.Tree, useMatcher bool) []string {
+	var labels []string
+	for _, t := range trees {
+		t.Root.Walk(func(n *schema.Node) bool {
+			if n.Label != "" {
+				labels = append(labels, n.Label)
+				if useMatcher && n.IsLeaf() {
+					if tr := strings.TrimSpace(n.Label); tr != n.Label && tr != "" {
+						labels = append(labels, tr)
+					}
+				}
+			}
+			return true
+		})
+	}
+	return labels
 }
 
 // PruneRareClusters rebuilds the mapping without the clusters appearing on

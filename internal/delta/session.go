@@ -24,10 +24,9 @@ var ErrUnknownSource = errors.New("qilabel: unknown source hash")
 // component counts as reused when a cluster with identical member content
 // (interface, label, instances — names excluded, the matcher renumbers
 // them) existed after the previous operation, i.e. the source change did
-// not touch it, so its labels' analyses and verdicts and its match edges
-// came from the warm caches. The pair counters are tallied by the
-// operation's own run, never read off the shared caches, which concurrent
-// runs also move.
+// not touch it, so its labels' analyses and Relate verdicts came from the
+// warm cache. PairsEvaluated is tallied by the operation's own run, never
+// read off the shared cache, which concurrent runs also move.
 type Stats struct {
 	// Op is "add", "update" or "remove".
 	Op string
@@ -39,10 +38,9 @@ type Stats struct {
 	Components           int
 	ComponentsReused     int
 	ComponentsRecomputed int
-	// PairsEvaluated / PairHits count matcher pair verdicts computed vs.
-	// answered from the warm cache (matcher sessions only).
+	// PairsEvaluated counts the candidate pairs the matcher evaluated
+	// (matcher sessions only).
 	PairsEvaluated int
-	PairHits       int
 	// Duration is the operation's pipeline time.
 	Duration time.Duration
 }
@@ -51,7 +49,7 @@ type Stats struct {
 type Totals struct {
 	Ops, Adds, Updates, Removes            int64
 	ComponentsReused, ComponentsRecomputed int64
-	PairsEvaluated, PairHits               int64
+	PairsEvaluated                         int64
 }
 
 // entry is one distinct source tree in the session's multiset: the
@@ -68,12 +66,12 @@ type entry struct {
 // Session owns a live integration state over a mutable source multiset.
 // Each delta operation (AddSource, UpdateSource, RemoveSource) re-runs
 // the shared pipeline over the updated set on the configuration's warm
-// caches, so the label analyses, Relate verdicts, block keys and pair
+// cache, so the label analyses (with their equivalence keys) and Relate
 // verdicts of untouched sources are not recomputed; the resulting Outcome
 // is always exactly what a from-scratch run over the same set would
 // produce. Operations are serialized by an internal mutex; a failed or
-// canceled operation leaves the session state unchanged (the caches may
-// have absorbed partial work — harmless, they store pure-function
+// canceled operation leaves the session state unchanged (the cache may
+// have absorbed partial work — harmless, it stores pure-function
 // results).
 type Session struct {
 	mu       sync.Mutex
@@ -87,7 +85,7 @@ type Session struct {
 
 // NewSession returns an empty session over the given configuration, fixed
 // for the session's lifetime. The session reuses work through the
-// configuration's warm caches; it holds none of its own.
+// configuration's warm cache; it holds none of its own.
 func NewSession(cfg Config) *Session {
 	return &Session{cfg: cfg}
 }
@@ -243,7 +241,7 @@ func (s *Session) recompute(ctx context.Context, op string, next []entry) error 
 		}
 	}
 	st.ComponentsRecomputed = st.Components - st.ComponentsReused
-	st.PairsEvaluated, st.PairHits = out.Pairs.Evaluated, out.Pairs.Hits
+	st.PairsEvaluated = out.Pairs
 	st.Duration = elapsed()
 
 	s.entries = next
@@ -268,7 +266,6 @@ func (s *Session) commit(st Stats) {
 	s.totals.ComponentsReused += int64(st.ComponentsReused)
 	s.totals.ComponentsRecomputed += int64(st.ComponentsRecomputed)
 	s.totals.PairsEvaluated += int64(st.PairsEvaluated)
-	s.totals.PairHits += int64(st.PairHits)
 }
 
 // Outcome returns the current integration outcome. The outcome is shared,

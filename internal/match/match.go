@@ -14,14 +14,14 @@
 //     of their values (the WebIQ-style signal, usable even for unlabeled
 //     fields).
 //
-// The pairwise pass is blocked: every field is assigned a set of block
-// keys derived from the same normalizations the two signals compare
-// (display form, content-word stems and base forms, synset IDs, instance
-// values), and only pairs sharing at least one key reach the full
-// similarity evaluation. Each key family mirrors one way a pair can
-// match, so blocking prunes only pairs that could never match and the
-// output is identical to the exhaustive O(F²) pass (pinned by
-// TestBlockedMatchesUnblocked).
+// The pairwise pass is blocked: every field is indexed under the
+// equivalence keys of its label (naming's Semantics.EquivalenceKeys,
+// which Equivalent labels always share) and under each of its instance
+// values (two fields whose value sets overlap by the threshold share at
+// least one), and only pairs sharing at least one key reach the full
+// similarity evaluation. Blocking therefore prunes only pairs that could
+// never match, and the output is identical to the exhaustive O(F²) pass
+// (pinned by TestBlockedMatchesUnblocked).
 //
 // Naming needs only the clusters, the connected components of the match
 // graph, so the blocked pass also skips every pair whose fields are
@@ -43,29 +43,26 @@ package match
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
-	"unicode"
 
+	"qilabel/internal/lexicon"
 	"qilabel/internal/naming"
 	"qilabel/internal/pool"
 	"qilabel/internal/schema"
 )
 
-// defaultMinOverlap is the instance-overlap threshold a zero
-// Options.MinInstanceOverlap selects, and the only one a Warm serves.
-const defaultMinOverlap = 0.5
+// minOverlap is the Jaccard threshold of the instance signal.
+const minOverlap = 0.5
+
+// clusterPrefix prefixes the generated cluster names.
+const clusterPrefix = "m"
 
 // Options tune the matcher.
 type Options struct {
-	// Semantics evaluates label relationships (nil: default lexicon).
-	Semantics *naming.Semantics
-	// MinInstanceOverlap is the Jaccard threshold for the instance signal
-	// (default 0.5).
-	MinInstanceOverlap float64
-	// ClusterPrefix prefixes generated cluster names (default "m").
-	ClusterPrefix string
+	// Lexicon is the lexicon Definition 1 consults (nil: the embedded
+	// default).
+	Lexicon *lexicon.Lexicon
 	// Parallelism bounds the workers of the pairwise similarity pass, the
 	// matcher's O(F²) hot loop (0: GOMAXPROCS, 1: serial). The pass is
 	// deterministic at any setting: it runs in rounds of rows, workers only
@@ -80,30 +77,18 @@ type Options struct {
 	// equivalence tests and benchmarks.
 	DisableBlocking bool
 	// Analysis, when non-nil, supplies a precomputed label-analysis table
-	// (built over the same lexicon as Semantics) that already covers the
-	// trees' trimmed field labels, so the matcher skips its own
-	// PrecomputeAnalysis pass. Labels missing from the table fall back to
-	// per-worker caches — a pure accelerator, never an output change.
-	// Ignored under DisableBlocking (the reference pass stays cold).
+	// over Lexicon that already covers the trees' trimmed field labels, so
+	// the matcher skips its own PrecomputeAnalysis pass. Every worker reads
+	// its label analyses, equivalence keys and, when the table was built by
+	// a naming.Warm, the Warm's cross-run Relate verdicts through it; labels
+	// missing from the table fall back to per-worker caches. A pure
+	// accelerator, never an output change. Ignored under DisableBlocking
+	// (the reference pass stays cold).
 	Analysis *naming.Analysis
-	// Warm, when non-nil, caches block keys and pair verdicts across runs
-	// by field content (the Integrator owns one per configuration). Both
-	// facts are pure functions of (content, lexicon, threshold), so the
-	// assignment is identical with or without it. Ignored under
-	// DisableBlocking, for a lexicon other than the Warm's, or for a
-	// threshold other than the default.
-	Warm *Warm
-	// Pairs, when non-nil, receives this run's candidate-pair tallies.
-	Pairs *PairCounts
-}
-
-// PairCounts tallies one run's probed candidate pairs: verdicts answered
-// from the warm cache versus evaluated. A candidate already connected to
-// its row's field is skipped and counts as neither. The sum depends on the
-// input alone; at Parallelism > 1 the split may not, since two workers can
-// evaluate one content pair in the same run.
-type PairCounts struct {
-	Hits, Evaluated int
+	// Pairs, when non-nil, receives the number of candidate pairs this run
+	// evaluated. A candidate already connected to its row's field is
+	// skipped and not counted, so the count depends on the input alone.
+	Pairs *int
 }
 
 // roundRows is the number of rows the blocked pass probes between two
@@ -178,40 +163,56 @@ func (f *forest) union(a, b int32) {
 // are the dense key IDs ids[off[i]:off[i+1]]; postings[id] lists the
 // fields carrying key id in ascending order, and at[k] is field i's
 // position in the posting list of ids[k], so a row enters each list right
-// after itself.
+// after itself. Label equivalence keys and instance values are two key
+// spaces, one map each, so neither needs a prefix to stay apart.
 type blockIndex struct {
 	off, ids, at []int32
 	postings     [][]int32
-	byKey        map[string]int32
+	byKey        map[string]int32 // label equivalence keys
+	byValue      map[string]int32 // instance values
 }
 
 func newBlockIndex(n int) blockIndex {
-	return blockIndex{off: make([]int32, 1, n+1), byKey: make(map[string]int32)}
+	return blockIndex{
+		off:     make([]int32, 1, n+1),
+		byKey:   make(map[string]int32),
+		byValue: make(map[string]int32),
+	}
 }
 
-// add appends the next field's block keys.
-func (x *blockIndex) add(keys []string) {
-	i := int32(len(x.off) - 1)
-	for _, k := range keys {
-		id, ok := x.byKey[k]
-		if !ok {
-			id = int32(len(x.postings))
-			x.byKey[k] = id
-			x.postings = append(x.postings, nil)
-		}
-		x.ids = append(x.ids, id)
-		x.at = append(x.at, int32(len(x.postings[id])))
-		x.postings[id] = append(x.postings[id], i)
+// add appends the next field's block keys: its label's equivalence keys
+// and its instance values.
+func (x *blockIndex) add(labelKeys, values []string) {
+	for _, k := range labelKeys {
+		x.post(x.byKey, k)
+	}
+	for _, v := range values {
+		x.post(x.byValue, v)
 	}
 	x.off = append(x.off, int32(len(x.ids)))
+}
+
+// post appends the field being added to the posting list of key k in the
+// given key space.
+func (x *blockIndex) post(space map[string]int32, k string) {
+	i := int32(len(x.off) - 1)
+	id, ok := space[k]
+	if !ok {
+		id = int32(len(x.postings))
+		space[k] = id
+		x.postings = append(x.postings, nil)
+	}
+	x.ids = append(x.ids, id)
+	x.at = append(x.at, int32(len(x.postings[id])))
+	x.postings[id] = append(x.postings[id], i)
 }
 
 // fieldInfo is one leaf of the source trees with the normalizations the
 // similarity signals need, computed once instead of per pair.
 type fieldInfo struct {
 	leaf  *schema.Node
-	label string          // trimmed label ("" when unusable)
-	inst  map[string]bool // case-folded, trimmed instance values
+	label string   // trimmed label ("" when unusable)
+	inst  []string // case-folded, trimmed instance values, sorted and distinct
 }
 
 // Assign computes clusters for the leaves of the given trees and writes
@@ -227,39 +228,7 @@ func Assign(trees []*schema.Tree, opts Options) int {
 // similarity pass checks ctx between rows and returns ctx.Err() once the
 // context is done, leaving the trees' annotations untouched.
 func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int, error) {
-	sem := opts.Semantics
-	if sem == nil {
-		sem = naming.NewSemantics(nil)
-	}
-	if opts.DisableBlocking {
-		sem = naming.NewSemanticsUnmemoized(sem.Lexicon())
-	}
-	if opts.MinInstanceOverlap == 0 {
-		opts.MinInstanceOverlap = defaultMinOverlap
-	}
-	prefix := opts.ClusterPrefix
-	if prefix == "" {
-		prefix = "m"
-	}
-
-	// The cross-run warm cache applies only to the blocked pass (the
-	// reference pass stays cold) and only to its own lexicon at the
-	// default threshold — a verdict is a pure function of both.
-	warm := opts.Warm
-	if opts.DisableBlocking || warm == nil ||
-		warm.lex != sem.Lexicon() || opts.MinInstanceOverlap != defaultMinOverlap {
-		warm = nil
-	}
-	if warm != nil {
-		warm.ensureEpoch()
-	}
-
 	fields, ifaces := collectFields(trees)
-
-	var ids []int32 // stable warm content IDs, aligned with fields
-	if warm != nil {
-		ids = make([]int32, len(fields))
-	}
 
 	// The shared analysis table normalizes every field label once; each
 	// worker's Semantics reads it instead of re-analyzing into a cold
@@ -276,27 +245,18 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 					labels = append(labels, fields[i].label)
 				}
 			}
-			analysis = naming.PrecomputeAnalysis(sem.Lexicon(), labels)
+			analysis = naming.PrecomputeAnalysis(opts.Lexicon, labels)
 		}
 
-		// Block-key index over the fields in index order. With a warm
-		// cache, contents seen by an earlier run skip the derivation.
+		// Block-key index over the fields in index order.
 		keySem := analysis.Semantics()
 		index = newBlockIndex(len(fields))
 		for i := range fields {
-			var ks []string
-			if warm != nil {
-				ck := contentKey(&fields[i])
-				var ok bool
-				ks, ids[i], ok = warm.fieldKeys(ck)
-				if !ok {
-					ks = blockKeys(keySem, &fields[i], opts.MinInstanceOverlap)
-					ids[i] = warm.internKeys(ck, ks)
-				}
-			} else {
-				ks = blockKeys(keySem, &fields[i], opts.MinInstanceOverlap)
+			var keys []string
+			if fields[i].label != "" {
+				keys = keySem.EquivalenceKeys(fields[i].label)
 			}
-			index.add(ks)
+			index.add(keys, fields[i].inst)
 		}
 	}
 
@@ -308,14 +268,13 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 	// component as the round began, since that pair cannot change the
 	// components. The forest at each round's start, and so every probed
 	// pair, depends on the input alone, never on the schedule. Each worker
-	// carries its own Semantics (the Relate memo is not concurrency-safe)
-	// over the shared analysis table, which cannot change any verdict —
-	// only its speed.
+	// carries its own Semantics (the Relate memo is not concurrency-safe):
+	// in the blocked pass one over the shared analysis table, which cannot
+	// change any verdict — only its speed.
 	workers := pool.Workers(opts.Parallelism)
 	sems := make([]*naming.Semantics, workers)
-	sems[0] = sem // the serial path reuses the caller's cache
 	rows := make([]*rowBuf, workers)
-	tally := make([]PairCounts, workers)
+	evaluated := make([]int, workers)
 	roots := newForest(len(fields))
 	matched := make([][]int32, min(roundRows, len(fields))) // per row of the round
 	start := 0                                              // the round's first row
@@ -325,26 +284,25 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 			if analysis != nil {
 				sems[w] = analysis.Semantics()
 			} else {
-				sems[w] = naming.NewSemanticsUnmemoized(sem.Lexicon())
+				sems[w] = naming.NewSemanticsUnmemoized(opts.Lexicon)
 			}
 		}
-		fi, got := &fields[i], matched[k][:0]
-		// Pair tallies go to the worker's slot once per row: the slots
-		// share cache lines, so per-pair increments would contend.
+		fi, got, probed := &fields[i], matched[k][:0], 0
+		// The evaluation count goes to the worker's slot once per row: the
+		// slots share cache lines, so per-pair increments would contend.
 		if opts.DisableBlocking {
-			evaluated := 0
 			for j := i + 1; j < len(fields); j++ {
 				// Fields of the same interface never match each other.
 				if ifaces[j] == ifaces[i] {
 					continue
 				}
-				evaluated++
-				if matchFields(sems[w], fi, &fields[j], opts.MinInstanceOverlap) {
+				probed++
+				if matchFields(sems[w], fi, &fields[j]) {
 					got = append(got, int32(j))
 				}
 			}
 			matched[k] = got
-			tally[w].Evaluated += evaluated
+			evaluated[w] += probed
 			return
 		}
 		// Candidates: fields after i sharing at least one block key, outside
@@ -359,7 +317,6 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 		rb := rows[w]
 		epoch := rb.beginRow(len(fields))
 		iface, root := ifaces[i], roots.root[i]
-		probed, hits := 0, 0
 		for p := index.off[i]; p < index.off[i+1]; p++ {
 			for _, j := range index.postings[index.ids[p]][index.at[p]+1:] {
 				if ifaces[j] == iface || roots.root[j] == root || rb.stamp[j] == epoch {
@@ -367,27 +324,13 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 				}
 				rb.stamp[j] = epoch
 				probed++
-				var ok bool
-				if warm != nil {
-					pk := pairIDKey(ids[i], ids[j])
-					var hit bool
-					if ok, hit = warm.pairs.Get(pk); hit {
-						hits++
-					} else {
-						ok = matchFields(sems[w], fi, &fields[j], opts.MinInstanceOverlap)
-						warm.pairs.Put(pk, ok)
-					}
-				} else {
-					ok = matchFields(sems[w], fi, &fields[j], opts.MinInstanceOverlap)
-				}
-				if ok {
+				if matchFields(sems[w], fi, &fields[j]) {
 					got = append(got, j)
 				}
 			}
 		}
 		matched[k] = got
-		tally[w].Hits += hits
-		tally[w].Evaluated += probed - hits
+		evaluated[w] += probed
 	}
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -404,12 +347,11 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 		}
 	}
 	if opts.Pairs != nil {
-		for _, t := range tally {
-			opts.Pairs.Hits += t.Hits
-			opts.Pairs.Evaluated += t.Evaluated
+		for _, e := range evaluated {
+			*opts.Pairs += e
 		}
 	}
-	return clusterize(fields, ifaces, roots.root, prefix), nil
+	return clusterize(fields, ifaces, roots.root), nil
 }
 
 // collectFields flattens the trees' leaves into fieldInfos with the
@@ -430,10 +372,12 @@ func collectFields(trees []*schema.Tree) ([]fieldInfo, []int32) {
 		for _, leaf := range t.Leaves() {
 			f := fieldInfo{leaf: leaf, label: strings.TrimSpace(leaf.Label)}
 			if len(leaf.Instances) > 0 {
-				f.inst = make(map[string]bool, len(leaf.Instances))
-				for _, v := range leaf.Instances {
-					f.inst[strings.ToLower(strings.TrimSpace(v))] = true
+				f.inst = make([]string, len(leaf.Instances))
+				for i, v := range leaf.Instances {
+					f.inst[i] = strings.ToLower(strings.TrimSpace(v))
 				}
+				slices.Sort(f.inst)
+				f.inst = slices.Compact(f.inst)
 			}
 			fields = append(fields, f)
 			ifaces = append(ifaces, o)
@@ -444,7 +388,7 @@ func collectFields(trees []*schema.Tree) ([]fieldInfo, []int32) {
 
 // clusterize turns the forest's components into cluster
 // annotations on the leaves and returns the number of clusters formed.
-func clusterize(fields []fieldInfo, ifaces []int32, roots []int32, prefix string) int {
+func clusterize(fields []fieldInfo, ifaces []int32, roots []int32) int {
 	// A cluster may not contain two fields of one interface. Transitive
 	// closure can still glue them together (both date groups label a field
 	// "Month", chained through other interfaces), so components are split
@@ -468,7 +412,7 @@ func clusterize(fields []fieldInfo, ifaces []int32, roots []int32, prefix string
 		key := slot{roots[i], occIndex[i]}
 		name, ok := names[key]
 		if !ok {
-			name = fmt.Sprintf("%s_%03d", prefix, next)
+			name = fmt.Sprintf("%s_%03d", clusterPrefix, next)
 			next++
 			names[key] = name
 		}
@@ -477,103 +421,36 @@ func clusterize(fields []fieldInfo, ifaces []int32, roots []int32, prefix string
 	return next - 1
 }
 
-// blockKeys derives the block keys of a field. Each key family mirrors one
-// way matchFields can fire, so two fields that match always share a key:
-//
-//   - "d:" display form — the string-equal relation compares display forms
-//     case-insensitively, so string-equal fields share the folded form;
-//   - "s:" stem and "b:" base of every content word — the equal and synonym
-//     relations align every word of one label with a word of the other, and
-//     an aligned pair agrees on stem, base, or synset, so the first word of
-//     either label puts a shared key on both fields;
-//   - "y:" synset IDs of every content word — the synonymy half of that
-//     alignment: two bases are synonyms exactly when their synset-ID sets
-//     intersect (pinned by lexicon's TestSynsetIDs);
-//   - "v:" instance values — Jaccard overlap above a positive threshold
-//     needs at least one shared normalized value;
-//   - "i:*" — with a non-positive threshold any two instance-carrying
-//     fields pass the overlap test, so they all share the universal key.
-func blockKeys(sem *naming.Semantics, f *fieldInfo, minOverlap float64) []string {
-	var keys []string
-	if f.label != "" {
-		if d := sem.DisplayForm(f.label); d != "" {
-			keys = append(keys, "d:"+foldKey(d))
-		}
-		for _, w := range sem.LabelWords(f.label) {
-			keys = append(keys, "s:"+w.Stem, "b:"+w.Base)
-			for _, id := range sem.Lexicon().SynsetIDs(w.Base) {
-				keys = append(keys, "y:"+strconv.Itoa(id))
-			}
-		}
-	}
-	if len(f.inst) > 0 {
-		if minOverlap <= 0 {
-			keys = append(keys, "i:*")
-		} else {
-			for v := range f.inst {
-				keys = append(keys, "v:"+v)
-			}
-		}
-	}
-	sort.Strings(keys)
-	return dedupSorted(keys)
-}
-
-// foldKey maps every rune to the smallest member of its case-folding orbit,
-// so two strings are strings.EqualFold exactly when their foldKeys are
-// byte-equal (ToLower is not enough: 'σ' and 'ς' fold together but lower-case
-// differently).
-func foldKey(s string) string {
-	return strings.Map(func(r rune) rune {
-		least := r
-		for f := unicode.SimpleFold(r); f != r; f = unicode.SimpleFold(f) {
-			if f < least {
-				least = f
-			}
-		}
-		return least
-	}, s)
-}
-
-func dedupSorted(s []string) []string {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // matchFields evaluates the two similarity signals on precomputed fields.
-func matchFields(sem *naming.Semantics, a, b *fieldInfo, minOverlap float64) bool {
+func matchFields(sem *naming.Semantics, a, b *fieldInfo) bool {
 	if a.label != "" && b.label != "" && sem.Equivalent(a.label, b.label) {
 		return true
 	}
-	if len(a.inst) > 0 && len(b.inst) > 0 {
-		if jaccardSets(a.inst, b.inst) >= minOverlap {
-			return true
-		}
-	}
-	return false
+	return len(a.inst) > 0 && len(b.inst) > 0 && jaccard(a.inst, b.inst) >= minOverlap
 }
 
-// jaccardSets computes Jaccard similarity of two pre-normalized value sets.
-func jaccardSets(a, b map[string]bool) float64 {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
+// jaccard computes the Jaccard similarity of two sorted, distinct value
+// sets by one merge pass. Overlap at any positive threshold needs a shared
+// value, which is what the instance-value block keys rely on.
+func jaccard(a, b []string) float64 {
 	inter := 0
-	for v := range a {
-		if b[v] {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
 			inter++
+			i++
+			j++
 		}
 	}
-	unionSize := len(a) + len(b) - inter
-	if unionSize == 0 {
+	union := len(a) + len(b) - inter
+	if union == 0 {
 		return 0
 	}
-	return float64(inter) / float64(unionSize)
+	return float64(inter) / float64(union)
 }
 
 // Quality compares matcher-assigned clusters against ground truth,

@@ -105,17 +105,21 @@ func TestEvaluateOnCorpus(t *testing.T) {
 }
 
 // TestJaccard covers the instance signal through collectFields'
-// normalization: values compare case-folded and trimmed.
+// normalization: values compare case-folded, trimmed and deduplicated.
 func TestJaccard(t *testing.T) {
 	fields, _ := collectFields([]*schema.Tree{
 		schema.NewTree("a", schema.NewField("", "", "a", " b")),
 		schema.NewTree("b", schema.NewField("", "", "B", "c ")),
 		schema.NewTree("c", schema.NewField("", "")),
+		schema.NewTree("d", schema.NewField("", "", "B", " a", "A")),
 	})
-	if j := jaccardSets(fields[0].inst, fields[1].inst); j < 0.33 || j > 0.34 {
-		t.Errorf("jaccardSets = %v, want 1/3 (case-insensitive, trimmed)", j)
+	if j := jaccard(fields[0].inst, fields[3].inst); j != 1 {
+		t.Errorf("jaccard = %v, want 1 (a repeated value counts once)", j)
 	}
-	if j := jaccardSets(fields[2].inst, fields[2].inst); j != 0 {
-		t.Errorf("jaccardSets of empties = %v, want 0", j)
+	if j := jaccard(fields[0].inst, fields[1].inst); j < 0.33 || j > 0.34 {
+		t.Errorf("jaccard = %v, want 1/3 (case-insensitive, trimmed)", j)
+	}
+	if j := jaccard(fields[2].inst, fields[2].inst); j != 0 {
+		t.Errorf("jaccard of empties = %v, want 0", j)
 	}
 }

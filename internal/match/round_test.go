@@ -5,12 +5,9 @@ import (
 	"fmt"
 	"testing"
 
+	"qilabel/internal/naming"
 	"qilabel/internal/schema"
 )
-
-// probes is the number of candidate pairs one run looked at: verdicts
-// answered from the warm cache plus verdicts evaluated.
-func probes(p PairCounts) int { return p.Hits + p.Evaluated }
 
 // TestRoundsSkipConnectedCandidates: N interfaces each hold one field with
 // the same label, so every pair is a candidate and every candidate
@@ -29,32 +26,26 @@ func TestRoundsSkipConnectedCandidates(t *testing.T) {
 		want += n - 1 - i
 	}
 	for _, par := range []int{1, 4} {
-		for _, warm := range []*Warm{nil, NewWarm(nil)} {
-			var pairs PairCounts
-			got, err := AssignContext(context.Background(), cloneTrees(trees),
-				Options{Parallelism: par, Warm: warm, Pairs: &pairs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != 1 {
-				t.Fatalf("par=%d warm=%v: %d clusters, want 1", par, warm != nil, got)
-			}
-			if probes(pairs) != want {
-				t.Fatalf("par=%d warm=%v: probed %d pairs, want the first round's %d (all pairs: %d)",
-					par, warm != nil, probes(pairs), want, n*(n-1)/2)
-			}
+		var probed int
+		got, err := AssignContext(context.Background(), cloneTrees(trees),
+			Options{Parallelism: par, Pairs: &probed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != 1 {
+			t.Fatalf("par=%d: %d clusters, want 1", par, got)
+		}
+		if probed != want {
+			t.Fatalf("par=%d: probed %d pairs, want the first round's %d (all pairs: %d)",
+				par, probed, want, n*(n-1)/2)
 		}
 	}
 }
 
 // TestRoundsScheduleIndependent: the probed pairs are a function of the
-// input alone, so their count and the warm pair-cache population come out
-// identical at every Parallelism, and the assignment equals the exhaustive
-// reference pass. Only the sum of Hits and Evaluated is pinned, not the
-// split: two workers can evaluate one content pair in the same run, so the
-// split varies with scheduling. Twenty runs over seed 1's corpus at
-// Parallelism 4 (GOMAXPROCS 4) split its 1,860 probes as {Hits 1699,
-// Evaluated 161} or {1700, 160}.
+// input alone, so their count, and the population of Relate verdicts they
+// leave in a fresh naming.Warm, come out identical at every Parallelism,
+// and the assignment equals the exhaustive reference pass.
 func TestRoundsScheduleIndependent(t *testing.T) {
 	ctx := context.Background()
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -66,23 +57,25 @@ func TestRoundsScheduleIndependent(t *testing.T) {
 		if _, err := AssignContext(ctx, ref, Options{DisableBlocking: true}); err != nil {
 			t.Fatal(err)
 		}
-		var wantProbed, wantPairs int
+		var wantProbed, wantVerdicts int
 		for _, par := range []int{1, 2, 4, 8} {
 			step := fmt.Sprintf("seed %d par %d", seed, par)
-			w := NewWarm(nil)
-			var pairs PairCounts
+			w := naming.NewWarm(nil)
+			var probed int
 			got := cloneTrees(trees)
-			if _, err := AssignContext(ctx, got, Options{Parallelism: par, Warm: w, Pairs: &pairs}); err != nil {
+			opts := Options{Parallelism: par, Analysis: w.Analysis(fieldLabels(got)), Pairs: &probed}
+			if _, err := AssignContext(ctx, got, opts); err != nil {
 				t.Fatal(err)
 			}
 			assertSameAssignment(t, step, got, ref)
+			verdicts := w.Stats().Verdicts
 			if par == 1 {
-				wantProbed, wantPairs = probes(pairs), w.Stats().Pairs
+				wantProbed, wantVerdicts = probed, verdicts
 				continue
 			}
-			if probes(pairs) != wantProbed || w.Stats().Pairs != wantPairs {
+			if probed != wantProbed || verdicts != wantVerdicts {
 				t.Fatalf("%s: probed %d pairs, cached %d verdicts; serial: %d and %d",
-					step, probes(pairs), w.Stats().Pairs, wantProbed, wantPairs)
+					step, probed, verdicts, wantProbed, wantVerdicts)
 			}
 		}
 	}

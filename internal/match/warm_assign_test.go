@@ -3,8 +3,10 @@ package match
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
+	"qilabel/internal/naming"
 	"qilabel/internal/schema"
 	"qilabel/internal/synth"
 )
@@ -38,6 +40,20 @@ func cloneTrees(trees []*schema.Tree) []*schema.Tree {
 	return out
 }
 
+// fieldLabels lists the trimmed leaf labels the matcher compares, the
+// labels a run's analysis table must cover.
+func fieldLabels(trees []*schema.Tree) []string {
+	var labels []string
+	for _, tr := range trees {
+		for _, leaf := range tr.Leaves() {
+			if l := strings.TrimSpace(leaf.Label); l != "" {
+				labels = append(labels, l)
+			}
+		}
+	}
+	return labels
+}
+
 func assertSameAssignment(t *testing.T, step string, a, b []*schema.Tree) {
 	t.Helper()
 	for i := range a {
@@ -54,22 +70,23 @@ func assertSameAssignment(t *testing.T, step string, a, b []*schema.Tree) {
 	}
 }
 
-// TestWarmAssignEquivalence pins the warm matcher's contract the way a
-// delta session feeds it: as the source set grows source by source, an
-// AssignContext sharing one Warm produces the exact cluster assignment of a
-// from-scratch AssignContext without one.
+// TestWarmAssignEquivalence pins the matcher's contract over the warm
+// cache the way a delta session feeds it: as the source set grows source
+// by source, an AssignContext over an analysis table one naming.Warm
+// builds produces the exact cluster assignment of an AssignContext with no
+// table, and the growing runs hit the Warm's Relate verdicts.
 func TestWarmAssignEquivalence(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			trees := growingCorpus(t, seed, 6)
-			w := NewWarm(nil)
+			w := naming.NewWarm(nil)
 			ctx := context.Background()
-			var hits int
 			for n := 1; n <= len(trees); n++ {
 				warm := cloneTrees(trees[:n])
 				cold := cloneTrees(trees[:n])
-				var pairs PairCounts
-				nw, err := AssignContext(ctx, warm, Options{Warm: w, Pairs: &pairs})
+				var probed int
+				nw, err := AssignContext(ctx, warm,
+					Options{Analysis: w.Analysis(fieldLabels(warm)), Pairs: &probed})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -81,47 +98,66 @@ func TestWarmAssignEquivalence(t *testing.T) {
 					t.Fatalf("n=%d: %d clusters warm vs %d from scratch", n, nw, nc)
 				}
 				assertSameAssignment(t, fmt.Sprintf("n=%d", n), warm, cold)
-				if n > 1 && pairs.Hits+pairs.Evaluated == 0 {
+				if n > 1 && probed == 0 {
 					t.Fatalf("n=%d: matcher did no pair work at all", n)
 				}
-				hits += pairs.Hits
 			}
-			if hits == 0 {
-				t.Fatal("growing the corpus never reused a pair verdict")
+			if st := w.Stats(); st.VerdictHits == 0 {
+				t.Fatalf("growing the corpus never reused a Relate verdict: %+v", st)
 			}
 		})
 	}
 }
 
-// TestWarmAssignReuse: re-running over unchanged content derives no block
-// key and evaluates no pair — every candidate pair is answered from the
-// Warm.
+// TestWarmAssignReuse: re-running over unchanged content analyzes no label
+// and evaluates no Relate verdict afresh — every label and every verdict
+// the second run needs is answered from the Warm — and probes exactly the
+// pairs the first run probed.
 func TestWarmAssignReuse(t *testing.T) {
 	trees := growingCorpus(t, 7, 5)
-	w := NewWarm(nil)
+	w := naming.NewWarm(nil)
 	ctx := context.Background()
-	var first, second PairCounts
-	if _, err := AssignContext(ctx, cloneTrees(trees), Options{Warm: w, Pairs: &first}); err != nil {
-		t.Fatal(err)
+	run := func() int {
+		got := cloneTrees(trees)
+		var probed int
+		if _, err := AssignContext(ctx, got, Options{Analysis: w.Analysis(fieldLabels(got)), Pairs: &probed}); err != nil {
+			t.Fatal(err)
+		}
+		return probed
 	}
+	first := run()
 	cold := w.Stats()
-	if cold.KeyMisses == 0 || first.Evaluated == 0 {
-		t.Fatalf("cold run did no fresh work: %+v %+v", cold, first)
+	if cold.LabelMisses == 0 || cold.VerdictMisses == 0 || first == 0 {
+		t.Fatalf("cold run did no fresh work: %+v, %d pairs probed", cold, first)
 	}
-	if _, err := AssignContext(ctx, cloneTrees(trees), Options{Warm: w, Pairs: &second}); err != nil {
+	second := run()
+	st := w.Stats()
+	if st.LabelMisses != cold.LabelMisses || st.VerdictMisses != cold.VerdictMisses {
+		t.Fatalf("warm run analyzed labels or evaluated verdicts: cold %+v, warm %+v", cold, st)
+	}
+	if st.VerdictHits == cold.VerdictHits {
+		t.Fatalf("warm run answered no verdict from the Warm: %+v", st)
+	}
+	if second != first {
+		t.Fatalf("warm run probed %d pairs, cold run %d", second, first)
+	}
+}
+
+// TestSerialAssignReachesWarm: every worker of the blocked pass, the first
+// one included, reads the run's analysis table, so a serial run over a
+// table a naming.Warm built consults the Warm's Relate verdicts.
+func TestSerialAssignReachesWarm(t *testing.T) {
+	trees := growingCorpus(t, 3, 6)
+	w := naming.NewWarm(nil)
+	var probed int
+	opts := Options{Parallelism: 1, Analysis: w.Analysis(fieldLabels(trees)), Pairs: &probed}
+	if _, err := AssignContext(context.Background(), trees, opts); err != nil {
 		t.Fatal(err)
 	}
-	if st := w.Stats(); st.KeyMisses != cold.KeyMisses {
-		t.Fatalf("warm run derived block keys: %+v", st)
+	if probed == 0 {
+		t.Fatal("the serial run evaluated no pair")
 	}
-	if second.Evaluated != 0 {
-		t.Fatalf("warm run evaluated %d pairs", second.Evaluated)
-	}
-	// The cold run saw the same candidate pairs, some already answered
-	// within the run (equal-content fields share a verdict key), so its
-	// hits plus evaluations are the warm run's hits.
-	if second.Hits != first.Evaluated+first.Hits {
-		t.Fatalf("warm run answered %d pairs from cache, cold run saw %d",
-			second.Hits, first.Evaluated+first.Hits)
+	if st := w.Stats(); st.VerdictHits+st.VerdictMisses == 0 {
+		t.Fatalf("a serial run evaluated %d pairs without consulting the Warm: %+v", probed, st)
 	}
 }

@@ -4,8 +4,9 @@ import "testing"
 
 // FuzzRelate drives Definition 1 with arbitrary label pairs: Relate must
 // never panic and must keep its algebraic guarantees — reflexivity to
-// string equality, hypernym/hyponym duality, and memoized/unmemoized
-// agreement — for any input.
+// string equality, hypernym/hyponym duality, memoized/unmemoized
+// agreement, and Equivalent labels sharing an equivalence key — for any
+// input.
 func FuzzRelate(f *testing.F) {
 	seeds := [][2]string{
 		{"From", "From"},
@@ -47,6 +48,10 @@ func FuzzRelate(f *testing.F) {
 			if ba != RelHypernym {
 				t.Errorf("duality violated: %q %q -> %v / %v", a, b, ab, ba)
 			}
+		}
+		if sem.Equivalent(a, b) && !sharesKey(sem, a, b) {
+			t.Errorf("%q and %q are %v but share no key: %q vs %q", a, b, ab,
+				sem.EquivalenceKeys(a), sem.EquivalenceKeys(b))
 		}
 		if norm := sem.analyze(a).display; norm != "" && sem.Relate(a, a) != RelStringEqual {
 			t.Errorf("Relate(%q,%q) not string-equal", a, a)

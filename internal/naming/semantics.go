@@ -23,8 +23,11 @@
 package naming
 
 import (
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode"
 
 	"qilabel/internal/gencache"
 	"qilabel/internal/lexicon"
@@ -89,6 +92,7 @@ type labelWords struct {
 	// conjunction marks labels containing "and"/"or"/"&"/"/", for which
 	// Definition 1 does not define hypernymy.
 	conjunction bool
+	keys        []string // see Semantics.EquivalenceKeys
 }
 
 // Analysis is an immutable label-analysis table: the two-step normalization
@@ -236,7 +240,75 @@ func analyzeLabel(lex *lexicon.Lexicon, label string) *labelWords {
 		seen[st] = true
 		lw.words = append(lw.words, word{stem: st, base: base})
 	}
+	lw.keys = equivalenceKeys(lex, lw)
 	return lw
+}
+
+// equivalenceKeys derives a label's equivalence keys from its analysis,
+// one family per way two labels can be Equivalent:
+//
+//   - "d:" the case-folded display form: string-equal labels have
+//     EqualFold display forms, which fold to one key;
+//   - "s:" the stem and "b:" the base of every content word: equal and
+//     synonym labels align every word of one label with a word of the
+//     other, and an aligned pair agrees on stem, base or synset, so the
+//     first word of either label puts a shared key on both;
+//   - "y:" the synset IDs of every content word: the synonymy half of that
+//     alignment, since two bases are synonyms exactly when their synset-ID
+//     sets intersect (pinned by lexicon's TestSynsetIDs).
+//
+// The keys are substrings of one string: they share its memory instead of
+// costing an allocation each.
+func equivalenceKeys(lex *lexicon.Lexicon, lw *labelWords) []string {
+	var b strings.Builder
+	var ends []int
+	var synsets []int
+	var num [20]byte
+	if lw.display != "" {
+		b.WriteString("d:")
+		b.WriteString(foldKey(lw.display))
+		ends = append(ends, b.Len())
+	}
+	for _, w := range lw.words {
+		b.WriteString("s:")
+		b.WriteString(w.stem)
+		ends = append(ends, b.Len())
+		b.WriteString("b:")
+		b.WriteString(w.base)
+		ends = append(ends, b.Len())
+		synsets = append(synsets, lex.SynsetIDs(w.base)...)
+	}
+	// Words may share a synset. Sorting dedups in O(n log n): a label comes
+	// from a request body, so its word count has no small bound.
+	slices.Sort(synsets)
+	for _, id := range slices.Compact(synsets) {
+		b.WriteString("y:")
+		b.Write(strconv.AppendInt(num[:0], int64(id), 10))
+		ends = append(ends, b.Len())
+	}
+	all := b.String()
+	keys := make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		keys[i], start = all[start:end], end
+	}
+	return keys
+}
+
+// foldKey maps every rune to the smallest member of its case-folding orbit,
+// so two strings are strings.EqualFold exactly when their foldKeys are
+// byte-equal (ToLower is not enough: 'σ' and 'ς' fold together but lower-case
+// differently).
+func foldKey(s string) string {
+	return strings.Map(func(r rune) rune {
+		least := r
+		for f := unicode.SimpleFold(r); f != r; f = unicode.SimpleFold(f) {
+			if f < least {
+				least = f
+			}
+		}
+		return least
+	}, s)
 }
 
 // labelID interns a label for the Relate memo key: shared-table labels use
@@ -277,29 +349,15 @@ func (s *Semantics) ContentWords(label string) []string {
 	return out
 }
 
-// WordForm is one content word of a label in both normalized
-// representations of Definition 1: the Porter stem (equality comparisons)
-// and the lexical base form (the key into the synonymy/hypernymy lexicon).
-type WordForm struct {
-	Stem string
-	Base string
-}
-
-// LabelWords exposes the analyzed content words of a label in analysis
-// order. The matcher's blocking pass derives its block keys from them.
-func (s *Semantics) LabelWords(label string) []WordForm {
-	lw := s.analyze(label)
-	out := make([]WordForm, len(lw.words))
-	for i, w := range lw.words {
-		out[i] = WordForm{Stem: w.stem, Base: w.base}
-	}
-	return out
-}
-
-// DisplayForm returns normalization step one of a label — the display form
-// the string-equal relation compares case-insensitively.
-func (s *Semantics) DisplayForm(label string) string {
-	return s.analyze(label).display
+// EquivalenceKeys returns the label's equivalence keys: two labels that
+// are Equivalent (string-equal, equal or synonyms under Definition 1)
+// always share at least one key, so a caller looking for a label's
+// equivalents need only compare it with labels sharing a key. The matcher
+// blocks its pairwise pass on them. The keys are computed once per
+// analysis (see equivalenceKeys) and shared: callers must not modify the
+// returned slice.
+func (s *Semantics) EquivalenceKeys(label string) []string {
+	return s.analyze(label).keys
 }
 
 // wordEqual: the tokens agree by stem or by base form.

@@ -1,8 +1,13 @@
 package naming
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"qilabel/internal/lexicon"
+	"qilabel/internal/synth"
 )
 
 // TestRelateDefinition1Examples checks every example the paper gives for
@@ -173,5 +178,86 @@ func TestRelateProperties(t *testing.T) {
 	}
 	if err := quick.Check(refl, &quick.Config{MaxCount: 200}); err != nil {
 		t.Errorf("reflexivity: %v", err)
+	}
+}
+
+// TestFoldKey pins the string-equal half of the equivalence keys on
+// non-ASCII case pairs ToLower alone would split.
+func TestFoldKey(t *testing.T) {
+	cases := [][2]string{
+		{"Price", "PRICE"},
+		{"straße", "STRAßE"},
+		{"ς", "σ"}, // final vs medial sigma fold together
+		{"K", "k"}, // Kelvin sign folds to k
+	}
+	for _, c := range cases {
+		if !strings.EqualFold(c[0], c[1]) {
+			t.Fatalf("test case %q vs %q is not EqualFold", c[0], c[1])
+		}
+		if foldKey(c[0]) != foldKey(c[1]) {
+			t.Fatalf("foldKey(%q) = %q != foldKey(%q) = %q",
+				c[0], foldKey(c[0]), c[1], foldKey(c[1]))
+		}
+	}
+	if foldKey("price") == foldKey("prize") {
+		t.Fatal("foldKey collides distinct words")
+	}
+}
+
+// distinct returns the labels sorted, each once.
+func distinct(labels []string) []string {
+	slices.Sort(labels)
+	return slices.Compact(labels)
+}
+
+// sharesKey reports whether the two labels' equivalence keys intersect.
+func sharesKey(s *Semantics, a, b string) bool {
+	for _, ka := range s.EquivalenceKeys(a) {
+		if slices.Contains(s.EquivalenceKeys(b), ka) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestEquivalentLabelsShareKeys pins the invariant the matcher's blocking
+// rests on: over every pair of distinct labels of the seven domains'
+// sources, and of a synth medium vocabulary under its own lexicon, two
+// Equivalent labels share an equivalence key.
+func TestEquivalentLabelsShareKeys(t *testing.T) {
+	cfg, err := synth.Preset("medium")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees, lex, err := synth.GenerateWithLexicon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		lex    *lexicon.Lexicon
+		labels []string
+	}{
+		{"domains", nil, domainLabels(t)},
+		{"medium", lex, distinct(sourceLabels(trees))},
+	} {
+		s := NewSemantics(c.lex)
+		equivalent := 0
+		for i, a := range c.labels {
+			for _, b := range c.labels[i+1:] {
+				if !s.Equivalent(a, b) {
+					continue
+				}
+				equivalent++
+				if !sharesKey(s, a, b) {
+					t.Fatalf("%s: %q and %q are %v but share no key: %q vs %q", c.name, a, b,
+						s.Relate(a, b), s.EquivalenceKeys(a), s.EquivalenceKeys(b))
+				}
+			}
+		}
+		t.Logf("%s: %d labels, %d equivalent pairs", c.name, len(c.labels), equivalent)
+		if equivalent == 0 {
+			t.Fatalf("%s: no equivalent pair to check", c.name)
+		}
 	}
 }

@@ -53,11 +53,14 @@ type WarmStats struct {
 }
 
 // Warm is the cross-run cache a long-lived handle (qilabel's Integrator)
-// owns: a bounded intern table of label analyses and a sharded shared
-// cache of Relate verdicts, both keyed under one lexicon epoch. Runs reach
-// it through the Analysis it builds (Warm.Analysis); group solves,
-// isolated elections and node derivations are recomputed by every run
-// from these per-label and per-pair facts.
+// owns, and its only one: a bounded intern table of label analyses, each
+// carrying the label's equivalence keys, and a sharded shared cache of
+// Relate verdicts, both keyed under one lexicon epoch. Runs reach it
+// through the Analysis it builds (Warm.Analysis): the matcher reads its
+// block keys (EquivalenceKeys) and its lexical verdicts (Equivalent)
+// there, the naming phases their Definition 1 relations. Pair
+// evaluations, group solves, isolated elections and node derivations are
+// recomputed by every run from these per-label and per-pair facts.
 //
 // Every cached fact is a pure function of (label(s), lexicon), so reuse can
 // never change an outcome, only skip recomputing it — warm runs stay

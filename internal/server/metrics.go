@@ -220,24 +220,18 @@ type snapshot struct {
 	Naming        map[string]int              `json:"naming"`
 }
 
-// warmSnapshot is the cross-run warm-cache section of /metrics: the
-// Integrator-owned caches (label interning, Relate verdicts, matcher block
-// keys and pair verdicts, source-label memo) aggregated over every cached
-// Integrator. HitRate is total hits over total probes across every layer.
+// warmSnapshot is the cross-run warm-cache section of /metrics: each
+// Integrator's naming.Warm (label interning, Relate verdicts), aggregated
+// over every cached Integrator. HitRate is total hits over total probes
+// across both tables.
 type warmSnapshot struct {
-	Integrators     int     `json:"integrators"`
-	LabelHits       uint64  `json:"labelHits"`
-	LabelMisses     uint64  `json:"labelMisses"`
-	VerdictHits     uint64  `json:"verdictHits"`
-	VerdictMisses   uint64  `json:"verdictMisses"`
-	MatchKeyHits    uint64  `json:"matchKeyHits"`
-	MatchKeyMisses  uint64  `json:"matchKeyMisses"`
-	MatchPairHits   uint64  `json:"matchPairHits"`
-	MatchPairMisses uint64  `json:"matchPairMisses"`
-	SourceHits      uint64  `json:"sourceHits"`
-	SourceMisses    uint64  `json:"sourceMisses"`
-	EpochResets     uint64  `json:"epochResets"`
-	HitRate         float64 `json:"hitRate"`
+	Integrators   int     `json:"integrators"`
+	LabelHits     uint64  `json:"labelHits"`
+	LabelMisses   uint64  `json:"labelMisses"`
+	VerdictHits   uint64  `json:"verdictHits"`
+	VerdictMisses uint64  `json:"verdictMisses"`
+	EpochResets   uint64  `json:"epochResets"`
+	HitRate       float64 `json:"hitRate"`
 }
 
 // warmSnapshotOf aggregates the warm statistics of the given integrators.
@@ -248,16 +242,10 @@ func warmSnapshotOf(stats []qilabel.WarmStats) warmSnapshot {
 		w.LabelMisses += st.LabelMisses
 		w.VerdictHits += st.VerdictHits
 		w.VerdictMisses += st.VerdictMisses
-		w.MatchKeyHits += st.MatchKeyHits
-		w.MatchKeyMisses += st.MatchKeyMisses
-		w.MatchPairHits += st.MatchPairHits
-		w.MatchPairMisses += st.MatchPairMisses
-		w.SourceHits += st.SourceHits
-		w.SourceMisses += st.SourceMisses
 		w.EpochResets += st.EpochResets
 	}
-	hits := w.LabelHits + w.VerdictHits + w.MatchKeyHits + w.MatchPairHits + w.SourceHits
-	misses := w.LabelMisses + w.VerdictMisses + w.MatchKeyMisses + w.MatchPairMisses + w.SourceMisses
+	hits := w.LabelHits + w.VerdictHits
+	misses := w.LabelMisses + w.VerdictMisses
 	if hits+misses > 0 {
 		w.HitRate = float64(hits) / float64(hits+misses)
 	}

@@ -273,7 +273,8 @@ func TestSessionCapEviction(t *testing.T) {
 }
 
 // TestSessionMatcherDeltaReuse drives a matcher session and checks that
-// the pair-verdict cache shows up in the per-op stats over HTTP.
+// its runs answer Relate verdicts from the Integrator's warm cache, as
+// /metrics reports it, and that its result is the one-shot integration's.
 func TestSessionMatcherDeltaReuse(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	created := createSession(t, ts.URL, requestOptions{Matcher: true})
@@ -299,8 +300,13 @@ func TestSessionMatcherDeltaReuse(t *testing.T) {
 			t.Fatalf("add: status %d", resp.StatusCode)
 		}
 	}
-	if last.Stats.PairHits == 0 {
-		t.Fatalf("matcher session shows no pair-verdict reuse: %+v", last.Stats)
+	if last.Stats.PairsEvaluated == 0 {
+		t.Fatalf("matcher session evaluated no pair: %+v", last.Stats)
+	}
+	var snap snapshot
+	decodeBody(t, mustGet(t, ts.URL+"/metrics"), &snap)
+	if snap.Warm.VerdictHits == 0 {
+		t.Fatalf("matcher session shows no verdict reuse: %+v", snap.Warm)
 	}
 	var got integrateResponse
 	if resp := doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+created.ID+"/result", nil, &got); resp.StatusCode != http.StatusOK {

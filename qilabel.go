@@ -123,15 +123,14 @@ type Config struct {
 	// Fingerprint and CacheKey.
 	Observer func(StageEvent)
 
-	// disableWarmCache turns off the Integrator's cross-run warm caches
-	// (interned label analyses, shared Relate verdicts, matcher block keys
-	// and pair verdicts, per-source label memo). These are also the only
-	// caches a Session reuses work through, so with them off every session
-	// delta recomputes in full. Unexported and test-only —
-	// the warm-equivalence tests compare warm runs against this cold path,
-	// and the cold benchmarks and allocation budgets measure it. The caches
-	// store pure functions of the inputs and the lexicon, so the setting
-	// never changes a result and is excluded from Fingerprint.
+	// disableWarmCache turns off the Integrator's cross-run warm cache
+	// (interned label analyses with their equivalence keys, shared Relate
+	// verdicts). It is also the only cache a Session reuses work through,
+	// so with it off every session delta recomputes in full. Unexported and
+	// test-only — the warm-equivalence tests compare warm runs against this
+	// cold path, and the cold benchmarks and allocation budgets measure it.
+	// The cache stores pure functions of the labels and the lexicon, so the
+	// setting never changes a result and is excluded from Fingerprint.
 	disableWarmCache bool
 
 	// referenceKernels routes the pipeline through the unoptimized
@@ -280,7 +279,7 @@ func Integrate(sources []*Tree, opts ...Option) (*Result, error) {
 //
 // IntegrateContext is a thin wrapper constructing a throwaway Integrator
 // per call; callers integrating repeatedly with the same options should
-// hold a NewIntegrator handle to reuse its warm caches and cached
+// hold a NewIntegrator handle to reuse its warm cache and cached
 // fingerprint.
 func IntegrateContext(ctx context.Context, sources []*Tree, opts ...Option) (*Result, error) {
 	if len(sources) == 0 {

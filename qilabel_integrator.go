@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"qilabel/internal/delta"
-	"qilabel/internal/gencache"
-	"qilabel/internal/match"
 	"qilabel/internal/naming"
 	"qilabel/internal/pool"
 	"qilabel/internal/schema"
@@ -18,7 +16,7 @@ import (
 // Integrator is the primary entry point of the package: a validated,
 // reusable handle over one configuration. Construction pays the per-config
 // costs exactly once — validation, freezing the compiled form of a custom
-// lexicon — and the handle owns the warm caches described below, so a warm
+// lexicon — and the handle owns the warm cache described below, so a warm
 // Integrator does measurably less work than the equivalent sequence of
 // one-shot Integrate calls.
 //
@@ -31,23 +29,22 @@ import (
 // An Integrator is immutable after construction and safe for concurrent
 // use: every method may be called from any number of goroutines.
 //
-// An Integrator is a *warm engine*: it owns bounded cross-run caches of
-// per-label and per-pair facts — interned label analyses, a shared
-// Relate-verdict cache, matcher block keys and pair verdicts, and a
-// per-source label memo keyed by canonical tree hash — shared by every
-// Integrate call and Session on the handle, so integrating corpora that
-// share vocabulary gets cheaper run over run. Group solves, isolated
+// An Integrator is a *warm engine*: it owns one bounded cross-run cache
+// of per-label and per-pair facts (naming.Warm) — interned label analyses,
+// each with the equivalence keys the matcher blocks on, and a shared
+// Relate-verdict cache — shared by every Integrate call and Session on
+// the handle, so integrating corpora that share vocabulary gets cheaper
+// run over run. The matcher and the naming phases both read it through
+// the run's analysis table. Pair evaluations, group solves, isolated
 // elections and internal-node derivations are recomputed by every run
-// from those facts, so no table is keyed by a whole corpus. Every table
-// is bounded by one two-generation eviction policy (internal/gencache) at
-// fixed caps. Every cached fact is a pure function of the inputs and the
-// (frozen) lexicon, so warm results stay byte-identical to cold ones, and
-// WarmStats reports hit rates.
+// from those facts, so no table is keyed by a field, a source or a whole
+// corpus. Both tables are bounded by one two-generation eviction policy
+// (internal/gencache) at fixed caps. Every cached fact is a pure function
+// of the labels and the (frozen) lexicon, so warm results stay
+// byte-identical to cold ones, and WarmStats reports hit rates.
 type Integrator struct {
-	cfg       Config
-	warm      *naming.Warm
-	matchWarm *match.Warm
-	sources   *gencache.Table[string, []string]
+	cfg  Config
+	warm *naming.Warm
 
 	fpOnce sync.Once
 	fp     string
@@ -68,10 +65,6 @@ func NewIntegrator(cfg Config) (*Integrator, error) {
 	ig := &Integrator{cfg: cfg}
 	if !cfg.disableWarmCache && !cfg.referenceKernels {
 		ig.warm = naming.NewWarm(cfg.Lexicon)
-		if cfg.UseMatcher {
-			ig.matchWarm = match.NewWarm(cfg.Lexicon)
-		}
-		ig.sources = gencache.NewTable[string, []string](delta.SourceLabelCap)
 	}
 	return ig, nil
 }
@@ -107,18 +100,17 @@ func (ig *Integrator) CacheKey(sources []*Tree) string {
 }
 
 // deltaConfig mirrors the configuration into the delta engine, threading
-// the integrator's warm caches along.
+// the integrator's warm cache along.
 func (ig *Integrator) deltaConfig() delta.Config {
 	dc := ig.cfg.deltaConfig()
 	dc.Warm = ig.warm
-	dc.MatchWarm = ig.matchWarm
-	dc.SourceLabels = ig.sources
 	return dc
 }
 
 // WarmStats reports the effectiveness of the integrator's cross-run warm
-// caches: label-analysis interning, the shared Relate-verdict cache, and
-// the per-source label memo. All zeros when warm caching is disabled.
+// cache: label-analysis interning and the shared Relate-verdict cache,
+// which the matcher and the naming phases both read. All zeros when warm
+// caching is disabled.
 type WarmStats struct {
 	// LabelHits / LabelMisses count labels resolved from the intern cache
 	// vs analyzed fresh; LabelsEvicted counts analyses dropped under the
@@ -130,45 +122,27 @@ type WarmStats struct {
 	// per-worker overlay absorbs repeats); Verdicts is the population.
 	VerdictHits, VerdictMisses uint64
 	Verdicts                   int
-	// MatchKeyHits / MatchKeyMisses count matcher field contents whose
-	// block keys came from the warm cache; MatchPairHits / MatchPairMisses
-	// count candidate pairs answered without a similarity evaluation.
-	MatchKeyHits, MatchKeyMisses   uint64
-	MatchPairHits, MatchPairMisses uint64
-	MatchKeys, MatchPairs          int
-	// SourceHits / SourceMisses count source trees whose label lists came
-	// from the per-source memo vs a fresh walk; SourcesMemoized is the
-	// population.
-	SourceHits, SourceMisses uint64
-	SourcesMemoized          int
 	// EpochResets counts wholesale invalidations after lexicon mutations:
-	// one per Generation bump, though every warm layer resets on it.
+	// one per Generation bump.
 	EpochResets uint64
 }
 
 // WarmStats snapshots the integrator's cross-run cache counters.
 func (ig *Integrator) WarmStats() WarmStats {
-	var st WarmStats
-	if ig.warm != nil {
-		ws := ig.warm.Stats()
-		st.LabelHits, st.LabelMisses, st.LabelsEvicted = ws.LabelHits, ws.LabelMisses, ws.LabelsEvicted
-		st.LabelsInterned = ws.LabelsInterned
-		st.VerdictHits, st.VerdictMisses, st.Verdicts = ws.VerdictHits, ws.VerdictMisses, ws.Verdicts
-		st.EpochResets = ws.EpochResets
+	if ig.warm == nil {
+		return WarmStats{}
 	}
-	if ig.matchWarm != nil {
-		ms := ig.matchWarm.Stats()
-		st.MatchKeyHits, st.MatchKeyMisses = ms.KeyHits, ms.KeyMisses
-		st.MatchPairHits, st.MatchPairMisses = ms.PairHits, ms.PairMisses
-		st.MatchKeys, st.MatchPairs = ms.Keys, ms.Pairs
-		// The matcher's Warm resets on the same Generation bumps the
-		// naming Warm counted above.
+	ws := ig.warm.Stats()
+	return WarmStats{
+		LabelHits:      ws.LabelHits,
+		LabelMisses:    ws.LabelMisses,
+		LabelsEvicted:  ws.LabelsEvicted,
+		LabelsInterned: ws.LabelsInterned,
+		VerdictHits:    ws.VerdictHits,
+		VerdictMisses:  ws.VerdictMisses,
+		Verdicts:       ws.Verdicts,
+		EpochResets:    ws.EpochResets,
 	}
-	if ig.sources != nil {
-		ss := ig.sources.Stats()
-		st.SourceHits, st.SourceMisses, st.SourcesMemoized = ss.Hits, ss.Misses, ss.Len
-	}
-	return st
 }
 
 // Integrate matches (if configured), merges and labels the given source
@@ -257,10 +231,11 @@ func (ig *Integrator) IntegrateBatch(ctx context.Context, sets [][]*Tree, parall
 
 // NewSession creates an empty incremental integration session over this
 // configuration. Sessions created from one Integrator share its cached
-// fingerprint and warm caches — the only layer through which a session
+// fingerprint and warm cache — the only layer through which a session
 // reuses earlier work, its own or that of any other run on this handle:
-// label analyses, Relate verdicts, block keys and pair verdicts, not
-// group solves. See Session for the delta-equivalence contract.
+// label analyses with their equivalence keys and Relate verdicts, not
+// pair evaluations or group solves. See Session for the delta-equivalence
+// contract.
 func (ig *Integrator) NewSession() *Session {
 	return &Session{inner: delta.NewSession(ig.deltaConfig()), ig: ig}
 }

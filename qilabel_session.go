@@ -19,7 +19,7 @@ var (
 // Session is a live integration over a mutable source set: add, update and
 // remove source interfaces one at a time and read the labeled integrated
 // interface after every change. Each change re-runs the pipeline on the
-// Integrator's warm caches, so the per-label and per-pair facts of
+// Integrator's warm cache, so the per-label and per-pair facts of
 // untouched sources are not re-derived. The configuration (options) is
 // fixed when the session is created, mirroring IntegrateContext's
 // semantics exactly:
@@ -41,10 +41,10 @@ type Session struct {
 }
 
 // SessionStats profiles the most recent delta operation: total pipeline
-// components (clusters) and how many were reused vs. recomputed, matcher
-// pair verdicts served from the Integrator's warm cache vs. evaluated, and
-// the operation's duration. The operation's own run tallies the pair
-// counters, so concurrent runs on the same Integrator never move them.
+// components (clusters) and how many were reused vs. recomputed, the
+// candidate pairs the matcher evaluated, and the operation's duration.
+// The operation's own run tallies the pair count, so concurrent runs on
+// the same Integrator never move it.
 type SessionStats struct {
 	Op                   string        `json:"op"`
 	Sources              int           `json:"sources"`
@@ -52,7 +52,6 @@ type SessionStats struct {
 	ComponentsReused     int           `json:"componentsReused"`
 	ComponentsRecomputed int           `json:"componentsRecomputed"`
 	PairsEvaluated       int           `json:"pairsEvaluated"`
-	PairHits             int           `json:"pairHits"`
 	Duration             time.Duration `json:"-"`
 	DurationMs           float64       `json:"durationMs"`
 }
@@ -66,14 +65,13 @@ type SessionTotals struct {
 	ComponentsReused     int64 `json:"componentsReused"`
 	ComponentsRecomputed int64 `json:"componentsRecomputed"`
 	PairsEvaluated       int64 `json:"pairsEvaluated"`
-	PairHits             int64 `json:"pairHits"`
 }
 
 // NewSession creates an empty incremental integration session with the
 // given options (the same options Integrate takes; Observer is unused by
 // sessions). It is a thin wrapper over NewIntegrator + Integrator.NewSession;
 // callers opening many sessions with one configuration should hold the
-// Integrator and create sessions from it, sharing its warm caches and
+// Integrator and create sessions from it, sharing its warm cache and
 // cached fingerprint.
 func NewSession(opts ...Option) (*Session, error) {
 	ig, err := newIntegratorFromOptions(opts)
@@ -138,7 +136,6 @@ func (s *Session) Stats() SessionStats {
 		ComponentsReused:     st.ComponentsReused,
 		ComponentsRecomputed: st.ComponentsRecomputed,
 		PairsEvaluated:       st.PairsEvaluated,
-		PairHits:             st.PairHits,
 		Duration:             st.Duration,
 		DurationMs:           float64(st.Duration) / float64(time.Millisecond),
 	}
@@ -155,7 +152,6 @@ func (s *Session) Totals() SessionTotals {
 		ComponentsReused:     t.ComponentsReused,
 		ComponentsRecomputed: t.ComponentsRecomputed,
 		PairsEvaluated:       t.PairsEvaluated,
-		PairHits:             t.PairHits,
 	}
 }
 

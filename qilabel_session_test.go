@@ -186,16 +186,15 @@ func TestDeltaEquivalenceGolden(t *testing.T) {
 
 // TestSessionReuse pins that deltas actually reuse work: after adding one
 // source to a warm medium-sized session, the recomputed-component counter
-// stays below the total and reuse is nonzero — the observable claim
-// behind BenchmarkDeltaAddSource.
+// stays below the total, reuse is nonzero and the add answers Relate
+// verdicts from the Integrator's warm cache — the observable claim behind
+// BenchmarkDeltaAddSource.
 func TestSessionReuse(t *testing.T) {
 	ctx := context.Background()
 	for _, matcher := range []bool{false, true} {
 		name := "annotated"
-		var opts []Option
 		if matcher {
 			name = "matcher"
-			opts = append(opts, WithMatcher())
 		}
 		t.Run(name, func(t *testing.T) {
 			// Dropout matters: each source covers a subset of the domain's
@@ -210,16 +209,18 @@ func TestSessionReuse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess, err := NewSession(opts...)
+			ig, err := NewIntegrator(Config{UseMatcher: matcher})
 			if err != nil {
 				t.Fatal(err)
 			}
+			sess := ig.NewSession()
 			for _, src := range sources[:len(sources)-1] {
 				if _, err := sess.AddSource(ctx, src); err != nil {
 					t.Fatal(err)
 				}
 			}
 			last := sources[len(sources)-1]
+			before := ig.WarmStats()
 			h, err := sess.AddSource(ctx, last)
 			if err != nil {
 				t.Fatal(err)
@@ -234,18 +235,18 @@ func TestSessionReuse(t *testing.T) {
 			if st.ComponentsReused == 0 {
 				t.Errorf("single-source add reused nothing: %+v", st)
 			}
-			if matcher && st.PairHits == 0 {
-				t.Errorf("matcher add served no pair verdicts from cache: %+v", st)
+			if after := ig.WarmStats(); after.VerdictHits == before.VerdictHits {
+				t.Errorf("single-source add answered no Relate verdict from the warm cache: %+v", after)
 			}
 
 			// Remove the source again: back to the previous state, with
-			// every pair verdict answered from the warm caches.
+			// every label and Relate verdict answered from the warm cache.
+			before = ig.WarmStats()
 			if err := sess.RemoveSource(ctx, h); err != nil {
 				t.Fatal(err)
 			}
-			st = sess.Stats()
-			if matcher && st.PairsEvaluated != 0 {
-				t.Errorf("remove back to a seen state evaluated pairs afresh: %+v", st)
+			if after := ig.WarmStats(); after.LabelMisses != before.LabelMisses || after.VerdictMisses != before.VerdictMisses {
+				t.Errorf("remove back to a seen state analyzed labels or evaluated verdicts afresh:\nbefore %+v\nafter  %+v", before, after)
 			}
 		})
 	}

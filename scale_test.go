@@ -35,10 +35,10 @@ func scaleCorpus(tb testing.TB, size string) ([]*Tree, Config) {
 // BenchmarkWarm contrasts a cache-cold Integrator (disableWarmCache: every
 // iteration recomputes the full pipeline) with a warm one repeatedly
 // integrating the same corpus. The warm run still matches, merges and
-// names the whole corpus; its warm tables answer only the per-label and
-// per-pair facts (label analyses, Relate verdicts, block keys, pair
-// verdicts, source label lists). Warm output is byte-identical to cold
-// (TestWarmEquivalence); only the time differs.
+// names the whole corpus; its warm cache answers only the per-label and
+// per-pair facts (label analyses with their equivalence keys, Relate
+// verdicts). Warm output is byte-identical to cold (TestWarmEquivalence);
+// only the time differs.
 func BenchmarkWarm(b *testing.B) {
 	for _, size := range []string{"small", "medium", "mega"} {
 		sources, cfg := scaleCorpus(b, size)
@@ -126,14 +126,14 @@ func TestIntegrateAllocBudget(t *testing.T) {
 		long     bool    // skipped in -short mode
 		op       func(t *testing.T) func()
 	}{
-		{"hotels/serial", 15_550, false, hotelsOneShot(1)},
-		{"hotels/parallel", 14_712, false, hotelsOneShot(4)},
-		{"small/cold", 4_949, false, presetRun("small", true)},
-		{"small/warm", 2_761, false, presetRun("small", false)},
-		{"medium/cold", 36_328, false, presetRun("medium", true)},
-		{"medium/warm", 19_551, false, presetRun("medium", false)},
-		{"mega/cold", 494_138, true, presetRun("mega", true)},
-		{"mega/warm", 275_734, true, presetRun("mega", false)},
+		{"hotels/serial", 13_251, false, hotelsOneShot(1)},
+		{"hotels/parallel", 13_340, false, hotelsOneShot(4)},
+		{"small/cold", 3_868, false, presetRun("small", true)},
+		{"small/warm", 2_548, false, presetRun("small", false)},
+		{"medium/cold", 24_009, false, presetRun("medium", true)},
+		{"medium/warm", 16_299, false, presetRun("medium", false)},
+		{"mega/cold", 281_716, true, presetRun("mega", true)},
+		{"mega/warm", 216_105, true, presetRun("mega", false)},
 		{"relate-memo/resident", 0, false, relateMemoPasses(60)},
 		{"relate-memo/churn", 3_795_464, true, relateMemoPasses(360)},
 	}

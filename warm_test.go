@@ -12,13 +12,13 @@ import (
 	"qilabel/internal/synth"
 )
 
-// Warm-cache equivalence suite: an Integrator's cross-run caches (label
-// interning, shared Relate verdicts, matcher block keys and pair verdicts,
-// source-label lists) are pure accelerators, so a warm run must be
-// byte-identical to a cold one — and to the committed
-// golden corpus. These tests are meant to run under -race -cpu=1,4: the
-// stress test below hammers one handle from 32 goroutines precisely to let
-// the race detector see every cache path under contention.
+// Warm-cache equivalence suite: an Integrator's cross-run cache (label
+// interning with each label's equivalence keys, shared Relate verdicts) is
+// a pure accelerator, so a warm run must be byte-identical to a cold one —
+// and to the committed golden corpus. These tests are meant to run under
+// -race -cpu=1,4: the stress test below hammers one handle from 32
+// goroutines precisely to let the race detector see every cache path
+// under contention.
 
 // warmGoldenBytes serializes the compared facets of one result in the
 // golden-corpus format, so domain runs can diff directly against
@@ -63,8 +63,8 @@ func TestWarmEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			cold := warmGoldenBytes(t, domain, sources, coldRes)
-			// Three passes on one handle: the first fills the caches, the
-			// second answers from them, the third from promoted entries.
+			// Three passes on one handle: the first fills the cache, the
+			// second answers from it, the third from promoted entries.
 			for pass := 1; pass <= 3; pass++ {
 				res, err := warmIG.Integrate(sources)
 				if err != nil {
@@ -123,8 +123,8 @@ func TestWarmEquivalence(t *testing.T) {
 			}
 		}
 		st := warmIG.WarmStats()
-		if st.LabelHits == 0 || st.VerdictHits == 0 || st.MatchPairHits == 0 {
-			t.Errorf("synth sweep never hit the warm caches: %+v", st)
+		if st.LabelHits == 0 || st.VerdictHits == 0 {
+			t.Errorf("synth sweep never hit the warm cache: %+v", st)
 		}
 	})
 }
@@ -132,8 +132,8 @@ func TestWarmEquivalence(t *testing.T) {
 // TestWarmStress hammers one Integrator from 32 goroutines with four
 // overlapping corpora (one vocabulary, stepped seeds): every concurrent
 // warm result must match its cold reference byte for byte. Run under
-// -race, this drives every cache path — intern, verdict shards, block
-// keys, pair verdicts, generation rotation — under contention.
+// -race, this drives every cache path — intern, verdict shards,
+// generation rotation — under contention.
 func TestWarmStress(t *testing.T) {
 	cfg := synth.Config{Seed: 11, Domain: "warm-stress", Sources: 6, Concepts: 10,
 		GroupFanout: 3, Depth: 2, InstanceRatio: 0.5,
@@ -191,14 +191,14 @@ func TestWarmStress(t *testing.T) {
 		t.Error(err)
 	}
 	st := ig.WarmStats()
-	if st.LabelHits == 0 || st.VerdictHits+st.MatchPairHits == 0 {
-		t.Errorf("stress run never hit the warm caches: %+v", st)
+	if st.LabelHits == 0 || st.VerdictHits == 0 {
+		t.Errorf("stress run never hit the warm cache: %+v", st)
 	}
 }
 
 // TestWarmSharedBySessions drives eight sessions from one Integrator while
 // one-shot Integrate calls run beside them on the same handle. Sessions
-// read and write the Integrator's warm caches from many goroutines at once,
+// read and write the Integrator's warm cache from many goroutines at once,
 // over overlapping windows of two corpora sharing one vocabulary, so under
 // -race every shared table is exercised by sessions and one-shot runs
 // together. Every session state must equal a cold from-scratch run.
@@ -264,8 +264,8 @@ func TestWarmSharedBySessions(t *testing.T) {
 				}(g)
 			}
 			wg.Wait()
-			if st := ig.WarmStats(); st.VerdictHits == 0 || (matcher && st.MatchPairHits == 0) {
-				t.Errorf("sessions and one-shot runs never shared the warm caches: %+v", st)
+			if st := ig.WarmStats(); st.VerdictHits == 0 {
+				t.Errorf("sessions and one-shot runs never shared the warm cache: %+v", st)
 			}
 		})
 	}
@@ -314,12 +314,12 @@ func driveSharedSession(ig *Integrator, pool []*Tree, g int, cold func([]*Tree) 
 	return check("remove")
 }
 
-// TestWarmEpochResetExactlyOnce pins the warm caches' invalidation
+// TestWarmEpochResetExactlyOnce pins the warm cache's invalidation
 // contract the versioned-lexicon layer leans on: mutating the lexicon
-// bumps its Generation, and the Integrator's warm layers reset exactly
+// bumps its Generation, and the Integrator's warm cache resets exactly
 // ONCE per bump — even when 32 goroutines observe the stale generation
-// simultaneously, and with the matcher's Warm resetting beside naming's —
-// and never otherwise. (Registered registry versions are immutable, so
+// simultaneously, with or without the matcher reading it — and never
+// otherwise. (Registered registry versions are immutable, so
 // under multi-tenant serving this counter stays at zero; see the server's
 // hot-reload test.)
 func TestWarmEpochResetExactlyOnce(t *testing.T) {
