@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"sort"
-	"strings"
 	"time"
 
 	"qilabel/internal/cluster"
@@ -93,17 +92,17 @@ func Run(ctx context.Context, trees []*schema.Tree, cfg Config, observe func(sta
 	cluster.ExpandOneToMany(trees)
 	out := &Outcome{Trees: trees}
 
-	// One label-analysis table serves the whole run: the matcher's pairwise
-	// pass reads trimmed leaf labels, the naming phases read raw node
-	// labels, and both previously built separate tables over mostly the
-	// same strings. The table is a pure accelerator (labels outside it fall
-	// back to per-worker caches), so sharing it cannot change output — the
-	// reference kernels skip it entirely to stay a true baseline. With a
-	// warm handle, the table is interned through the cross-run cache, which
-	// skips re-analyzing already-seen labels.
+	// One label-analysis table serves the whole run: the matcher and the
+	// group relations read trimmed leaf labels, the other naming passes
+	// raw node labels (naming.SourceLabels collects both). The table is a
+	// pure accelerator (labels outside it fall back to per-worker caches),
+	// so sharing it cannot change output — the reference kernels skip it
+	// entirely to stay a true baseline. With a warm handle, the table is
+	// interned through the cross-run cache, which skips re-analyzing
+	// already-seen labels.
 	var analysis *naming.Analysis
 	if !cfg.ReferenceKernels {
-		labels := runLabels(trees, cfg.UseMatcher)
+		labels := naming.SourceLabels(trees)
 		if cfg.Warm != nil {
 			analysis = cfg.Warm.Analysis(labels)
 		} else {
@@ -181,28 +180,6 @@ func (s byHash) Less(i, j int) bool { return s.hashes[i] < s.hashes[j] }
 func (s byHash) Swap(i, j int) {
 	s.trees[i], s.trees[j] = s.trees[j], s.trees[i]
 	s.hashes[i], s.hashes[j] = s.hashes[j], s.hashes[i]
-}
-
-// runLabels collects, in one walk over the (expanded) trees, the labels a
-// run's analysis table covers: raw node labels (the naming phases) plus,
-// when the matcher runs, the trimmed leaf labels its similarity signals
-// compare. Repeats stay in: the table deduplicates.
-func runLabels(trees []*schema.Tree, useMatcher bool) []string {
-	var labels []string
-	for _, t := range trees {
-		t.Root.Walk(func(n *schema.Node) bool {
-			if n.Label != "" {
-				labels = append(labels, n.Label)
-				if useMatcher && n.IsLeaf() {
-					if tr := strings.TrimSpace(n.Label); tr != n.Label && tr != "" {
-						labels = append(labels, tr)
-					}
-				}
-			}
-			return true
-		})
-	}
-	return labels
 }
 
 // PruneRareClusters rebuilds the mapping without the clusters appearing on

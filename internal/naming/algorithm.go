@@ -173,7 +173,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 	if !opts.DisableMemo {
 		shared = opts.Analysis
 		if shared == nil {
-			shared = PrecomputeAnalysis(opts.Lexicon, sourceLabels(mr.Sources))
+			shared = PrecomputeAnalysis(opts.Lexicon, SourceLabels(mr.Sources))
 		}
 		newSem = shared.Semantics
 	}
@@ -298,14 +298,23 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 	return res, nil
 }
 
-// sourceLabels collects every node label of the source trees — the label
-// universe the passes draw from — for the shared analysis table.
-func sourceLabels(sources []*schema.Tree) []string {
+// SourceLabels collects, in one walk over the source trees, the labels a
+// run's analysis table covers: every node label, which the internal-node
+// and isolated-cluster passes read, plus the trimmed form of every leaf
+// label that has surrounding space, which group relations
+// (cluster.BuildRelation) and the matcher compare. Repeats stay in: the
+// table deduplicates.
+func SourceLabels(sources []*schema.Tree) []string {
 	var labels []string
 	for _, t := range sources {
 		t.Root.Walk(func(n *schema.Node) bool {
 			if n.Label != "" {
 				labels = append(labels, n.Label)
+				if n.IsLeaf() {
+					if tr := strings.TrimSpace(n.Label); tr != n.Label && tr != "" {
+						labels = append(labels, tr)
+					}
+				}
 			}
 			return true
 		})

@@ -37,11 +37,39 @@ func (l Level) String() string {
 	}
 }
 
+// admits reports whether two labels related by r make their tuples
+// consistent at level l. Levels are cumulative (a string-equal pair also
+// satisfies the equality and synonymy levels), matching how the algorithm
+// relaxes the constraint.
+func (l Level) admits(r Rel) bool {
+	switch r {
+	case RelStringEqual:
+		return true
+	case RelEqual:
+		return l >= LevelEquality
+	case RelSynonym:
+		return l >= LevelSynonymy
+	}
+	return false
+}
+
+// probesKey reports whether the blocked partitioning probes the blocks of
+// equivalence key k at level l (see Semantics.raise): the "s:" and "b:"
+// families from the equality level on, "y:" at synonymy. Equal labels
+// share an s: or b: key and synonyms an s:, b: or y: key.
+func (l Level) probesKey(k string) bool {
+	switch k[0] {
+	case 's', 'b':
+		return l >= LevelEquality
+	case 'y':
+		return l >= LevelSynonymy
+	}
+	return false
+}
+
 // TuplesConsistent reports whether two tuples are consistent at the given
 // level: there exists a cluster where both supply labels related at the
-// level. Levels are cumulative (a string-equal pair also satisfies the
-// equality and synonymy levels), matching how the algorithm relaxes the
-// constraint.
+// level.
 func (s *Semantics) TuplesConsistent(a, b cluster.Tuple, level Level) bool {
 	n := len(a.Labels)
 	if len(b.Labels) < n {
@@ -52,17 +80,8 @@ func (s *Semantics) TuplesConsistent(a, b cluster.Tuple, level Level) bool {
 		if la == "" || lb == "" {
 			continue
 		}
-		switch s.Relate(la, lb) {
-		case RelStringEqual:
+		if level.admits(s.Relate(la, lb)) {
 			return true
-		case RelEqual:
-			if level >= LevelEquality {
-				return true
-			}
-		case RelSynonym:
-			if level >= LevelSynonymy {
-				return true
-			}
 		}
 	}
 	return false

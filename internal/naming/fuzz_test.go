@@ -5,8 +5,8 @@ import "testing"
 // FuzzRelate drives Definition 1 with arbitrary label pairs: Relate must
 // never panic and must keep its algebraic guarantees — reflexivity to
 // string equality, hypernym/hyponym duality, memoized/unmemoized
-// agreement, and Equivalent labels sharing an equivalence key — for any
-// input.
+// agreement, and the per-level equivalence-key facts the blocking relies
+// on (checkBlockingKeys) — for any input.
 func FuzzRelate(f *testing.F) {
 	seeds := [][2]string{
 		{"From", "From"},
@@ -49,9 +49,8 @@ func FuzzRelate(f *testing.F) {
 				t.Errorf("duality violated: %q %q -> %v / %v", a, b, ab, ba)
 			}
 		}
-		if sem.Equivalent(a, b) && !sharesKey(sem, a, b) {
-			t.Errorf("%q and %q are %v but share no key: %q vs %q", a, b, ab,
-				sem.EquivalenceKeys(a), sem.EquivalenceKeys(b))
+		if err := checkBlockingKeys(sem, a, b); err != nil {
+			t.Error(err)
 		}
 		if norm := sem.analyze(a).display; norm != "" && sem.Relate(a, a) != RelStringEqual {
 			t.Errorf("Relate(%q,%q) not string-equal", a, a)

@@ -126,9 +126,11 @@ func (s *Semantics) SolveGroup(rel *cluster.Relation, opts SolverOptions) *Group
 		}
 	}
 	maxLevel := opts.maxLevel()
+	forest := newTupleForest(rel)
 	var parts []*Partition
 	for level := LevelString; level <= maxLevel; level++ {
-		parts = s.Partitions(rel, level)
+		s.raise(forest, level)
+		parts = s.partitions(forest)
 		covering := coveringRequired(parts, required)
 		if len(covering) == 0 {
 			continue

@@ -191,9 +191,11 @@ next:
 	return true
 }
 
-// indexedPotential is potential with bitset coverage and extended sets.
+// indexedPotential is potential with bitset coverage and extended sets,
+// carrying its label's ID (labelID) for relateIDs.
 type indexedPotential struct {
 	label    string
+	id       int32
 	forms    map[string]bool
 	origins  map[string]bool
 	coverage clusterSet
@@ -216,9 +218,10 @@ func (s *Semantics) candidateLabelsIndexed(ix *nodeIndex, x clusterSet, opts Sol
 			continue
 		}
 		sub = append(sub, k)
+		id := s.labelID(u.label)
 		var found *indexedPotential
 		for _, p := range pots {
-			if s.Equivalent(p.label, u.label) {
+			if s.relateIDs(p.id, id, p.label, u.label).equivalent() {
 				found = p
 				break
 			}
@@ -226,13 +229,14 @@ func (s *Semantics) candidateLabelsIndexed(ix *nodeIndex, x clusterSet, opts Sol
 		if found == nil {
 			found = &indexedPotential{
 				label:    u.label,
+				id:       id,
 				forms:    map[string]bool{},
 				origins:  map[string]bool{},
 				coverage: ix.newSet(),
 			}
 			pots = append(pots, found)
 		} else if s.ContentWordCount(u.label) > s.ContentWordCount(found.label) {
-			found.label = u.label
+			found.label, found.id = u.label, id
 		}
 		found.forms[u.label] = true
 		found.origins[u.iface] = true
@@ -251,10 +255,10 @@ func (s *Semantics) candidateLabelsIndexed(ix *nodeIndex, x clusterSet, opts Sol
 					continue
 				}
 				a, b := pots[i], pots[j]
-				if s.Relate(a.label, b.label) == RelHypernym && a.coverage.subsetOf(b.coverage) {
+				if s.relateIDs(a.id, b.id, a.label, b.label) == RelHypernym && a.coverage.subsetOf(b.coverage) {
 					opts.Counters.Add(1)
 					if s.ContentWordCount(b.label) >= s.ContentWordCount(a.label) {
-						a.label = b.label
+						a.label, a.id = b.label, b.id
 					}
 					for f := range b.forms {
 						a.forms[f] = true
@@ -277,7 +281,7 @@ func (s *Semantics) candidateLabelsIndexed(ix *nodeIndex, x clusterSet, opts Sol
 		p.extended = append(clusterSet(nil), p.coverage...)
 		hyper[i] = make([]bool, len(pots))
 		for j, q := range pots {
-			hyper[i][j] = i != j && s.Relate(p.label, q.label) == RelHypernym
+			hyper[i][j] = i != j && s.relateIDs(p.id, q.id, p.label, q.label) == RelHypernym
 		}
 	}
 	for changed := true; changed; {

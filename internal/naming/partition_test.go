@@ -1,10 +1,17 @@
 package naming
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"qilabel/internal/cluster"
+	"qilabel/internal/dataset"
+	"qilabel/internal/lexicon"
+	"qilabel/internal/merge"
+	"qilabel/internal/schema"
+	"qilabel/internal/synth"
 )
 
 // randomRelation builds a small relation from a seed: 2-5 clusters, 2-10
@@ -243,5 +250,156 @@ func TestSolveGroupAlwaysReturnsSomething(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// mergeCorpus merges a corpus on its annotated clusters.
+func mergeCorpus(t *testing.T, trees []*schema.Tree) *merge.Result {
+	t.Helper()
+	cluster.ExpandOneToMany(trees)
+	m, err := cluster.FromTrees(trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr, err := merge.Merge(trees, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mr
+}
+
+// corpusRelations merges a corpus on its annotated clusters and builds the
+// group relation of every group, the root group last, as RunContext does.
+func corpusRelations(t *testing.T, trees []*schema.Tree) []*cluster.Relation {
+	t.Helper()
+	mr := mergeCorpus(t, trees)
+	ifaces := cluster.Interfaces(mr.Sources)
+	var rels []*cluster.Relation
+	for _, g := range append(mr.Groups, mr.Root) {
+		if len(g) > 0 {
+			rels = append(rels, cluster.BuildRelation(g, ifaces))
+		}
+	}
+	return rels
+}
+
+// TestBlockedPartitionsMatchExhaustive: at every level, the blocked
+// partitioning equals the reference all-pairs loop (same partitions, same
+// tuple order, same Covered), both when one forest is raised through the
+// levels, as SolveGroup does, and when Partitions starts afresh. One
+// blocked Semantics serves every relation of an input set, so scratch
+// left by one relation must not leak into the next. Inputs: randomRelation
+// seeds, every group relation of the seven domains, and synth small and
+// medium seeds under their own lexicons.
+func TestBlockedPartitionsMatchExhaustive(t *testing.T) {
+	type input struct {
+		name string
+		lex  *lexicon.Lexicon
+		rels []*cluster.Relation
+	}
+	var inputs []input
+	var random []*cluster.Relation
+	for seed := int64(0); seed < 500; seed++ {
+		random = append(random, randomRelation(seed))
+	}
+	inputs = append(inputs, input{"random", nil, random})
+	for _, d := range dataset.Domains() {
+		inputs = append(inputs, input{d.Name, nil, corpusRelations(t, d.Generate())})
+	}
+	for _, preset := range []string{"small", "medium"} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			cfg, err := synth.Preset(preset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Seed = seed
+			trees, lex, err := synth.GenerateWithLexicon(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs = append(inputs, input{fmt.Sprintf("%s/seed=%d", preset, seed), lex, corpusRelations(t, trees)})
+		}
+	}
+	for _, in := range inputs {
+		ref := NewSemanticsUnmemoized(in.lex)
+		blocked := NewSemantics(in.lex)
+		tuples := 0
+		for r, rel := range in.rels {
+			tuples += len(rel.Tuples)
+			forest := newTupleForest(rel)
+			for level := LevelString; level <= LevelSynonymy; level++ {
+				want := ref.Partitions(rel, level)
+				blocked.raise(forest, level)
+				if err := samePartitions(blocked.partitions(forest), want); err != nil {
+					t.Fatalf("%s relation %d at %v, raised: %v", in.name, r, level, err)
+				}
+				if err := samePartitions(blocked.Partitions(rel, level), want); err != nil {
+					t.Fatalf("%s relation %d at %v, fresh: %v", in.name, r, level, err)
+				}
+			}
+		}
+		t.Logf("%s: %d relations, %d tuples", in.name, len(in.rels), tuples)
+	}
+}
+
+// samePartitions reports how got differs from want, or nil.
+func samePartitions(got, want []*Partition) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d partitions, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i].Tuples, want[i].Tuples) {
+			return fmt.Errorf("partition %d tuples %v, want %v", i, got[i].Tuples, want[i].Tuples)
+		}
+		if !reflect.DeepEqual(got[i].Covered, want[i].Covered) {
+			return fmt.Errorf("partition %d covers %v, want %v", i, got[i].Covered, want[i].Covered)
+		}
+	}
+	return nil
+}
+
+// TestPartitionProbeCount counts the Relate calls the blocked partitioning
+// makes in a cold naming run over the mega preset (192 sources, its
+// generator clusters): at most 1,000, and the same at Parallelism 1 and 4.
+// The all-pairs loop made 509,061 TuplesConsistent calls per cold mega
+// integration. Hotels, where a few groups reach the equality level, shows
+// the counter is live.
+func TestPartitionProbeCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mega corpus skipped in -short mode")
+	}
+	mega := func() (*merge.Result, *lexicon.Lexicon) {
+		cfg, err := synth.Preset("mega")
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees, lex, err := synth.GenerateWithLexicon(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mergeCorpus(t, trees), lex
+	}
+	hotels := func() (*merge.Result, *lexicon.Lexicon) { return domainMerge(t, "Hotels"), nil }
+	for _, c := range []struct {
+		name     string
+		corpus   func() (*merge.Result, *lexicon.Lexicon)
+		min, max int64
+	}{{"Hotels", hotels, 1, 1000}, {"mega", mega, 0, 1000}} {
+		probes := func(parallelism int) int64 {
+			mr, lex := c.corpus()
+			a := PrecomputeAnalysis(lex, SourceLabels(mr.Sources))
+			if _, err := Run(mr, Options{Lexicon: lex, Parallelism: parallelism, Analysis: a}); err != nil {
+				t.Fatal(err)
+			}
+			return a.partitionProbes.Load()
+		}
+		serial, parallel := probes(1), probes(4)
+		t.Logf("%s: %d Relate probes serial, %d at Parallelism 4", c.name, serial, parallel)
+		if serial != parallel {
+			t.Fatalf("%s: Relate probes depend on Parallelism: %d serial, %d parallel", c.name, serial, parallel)
+		}
+		if serial < c.min || serial > c.max {
+			t.Fatalf("%s: %d Relate probes, want %d to %d", c.name, serial, c.min, c.max)
+		}
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"unicode"
 
 	"qilabel/internal/gencache"
@@ -110,6 +111,10 @@ type Analysis struct {
 	// through; Semantics derived from the table consult its shared Relate
 	// verdicts for table-label pairs.
 	warm *Warm
+	// partitionProbes counts the Relate calls the blocked partitioning
+	// (probeBlocks) of every Semantics derived from the table made: the
+	// one mutable field, so a run's probes can be counted across workers.
+	partitionProbes atomic.Int64
 }
 
 // PrecomputeAnalysis analyzes every distinct label in labels over the given
@@ -166,10 +171,17 @@ type Semantics struct {
 
 	// Reusable scratch for the group solver's hot loops (a Semantics is
 	// single-goroutine, so plain fields suffice): the stem set
-	// Expressiveness clears per call and the byte buffer CombineClosure
-	// keys combined tuples into before deciding to materialize them.
-	expSeen map[string]bool
-	keyBuf  []byte
+	// Expressiveness clears per call, the byte buffer CombineClosure
+	// keys combined tuples into before deciding to materialize them, and
+	// the partitioning's key blocks with their members (raise,
+	// probeBlocks), its per-tuple probe stamps or component sizes, and
+	// each root's partition (partitions).
+	expSeen  map[string]bool
+	keyBuf   []byte
+	blockIDs map[blockKey]int32
+	members  []blockMember
+	perTuple []int32
+	roots    []*Partition
 }
 
 // NewSemantics creates a Semantics over the given lexicon (nil means the
@@ -187,8 +199,9 @@ func NewSemantics(lex *lexicon.Lexicon) *Semantics {
 }
 
 // NewSemanticsUnmemoized creates a Semantics whose Relate recomputes every
-// verdict from scratch — the reference path the equivalence tests and the
-// cold-kernel benchmarks compare the memoized path against.
+// verdict from scratch and whose Partitions tests every tuple pair — the
+// reference path the equivalence tests and the cold-kernel benchmarks
+// compare the memoized, blocked path against.
 func NewSemanticsUnmemoized(lex *lexicon.Lexicon) *Semantics {
 	s := NewSemantics(lex)
 	s.noMemo = true
@@ -257,8 +270,9 @@ func analyzeLabel(lex *lexicon.Lexicon, label string) *labelWords {
 //     alignment, since two bases are synonyms exactly when their synset-ID
 //     sets intersect (pinned by lexicon's TestSynsetIDs).
 //
-// The keys are substrings of one string: they share its memory instead of
-// costing an allocation each.
+// The d: key, when the display form is not empty, comes first. The keys
+// are substrings of one string: they share its memory instead of costing
+// an allocation each.
 func equivalenceKeys(lex *lexicon.Lexicon, lw *labelWords) []string {
 	var b strings.Builder
 	var ends []int
@@ -385,7 +399,16 @@ func (s *Semantics) Relate(a, b string) Rel {
 	if s.noMemo {
 		return s.relate(a, b)
 	}
-	ia, ib := s.labelID(a), s.labelID(b)
+	return s.relateIDs(s.labelID(a), s.labelID(b), a, b)
+}
+
+// relateIDs is Relate for labels whose IDs (labelID) the caller resolved
+// beforehand: a caller relating each of its labels to many others resolves
+// every ID once instead of probing the label maps twice per call.
+func (s *Semantics) relateIDs(ia, ib int32, a, b string) Rel {
+	if s.noMemo {
+		return s.relate(a, b)
+	}
 	key := uint64(uint32(ia))<<32 | uint64(uint32(ib))
 	if r, ok := s.memo.Get(key); ok {
 		return r
@@ -439,7 +462,12 @@ func (s *Semantics) relate(a, b string) Rel {
 // synonyms — the relations the naming algorithm treats as "the same label"
 // when collecting potential labels and detecting homonyms.
 func (s *Semantics) Equivalent(a, b string) bool {
-	switch s.Relate(a, b) {
+	return s.Relate(a, b).equivalent()
+}
+
+// equivalent reports whether r is one of the relations Equivalent accepts.
+func (r Rel) equivalent() bool {
+	switch r {
 	case RelStringEqual, RelEqual, RelSynonym:
 		return true
 	}

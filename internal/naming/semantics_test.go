@@ -1,6 +1,7 @@
 package naming
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -210,20 +211,43 @@ func distinct(labels []string) []string {
 	return slices.Compact(labels)
 }
 
-// sharesKey reports whether the two labels' equivalence keys intersect.
-func sharesKey(s *Semantics, a, b string) bool {
+// sharesKey reports whether the two labels' equivalence keys of the given
+// families (their first bytes: d, s, b, y) intersect.
+func sharesKey(s *Semantics, a, b, families string) bool {
 	for _, ka := range s.EquivalenceKeys(a) {
-		if slices.Contains(s.EquivalenceKeys(b), ka) {
+		if strings.IndexByte(families, ka[0]) >= 0 && slices.Contains(s.EquivalenceKeys(b), ka) {
 			return true
 		}
 	}
 	return false
 }
 
-// TestEquivalentLabelsShareKeys pins the invariant the matcher's blocking
-// rests on: over every pair of distinct labels of the seven domains'
-// sources, and of a synth medium vocabulary under its own lexicon, two
-// Equivalent labels share an equivalence key.
+// checkBlockingKeys checks, for one label pair, the per-level facts the
+// blocking on equivalence keys relies on: the labels are string-equal
+// exactly when their d: keys are equal (the string level unions on the key
+// without calling Relate), equal labels share an s: or b: key, and
+// synonyms an s:, b: or y: key. Together they make Equivalent labels share
+// a key, which the matcher blocks on.
+func checkBlockingKeys(s *Semantics, a, b string) error {
+	r := s.Relate(a, b)
+	ok := true
+	switch r {
+	case RelEqual:
+		ok = sharesKey(s, a, b, "sb")
+	case RelSynonym:
+		ok = sharesKey(s, a, b, "sby")
+	}
+	if !ok || (r == RelStringEqual) != sharesKey(s, a, b, "d") {
+		return fmt.Errorf("%q and %q are %v; keys %q vs %q", a, b, r,
+			s.EquivalenceKeys(a), s.EquivalenceKeys(b))
+	}
+	return nil
+}
+
+// TestEquivalentLabelsShareKeys pins the facts the matcher's and the
+// group partitioning's blocking rest on (checkBlockingKeys), over every
+// pair of distinct labels of the seven domains' sources, and of a synth
+// medium vocabulary under its own lexicon.
 func TestEquivalentLabelsShareKeys(t *testing.T) {
 	cfg, err := synth.Preset("medium")
 	if err != nil {
@@ -239,25 +263,22 @@ func TestEquivalentLabelsShareKeys(t *testing.T) {
 		labels []string
 	}{
 		{"domains", nil, domainLabels(t)},
-		{"medium", lex, distinct(sourceLabels(trees))},
+		{"medium", lex, distinct(SourceLabels(trees))},
 	} {
 		s := NewSemantics(c.lex)
-		equivalent := 0
+		var related [RelHyponym + 1]int
 		for i, a := range c.labels {
 			for _, b := range c.labels[i+1:] {
-				if !s.Equivalent(a, b) {
-					continue
-				}
-				equivalent++
-				if !sharesKey(s, a, b) {
-					t.Fatalf("%s: %q and %q are %v but share no key: %q vs %q", c.name, a, b,
-						s.Relate(a, b), s.EquivalenceKeys(a), s.EquivalenceKeys(b))
+				related[s.Relate(a, b)]++
+				if err := checkBlockingKeys(s, a, b); err != nil {
+					t.Fatalf("%s: %v", c.name, err)
 				}
 			}
 		}
-		t.Logf("%s: %d labels, %d equivalent pairs", c.name, len(c.labels), equivalent)
-		if equivalent == 0 {
-			t.Fatalf("%s: no equivalent pair to check", c.name)
+		t.Logf("%s: %d labels; %d string-equal, %d equal, %d synonym pairs", c.name, len(c.labels),
+			related[RelStringEqual], related[RelEqual], related[RelSynonym])
+		if related[RelEqual] == 0 || related[RelSynonym] == 0 {
+			t.Fatalf("%s: no equal or no synonym pair to check", c.name)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"qilabel/internal/cluster"
 	"qilabel/internal/dataset"
 	"qilabel/internal/merge"
 	"qilabel/internal/schema"
@@ -21,17 +20,7 @@ func domainMerge(t *testing.T, domain string) *merge.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trees := d.Generate()
-	cluster.ExpandOneToMany(trees)
-	m, err := cluster.FromTrees(trees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr, err := merge.Merge(trees, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mr
+	return mergeCorpus(t, d.Generate())
 }
 
 // renderNaming serializes every observable of a naming result: the labeled
@@ -87,7 +76,7 @@ func TestWarmRunEquivalence(t *testing.T) {
 			w := NewWarm(nil)
 			for pass := 0; pass < 3; pass++ {
 				mr := domainMerge(t, d.Name)
-				res, err := Run(mr, Options{Analysis: w.Analysis(sourceLabels(mr.Sources))})
+				res, err := Run(mr, Options{Analysis: w.Analysis(SourceLabels(mr.Sources))})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,7 +100,7 @@ func TestWarmDoesNotPinRuns(t *testing.T) {
 		mr := domainMerge(t, "Airline")
 		leaf := mr.Groups[0][0].Members[0].Leaf
 		runtime.SetFinalizer(leaf, func(*schema.Node) { close(collected) })
-		if _, err := Run(mr, Options{Analysis: w.Analysis(sourceLabels(mr.Sources))}); err != nil {
+		if _, err := Run(mr, Options{Analysis: w.Analysis(SourceLabels(mr.Sources))}); err != nil {
 			t.Fatal(err)
 		}
 	}()

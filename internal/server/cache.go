@@ -7,19 +7,30 @@ import (
 	"qilabel"
 )
 
-// cacheEntry is one cached integration: the full result (kept for
-// /v1/translate, which needs the merge structure), the response body it
-// produced (reused verbatim on warm /v1/integrate hits), and the inputs
-// that produced it (domain, request options, source trees) so the entry
-// can be persisted to disk and deterministically rehydrated after a
-// restart. res is nil on entries restored from a snapshot until a
-// /v1/translate forces recomputation.
+// cacheEntry is one cached integration: the result without its naming
+// report (see translatable), the response body it produced (reused
+// verbatim on warm /v1/integrate hits), and the inputs that produced it
+// (domain, request options, source trees) so the entry can be persisted to
+// disk and deterministically rehydrated after a restart. res is nil on
+// entries restored from a snapshot until a /v1/translate forces
+// recomputation.
 type cacheEntry struct {
 	res     *qilabel.Result
 	resp    integrateResponse
 	domain  string
 	options requestOptions
 	sources []*qilabel.Tree
+}
+
+// translatable returns the part of a result a cache entry keeps: all of
+// it but the naming report. /v1/translate reads only the merge structure,
+// and the response has already copied the report's rule counters, so the
+// report would only pin memory for as long as the entry lives. res itself
+// is not modified.
+func translatable(res *qilabel.Result) *qilabel.Result {
+	kept := *res
+	kept.Naming = nil
+	return &kept
 }
 
 // lru is a mutex-guarded least-recently-used cache of integration results

@@ -192,7 +192,7 @@ func (s *Server) rehydrate(ctx context.Context, key string, e *cacheEntry) (*qil
 		return nil, s.apiErrorFor(err)
 	}
 	s.cache.Put(key, &cacheEntry{
-		res:     res,
+		res:     translatable(res),
 		resp:    e.resp,
 		domain:  e.domain,
 		options: e.options,

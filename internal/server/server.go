@@ -539,7 +539,7 @@ func (s *Server) complete(key, domain string, sources []*qilabel.Tree, ropts req
 	}
 	s.metrics.addRules(res.Naming.Counters)
 	s.cache.Put(key, &cacheEntry{
-		res:     res,
+		res:     translatable(res),
 		resp:    resp,
 		domain:  domain,
 		options: ropts,

@@ -126,14 +126,14 @@ func TestIntegrateAllocBudget(t *testing.T) {
 		long     bool    // skipped in -short mode
 		op       func(t *testing.T) func()
 	}{
-		{"hotels/serial", 13_251, false, hotelsOneShot(1)},
-		{"hotels/parallel", 13_340, false, hotelsOneShot(4)},
-		{"small/cold", 3_868, false, presetRun("small", true)},
-		{"small/warm", 2_548, false, presetRun("small", false)},
-		{"medium/cold", 24_009, false, presetRun("medium", true)},
-		{"medium/warm", 16_299, false, presetRun("medium", false)},
-		{"mega/cold", 281_716, true, presetRun("mega", true)},
-		{"mega/warm", 216_105, true, presetRun("mega", false)},
+		{"hotels/serial", 13_231, false, hotelsOneShot(1)},
+		{"hotels/parallel", 13_320, false, hotelsOneShot(4)},
+		{"small/cold", 3_863, false, presetRun("small", true)},
+		{"small/warm", 2_547, false, presetRun("small", false)},
+		{"medium/cold", 22_915, false, presetRun("medium", true)},
+		{"medium/warm", 16_285, false, presetRun("medium", false)},
+		{"mega/cold", 264_518, true, presetRun("mega", true)},
+		{"mega/warm", 215_986, true, presetRun("mega", false)},
 		{"relate-memo/resident", 0, false, relateMemoPasses(60)},
 		{"relate-memo/churn", 3_795_464, true, relateMemoPasses(360)},
 	}

@@ -380,3 +380,40 @@ func TestWarmEpochResetExactlyOnce(t *testing.T) {
 		})
 	}
 }
+
+// TestPaddedLeafLabelsReachWarm: group relations compare trimmed leaf
+// labels (cluster.BuildRelation trims them), so the run's analysis table
+// must hold the trimmed forms whether or not the matcher runs. A trimmed
+// form missing from the table is analyzed again on every worker, and its
+// Relate verdicts never reach the Warm. Padding every leaf label of Hotels
+// with a space therefore must not change how many verdicts a serial,
+// annotated run probes in a fresh Integrator's Warm.
+func TestPaddedLeafLabelsReachWarm(t *testing.T) {
+	probes := func(pad bool) uint64 {
+		sources, err := BuiltinDomain("Hotels")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pad {
+			for _, s := range sources {
+				for _, leaf := range s.Leaves() {
+					leaf.Label += " "
+				}
+			}
+		}
+		ig, err := NewIntegrator(Config{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ig.Integrate(sources); err != nil {
+			t.Fatal(err)
+		}
+		st := ig.WarmStats()
+		return st.VerdictHits + st.VerdictMisses
+	}
+	plain, padded := probes(false), probes(true)
+	t.Logf("verdict probes: %d plain, %d padded", plain, padded)
+	if plain == 0 || padded != plain {
+		t.Fatalf("padding every leaf label moved the Warm's verdict probes from %d to %d", plain, padded)
+	}
+}
