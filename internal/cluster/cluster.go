@@ -9,6 +9,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -181,8 +182,15 @@ func FromTrees(trees []*schema.Tree) (*Mapping, error) {
 			}
 		}
 	}
+	// An interface's members of a cluster are the last ones appended while
+	// its tree is read, so the last member tells whether the tree already
+	// supplied the cluster; only a tree named like an earlier one, which
+	// may have supplied it before other trees did, needs the scan.
+	named := make(map[string]bool, len(trees))
 	m := NewMapping()
 	for i, t := range trees {
+		shared := named[t.Interface]
+		named[t.Interface] = true
 		for _, leaf := range leaves[i] {
 			if len(leaf.MultiClusters) > 0 {
 				return nil, fmt.Errorf(
@@ -197,7 +205,11 @@ func FromTrees(trees []*schema.Tree) (*Mapping, error) {
 				c = &Cluster{Name: leaf.Cluster, Members: make([]Member, 0, counts[leaf.Cluster])}
 				m.add(c)
 			}
-			if _, dup := c.MemberFor(t.Interface); dup {
+			dup := len(c.Members) > 0 && c.Members[len(c.Members)-1].Interface == t.Interface
+			if !dup && shared {
+				_, dup = c.MemberFor(t.Interface)
+			}
+			if dup {
 				return nil, fmt.Errorf(
 					"cluster: interface %s supplies two fields for cluster %s",
 					t.Interface, leaf.Cluster)
@@ -242,28 +254,54 @@ type Relation struct {
 // member leaf; members with empty labels contribute null entries (their
 // labels cannot support any consistency), but their instances are kept.
 func BuildRelation(group []*Cluster, interfaces []string) *Relation {
-	r := &Relation{Clusters: group}
+	// Row j of the relation holds its labels and instances at
+	// [j*k, (j+1)*k) of two arrays; row[iface] is the first row of iface.
+	k := len(group)
+	row := make(map[string]int, len(interfaces))
+	for j := len(interfaces) - 1; j >= 0; j-- {
+		row[interfaces[j]] = j
+	}
+	labels := make([]string, len(interfaces)*k)
+	instances := make([][]string, len(interfaces)*k)
+	for i, c := range group {
+		// In reverse, so that the first member of an interface is written
+		// last and wins, as MemberFor finds it.
+		for mi := len(c.Members) - 1; mi >= 0; mi-- {
+			if j, ok := row[c.Members[mi].Interface]; ok {
+				leaf := c.Members[mi].Leaf
+				labels[j*k+i] = strings.TrimSpace(leaf.Label)
+				instances[j*k+i] = leaf.Instances
+			}
+		}
+	}
+	nonNull := func(j int) bool {
+		return slices.ContainsFunc(labels[j*k:(j+1)*k], func(l string) bool { return l != "" })
+	}
+	kept := 0
 	for _, iface := range interfaces {
-		tuple := Tuple{
+		if nonNull(row[iface]) {
+			kept++
+		}
+	}
+	r := &Relation{Clusters: group}
+	if kept > 0 {
+		r.Tuples = make([]Tuple, 0, kept)
+	}
+	for j, iface := range interfaces {
+		first := row[iface]
+		if !nonNull(first) {
+			continue
+		}
+		t := Tuple{
 			Interface: iface,
-			Labels:    make([]string, len(group)),
-			Instances: make([][]string, len(group)),
+			Labels:    labels[first*k : (first+1)*k : (first+1)*k],
+			Instances: instances[first*k : (first+1)*k : (first+1)*k],
 		}
-		any := false
-		for i, c := range group {
-			m, ok := c.MemberFor(iface)
-			if !ok {
-				continue
-			}
-			tuple.Labels[i] = strings.TrimSpace(m.Leaf.Label)
-			tuple.Instances[i] = m.Leaf.Instances
-			if tuple.Labels[i] != "" {
-				any = true
-			}
+		if first != j {
+			// A repeated interface repeats its first row, in slices of its own.
+			t.Labels, t.Instances = slices.Clone(t.Labels), slices.Clone(t.Instances)
 		}
-		if any {
-			r.Tuples = append(r.Tuples, tuple)
-		}
+		r.Tuples = append(r.Tuples, t)
 	}
 	return r
 }

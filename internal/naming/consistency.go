@@ -54,12 +54,12 @@ func (l Level) admits(r Rel) bool {
 }
 
 // probesKey reports whether the blocked partitioning probes the blocks of
-// equivalence key k at level l (see Semantics.raise): the "s:" and "b:"
-// families from the equality level on, "y:" at synonymy. Equal labels
-// share an s: or b: key and synonyms an s:, b: or y: key.
+// equivalence key k at level l (see Semantics.raise): the "s:" family
+// from the equality level on, "y:" at synonymy. Equal labels share an s:
+// key and synonyms an s: or y: key.
 func (l Level) probesKey(k string) bool {
 	switch k[0] {
-	case 's', 'b':
+	case 's':
 		return l >= LevelEquality
 	case 'y':
 		return l >= LevelSynonymy

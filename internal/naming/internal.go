@@ -1,6 +1,7 @@
 package naming
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -367,11 +368,14 @@ func fieldContentWords(s *Semantics, m *cluster.Mapping, set map[string]bool) []
 	return dedupSorted(words)
 }
 
-// allHaveInstances reports whether every named cluster carries instances.
+// allHaveInstances reports whether every named cluster carries instances:
+// some member leaf of each has a non-empty instance list.
 func allHaveInstances(m *cluster.Mapping, names []string) bool {
 	for _, n := range names {
 		c := m.Get(n)
-		if c == nil || len(c.Instances("")) == 0 {
+		if c == nil || !slices.ContainsFunc(c.Members, func(mem cluster.Member) bool {
+			return len(mem.Leaf.Instances) > 0
+		}) {
 			return false
 		}
 	}

@@ -108,7 +108,7 @@ func (f *tupleForest) union(a, b int32) {
 //
 //   - string: a shared "d:" key is string equality itself, so each d: block
 //     is unioned outright, without a Relate call;
-//   - equality: the "s:" and "b:" blocks are probed;
+//   - equality: the "s:" blocks are probed;
 //   - synonymy: the "y:" blocks as well.
 func (s *Semantics) raise(f *tupleForest, level Level) {
 	if level <= f.level {

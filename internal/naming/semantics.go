@@ -262,10 +262,11 @@ func analyzeLabel(lex *lexicon.Lexicon, label string) *labelWords {
 //
 //   - "d:" the case-folded display form: string-equal labels have
 //     EqualFold display forms, which fold to one key;
-//   - "s:" the stem and "b:" the base of every content word: equal and
-//     synonym labels align every word of one label with a word of the
-//     other, and an aligned pair agrees on stem, base or synset, so the
-//     first word of either label puts a shared key on both;
+//   - "s:" the stem of every content word: equal and synonym labels align
+//     every word of one label with a word of the other, and an aligned
+//     pair agrees on stem, base or synset, so the first word of either
+//     label puts a shared key on both (a word's stem is derived from its
+//     base, so words agreeing on base agree on stem too);
 //   - "y:" the synset IDs of every content word: the synonymy half of that
 //     alignment, since two bases are synonyms exactly when their synset-ID
 //     sets intersect (pinned by lexicon's TestSynsetIDs).
@@ -286,9 +287,6 @@ func equivalenceKeys(lex *lexicon.Lexicon, lw *labelWords) []string {
 	for _, w := range lw.words {
 		b.WriteString("s:")
 		b.WriteString(w.stem)
-		ends = append(ends, b.Len())
-		b.WriteString("b:")
-		b.WriteString(w.base)
 		ends = append(ends, b.Len())
 		synsets = append(synsets, lex.SynsetIDs(w.base)...)
 	}

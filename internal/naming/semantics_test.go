@@ -212,7 +212,7 @@ func distinct(labels []string) []string {
 }
 
 // sharesKey reports whether the two labels' equivalence keys of the given
-// families (their first bytes: d, s, b, y) intersect.
+// families (their first bytes: d, s, y) intersect.
 func sharesKey(s *Semantics, a, b, families string) bool {
 	for _, ka := range s.EquivalenceKeys(a) {
 		if strings.IndexByte(families, ka[0]) >= 0 && slices.Contains(s.EquivalenceKeys(b), ka) {
@@ -225,17 +225,17 @@ func sharesKey(s *Semantics, a, b, families string) bool {
 // checkBlockingKeys checks, for one label pair, the per-level facts the
 // blocking on equivalence keys relies on: the labels are string-equal
 // exactly when their d: keys are equal (the string level unions on the key
-// without calling Relate), equal labels share an s: or b: key, and
-// synonyms an s:, b: or y: key. Together they make Equivalent labels share
+// without calling Relate), equal labels share an s: key, and synonyms an
+// s: or y: key. Together they make Equivalent labels share
 // a key, which the matcher blocks on.
 func checkBlockingKeys(s *Semantics, a, b string) error {
 	r := s.Relate(a, b)
 	ok := true
 	switch r {
 	case RelEqual:
-		ok = sharesKey(s, a, b, "sb")
+		ok = sharesKey(s, a, b, "s")
 	case RelSynonym:
-		ok = sharesKey(s, a, b, "sby")
+		ok = sharesKey(s, a, b, "sy")
 	}
 	if !ok || (r == RelStringEqual) != sharesKey(s, a, b, "d") {
 		return fmt.Errorf("%q and %q are %v; keys %q vs %q", a, b, r,

@@ -2,13 +2,15 @@ package schema
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
 // FuzzTreeJSON throws arbitrary bytes at the tree codec: no input may
 // panic, and any input that decodes must survive an encode→decode round
 // trip unchanged — the property the labeling service's cache snapshots
-// and the golden corpus depend on.
+// and the golden corpus depend on — and so must the canonical encoding
+// its result cache keeps: decoded, it gives back every tree's hash.
 func FuzzTreeJSON(f *testing.F) {
 	valid := []*Tree{
 		NewTree("aa",
@@ -65,6 +67,16 @@ func FuzzTreeJSON(f *testing.F) {
 		}
 		if !bytes.Equal(enc, enc2) {
 			t.Fatal("encoding is not a fixed point after one round trip")
+		}
+		// The canonical encoding the server's result cache keeps decodes
+		// back to trees with the same hashes.
+		canon, hashes := EncodeCanonical(trees)
+		back, err := DecodeCanonical(canon)
+		if err != nil {
+			t.Fatalf("canonical encoding failed to decode: %v", err)
+		}
+		if got := TreeHashes(back); !slices.Equal(got, hashes) || !slices.Equal(hashes, TreeHashes(trees)) {
+			t.Fatalf("canonical round trip changed the hashes\nbefore: %v\nafter:  %v", hashes, got)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"sort"
 )
 
@@ -25,10 +26,157 @@ func (t *Tree) canonicalHash(buf *[]byte) string {
 	b := appendString((*buf)[:0], t.Interface)
 	b = appendNode(b, t.Root)
 	*buf = b
+	return hexSum(b)
+}
+
+// hexSum returns the hex-encoded SHA-256 digest of b.
+func hexSum(b []byte) string {
 	sum := sha256.Sum256(b)
 	var hx [2 * sha256.Size]byte
 	hex.Encode(hx[:], sum[:])
 	return string(hx[:])
+}
+
+// EncodeCanonical returns the trees' canonical forms, concatenated in
+// slice order, and each tree's canonical hash: the bytes and digests
+// TreeHashes computes, in one pass. The encoding is allocated at its exact
+// size; DecodeCanonical reverses it.
+func EncodeCanonical(trees []*Tree) ([]byte, []string) {
+	size := 0
+	for _, t := range trees {
+		size += 4 + len(t.Interface) + t.Root.canonicalSize()
+	}
+	b := make([]byte, 0, size)
+	hashes := make([]string, len(trees))
+	for i, t := range trees {
+		start := len(b)
+		b = appendString(b, t.Interface)
+		b = appendNode(b, t.Root)
+		hashes[i] = hexSum(b[start:])
+	}
+	return b, hashes
+}
+
+// canonicalSize returns the length of appendNode's encoding of n.
+func (n *Node) canonicalSize() int {
+	if n == nil {
+		return 4
+	}
+	size := 4 + len(n.Label) + 4 + len(n.Cluster) + 4 + 4 + 1 + 4
+	for _, s := range n.Instances {
+		size += 4 + len(s)
+	}
+	for _, s := range n.MultiClusters {
+		size += 4 + len(s)
+	}
+	for _, c := range n.Children {
+		size += c.canonicalSize()
+	}
+	return size
+}
+
+var errCanonical = errors.New("schema: malformed canonical encoding")
+
+// DecodeCanonical decodes what EncodeCanonical encoded back to trees, with
+// strings interned and nodes from slabs as Decoder builds them. The
+// encoding does not tell an empty list from a nil one, so empty instance,
+// multi-cluster and child lists decode as nil; every tree hashes as the
+// one encoded did.
+func DecodeCanonical(enc []byte) ([]*Tree, error) {
+	d := NewDecoder(enc)
+	var trees []*Tree
+	for d.off < len(enc) {
+		iface, err := d.canonString()
+		if err != nil {
+			return nil, err
+		}
+		root, err := d.canonNode()
+		if err != nil {
+			return nil, err
+		}
+		trees = append(trees, &Tree{Interface: iface, Root: root})
+	}
+	return trees, nil
+}
+
+// canonCount reads a length prefix that counts items of at least minSize
+// bytes each, checking that the rest of the encoding can hold them.
+func (d *Decoder) canonCount(minSize int) (int, error) {
+	if len(d.data)-d.off < 4 {
+		return 0, errCanonical
+	}
+	n := int(binary.BigEndian.Uint32(d.data[d.off:]))
+	d.off += 4
+	if n > (len(d.data)-d.off)/minSize {
+		return 0, errCanonical
+	}
+	return n, nil
+}
+
+func (d *Decoder) canonString() (string, error) {
+	n, err := d.canonCount(1)
+	if err != nil {
+		return "", err
+	}
+	s := d.intern(d.data[d.off : d.off+n])
+	d.off += n
+	return s, nil
+}
+
+func (d *Decoder) canonStrings() ([]string, error) {
+	n, err := d.canonCount(4)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	ss := d.newStrings(n)
+	for i := range ss {
+		if ss[i], err = d.canonString(); err != nil {
+			return nil, err
+		}
+	}
+	return ss, nil
+}
+
+func (d *Decoder) canonNode() (*Node, error) {
+	if len(d.data)-d.off >= 4 && binary.BigEndian.Uint32(d.data[d.off:]) == ^uint32(0) {
+		d.off += 4
+		return nil, nil
+	}
+	if d.depth == maxDepth {
+		return nil, errCanonical
+	}
+	n := d.newNode()
+	var err error
+	if n.Label, err = d.canonString(); err != nil {
+		return nil, err
+	}
+	if n.Cluster, err = d.canonString(); err != nil {
+		return nil, err
+	}
+	if n.Instances, err = d.canonStrings(); err != nil {
+		return nil, err
+	}
+	if n.MultiClusters, err = d.canonStrings(); err != nil {
+		return nil, err
+	}
+	if d.off >= len(d.data) || d.data[d.off] > 1 {
+		return nil, errCanonical
+	}
+	n.Aggregated = d.data[d.off] == 1
+	d.off++
+	count, err := d.canonCount(4)
+	if err != nil || count == 0 {
+		return n, err
+	}
+	n.Children = d.newPtrs(count)
+	d.depth++
+	for i := range n.Children {
+		if n.Children[i], err = d.canonNode(); err != nil {
+			return nil, err
+		}
+	}
+	d.depth--
+	return n, nil
 }
 
 // HashTrees returns a digest identifying the *set* of trees independent of

@@ -347,9 +347,6 @@ func (t *Tree) String() string {
 	return b.String()
 }
 
-// MarshalJSON/UnmarshalJSON use the natural field tags; these wrappers exist
-// to keep the encoding stable if internals change.
-
 // EncodeTrees serializes a set of interface trees to JSON (the input format
 // of cmd/labeler).
 func EncodeTrees(trees []*Tree) ([]byte, error) {
@@ -357,9 +354,16 @@ func EncodeTrees(trees []*Tree) ([]byte, error) {
 }
 
 // DecodeTrees parses trees serialized by EncodeTrees and validates each.
+// It accepts exactly the input json.Unmarshal accepts into []*Tree, and
+// builds the same trees, with a Decoder: one pass, no reflection.
 func DecodeTrees(data []byte) ([]*Tree, error) {
 	var trees []*Tree
-	if err := json.Unmarshal(data, &trees); err != nil {
+	d := NewDecoder(data)
+	err := d.Trees(&trees)
+	if err == nil {
+		err = d.end()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("schema: decoding trees: %w", err)
 	}
 	for _, t := range trees {

@@ -5,13 +5,20 @@ import (
 	"sync"
 
 	"qilabel"
+	"qilabel/internal/schema"
 )
 
 // cacheEntry is one cached integration: the result without its naming
 // report (see translatable), the response body it produced (reused
-// verbatim on warm /v1/integrate hits), and the inputs that produced it
-// (domain, request options, source trees) so the entry can be persisted to
-// disk and deterministically rehydrated after a restart. res is nil on
+// verbatim on warm /v1/integrate hits), and the inputs that produced it,
+// so the entry can be persisted to disk and deterministically rehydrated
+// after a restart: the domain, the request options and the source trees
+// as bytes. hashes holds the sources' canonical hashes, in source order,
+// from which the lexicon upgrade report re-keys the entry; canon holds
+// their concatenated canonical encoding (schema.EncodeCanonical), which
+// persistence and rehydration decode back to trees. Both come from one
+// pass over the sources when the entry is built, never on a hit, and the
+// encoding takes a fraction of the memory of decoded trees. res is nil on
 // entries restored from a snapshot until a /v1/translate forces
 // recomputation.
 type cacheEntry struct {
@@ -19,7 +26,14 @@ type cacheEntry struct {
 	resp    integrateResponse
 	domain  string
 	options requestOptions
-	sources []*qilabel.Tree
+	hashes  []string
+	canon   []byte
+}
+
+// newCacheEntry builds the entry of an integration of sources.
+func newCacheEntry(res *qilabel.Result, resp integrateResponse, domain string, options requestOptions, sources []*qilabel.Tree) *cacheEntry {
+	canon, hashes := schema.EncodeCanonical(sources)
+	return &cacheEntry{res: res, resp: resp, domain: domain, options: options, hashes: hashes, canon: canon}
 }
 
 // translatable returns the part of a result a cache entry keeps: all of

@@ -6,6 +6,7 @@ import (
 	"regexp"
 
 	"qilabel"
+	"qilabel/internal/schema"
 )
 
 // Versioned lexicons over HTTP: the server owns a qilabel.LexiconRegistry
@@ -257,8 +258,8 @@ func (s *Server) handleLexiconGet(w http.ResponseWriter, r *http.Request) {
 
 // handleLexiconReport diffs two versions and lists which cached results
 // the upgrade invalidates: every result-cache entry keyed under `from`
-// is re-keyed under `to` (the pipeline inputs are persisted with the
-// entry), and an entry whose new key is cold will pay a fresh pipeline
+// is re-keyed under `to` from the source hashes the entry keeps, and an
+// entry whose new key is cold will pay a fresh pipeline
 // run when its traffic moves.
 func (s *Server) handleLexiconReport(w http.ResponseWriter, r *http.Request) {
 	fromName, toName := r.URL.Query().Get("from"), r.URL.Query().Get("to")
@@ -300,7 +301,7 @@ func (s *Server) handleLexiconReport(w http.ResponseWriter, r *http.Request) {
 		if entryID == "" {
 			entryID = s.defaultLexiconID()
 		}
-		if entryID != fromID || len(e.sources) == 0 {
+		if entryID != fromID || len(e.hashes) == 0 {
 			continue
 		}
 		ropts := e.options
@@ -309,7 +310,7 @@ func (s *Server) handleLexiconReport(w http.ResponseWriter, r *http.Request) {
 		if igErr != nil {
 			continue
 		}
-		newKey := ig.CacheKey(e.sources)
+		newKey := schema.CacheKey(e.hashes, ig.Fingerprint())
 		entry := lexiconReportEntry{
 			Key:         keys[i],
 			NewKey:      newKey,

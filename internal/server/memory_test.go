@@ -135,8 +135,10 @@ func TestRetainedBytesPerOp(t *testing.T) {
 	}{
 		{"cache off", -1, 0.05},
 		// A cached medium op retained 0.519 MB while entries kept the
-		// naming report, 0.431 MB without it.
-		{"cache on", ops + 1, 0.47},
+		// naming report and decoded source trees, 0.431 MB without the
+		// report, and 0.285 MB with the sources kept as their canonical
+		// encoding instead of trees.
+		{"cache on", ops + 1, 0.33},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			s := New(Config{CacheSize: row.cacheSize})

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"qilabel"
+	"qilabel/internal/schema"
 )
 
 // Cache persistence: the LRU result cache survives restarts. A snapshot is
@@ -62,8 +63,9 @@ func (s *Server) baseFingerprint() string {
 }
 
 // SaveCache atomically writes the current result cache to path and returns
-// the number of entries persisted. Entries lacking their source trees
-// (impossible today; guarded for future cache producers) are skipped.
+// the number of entries persisted, each with its sources decoded from the
+// entry's canonical encoding. Entries without sources (impossible today;
+// guarded for future cache producers) are skipped.
 func (s *Server) SaveCache(path string) (int, error) {
 	keys, entries := s.cache.Dump()
 	file := cacheSnapshotFile{
@@ -72,14 +74,18 @@ func (s *Server) SaveCache(path string) (int, error) {
 		SavedUnix:   time.Now().Unix(),
 	}
 	for i, e := range entries {
-		if len(e.sources) == 0 {
+		if len(e.hashes) == 0 {
 			continue
+		}
+		sources, err := schema.DecodeCanonical(e.canon)
+		if err != nil {
+			return 0, fmt.Errorf("encoding cache snapshot: entry %s: %w", keys[i], err)
 		}
 		file.Entries = append(file.Entries, cacheSnapshotEntry{
 			Key:      keys[i],
 			Domain:   e.domain,
 			Options:  e.options,
-			Sources:  e.sources,
+			Sources:  sources,
 			Response: e.resp,
 		})
 	}
@@ -150,15 +156,14 @@ func (s *Server) LoadCache(path string) (int, error) {
 			}
 		}
 		ig, igErr := s.integrator(e.Options)
-		if !valid || igErr != nil || ig.CacheKey(e.Sources) != e.Key {
+		if !valid || igErr != nil {
 			continue
 		}
-		s.cache.Put(e.Key, &cacheEntry{
-			resp:    e.Response,
-			domain:  e.Domain,
-			options: e.Options,
-			sources: e.Sources,
-		})
+		entry := newCacheEntry(nil, e.Response, e.Domain, e.Options, e.Sources)
+		if schema.CacheKey(entry.hashes, ig.Fingerprint()) != e.Key {
+			continue
+		}
+		s.cache.Put(e.Key, entry)
 		restored++
 	}
 	s.metrics.snapshotLoads.Add(1)
@@ -167,8 +172,9 @@ func (s *Server) LoadCache(path string) (int, error) {
 }
 
 // rehydrate recomputes the full pipeline result of a snapshot-restored
-// cache entry from its persisted sources, bounded by the request timeout
-// and the worker pool, and re-caches the entry with the result attached.
+// cache entry from its sources, decoded from the entry's canonical
+// encoding, bounded by the request timeout and the worker pool, and
+// re-caches the entry with the result attached.
 // The pipeline is deterministic, so the recomputed result is exactly the
 // one the entry's key names.
 func (s *Server) rehydrate(ctx context.Context, key string, e *cacheEntry) (*qilabel.Result, *apiError) {
@@ -187,16 +193,16 @@ func (s *Server) rehydrate(ctx context.Context, key string, e *cacheEntry) (*qil
 	if err != nil {
 		return nil, s.apiErrorFor(err)
 	}
-	res, err := ig.IntegrateContext(wctx, e.sources)
+	sources, err := schema.DecodeCanonical(e.canon)
 	if err != nil {
 		return nil, s.apiErrorFor(err)
 	}
-	s.cache.Put(key, &cacheEntry{
-		res:     translatable(res),
-		resp:    e.resp,
-		domain:  e.domain,
-		options: e.options,
-		sources: e.sources,
-	})
+	res, err := ig.IntegrateContext(wctx, sources)
+	if err != nil {
+		return nil, s.apiErrorFor(err)
+	}
+	next := *e
+	next.res = translatable(res)
+	s.cache.Put(key, &next)
 	return res, nil
 }

@@ -69,6 +69,8 @@ type Config struct {
 	// unboundedly. Zero: 2×GOMAXPROCS.
 	MaxInflight int
 	// MaxBodyBytes limits request bodies; larger bodies receive 413.
+	// Bodies are read whole before they are decoded, so a body over the
+	// limit receives 413 even when its JSON value ends within it.
 	// Zero: 8 MiB.
 	MaxBodyBytes int64
 	// RequestTimeout bounds one pipeline computation; on expiry the
@@ -538,13 +540,7 @@ func (s *Server) complete(key, domain string, sources []*qilabel.Tree, ropts req
 		resp.Rules[fmt.Sprintf("li%d", li)] = res.Naming.Counters.LI[li]
 	}
 	s.metrics.addRules(res.Naming.Counters)
-	s.cache.Put(key, &cacheEntry{
-		res:     translatable(res),
-		resp:    resp,
-		domain:  domain,
-		options: ropts,
-		sources: sources,
-	})
+	s.cache.Put(key, newCacheEntry(translatable(res), resp, domain, ropts, sources))
 	return resp
 }
 
@@ -679,11 +675,15 @@ func (s *Server) warmStats() []qilabel.WarmStats {
 
 // ---- plumbing -----------------------------------------------------------
 
-// decode parses the JSON request body under the configured size limit,
-// answering 413 on oversize and 400 with the parse error otherwise.
+// decode reads the whole request body under the configured size limit and
+// decodes its first JSON value (see wire.go), answering 413 when the body
+// exceeds the limit and 400 with the parse error otherwise.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
+	if err == nil {
+		err = decodeRequest(body, v)
+	}
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge,

@@ -116,7 +116,8 @@ const allocSlack = 1.15
 // allocates more than allocSlack times the count measured when the row was
 // last set. The rows are the Hotels one-shot with the matcher (serial and
 // four workers), each synth preset through a cold (disableWarmCache) and a
-// warm Integrator, and the Relate memo resident and under churn. Update a
+// warm Integrator, decoding the mega preset's sources, and the Relate memo
+// resident and under churn. Update a
 // measured count deliberately when the pipeline legitimately changes
 // shape; run with -v to see every count.
 func TestIntegrateAllocBudget(t *testing.T) {
@@ -126,14 +127,15 @@ func TestIntegrateAllocBudget(t *testing.T) {
 		long     bool    // skipped in -short mode
 		op       func(t *testing.T) func()
 	}{
-		{"hotels/serial", 13_231, false, hotelsOneShot(1)},
-		{"hotels/parallel", 13_320, false, hotelsOneShot(4)},
-		{"small/cold", 3_863, false, presetRun("small", true)},
-		{"small/warm", 2_547, false, presetRun("small", false)},
-		{"medium/cold", 22_915, false, presetRun("medium", true)},
-		{"medium/warm", 16_285, false, presetRun("medium", false)},
-		{"mega/cold", 264_518, true, presetRun("mega", true)},
-		{"mega/warm", 215_986, true, presetRun("mega", false)},
+		{"hotels/serial", 11_981, false, hotelsOneShot(1)},
+		{"hotels/parallel", 12_070, false, hotelsOneShot(4)},
+		{"small/cold", 3_709, false, presetRun("small", true)},
+		{"small/warm", 2_429, false, presetRun("small", false)},
+		{"medium/cold", 21_927, false, presetRun("medium", true)},
+		{"medium/warm", 15_407, false, presetRun("medium", false)},
+		{"mega/cold", 249_921, true, presetRun("mega", true)},
+		{"mega/warm", 202_118, true, presetRun("mega", false)},
+		{"mega/decode", 4_363, true, megaDecode},
 		{"relate-memo/resident", 0, false, relateMemoPasses(60)},
 		{"relate-memo/churn", 3_795_464, true, relateMemoPasses(360)},
 	}
@@ -189,6 +191,22 @@ func presetRun(size string, cold bool) func(t *testing.T) func() {
 			if _, err := ig.Integrate(sources); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+}
+
+// megaDecode decodes the 192 sources of the mega preset through
+// DecodeTrees, from the indented JSON EncodeTrees writes (encoding/json
+// made 127,749 allocations decoding their compact encoding).
+func megaDecode(t *testing.T) func() {
+	sources, _ := scaleCorpus(t, "mega")
+	data, err := EncodeTrees(sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		if _, err := DecodeTrees(data); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
