@@ -147,10 +147,11 @@ func main() {
 		metrics.Cache.Hits, metrics.Cache.Misses, metrics.Naming["total"])
 
 	// 7. Incremental integration: a stateful session absorbs source-set
-	// changes one delta at a time instead of re-running the pipeline over
-	// the whole pool. The result after any delta sequence is byte-identical
-	// to a from-scratch integration of the current source set — and lands
-	// in the same cache, so /v1/translate works against the session's key.
+	// changes one delta at a time; each delta re-runs the pipeline over the
+	// session's source set on the daemon's warm cache. The result after any
+	// delta sequence is byte-identical to a from-scratch integration of the
+	// current source set — and lands in the same cache, so /v1/translate
+	// works against the session's key.
 	var sess struct {
 		ID string `json:"id"`
 	}
@@ -164,15 +165,14 @@ func main() {
 		Hash  string `json:"hash"`
 		Key   string `json:"key"`
 		Stats struct {
-			Components       int     `json:"components"`
-			ComponentsReused int     `json:"componentsReused"`
-			DurationMs       float64 `json:"durationMs"`
+			Components int     `json:"components"`
+			DurationMs float64 `json:"durationMs"`
 		} `json:"stats"`
 	}
 	for _, src := range sources[:4] {
 		post(ts.URL+"/v1/sessions/"+sess.ID+"/sources", map[string]any{"source": src}, &op)
-		fmt.Printf("  +%s: %d components, %d reused (%.1fms)\n",
-			op.Hash[:8], op.Stats.Components, op.Stats.ComponentsReused, op.Stats.DurationMs)
+		fmt.Printf("  +%s: %d components (%.1fms)\n",
+			op.Hash[:8], op.Stats.Components, op.Stats.DurationMs)
 	}
 	var result struct {
 		Key    string `json:"key"`
@@ -183,7 +183,7 @@ func main() {
 	fmt.Printf("  result: class=%s key=%s… (identical to integrating the 4 sources from scratch)\n",
 		result.Class, result.Key[:12])
 
-	// Removing the last source is one more cheap delta, not a re-run.
+	// Removing the last source is one more delta.
 	del(ts.URL + "/v1/sessions/" + sess.ID + "/sources/" + op.Hash)
 	get(ts.URL+"/v1/sessions/"+sess.ID+"/result", &result)
 	fmt.Printf("  after remove: key=%s… (the 3-source integration's key)\n", result.Key[:12])

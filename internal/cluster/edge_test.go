@@ -8,7 +8,7 @@ import (
 )
 
 // These table tests pin the edge cases the online discovery path leans
-// on: it derives a Mapping from whatever trees a live delta session
+// on: it derives a Mapping from whatever trees a discovered domain
 // holds, so empty trees, annotation-free trees and degenerate relations
 // must all round-trip without error.
 

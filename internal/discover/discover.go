@@ -1,8 +1,9 @@
 // Package discover implements online domain discovery: raw query-interface
 // forms arrive one at a time, each is assigned to a domain by clustering
-// over field-label semantics, and every domain maintains one live delta
-// -integration session, so the domain's integrated, labeled interface grows
-// with each ingested form.
+// over field-label semantics, and every domain holds its member forms and
+// the integration of them. Each membership change re-integrates the
+// domain in one pipeline run on the Integrator, so the domain's
+// integrated, labeled interface grows with each ingested form.
 //
 // The paper treats labeling as a batch job over a known domain; related
 // work (The Ontological Key, VIQI) frames form understanding as an ongoing
@@ -16,11 +17,11 @@
 // label-set relatedness (see similarity) reaches the configured threshold.
 // Because the graph depends only on the set of forms seen — never on the
 // order they arrived — the partition, the per-domain member sets, and
-// therefore the per-domain integrated trees (delta sessions are
-// byte-identical to a batch Integrate of their source set) are all
-// invariant under stream-order permutation. When a new form bridges two or
-// more existing domains, those domains merge into one. Re-ingesting an
-// already-seen form (same canonical hash) is a no-op on every domain.
+// therefore the per-domain integrated trees (each a batch Integrate of its
+// member set) are all invariant under stream-order permutation. When a
+// new form bridges two or more existing domains, those domains merge into
+// one. Re-ingesting an already-seen form (same canonical hash) is a no-op
+// on every domain.
 //
 // Domain identifiers are canonical, not sticky: a domain's ID is the
 // minimum canonical hash of its member forms, so it is a pure function of
@@ -38,6 +39,7 @@ import (
 
 	"qilabel"
 	"qilabel/internal/naming"
+	"qilabel/internal/schema"
 )
 
 // DefaultThreshold is the similarity threshold used when Config.Threshold
@@ -50,7 +52,9 @@ const DefaultThreshold = 0.4
 // Config tunes an Engine.
 type Config struct {
 	// Integrator supplies the per-domain labeling configuration; every
-	// domain session is created from it (required). Discovery of raw
+	// domain is integrated on it (required). Its Observer receives the
+	// stages of every ingest's run, called while the engine holds its
+	// lock, so it must not call the engine. Discovery of raw
 	// extracted forms needs Config.UseMatcher — extracted trees carry no
 	// cluster annotations.
 	Integrator *qilabel.Integrator
@@ -155,27 +159,19 @@ type ClusterInfo struct {
 // domain IDs.
 var ErrUnknownDomain = errors.New("discover: unknown or evicted domain id")
 
-// domain is one live connected component: its delta session, its member
-// signatures and the idle clock.
+// domain is one live connected component: its member signatures in hash
+// order, the integration of the members with its cache key, and the idle
+// clock. A membership change replaces the domain with a new one.
 type domain struct {
-	id       string // min member hash, maintained on every membership change
-	session  *qilabel.Session
-	members  map[string]*formSig
+	id       string     // the minimum member hash, members[0].hash
+	members  []*formSig // sorted by hash
+	res      *qilabel.Result
+	key      string
 	lastUsed time.Time
 }
 
-func (d *domain) refreshID() {
-	d.id = ""
-	for h := range d.members {
-		if d.id == "" || h < d.id {
-			d.id = h
-		}
-	}
-}
-
 // Engine is the online domain-discovery state. It is safe for concurrent
-// use; operations serialize on an internal mutex (each domain's delta
-// session additionally serializes its own pipeline runs).
+// use; operations serialize on an internal mutex.
 type Engine struct {
 	mu      sync.Mutex
 	ig      *qilabel.Integrator
@@ -245,7 +241,7 @@ func (e *Engine) Ingest(ctx context.Context, t *qilabel.Tree) (*Assignment, erro
 			Domain:    d.id,
 			Duplicate: true,
 			Sources:   len(d.members),
-			Key:       d.session.CacheKey(),
+			Key:       d.key,
 			Domains:   len(e.domains),
 		}, nil
 	}
@@ -271,83 +267,54 @@ func (e *Engine) Ingest(ctx context.Context, t *qilabel.Tree) (*Assignment, erro
 	}
 	sort.Slice(matches, func(i, j int) bool { return matches[i].id < matches[j].id })
 
-	a := &Assignment{FormHash: sig.hash, Similarity: best}
-	switch len(matches) {
-	case 0:
-		// Founder of a new domain.
-		sess := e.ig.NewSession()
-		if _, err := sess.AddSource(ctx, sig.tree); err != nil {
-			return nil, err
-		}
-		d := &domain{session: sess, members: map[string]*formSig{sig.hash: sig}, lastUsed: now}
-		d.refreshID()
-		e.registerLocked(d, now)
-		e.created++
-		a.New = true
-		e.fill(a, d)
-	case 1:
-		d := matches[0]
-		if _, err := d.session.AddSource(ctx, sig.tree); err != nil {
-			return nil, err
-		}
-		d.members[sig.hash] = sig
-		e.byForm[sig.hash] = d
-		if sig.hash < d.id {
-			d.id = sig.hash
-		}
-		d.lastUsed = now
-		e.fill(a, d)
-	default:
-		// The form bridges several components: rebuild the union in a
-		// fresh session first, so a mid-merge failure (cancellation, a
-		// deadline) leaves every existing domain untouched.
-		sess := e.ig.NewSession()
-		members := make(map[string]*formSig, 1+len(matches))
-		var hashes []string
-		for _, d := range matches {
-			for h := range d.members {
-				hashes = append(hashes, h)
-			}
-		}
-		sort.Strings(hashes)
-		add := func(s *formSig) error {
-			if _, err := sess.AddSource(ctx, s.tree); err != nil {
-				return err
-			}
-			members[s.hash] = s
-			return nil
-		}
-		for _, h := range hashes {
-			if err := add(e.byForm[h].members[h]); err != nil {
-				return nil, err
-			}
-		}
-		if err := add(sig); err != nil {
-			return nil, err
-		}
-		for _, d := range matches {
-			a.Merged = append(a.Merged, d.id)
-			delete(e.domains, d)
-		}
-		e.merged += uint64(len(matches))
-		d := &domain{session: sess, members: members, lastUsed: now}
-		d.refreshID()
-		for h := range members {
-			e.byForm[h] = d
-		}
-		e.domains[d] = true
-		e.fill(a, d)
+	// Integrate the form's new domain before touching any state, so a
+	// failed run (cancellation, a deadline) leaves every domain untouched.
+	members := []*formSig{sig}
+	for _, m := range matches {
+		members = append(members, m.members...)
 	}
+	d, err := e.integrate(ctx, members)
+	if err != nil {
+		return nil, err
+	}
+
+	a := &Assignment{FormHash: sig.hash, Similarity: best, New: len(matches) == 0}
+	if a.New {
+		e.created++
+	}
+	for _, m := range matches {
+		if len(matches) > 1 {
+			a.Merged = append(a.Merged, m.id)
+			e.merged++
+		}
+		delete(e.domains, m)
+	}
+	e.registerLocked(d, now)
 	e.ingested++
+	a.Domain, a.Sources, a.Key, a.Domains = d.id, len(d.members), d.key, len(e.domains)
 	return a, nil
 }
 
-// fill completes an assignment's domain-state fields. Caller holds mu.
-func (e *Engine) fill(a *Assignment, d *domain) {
-	a.Domain = d.id
-	a.Sources = len(d.members)
-	a.Key = d.session.CacheKey()
-	a.Domains = len(e.domains)
+// integrate builds the domain of one member set, labeled in a single
+// pipeline run over the members in hash order, under the key a
+// /v1/integrate of the same forms computes.
+func (e *Engine) integrate(ctx context.Context, members []*formSig) (*domain, error) {
+	sort.Slice(members, func(i, j int) bool { return members[i].hash < members[j].hash })
+	trees := make([]*qilabel.Tree, len(members))
+	hashes := make([]string, len(members))
+	for i, m := range members {
+		trees[i], hashes[i] = m.tree, m.hash
+	}
+	res, err := e.ig.IntegrateContext(ctx, trees)
+	if err != nil {
+		return nil, err
+	}
+	return &domain{
+		id:      hashes[0],
+		members: members,
+		res:     res,
+		key:     schema.CacheKey(hashes, e.ig.Fingerprint()),
+	}, nil
 }
 
 // registerLocked adds a new domain, evicting the least-recently-used one
@@ -361,11 +328,11 @@ func (e *Engine) registerLocked(d *domain, now time.Time) {
 				oldest = cand
 			}
 		}
-		e.dropLocked(oldest, 1)
+		e.dropLocked(oldest)
 	}
 	e.domains[d] = true
-	for h := range d.members {
-		e.byForm[h] = d
+	for _, m := range d.members {
+		e.byForm[m.hash] = d
 	}
 	d.lastUsed = now
 }
@@ -375,21 +342,18 @@ func (e *Engine) sweepLocked(now time.Time) {
 	if e.ttl <= 0 {
 		return
 	}
-	dropped := 0
 	for d := range e.domains {
 		if now.Sub(d.lastUsed) > e.ttl {
-			e.dropLocked(d, 0)
-			dropped++
+			e.dropLocked(d)
 		}
 	}
-	_ = dropped
 }
 
 // dropLocked removes one domain and forgets its forms. Caller holds mu.
-func (e *Engine) dropLocked(d *domain, _ int) {
+func (e *Engine) dropLocked(d *domain) {
 	delete(e.domains, d)
-	for h := range d.members {
-		delete(e.byForm, h)
+	for _, m := range d.members {
+		delete(e.byForm, m.hash)
 	}
 	e.evicted++
 	if e.onEvict != nil {
@@ -405,11 +369,7 @@ func (e *Engine) Domains() ([]DomainInfo, error) {
 	e.sweepLocked(e.now())
 	out := make([]DomainInfo, 0, len(e.domains))
 	for d := range e.domains {
-		info, err := e.infoLocked(d)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, info)
+		out = append(out, d.info())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
@@ -424,13 +384,14 @@ func (e *Engine) Domain(id string) (DomainInfo, error) {
 	if !ok {
 		return DomainInfo{}, ErrUnknownDomain
 	}
-	return e.infoLocked(d)
+	return d.info(), nil
 }
 
 // Result returns a live domain's current integration outcome together
 // with its cache key and the member sources (clones, in canonical order)
 // — everything a server needs to publish the labeling into its result
-// cache.
+// cache. The Result is shared until the domain changes; treat it as
+// read-only.
 func (e *Engine) Result(id string) (*qilabel.Result, string, []*qilabel.Tree, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -439,11 +400,26 @@ func (e *Engine) Result(id string) (*qilabel.Result, string, []*qilabel.Tree, er
 	if !ok {
 		return nil, "", nil, ErrUnknownDomain
 	}
-	res, err := d.session.Result()
-	if err != nil {
-		return nil, "", nil, err
+	return d.res, d.key, d.sources(), nil
+}
+
+// sources returns clones of the domain's member forms in canonical (hash)
+// order.
+func (d *domain) sources() []*qilabel.Tree {
+	out := make([]*qilabel.Tree, len(d.members))
+	for i, m := range d.members {
+		out[i] = m.tree.Clone()
 	}
-	return res, d.session.CacheKey(), d.session.Sources(), nil
+	return out
+}
+
+// forms returns the domain's member hashes in sorted order.
+func (d *domain) forms() []string {
+	out := make([]string, len(d.members))
+	for i, m := range d.members {
+		out[i] = m.hash
+	}
+	return out
 }
 
 func (e *Engine) lookupLocked(id string) (*domain, bool) {
@@ -455,33 +431,25 @@ func (e *Engine) lookupLocked(id string) (*domain, bool) {
 	return d, true
 }
 
-// infoLocked builds one domain's listing entry from its session outcome
-// and the §2.1 cluster mapping. Caller holds mu.
-func (e *Engine) infoLocked(d *domain) (DomainInfo, error) {
-	res, err := d.session.Result()
-	if err != nil {
-		return DomainInfo{}, err
-	}
+// info builds the domain's listing entry from its integration and the
+// §2.1 cluster mapping.
+func (d *domain) info() DomainInfo {
 	info := DomainInfo{
 		ID:      d.id,
 		Sources: len(d.members),
-		Forms:   make([]string, 0, len(d.members)),
-		Key:     d.session.CacheKey(),
-		Class:   res.Class.String(),
+		Forms:   d.forms(),
+		Key:     d.key,
+		Class:   d.res.Class.String(),
 	}
-	for h := range d.members {
-		info.Forms = append(info.Forms, h)
-	}
-	sort.Strings(info.Forms)
-	for _, c := range res.Mapping.Clusters {
+	for _, c := range d.res.Mapping.Clusters {
 		info.Clusters = append(info.Clusters, ClusterInfo{
 			Name:      c.Name,
-			Label:     res.Labels[c.Name],
+			Label:     d.res.Labels[c.Name],
 			Frequency: c.Frequency(),
 			Labels:    c.Labels(),
 		})
 	}
-	return info, nil
+	return info
 }
 
 // Partition returns the current domain partition: canonical domain ID →
@@ -492,12 +460,7 @@ func (e *Engine) Partition() map[string][]string {
 	defer e.mu.Unlock()
 	out := make(map[string][]string, len(e.domains))
 	for d := range e.domains {
-		hashes := make([]string, 0, len(d.members))
-		for h := range d.members {
-			hashes = append(hashes, h)
-		}
-		sort.Strings(hashes)
-		out[d.id] = hashes
+		out[d.id] = d.forms()
 	}
 	return out
 }

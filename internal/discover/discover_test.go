@@ -183,6 +183,58 @@ func TestEngineMergesBridgedDomains(t *testing.T) {
 	}
 }
 
+// TestEngineBridgingIngestRunsOnce: a form bridging two domains of two
+// forms each re-integrates the union in one pipeline run on the engine's
+// Integrator, and a canceled bridging ingest changes no domain.
+func TestEngineBridgingIngestRunsOnce(t *testing.T) {
+	var events []qilabel.StageEvent
+	ig, err := qilabel.NewIntegrator(qilabel.Config{
+		Lexicon:    testLexicon(),
+		UseMatcher: true,
+		Observer:   func(ev qilabel.StageEvent) { events = append(events, ev) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := testEngine(t, Config{Integrator: ig})
+	mustIngest(t, e, form("flights-a", "Passenger", "Destination"))
+	mustIngest(t, e, form("flights-b", "Traveler", "Destination"))
+	mustIngest(t, e, form("books-a", "Author", "Title"))
+	mustIngest(t, e, form("books-b", "Writer", "Title"))
+	before := e.Partition()
+	if len(before) != 2 {
+		t.Fatalf("setup: %d domains, want 2", len(before))
+	}
+
+	bridge := form("bridge", "Traveler", "Destination", "Writer", "Title")
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := e.Ingest(canceled, bridge); err == nil {
+		t.Fatal("canceled bridging ingest succeeded")
+	}
+	if after := e.Partition(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("canceled ingest changed the partition:\nbefore %v\nafter  %v", before, after)
+	}
+
+	events = nil
+	a := mustIngest(t, e, bridge)
+	if len(a.Merged) != 2 || a.Sources != 5 {
+		t.Fatalf("bridge: %+v, want 2 domains merged into 5 sources", a)
+	}
+	namings, validated := 0, 0
+	for _, ev := range events {
+		switch ev.Stage {
+		case "naming":
+			namings++
+		case "validate":
+			validated += ev.Units
+		}
+	}
+	if namings != 1 || validated != 5 {
+		t.Fatalf("bridging ingest: %d naming runs over %d sources, want 1 over 5 (%v)", namings, validated, events)
+	}
+}
+
 func TestEngineMergedTreeMatchesBatchIntegrate(t *testing.T) {
 	e := testEngine(t, Config{})
 	forms := []*schema.Tree{

@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzIngest drives the whole online pipeline with arbitrary bytes: HTML
-// extraction, similarity assignment and the per-domain delta session. No
+// extraction, similarity assignment and the per-domain integration. No
 // input may panic or corrupt engine invariants — every accepted ingest
 // must land in a resolvable domain whose listing stays self-consistent.
 // Crashers live in testdata/fuzz/FuzzIngest.

@@ -15,7 +15,7 @@ import (
 type formSig struct {
 	hash   string
 	labels []string
-	tree   *schema.Tree // pristine clone, retained for domain merges
+	tree   *schema.Tree // pristine clone, re-integrated on every membership change
 }
 
 // newFormSig derives the signature of a validated tree. The caller owns

@@ -1,12 +1,9 @@
 package naming
 
 import (
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
-	"qilabel/internal/cluster"
 	"qilabel/internal/gencache"
 	"qilabel/internal/lexicon"
 )
@@ -230,38 +227,4 @@ func (w *Warm) Stats() WarmStats {
 	v := w.verdicts.Stats()
 	st.VerdictHits, st.VerdictMisses, st.Verdicts = v.Hits, v.Misses, v.Len
 	return st
-}
-
-// sigString appends a length-prefixed string, so no two distinct content
-// sequences serialize to the same signature by concatenation.
-func sigString(b *strings.Builder, s string) {
-	b.WriteString(strconv.Itoa(len(s)))
-	b.WriteByte(':')
-	b.WriteString(s)
-}
-
-// sigMembers serializes a cluster's full member content: interface, label
-// and instance list of every member, in member order. Cluster names are
-// deliberately excluded: the matcher renumbers them globally on any source
-// change, and no naming pass reads them.
-func sigMembers(b *strings.Builder, c *cluster.Cluster) {
-	b.WriteByte('c')
-	b.WriteString(strconv.Itoa(len(c.Members)))
-	for _, m := range c.Members {
-		sigString(b, m.Interface)
-		sigString(b, m.Leaf.Label)
-		b.WriteString(strconv.Itoa(len(m.Leaf.Instances)))
-		for _, v := range m.Leaf.Instances {
-			sigString(b, v)
-		}
-	}
-}
-
-// ClusterSignature is the member-content signature of one cluster:
-// clusters with equal signatures receive identical treatment from the
-// matching and naming passes, whatever their names.
-func ClusterSignature(c *cluster.Cluster) string {
-	var b strings.Builder
-	sigMembers(&b, c)
-	return b.String()
 }

@@ -11,8 +11,8 @@ import (
 
 // Online domain discovery over HTTP: forms arrive one page (or one tree)
 // at a time with no domain attached, and the server clusters them into
-// domains by field-label semantics, maintaining one live delta session
-// per discovered domain.
+// domains by field-label semantics, re-integrating a discovered domain
+// on every membership change.
 //
 //	POST /v1/ingest                    raw HTML page (every <form> is
 //	                                   ingested) or one source tree in,

@@ -39,17 +39,15 @@ type metrics struct {
 	snapshotLoads    atomic.Int64
 	snapshotRestored atomic.Int64
 
-	// Session counters: lifecycle events, per-kind delta operations, and
-	// the pipeline components the delta engine reused vs. recomputed
-	// (summed over every delta operation).
+	// Session counters: lifecycle events and delta operations by kind.
+	// A delta's pipeline stages are timed under stages, like any
+	// integration's.
 	sessionsCreated atomic.Int64
 	sessionsEvicted atomic.Int64
 	sessionsClosed  atomic.Int64
 	deltaAdds       atomic.Int64
 	deltaUpdates    atomic.Int64
 	deltaRemoves    atomic.Int64
-	deltaReused     atomic.Int64
-	deltaRecomputed atomic.Int64
 
 	mu        sync.Mutex
 	endpoints map[string]*endpointStats
@@ -272,17 +270,14 @@ type persistenceSnapshot struct {
 }
 
 // sessionsSnapshot is the incremental-integration section of /metrics:
-// the live-session gauge, lifecycle counters, delta operations by kind,
-// and how many pipeline components the delta engine reused vs. recomputed
-// across every operation (the incrementality win, observable).
+// the live-session gauge, lifecycle counters and delta operations by
+// kind.
 type sessionsSnapshot struct {
-	Active               int              `json:"active"`
-	Created              int64            `json:"created"`
-	Evicted              int64            `json:"evicted"`
-	Closed               int64            `json:"closed"`
-	DeltaOps             map[string]int64 `json:"deltaOps"`
-	ReusedComponents     int64            `json:"reusedComponents"`
-	RecomputedComponents int64            `json:"recomputedComponents"`
+	Active   int              `json:"active"`
+	Created  int64            `json:"created"`
+	Evicted  int64            `json:"evicted"`
+	Closed   int64            `json:"closed"`
+	DeltaOps map[string]int64 `json:"deltaOps"`
 }
 
 // lexiconsSnapshot is the versioned-lexicon section of /metrics: the
@@ -352,8 +347,6 @@ func (m *metrics) snapshot(cacheEntries, cacheCap, sessionsActive int) snapshot 
 				"update": m.deltaUpdates.Load(),
 				"remove": m.deltaRemoves.Load(),
 			},
-			ReusedComponents:     m.deltaReused.Load(),
-			RecomputedComponents: m.deltaRecomputed.Load(),
 		},
 		Endpoints: make(map[string]endpointSnapshot),
 		Stages:    make(map[string]stageSnapshot),

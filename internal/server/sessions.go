@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -14,10 +13,10 @@ import (
 )
 
 // Stateful incremental integration over HTTP: a session owns a live
-// qilabel.Session — a mutable source multiset plus the delta caches — so
-// clients stream source changes (add, update, remove) and read the
-// re-labeled integrated interface after each one, paying only for the
-// work the change touched instead of a full /v1/integrate per revision.
+// qilabel.Session — a mutable source multiset re-integrated on its
+// Integrator's warm cache — so clients stream source changes (add,
+// update, remove) and read the re-labeled integrated interface after each
+// one, sending one tree per revision instead of the whole source set.
 //
 //	POST   /v1/sessions                         create (options fixed for life)
 //	GET    /v1/sessions/{id}                    source hashes + lifetime stats
@@ -49,11 +48,12 @@ type sessionStore struct {
 	evicted func(n int)
 }
 
-// liveSession is one server-side session. The embedded qilabel.Session
-// serializes delta operations internally; lastUsed is guarded by the
-// store lock.
+// liveSession is one server-side session. mu holds each delta operation
+// together with its read-back, and each read of the session's state, so
+// a reply describes one state; lastUsed is guarded by the store lock.
 type liveSession struct {
 	id       string
+	mu       sync.Mutex
 	sess     *qilabel.Session
 	ropts    requestOptions
 	created  time.Time
@@ -228,13 +228,10 @@ func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 		writeSessionNotFound(w)
 		return
 	}
-	resp := sessionInfoResponse{
-		ID:          ls.id,
-		Fingerprint: ls.sess.Fingerprint(),
-		Sources:     ls.sess.SourceHashes(),
-		Totals:      ls.sess.Totals(),
-	}
-	sort.Strings(resp.Sources)
+	resp := sessionInfoResponse{ID: ls.id, Fingerprint: ls.sess.Fingerprint()}
+	ls.mu.Lock()
+	resp.Sources = ls.sess.SourceHashes()
+	resp.Totals = ls.sess.Totals()
 	if len(resp.Sources) > 0 {
 		resp.Key = ls.sess.CacheKey()
 	}
@@ -242,6 +239,7 @@ func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 		st := ls.sess.Stats()
 		resp.LastOp = &st
 	}
+	ls.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -283,9 +281,11 @@ func (s *Server) handleSessionRemove(w http.ResponseWriter, r *http.Request) {
 var errBadSourceBody = errors.New(`no source tree in request body (expected {"source": {...}})`)
 
 // sessionDelta is the shared delta-operation path: resolve the session,
-// claim a worker slot (delta recomputes run on the same bounded pool as
+// claim a worker slot (delta operations run on the same bounded pool as
 // integrations), run the operation under the request timeout, tally the
-// per-op metrics and answer with the new state's summary.
+// per-op metrics and answer with the new state's summary. The operation
+// and its read-back hold the session's lock, so concurrent deltas each
+// answer with their own state.
 func (s *Server) sessionDelta(w http.ResponseWriter, r *http.Request,
 	op func(context.Context, *liveSession, sessionSourceRequest) (string, error)) {
 
@@ -307,24 +307,28 @@ func (s *Server) sessionDelta(w http.ResponseWriter, r *http.Request,
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
+	ls.mu.Lock()
 	hash, err := op(ctx, ls, req)
+	resp := sessionOpResponse{ID: ls.id, Hash: hash}
+	if err == nil {
+		resp.Stats = ls.sess.Stats()
+		resp.Sources = ls.sess.Len()
+		if resp.Sources > 0 {
+			resp.Key = ls.sess.CacheKey()
+		}
+	}
+	ls.mu.Unlock()
 	if err != nil {
 		writeAPIError(w, s.sessionErrorFor(err))
 		return
 	}
-
-	st := ls.sess.Stats()
-	s.recordDelta(st)
-	resp := sessionOpResponse{ID: ls.id, Hash: hash, Sources: ls.sess.Len(), Stats: st}
-	if resp.Sources > 0 {
-		resp.Key = ls.sess.CacheKey()
-	}
+	s.recordDelta(resp.Stats.Op)
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// recordDelta feeds one delta operation into the metrics registry.
-func (s *Server) recordDelta(st qilabel.SessionStats) {
-	switch st.Op {
+// recordDelta counts one delta operation by kind.
+func (s *Server) recordDelta(op string) {
+	switch op {
 	case "add":
 		s.metrics.deltaAdds.Add(1)
 	case "update":
@@ -332,8 +336,6 @@ func (s *Server) recordDelta(st qilabel.SessionStats) {
 	case "remove":
 		s.metrics.deltaRemoves.Add(1)
 	}
-	s.metrics.deltaReused.Add(int64(st.ComponentsReused))
-	s.metrics.deltaRecomputed.Add(int64(st.ComponentsRecomputed))
 }
 
 func (s *Server) handleSessionResult(w http.ResponseWriter, r *http.Request) {
@@ -342,13 +344,23 @@ func (s *Server) handleSessionResult(w http.ResponseWriter, r *http.Request) {
 		writeSessionNotFound(w)
 		return
 	}
+	// The result, its key and the sources it is published with must
+	// describe one state: a delta committing between the reads would
+	// publish a result under another state's key.
+	ls.mu.Lock()
 	res, err := ls.sess.Result()
+	key := ls.sess.CacheKey()
+	entry, hit := s.cache.Get(key)
+	var sources []*qilabel.Tree
+	if err == nil && !hit {
+		sources = ls.sess.Sources()
+	}
+	ls.mu.Unlock()
 	if err != nil {
 		writeAPIError(w, s.sessionErrorFor(err))
 		return
 	}
-	key := ls.sess.CacheKey()
-	if entry, hit := s.cache.Get(key); hit {
+	if hit {
 		// The session state was already published (or an identical
 		// /v1/integrate ran): serve the cached response like a warm
 		// integration.
@@ -363,7 +375,7 @@ func (s *Server) handleSessionResult(w http.ResponseWriter, r *http.Request) {
 	// equivalence gate guarantees res is byte-identical to what
 	// /v1/integrate would compute, so translate, cache persistence and
 	// later integrations all interoperate.
-	resp := s.complete(key, "", ls.sess.Sources(), ls.ropts, res)
+	resp := s.complete(key, "", sources, ls.ropts, res)
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
@@ -159,11 +161,12 @@ func TestSessionLifecycleHTTP(t *testing.T) {
 	if sm.DeltaOps["add"] != 3 || sm.DeltaOps["update"] != 1 || sm.DeltaOps["remove"] != 1 {
 		t.Fatalf("bad delta op counters: %+v", sm.DeltaOps)
 	}
-	if sm.ReusedComponents == 0 {
-		t.Fatalf("no component reuse recorded across deltas: %+v", sm)
-	}
-	if sm.RecomputedComponents == 0 {
-		t.Fatalf("no component recomputation recorded: %+v", sm)
+	// Every delta ran the pipeline once, timed under /metrics stages like
+	// an integration; the /v1/integrate above was a cache hit.
+	for _, stage := range []string{"validate", "merge", "naming"} {
+		if n := m.Stages[stage].Count; n != 5 {
+			t.Fatalf("stage %s ran %d times over 5 deltas: %+v", stage, n, m.Stages)
+		}
 	}
 
 	// Close; the id is gone and the gauge drops.
@@ -318,4 +321,105 @@ func TestSessionMatcherDeltaReuse(t *testing.T) {
 	if got.Key != want.Key || !want.Cached {
 		t.Fatalf("matcher session key mismatch: session %s integrate %s (cached=%v)", got.Key, want.Key, want.Cached)
 	}
+}
+
+// TestSessionConcurrentDeltaReplies: concurrent adds to one session each
+// answer with their own state — the source count, the stats and the key
+// of the state the add produced.
+func TestSessionConcurrentDeltaReplies(t *testing.T) {
+	const n = 8
+	_, ts := newTestServer(t, Config{MaxInflight: n})
+	created := createSession(t, ts.URL, requestOptions{Matcher: true})
+	replies := make([]sessionOpResponse, n)
+	errs := make(chan error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			src := qilabel.NewTree(fmt.Sprintf("s%d", i),
+				qilabel.NewField("From City", ""), qilabel.NewField("To City", ""))
+			resp, err := tryDoJSON(http.MethodPost, ts.URL+"/v1/sessions/"+created.ID+"/sources",
+				sessionSourceRequest{Source: src}, &replies[i])
+			if err == nil && resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("add %d: status %d", i, resp.StatusCode)
+			}
+			errs <- err
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := make(map[int]bool)
+	keys := make(map[string]bool)
+	for _, r := range replies {
+		if r.Stats.Sources != r.Sources {
+			t.Fatalf("reply with %d sources carries stats of %d: %+v", r.Sources, r.Stats.Sources, r)
+		}
+		seen[r.Sources] = true
+		keys[r.Key] = true
+	}
+	for k := 1; k <= n; k++ {
+		if !seen[k] {
+			t.Fatalf("no reply answered with %d sources: %+v", k, replies)
+		}
+	}
+	if len(keys) != n {
+		t.Fatalf("%d distinct keys over %d distinct states", len(keys), n)
+	}
+}
+
+// TestStageMetricsCoverDeltasAndIngests: /metrics stages.naming.count
+// rises by one per session delta that leaves the session non-empty and
+// per ingest that changes a domain, and by nothing otherwise.
+func TestStageMetricsCoverDeltasAndIngests(t *testing.T) {
+	_, ts := newTestServer(t, Config{Lexicon: ingestLexicon()})
+	namings := func() int64 {
+		var m snapshot
+		decodeBody(t, mustGet(t, ts.URL+"/metrics"), &m)
+		return m.Stages["naming"].Count
+	}
+	step := func(what string, want int64, do func()) {
+		t.Helper()
+		before := namings()
+		do()
+		if got := namings() - before; got != want {
+			t.Fatalf("%s: naming ran %d times, want %d", what, got, want)
+		}
+	}
+
+	created := createSession(t, ts.URL, requestOptions{Matcher: true})
+	var added sessionOpResponse
+	delta := func(method, path string, body any) {
+		t.Helper()
+		if resp := doJSON(t, method, ts.URL+"/v1/sessions/"+created.ID+path, body, &added); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d", method, path, resp.StatusCode)
+		}
+	}
+	step("add", 1, func() {
+		delta(http.MethodPost, "/sources", sessionSourceRequest{Source: ingestTree("a", "Passenger", "Destination")})
+	})
+	first := added.Hash
+	step("second add", 1, func() {
+		delta(http.MethodPost, "/sources", sessionSourceRequest{Source: ingestTree("b", "Traveler", "Place")})
+	})
+	second := added.Hash
+	step("update", 1, func() {
+		delta(http.MethodPut, "/sources/"+second, sessionSourceRequest{Source: ingestTree("c", "Occupant", "Place")})
+	})
+	step("remove", 1, func() { delta(http.MethodDelete, "/sources/"+first, nil) })
+	step("remove emptying the session", 0, func() { delta(http.MethodDelete, "/sources/"+added.Hash, nil) })
+	step("info read", 0, func() { mustGet(t, ts.URL+"/v1/sessions/"+created.ID).Body.Close() })
+
+	step("founding ingest", 1, func() { ingestSource(t, ts.URL, ingestTree("flights-a", "Passenger", "Destination")) })
+	step("joining ingest", 1, func() { ingestSource(t, ts.URL, ingestTree("flights-b", "Traveler", "Place")) })
+	step("duplicate ingest", 0, func() { ingestSource(t, ts.URL, ingestTree("flights-a", "Passenger", "Destination")) })
+	step("second domain", 1, func() { ingestSource(t, ts.URL, ingestTree("books-a", "Author", "Title")) })
+	step("bridging ingest", 1, func() {
+		ingestSource(t, ts.URL, ingestTree("bridge", "Traveler", "Destination", "Writer", "Title"))
+	})
 }

@@ -9,7 +9,6 @@ import (
 
 	"qilabel/internal/cluster"
 	"qilabel/internal/dataset"
-	"qilabel/internal/delta"
 	"qilabel/internal/extract"
 	"qilabel/internal/lexicon"
 	"qilabel/internal/merge"
@@ -79,11 +78,13 @@ func DecodeLexicon(data []byte) (*Lexicon, error) { return lexicon.DecodeJSON(da
 
 // StageEvent reports the completion of one pipeline stage to an observer
 // installed with WithObserver (or Config.Observer): which stage ran, how
-// many units it processed and how long it took. Stage names are stable:
-// "validate" (source validation and deep copy; units = source trees),
-// "match" (cluster recomputation, only with the matcher enabled; units =
-// clusters formed), "merge" (structural integration; units = clusters) and
-// "naming" (the labeling passes; units = groups + internal nodes).
+// many units it processed and how long it took. Every pipeline run emits
+// them, whether an IntegrateContext call or a Session operation (see
+// Session). Stage names are stable: "validate" (source validation and
+// deep copy; units = source trees), "match" (cluster recomputation, only
+// with the matcher enabled; units = clusters formed), "merge" (structural
+// integration; units = clusters) and "naming" (the labeling passes; units
+// = groups + internal nodes).
 type StageEvent struct {
 	Stage    string
 	Units    int
@@ -290,39 +291,6 @@ func IntegrateContext(ctx context.Context, sources []*Tree, opts ...Option) (*Re
 		return nil, err
 	}
 	return ig.IntegrateContext(ctx, sources)
-}
-
-// deltaConfig mirrors the behavior-affecting configuration into the delta
-// engine's Config (internal/delta cannot import this package back).
-func (c Config) deltaConfig() delta.Config {
-	return delta.Config{
-		Lexicon:          c.Lexicon,
-		UseMatcher:       c.UseMatcher,
-		DisableInstances: c.DisableInstances,
-		MaxLevel:         c.MaxLevel,
-		MinFrequency:     c.MinFrequency,
-		Parallelism:      c.Parallelism,
-		ReferenceKernels: c.referenceKernels,
-	}
-}
-
-// resultFromOutcome wraps one pipeline run's outcome as the public Result.
-func resultFromOutcome(out *delta.Outcome, lex *lexicon.Lexicon) *Result {
-	res := &Result{
-		Tree:    out.Merge.Tree,
-		Class:   out.Naming.Class,
-		Labels:  make(map[string]string, len(out.Mapping.Clusters)),
-		Mapping: out.Mapping,
-		Merge:   out.Merge,
-		Naming:  out.Naming,
-		lex:     lex,
-	}
-	for _, c := range out.Mapping.Clusters {
-		if leaf := out.Merge.LeafOf[c.Name]; leaf != nil {
-			res.Labels[c.Name] = leaf.Label
-		}
-	}
-	return res
 }
 
 // BatchItem is the outcome of one source-tree set in an IntegrateBatch

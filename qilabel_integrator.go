@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
-	"qilabel/internal/delta"
+	"qilabel/internal/cluster"
+	"qilabel/internal/match"
+	"qilabel/internal/merge"
 	"qilabel/internal/naming"
 	"qilabel/internal/pool"
 	"qilabel/internal/schema"
@@ -99,14 +102,6 @@ func (ig *Integrator) CacheKey(sources []*Tree) string {
 	return schema.CacheKey(schema.TreeHashes(sources), ig.Fingerprint())
 }
 
-// deltaConfig mirrors the configuration into the delta engine, threading
-// the integrator's warm cache along.
-func (ig *Integrator) deltaConfig() delta.Config {
-	dc := ig.cfg.deltaConfig()
-	dc.Warm = ig.warm
-	return dc
-}
-
 // WarmStats reports the effectiveness of the integrator's cross-run warm
 // cache: label-analysis interning and the shared Relate-verdict cache,
 // which the matcher and the naming phases both read. All zeros when warm
@@ -164,32 +159,171 @@ func (ig *Integrator) IntegrateContext(ctx context.Context, sources []*Tree) (*R
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	stageStart := time.Now()
-	stageDone := func(stage string, units int) {
-		if ig.cfg.Observer != nil {
-			ig.cfg.Observer(StageEvent{Stage: stage, Units: units, Duration: time.Since(stageStart)})
-		}
-		stageStart = time.Now()
-	}
-
-	trees := make([]*schema.Tree, len(sources))
+	start := time.Now()
+	trees := make([]*Tree, len(sources))
 	for i, s := range sources {
 		if err := s.Validate(); err != nil {
 			return nil, fmt.Errorf("qilabel: source %d: %w", i, err)
 		}
 		trees[i] = s.Clone()
 	}
-	stageDone("validate", len(sources))
+	res, _, err := ig.integrate(ctx, trees, time.Since(start))
+	return res, err
+}
 
-	// The pipeline core (canonical ordering, 1:m expansion, matching,
-	// merging, naming) lives in internal/delta, shared with the
-	// incremental Session — one definition, so the one-shot and delta
-	// paths cannot drift apart.
-	out, err := delta.Run(ctx, trees, ig.deltaConfig(), stageDone)
-	if err != nil {
-		return nil, err
+// errNoClusters is returned when no field of any source carries a cluster
+// (annotated or matcher-assigned).
+var errNoClusters = errors.New("qilabel: no clusters; annotate the sources or use WithMatcher")
+
+// integrate is the pipeline, the one path IntegrateContext and every
+// Session operation take: canonical source order, 1:m expansion, matching
+// (if configured), merging and naming. It owns trees: at least one
+// validated clone the caller will not touch again. validated is the time
+// the caller spent validating and cloning them; it is reported as the
+// "validate" stage, and each later stage is timed from the previous stage
+// event. It returns the Result and the number of candidate pairs the
+// matcher evaluated in this run.
+func (ig *Integrator) integrate(ctx context.Context, trees []*Tree, validated time.Duration) (*Result, int, error) {
+	var start time.Time
+	stageDone := func(stage string, units int, took time.Duration) {
+		if ig.cfg.Observer != nil {
+			ig.cfg.Observer(StageEvent{Stage: stage, Units: units, Duration: took})
+		}
+		start = time.Now()
 	}
-	return resultFromOutcome(out, ig.cfg.Lexicon), nil
+	stageDone("validate", len(trees), validated)
+
+	canonicalizeSourceOrder(trees)
+	cluster.ExpandOneToMany(trees)
+
+	// One label-analysis table serves the whole run: the matcher and the
+	// group relations read trimmed leaf labels, the other naming passes
+	// raw node labels (naming.SourceLabels collects both). The table is a
+	// pure accelerator (labels outside it fall back to per-worker caches),
+	// so sharing it cannot change output — the reference kernels skip it
+	// entirely to stay a true baseline. Through the warm cache, the table
+	// skips re-analyzing labels an earlier run already saw.
+	var analysis *naming.Analysis
+	if !ig.cfg.referenceKernels {
+		labels := naming.SourceLabels(trees)
+		if ig.warm != nil {
+			analysis = ig.warm.Analysis(labels)
+		} else {
+			analysis = naming.PrecomputeAnalysis(ig.cfg.Lexicon, labels)
+		}
+	}
+
+	pairs := 0
+	if ig.cfg.UseMatcher {
+		// After expansion, so matcher-assigned clusters replace every
+		// annotation uniformly (including the expanded 1:m children).
+		n, err := match.AssignContext(ctx, trees, match.Options{
+			Lexicon:         ig.cfg.Lexicon,
+			Parallelism:     ig.cfg.Parallelism,
+			DisableBlocking: ig.cfg.referenceKernels,
+			Analysis:        analysis,
+			Pairs:           &pairs,
+		})
+		if err != nil {
+			return nil, 0, err
+		}
+		stageDone("match", n, time.Since(start))
+	}
+	m, err := cluster.FromTrees(trees)
+	if err != nil {
+		return nil, 0, err
+	}
+	if ig.cfg.MinFrequency > 1 {
+		m = pruneRareClusters(trees, m, ig.cfg.MinFrequency)
+	}
+	if len(m.Clusters) == 0 {
+		return nil, 0, errNoClusters
+	}
+	mr, err := merge.MergeContext(ctx, trees, m)
+	if err != nil {
+		return nil, 0, err
+	}
+	stageDone("merge", len(m.Clusters), time.Since(start))
+
+	nr, err := naming.RunContext(ctx, mr, naming.Options{
+		Lexicon:          ig.cfg.Lexicon,
+		MaxLevel:         naming.Level(ig.cfg.MaxLevel),
+		DisableInstances: ig.cfg.DisableInstances,
+		Parallelism:      ig.cfg.Parallelism,
+		DisableMemo:      ig.cfg.referenceKernels,
+		Analysis:         analysis,
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	stageDone("naming", len(nr.Groups)+len(nr.Nodes), time.Since(start))
+
+	res := &Result{
+		Tree:    mr.Tree,
+		Class:   nr.Class,
+		Labels:  make(map[string]string, len(m.Clusters)),
+		Mapping: m,
+		Merge:   mr,
+		Naming:  nr,
+		lex:     ig.cfg.Lexicon,
+	}
+	for _, c := range m.Clusters {
+		if leaf := mr.LeafOf[c.Name]; leaf != nil {
+			res.Labels[c.Name] = leaf.Label
+		}
+	}
+	return res, pairs, nil
+}
+
+// canonicalizeSourceOrder sorts the working copies of the sources by their
+// canonical tree hash. CacheKey identifies the source *set* independent of
+// listing order, so the pipeline must produce one result per set: without
+// this sort, position-sensitive tie-breaks (matcher cluster numbering,
+// sibling placement, candidate election) let a cached result differ from a
+// fresh computation over a permuted listing of the same pool. Structurally
+// identical trees compare equal and keep their relative order, which is
+// harmless — they are interchangeable everywhere downstream.
+func canonicalizeSourceOrder(trees []*Tree) {
+	sort.Stable(byHash{trees, schema.TreeHashes(trees)})
+}
+
+// byHash sorts trees by their canonical hashes, keeping both aligned.
+type byHash struct {
+	trees  []*Tree
+	hashes []string
+}
+
+func (s byHash) Len() int           { return len(s.trees) }
+func (s byHash) Less(i, j int) bool { return s.hashes[i] < s.hashes[j] }
+func (s byHash) Swap(i, j int) {
+	s.trees[i], s.trees[j] = s.trees[j], s.trees[i]
+	s.hashes[i], s.hashes[j] = s.hashes[j], s.hashes[i]
+}
+
+// pruneRareClusters rebuilds the mapping without the clusters appearing on
+// fewer than minFreq interfaces and clears their leaves' annotations so
+// the merge ignores those fields.
+func pruneRareClusters(trees []*Tree, m *cluster.Mapping, minFreq int) *cluster.Mapping {
+	drop := make(map[string]bool)
+	var keep []*cluster.Cluster
+	for _, c := range m.Clusters {
+		if c.Frequency() < minFreq {
+			drop[c.Name] = true
+			continue
+		}
+		keep = append(keep, c)
+	}
+	if len(drop) == 0 {
+		return m
+	}
+	for _, t := range trees {
+		for _, leaf := range t.Leaves() {
+			if drop[leaf.Cluster] {
+				leaf.Cluster = ""
+			}
+		}
+	}
+	return cluster.NewMapping(keep...)
 }
 
 // IntegrateBatch integrates many source-tree sets; see the package-level
@@ -234,8 +368,9 @@ func (ig *Integrator) IntegrateBatch(ctx context.Context, sets [][]*Tree, parall
 // fingerprint and warm cache — the only layer through which a session
 // reuses earlier work, its own or that of any other run on this handle:
 // label analyses with their equivalence keys and Relate verdicts, not
-// pair evaluations or group solves. See Session for the delta-equivalence
+// pair evaluations or group solves — and its Observer, which receives
+// every session operation's stages. See Session for the delta-equivalence
 // contract.
 func (ig *Integrator) NewSession() *Session {
-	return &Session{inner: delta.NewSession(ig.deltaConfig()), ig: ig}
+	return &Session{ig: ig}
 }

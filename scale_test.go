@@ -1,6 +1,7 @@
 package qilabel
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -116,10 +117,10 @@ const allocSlack = 1.15
 // allocates more than allocSlack times the count measured when the row was
 // last set. The rows are the Hotels one-shot with the matcher (serial and
 // four workers), each synth preset through a cold (disableWarmCache) and a
-// warm Integrator, decoding the mega preset's sources, and the Relate memo
-// resident and under churn. Update a
-// measured count deliberately when the pipeline legitimately changes
-// shape; run with -v to see every count.
+// warm Integrator, decoding the mega preset's sources, the Relate memo
+// resident and under churn, and one warm session add-and-remove cycle.
+// Update a measured count deliberately when the pipeline legitimately
+// changes shape; run with -v to see every count.
 func TestIntegrateAllocBudget(t *testing.T) {
 	rows := []struct {
 		name     string
@@ -138,6 +139,7 @@ func TestIntegrateAllocBudget(t *testing.T) {
 		{"mega/decode", 4_363, true, megaDecode},
 		{"relate-memo/resident", 0, false, relateMemoPasses(60)},
 		{"relate-memo/churn", 3_795_464, true, relateMemoPasses(360)},
+		{"session/add", 10_888, false, sessionAddCycle},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -233,6 +235,36 @@ func relateMemoPasses(n int) func(t *testing.T) func() {
 					sem.Relate(a, b)
 				}
 			}
+		}
+	}
+}
+
+// sessionAddCycle is BenchmarkDeltaAddSource's operation on the medium
+// annotated corpus: one warm AddSource of the held-out last source, then
+// the RemoveSource that restores the session.
+func sessionAddCycle(t *testing.T) func() {
+	sources, err := synth.Generate(deltaBenchConfig("medium"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, src := range sources[:len(sources)-1] {
+		if _, err := sess.AddSource(ctx, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := sources[len(sources)-1]
+	return func() {
+		h, err := sess.AddSource(ctx, last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.RemoveSource(ctx, h); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
