@@ -79,17 +79,8 @@ type occurrence struct {
 // Merge integrates the given source trees. The trees must already have 1:m
 // correspondences expanded (cluster.ExpandOneToMany) and every leaf must
 // carry a cluster name; m must be the mapping derived from the same trees.
+// Merge checks all of this and then runs MergeContext.
 func Merge(trees []*schema.Tree, m *cluster.Mapping) (*Result, error) {
-	return MergeContext(context.Background(), trees, m)
-}
-
-// MergeContext is Merge with cooperative cancellation: the laminar-family
-// construction — the merge's only super-linear loop — checks ctx between
-// union steps and returns ctx.Err() once the context is done.
-func MergeContext(ctx context.Context, trees []*schema.Tree, m *cluster.Mapping) (*Result, error) {
-	if len(trees) == 0 {
-		return nil, errors.New("merge: no source trees")
-	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -102,6 +93,20 @@ func MergeContext(ctx context.Context, trees []*schema.Tree, m *cluster.Mapping)
 				return nil, fmt.Errorf("merge: %s has unexpanded 1:m leaf %q", t.Interface, leaf.Label)
 			}
 		}
+	}
+	return MergeContext(context.Background(), trees, m)
+}
+
+// MergeContext is Merge with cooperative cancellation: the laminar-family
+// construction — the merge's only super-linear loop — checks ctx between
+// union steps and returns ctx.Err() once the context is done. It trusts
+// its inputs as the pipeline hands them over: trees that passed
+// Tree.Validate before their 1:m leaves were expanded, and a mapping
+// cluster.FromTrees built from them (which rejects unexpanded leaves), or
+// a subset of its clusters.
+func MergeContext(ctx context.Context, trees []*schema.Tree, m *cluster.Mapping) (*Result, error) {
+	if len(trees) == 0 {
+		return nil, errors.New("merge: no source trees")
 	}
 
 	universe := make(map[string]bool, len(m.Clusters))

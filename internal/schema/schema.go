@@ -243,41 +243,75 @@ func (t *Tree) Validate() error {
 	if t.Interface == "" {
 		return errors.New("schema: tree has no interface name")
 	}
-	seen := make(map[*Node]bool)
-	var rec func(n *Node, depth int) error
-	rec = func(n *Node, depth int) error {
-		if n == nil {
-			return errors.New("schema: nil node")
-		}
-		if seen[n] {
-			return fmt.Errorf("schema: node %q is shared or cyclic", n.Label)
-		}
-		seen[n] = true
-		if depth > 64 {
-			return errors.New("schema: tree deeper than 64 levels")
-		}
-		if n.IsLeaf() && n.Cluster != "" && len(n.MultiClusters) > 0 {
-			return fmt.Errorf("schema: leaf %q has both a cluster and multi-clusters", n.Label)
-		}
-		if !n.IsLeaf() {
-			if len(n.Instances) > 0 {
-				return fmt.Errorf("schema: internal node %q has instances", n.Label)
-			}
-			if n.Cluster != "" {
-				return fmt.Errorf("schema: internal node %q has a cluster", n.Label)
-			}
-			if len(n.MultiClusters) > 0 {
-				return fmt.Errorf("schema: internal node %q has multi-clusters", n.Label)
-			}
-			for _, c := range n.Children {
-				if err := rec(c, depth+1); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+	seen := getVisited()
+	err := validateNode(t.Root, 0, seen)
+	putVisited(seen)
+	return err
+}
+
+// visitedSets is a free list of the node sets Validate finds shared and
+// cyclic nodes with. A cleared map keeps its buckets, so validating a tree
+// no larger than the ones validated before allocates nothing. Unlike a
+// sync.Pool, the list keeps its sets across collections and under the
+// race detector, so allocation counts depend on neither. It holds at most
+// 16 sets, more than the validations a process runs at once (the pipeline
+// validates one tree at a time per request), and drops the ones that held
+// more than maxReusedVisited nodes, so clearing a reused set stays cheap.
+var visitedSets = make(chan map[*Node]struct{}, 16)
+
+const maxReusedVisited = 1 << 12
+
+func getVisited() map[*Node]struct{} {
+	select {
+	case m := <-visitedSets:
+		return m
+	default:
+		return make(map[*Node]struct{})
 	}
-	return rec(t.Root, 0)
+}
+
+func putVisited(m map[*Node]struct{}) {
+	if len(m) > maxReusedVisited {
+		return
+	}
+	clear(m)
+	select {
+	case visitedSets <- m:
+	default:
+	}
+}
+
+func validateNode(n *Node, depth int, seen map[*Node]struct{}) error {
+	if n == nil {
+		return errors.New("schema: nil node")
+	}
+	if _, ok := seen[n]; ok {
+		return fmt.Errorf("schema: node %q is shared or cyclic", n.Label)
+	}
+	seen[n] = struct{}{}
+	if depth > 64 {
+		return errors.New("schema: tree deeper than 64 levels")
+	}
+	if n.IsLeaf() && n.Cluster != "" && len(n.MultiClusters) > 0 {
+		return fmt.Errorf("schema: leaf %q has both a cluster and multi-clusters", n.Label)
+	}
+	if !n.IsLeaf() {
+		if len(n.Instances) > 0 {
+			return fmt.Errorf("schema: internal node %q has instances", n.Label)
+		}
+		if n.Cluster != "" {
+			return fmt.Errorf("schema: internal node %q has a cluster", n.Label)
+		}
+		if len(n.MultiClusters) > 0 {
+			return fmt.Errorf("schema: internal node %q has multi-clusters", n.Label)
+		}
+		for _, c := range n.Children {
+			if err := validateNode(c, depth+1, seen); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // CountNodes returns (leaves, internal nodes excluding the root).

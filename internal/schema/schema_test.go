@@ -121,8 +121,18 @@ func TestValidate(t *testing.T) {
 	}
 	shared := NewField("dup", "")
 	bad := NewTree("bad", shared, shared)
-	if err := bad.Validate(); err == nil {
-		t.Error("shared node must fail validation")
+	if err := bad.Validate(); err == nil || err.Error() != `schema: node "dup" is shared or cyclic` {
+		t.Errorf("shared node: %v, want it rejected as shared or cyclic", err)
+	}
+	loop := NewGroup("loop", NewField("f", ""))
+	loop.Children = append(loop.Children, NewGroup("inner", loop))
+	cyclic := NewTree("cyclic", NewField("a", ""), loop)
+	if err := cyclic.Validate(); err == nil || err.Error() != `schema: node "loop" is shared or cyclic` {
+		t.Errorf("cyclic tree: %v, want it rejected as shared or cyclic", err)
+	}
+	// A rejected tree leaves no node behind in the pooled sets.
+	if err := NewTree("after", shared).Validate(); err != nil {
+		t.Errorf("a tree reusing a node of an earlier rejected tree: %v", err)
 	}
 	badInt := NewTree("bad2", &Node{Label: "g", Instances: []string{"v"}, Children: []*Node{NewField("f", "")}})
 	if err := badInt.Validate(); err == nil {

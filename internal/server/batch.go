@@ -41,6 +41,8 @@ type batchItemResult struct {
 	// in-flight run) or "computed" (this item's own pipeline run).
 	Status string `json:"status,omitempty"`
 	// Key is the cache key of the integration; pass it to /v1/translate.
+	// A successful item's key, class and labels are written from its
+	// cache entry (cacheEntry.batchLine).
 	Key    string            `json:"key,omitempty"`
 	Class  string            `json:"class,omitempty"`
 	Labels map[string]string `json:"labels,omitempty"`
@@ -61,12 +63,9 @@ type batchSummaryLine struct {
 
 // batchPlan is one request item resolved for execution.
 type batchPlan struct {
-	index   int
-	sources []*qilabel.Tree
-	domain  string
-	ropts   requestOptions
-	key     string
-	err     *apiError // resolution failure; the item never runs
+	index int
+	p     *pending
+	err   *apiError // resolution failure; the item never runs
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -93,30 +92,32 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	dupes := make(map[int][]int)  // first occurrence -> duplicate indices
 	distinct := make([]*batchPlan, 0, len(req.Items))
 	for i, item := range req.Items {
-		p := &batchPlan{index: i, domain: item.Domain}
+		plan := &batchPlan{index: i}
 		// Each item resolves its own lexicon (the X-Lexicon header fills
 		// items that select none), so one batch can span tenants while
 		// every item keys — and coalesces — strictly within its version.
-		p.ropts, p.err = s.resolveLexicon(lexiconFromRequest(r, item.Options))
-		if p.err == nil {
-			p.sources, p.err = resolveSources(item)
+		ropts, err := s.resolveLexicon(lexiconFromRequest(r, item.Options))
+		var sources []*qilabel.Tree
+		if err == nil {
+			sources, err = resolveSources(item)
 		}
-		if p.err == nil {
-			if ig, igErr := s.integrator(p.ropts); igErr != nil {
-				p.err = &apiError{http.StatusBadRequest, codeBadRequest, igErr.Error()}
+		if err == nil {
+			if ig, igErr := s.integrator(ropts); igErr != nil {
+				err = &apiError{http.StatusBadRequest, codeBadRequest, igErr.Error()}
 			} else {
-				p.key = ig.CacheKey(p.sources)
+				plan.p = newPending(ig, sources, item.Domain, ropts)
 			}
 		}
-		if p.err == nil {
-			if j, dup := first[p.key]; dup {
+		plan.err = err
+		if err == nil {
+			if j, dup := first[plan.p.key]; dup {
 				dupes[j] = append(dupes[j], i)
 			} else {
-				first[p.key] = i
-				distinct = append(distinct, p)
+				first[plan.p.key] = i
+				distinct = append(distinct, plan)
 			}
 		}
-		plans[i] = p
+		plans[i] = plan
 	}
 
 	budget := req.Parallelism
@@ -135,34 +136,39 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	summary.Items = len(req.Items)
 	summary.Distinct = len(distinct)
 	emitted := make([]bool, len(req.Items))
-	emit := func(line batchItemResult) {
+	// emit writes one item's line: the entry's for a success, the error
+	// otherwise.
+	emit := func(index int, e *cacheEntry, status string, apiErr *apiError) {
 		emitMu.Lock()
 		defer emitMu.Unlock()
-		emitted[line.Index] = true
-		switch {
-		case line.Error != nil:
+		emitted[index] = true
+		var data []byte
+		if apiErr != nil {
 			summary.Errors++
-		case line.Status == statusHit:
-			summary.Hits++
-		case line.Status == statusCoalesced:
-			summary.Coalesced++
-		case line.Status == statusComputed:
-			summary.Computed++
+			data, _ = json.Marshal(batchItemResult{Index: index, // cannot fail
+				Error: &errorBody{Code: apiErr.code, Message: apiErr.msg}})
+			data = append(data, '\n')
+		} else {
+			switch status {
+			case statusHit:
+				summary.Hits++
+			case statusCoalesced:
+				summary.Coalesced++
+			case statusComputed:
+				summary.Computed++
+			}
+			data = e.batchLine(index, status)
 		}
-		data, err := json.Marshal(line)
-		if err != nil {
-			return
-		}
-		w.Write(append(data, '\n'))
+		w.Write(data)
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
 
 	// Unresolvable items fail immediately, before any pipeline work.
-	for _, p := range plans {
-		if p.err != nil {
-			emit(batchItemResult{Index: p.index, Error: &errorBody{Code: p.err.code, Message: p.err.msg}})
+	for _, plan := range plans {
+		if plan.err != nil {
+			emit(plan.index, nil, "", plan.err)
 		}
 	}
 
@@ -171,35 +177,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// they coalesce with interactive requests and with other batches just
 	// like any request.
 	_ = pool.ForEach(r.Context(), budget, len(distinct), func(_, k int) {
-		p := distinct[k]
-		resp, status, apiErr := s.integrateShared(r.Context(), p.key, p.sources, p.domain, p.ropts, true)
-		line := batchItemResult{Index: p.index, Status: status}
-		if apiErr != nil {
-			line.Status = ""
-			line.Error = &errorBody{Code: apiErr.code, Message: apiErr.msg}
-		} else {
-			line.Key = resp.Key
-			line.Class = resp.Class
-			line.Labels = resp.Labels
-		}
-		emit(line)
+		plan := distinct[k]
+		e, status, apiErr := s.integrateShared(r.Context(), plan.p, true)
+		emit(plan.index, e, status, apiErr)
 		// Duplicates of this item share the outcome without running.
-		for _, di := range dupes[p.index] {
-			dup := line
-			dup.Index = di
-			if dup.Error == nil {
-				dup.Status = statusCoalesced
-			}
-			emit(dup)
+		for _, di := range dupes[plan.index] {
+			emit(di, e, statusCoalesced, apiErr)
 		}
 	})
 
 	// A canceled batch context stops the fan-out with items unprocessed;
 	// their lines still arrive, as per-item errors.
-	for _, p := range plans {
-		if !emitted[p.index] {
-			emit(batchItemResult{Index: p.index,
-				Error: &errorBody{Code: codeCanceled, Message: "batch canceled before this item ran"}})
+	canceled := &apiError{code: codeCanceled, msg: "batch canceled before this item ran"}
+	for _, plan := range plans {
+		if !emitted[plan.index] {
+			emit(plan.index, nil, "", canceled)
 		}
 	}
 

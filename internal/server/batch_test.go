@@ -149,6 +149,22 @@ func TestBatchItemErrorIsolation(t *testing.T) {
 	}
 }
 
+// TestBatchNullSourceIsolated: an item listing a null tree fails its own
+// line before any pipeline work (it used to panic the whole batch).
+func TestBatchNullSourceIsolated(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	req := batchRequest{Items: []integrateRequest{{Sources: []*qilabel.Tree{nil}}, {Sources: fixtureSources()}}}
+	status, items, summary := postBatch(t, ts.URL, req)
+	if status != http.StatusOK || summary == nil || summary.Errors != 1 || summary.Computed != 1 {
+		t.Fatalf("status %d, summary %+v, want 1 error and 1 computed", status, summary)
+	}
+	for _, it := range items {
+		if it.Index == 0 && (it.Error == nil || it.Error.Message != "qilabel: source 0: schema: tree has no root") {
+			t.Fatalf("item 0 = %+v, want the null tree rejected", it)
+		}
+	}
+}
+
 // TestBatchLimits: empty batches and oversized batches are rejected whole.
 func TestBatchLimits(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBatchItems: 2})

@@ -1,58 +1,137 @@
 package server
 
 import (
+	"bytes"
 	"container/list"
+	"encoding/json"
+	"net/http"
+	"strings"
 	"sync"
 
-	"qilabel"
-	"qilabel/internal/schema"
+	"qilabel/internal/translate"
 )
 
-// cacheEntry is one cached integration: the result without its naming
-// report (see translatable), the response body it produced (reused
-// verbatim on warm /v1/integrate hits), and the inputs that produced it,
-// so the entry can be persisted to disk and deterministically rehydrated
-// after a restart: the domain, the request options and the source trees
-// as bytes. hashes holds the sources' canonical hashes, in source order,
-// from which the lexicon upgrade report re-keys the entry; canon holds
-// their concatenated canonical encoding (schema.EncodeCanonical), which
-// persistence and rehydration decode back to trees. Both come from one
-// pass over the sources when the entry is built, never on a hit, and the
-// encoding takes a fraction of the memory of decoded trees. res is nil on
-// entries restored from a snapshot until a /v1/translate forces
-// recomputation.
+// cacheEntry is one cached integration, held as a few flat allocations
+// with no pointer into the pipeline's result. reply is the body the
+// computing request received, encoded once; hits, coalesced waiters and
+// batch lines are written from it. index translates queries against the
+// integration (/v1/translate); it is nil on entries restored from a
+// snapshot until a translate rehydrates them. The rest are the inputs
+// that produced the entry, so it can be persisted to disk and
+// deterministically rehydrated after a restart: the domain, the request
+// options, the sources' canonical hashes, from which the lexicon upgrade
+// report re-keys the entry, and their concatenated canonical encoding
+// (schema.EncodeCanonical), which persistence and rehydration decode back
+// to trees.
 type cacheEntry struct {
-	res     *qilabel.Result
-	resp    integrateResponse
+	// reply is the /v1/integrate body, indented JSON with "cached": false
+	// at reply[flag:flag+len("false")]; empty if the response did not
+	// encode.
+	reply []byte
+	flag  int
+	// batch is the compact JSON object of the reply's key, class and
+	// labels, which a batch line carries after its index and status.
+	batch   []byte
+	index   *translate.Index
 	domain  string
 	options requestOptions
-	hashes  []string
-	canon   []byte
+	// hashes concatenates the sources' canonical hashes, hashLen hex
+	// digits each, in source order.
+	hashes string
+	canon  []byte
 }
 
-// newCacheEntry builds the entry of an integration of sources.
-func newCacheEntry(res *qilabel.Result, resp integrateResponse, domain string, options requestOptions, sources []*qilabel.Tree) *cacheEntry {
-	canon, hashes := schema.EncodeCanonical(sources)
-	return &cacheEntry{res: res, resp: resp, domain: domain, options: options, hashes: hashes, canon: canon}
+// hashLen is the length of a canonical hash: a hex SHA-256 digest.
+const hashLen = 64
+
+// cachedFlag precedes the "cached" flag's value in an encoded reply.
+var cachedFlag = []byte("\n  \"cached\": ")
+
+// newCacheEntry encodes resp, with Cached false, into the entry of an
+// integration whose sources have the given canonical encoding and hashes.
+// The index is left for the caller to set.
+func newCacheEntry(resp integrateResponse, domain string, options requestOptions, canon []byte, hashes []string) *cacheEntry {
+	e := &cacheEntry{domain: domain, options: options, hashes: strings.Join(hashes, ""), canon: canon}
+	resp.Cached = false
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if enc.Encode(resp) == nil {
+		e.reply = bytes.Clone(buf.Bytes())
+		e.flag = bytes.Index(e.reply, cachedFlag) + len(cachedFlag)
+	}
+	// Strings and a map of strings always encode.
+	e.batch, _ = json.Marshal(struct {
+		Key    string            `json:"key,omitempty"`
+		Class  string            `json:"class,omitempty"`
+		Labels map[string]string `json:"labels,omitempty"`
+	}{resp.Key, resp.Class, resp.Labels})
+	return e
 }
 
-// translatable returns the part of a result a cache entry keeps: all of
-// it but the naming report. /v1/translate reads only the merge structure,
-// and the response has already copied the report's rule counters, so the
-// report would only pin memory for as long as the entry lives. res itself
-// is not modified.
-func translatable(res *qilabel.Result) *qilabel.Result {
-	kept := *res
-	kept.Naming = nil
-	return &kept
+// writeReply answers a request with the entry's reply, marked as the
+// status says the request obtained it: "cached": true on a hit, and
+// "coalesced": true after the flag for a request that joined another's
+// run.
+func writeReply(w http.ResponseWriter, e *cacheEntry, status string) {
+	// As with writeJSON, a failed write means the client is gone.
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if len(e.reply) == 0 {
+		return
+	}
+	end := e.flag + len("false")
+	switch status {
+	case statusHit:
+		w.Write(e.reply[:e.flag])
+		w.Write([]byte("true"))
+		w.Write(e.reply[end:])
+	case statusCoalesced:
+		w.Write(e.reply[:end])
+		w.Write([]byte(",\n  \"coalesced\": true"))
+		w.Write(e.reply[end:])
+	default:
+		w.Write(e.reply)
+	}
+}
+
+// batchLine returns the NDJSON line of a batch item the entry answered,
+// the encoding of batchItemResult{Index, Status, Key, Class, Labels}.
+func (e *cacheEntry) batchLine(index int, status string) []byte {
+	line, _ := json.Marshal(batchItemResult{Index: index, Status: status}) // cannot fail
+	if len(e.batch) > len("{}") {
+		line = append(line[:len(line)-1], ',')
+		line = append(line, e.batch[1:]...)
+	}
+	return append(line, '\n')
+}
+
+// digests splits hashes back into the sources' canonical hashes.
+func (e *cacheEntry) digests() []string {
+	out := make([]string, len(e.hashes)/hashLen)
+	for i := range out {
+		out[i] = e.hashes[i*hashLen : (i+1)*hashLen]
+	}
+	return out
+}
+
+// size returns the bytes the entry's slices and strings hold.
+func (e *cacheEntry) size() int64 {
+	n := len(e.reply) + len(e.batch) + len(e.hashes) + len(e.canon)
+	if e.index != nil {
+		n += e.index.Size()
+	}
+	return int64(n)
 }
 
 // lru is a mutex-guarded least-recently-used cache of integration results
 // keyed by qilabel.CacheKey. Capacity is a number of entries; the zero
-// capacity disables caching (every Get misses, Put is a no-op).
+// capacity disables caching (every Get misses, Put is a no-op). It keeps
+// the sum of its entries' sizes.
 type lru struct {
 	mu    sync.Mutex
 	cap   int
+	bytes int64
 	order *list.List // front = most recently used; values are *lruItem
 	items map[string]*list.Element
 }
@@ -87,8 +166,11 @@ func (c *lru) Put(key string, entry *cacheEntry) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.bytes += entry.size()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*lruItem).entry = entry
+		it := el.Value.(*lruItem)
+		c.bytes -= it.entry.size()
+		it.entry = entry
 		c.order.MoveToFront(el)
 		return
 	}
@@ -96,7 +178,9 @@ func (c *lru) Put(key string, entry *cacheEntry) {
 	for c.order.Len() > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruItem).key)
+		it := oldest.Value.(*lruItem)
+		c.bytes -= it.entry.size()
+		delete(c.items, it.key)
 	}
 }
 
@@ -115,12 +199,20 @@ func (c *lru) Len() int {
 	return c.order.Len()
 }
 
+// Bytes returns the sum of the entries' sizes.
+func (c *lru) Bytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
+}
+
 // Purge drops every entry (used by the cold-path benchmark).
 func (c *lru) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.order.Init()
 	c.items = make(map[string]*list.Element)
+	c.bytes = 0
 }
 
 // Dump returns every entry with its key, least recently used first, so a

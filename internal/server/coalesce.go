@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"qilabel"
+	"qilabel/internal/schema"
 )
 
 // Request coalescing: the server recomputes nothing it is already
@@ -35,7 +36,7 @@ var errSaturated = errors.New("server saturated")
 // flight is one in-flight pipeline computation shared by all concurrent
 // requests for its cache key.
 type flight struct {
-	// done closes once resp/err are published; the fields are written
+	// done closes once entry/err are published; the fields are written
 	// before the close, so readers that observed the close may read them
 	// without locking.
 	done chan struct{}
@@ -47,8 +48,8 @@ type flight struct {
 	// owning group's mutex). It starts at 1 for the leader.
 	waiters int
 
-	resp integrateResponse
-	err  error
+	entry *cacheEntry
+	err   error
 }
 
 // flightGroup deduplicates concurrent computations by cache key — a
@@ -96,13 +97,13 @@ func (g *flightGroup) leave(f *flight) {
 // success the caller has already inserted the result into the cache, so
 // the new request hits there. finish must be called exactly once, by the
 // leader's run.
-func (g *flightGroup) finish(key string, f *flight, resp integrateResponse, err error) {
+func (g *flightGroup) finish(key string, f *flight, entry *cacheEntry, err error) {
 	g.mu.Lock()
 	if g.m[key] == f {
 		delete(g.m, key)
 	}
 	g.mu.Unlock()
-	f.resp, f.err = resp, err
+	f.entry, f.err = entry, err
 	f.cancel()
 	close(f.done)
 }
@@ -131,21 +132,47 @@ type apiError struct {
 	msg    string
 }
 
+// pending is one integration request resolved for the shared path: its
+// cache key and what a cold run needs. The sources' canonical encoding
+// and hashes are computed once, for the key; the entry keeps them. The
+// run hands sources over to the pipeline, so nothing reads them after the
+// request joins its flight.
+type pending struct {
+	key     string
+	domain  string
+	ropts   requestOptions
+	sources []*qilabel.Tree
+	canon   []byte
+	hashes  []string
+}
+
+// newPending resolves an integration of sources under ig.
+func newPending(ig *qilabel.Integrator, sources []*qilabel.Tree, domain string, ropts requestOptions) *pending {
+	canon, hashes := schema.EncodeCanonical(sources)
+	return &pending{
+		key:     schema.CacheKey(hashes, ig.Fingerprint()),
+		domain:  domain,
+		ropts:   ropts,
+		sources: sources,
+		canon:   canon,
+		hashes:  hashes,
+	}
+}
+
 // integrateShared is the one path every integration takes: cache first,
-// then the flight group. block selects the worker-slot discipline — the
-// interactive endpoints fail fast with 503 when the pool is saturated,
-// the batch fan-out (which already bounds its own parallelism) waits for
-// a slot instead.
-func (s *Server) integrateShared(ctx context.Context, key string, sources []*qilabel.Tree, domain string, ropts requestOptions, block bool) (integrateResponse, string, *apiError) {
-	lexLabel := lexiconLabel(ropts.Lexicon)
-	hit := func(e *cacheEntry) (integrateResponse, string, *apiError) {
+// then the flight group. It returns the entry that answers the request
+// and how the request obtained it. block selects the worker-slot
+// discipline — the interactive endpoints fail fast with 503 when the pool
+// is saturated, the batch fan-out (which already bounds its own
+// parallelism) waits for a slot instead.
+func (s *Server) integrateShared(ctx context.Context, p *pending, block bool) (*cacheEntry, string, *apiError) {
+	lexLabel := lexiconLabel(p.ropts.Lexicon)
+	hit := func(e *cacheEntry) (*cacheEntry, string, *apiError) {
 		s.metrics.cacheHits.Add(1)
 		s.metrics.recordLexicon(lexLabel, statusHit)
-		resp := e.resp
-		resp.Cached = true
-		return resp, statusHit, nil
+		return e, statusHit, nil
 	}
-	if e, ok := s.cache.Get(key); ok {
+	if e, ok := s.cache.Get(p.key); ok {
 		return hit(e)
 	}
 	if s.testHookMissed != nil {
@@ -157,18 +184,18 @@ func (s *Server) integrateShared(ctx context.Context, key string, sources []*qil
 	wctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 
-	f, leader := s.flights.join(key, s.cfg.RequestTimeout)
+	f, leader := s.flights.join(p.key, s.cfg.RequestTimeout)
 	if leader {
 		// A flight for key may have cached its result and finished between
 		// the probe above and join. Probe again before computing: its
 		// entry answers this request, and any waiter that already joined.
-		if e, ok := s.cache.Get(key); ok {
-			s.flights.finish(key, f, e.resp, nil)
+		if e, ok := s.cache.Get(p.key); ok {
+			s.flights.finish(p.key, f, e, nil)
 			return hit(e)
 		}
 		s.metrics.cacheMisses.Add(1)
 		s.metrics.recordLexicon(lexLabel, statusComputed)
-		go s.runFlight(f, key, sources, domain, ropts, block)
+		go s.runFlight(f, p, block)
 	} else {
 		s.metrics.coalesced.Add(1)
 		s.metrics.recordLexicon(lexLabel, statusCoalesced)
@@ -177,40 +204,38 @@ func (s *Server) integrateShared(ctx context.Context, key string, sources []*qil
 	select {
 	case <-f.done:
 		if f.err != nil {
-			return integrateResponse{}, "", s.apiErrorFor(f.err)
+			return nil, "", s.apiErrorFor(f.err)
 		}
-		resp := f.resp
-		status := statusComputed
 		if !leader {
-			resp.Coalesced = true
-			status = statusCoalesced
+			return f.entry, statusCoalesced, nil
 		}
-		return resp, status, nil
+		return f.entry, statusComputed, nil
 	case <-wctx.Done():
 		s.flights.leave(f)
 		if ctx.Err() != nil {
-			return integrateResponse{}, "", &apiError{statusClientClosedRequest, codeCanceled,
+			return nil, "", &apiError{statusClientClosedRequest, codeCanceled,
 				"request canceled before the integration finished"}
 		}
-		return integrateResponse{}, "", s.timeoutError()
+		return nil, "", s.timeoutError()
 	}
 }
 
 // runFlight is the leader's run: claim a worker slot, execute the pipeline
-// under the flight context, cache on success, publish the outcome. It runs
-// on its own goroutine so the leader's request can time out or disconnect
-// without killing a run other waiters still depend on.
-func (s *Server) runFlight(f *flight, key string, sources []*qilabel.Tree, domain string, ropts requestOptions, block bool) {
+// under the flight context on the request's trees, cache on success,
+// publish the outcome. It runs on its own goroutine so the leader's
+// request can time out or disconnect without killing a run other waiters
+// still depend on.
+func (s *Server) runFlight(f *flight, p *pending, block bool) {
 	var release func()
 	var ok bool
 	if block {
 		release, ok = s.acquireCtx(f.ctx)
 		if !ok {
-			s.flights.finish(key, f, integrateResponse{}, f.ctx.Err())
+			s.flights.finish(p.key, f, nil, f.ctx.Err())
 			return
 		}
 	} else if release, ok = s.acquire(); !ok {
-		s.flights.finish(key, f, integrateResponse{}, errSaturated)
+		s.flights.finish(p.key, f, nil, errSaturated)
 		return
 	}
 	defer release()
@@ -218,20 +243,19 @@ func (s *Server) runFlight(f *flight, key string, sources []*qilabel.Tree, domai
 	if s.testHookSlow != nil {
 		s.testHookSlow()
 	}
-	ig, err := s.integrator(ropts)
+	ig, err := s.integrator(p.ropts)
 	if err != nil {
-		s.flights.finish(key, f, integrateResponse{}, err)
+		s.flights.finish(p.key, f, nil, err)
 		return
 	}
-	res, err := ig.IntegrateContext(f.ctx, sources)
+	res, err := ig.IntegrateOwned(f.ctx, p.sources, p.hashes)
 	if err != nil {
-		s.flights.finish(key, f, integrateResponse{}, err)
+		s.flights.finish(p.key, f, nil, err)
 		return
 	}
 	// complete caches the entry before finish removes the flight, so there
 	// is no instant at which the key is neither cached nor in the air.
-	resp := s.complete(key, domain, sources, ropts, res)
-	s.flights.finish(key, f, resp, nil)
+	s.flights.finish(p.key, f, s.complete(p, res), nil)
 }
 
 // apiErrorFor maps a flight error onto the shared error envelope.

@@ -7,6 +7,7 @@ import (
 
 	"qilabel"
 	"qilabel/internal/discover"
+	"qilabel/internal/schema"
 )
 
 // Online domain discovery over HTTP: forms arrive one page (or one tree)
@@ -248,7 +249,8 @@ func (s *Server) publishDomain(eng *discover.Engine, ropts requestOptions, id st
 	if _, hit := s.cache.Get(key); hit {
 		return nil
 	}
-	s.complete(key, "", sources, requestOptions{Matcher: true, Lexicon: ropts.Lexicon}, res)
+	canon, hashes := schema.EncodeCanonical(sources)
+	s.complete(&pending{key: key, ropts: requestOptions{Matcher: true, Lexicon: ropts.Lexicon}, canon: canon, hashes: hashes}, res)
 	return nil
 }
 

@@ -310,7 +310,7 @@ func (s *Server) handleLexiconReport(w http.ResponseWriter, r *http.Request) {
 		if igErr != nil {
 			continue
 		}
-		newKey := schema.CacheKey(e.hashes, ig.Fingerprint())
+		newKey := schema.CacheKey(e.digests(), ig.Fingerprint())
 		entry := lexiconReportEntry{
 			Key:         keys[i],
 			NewKey:      newKey,

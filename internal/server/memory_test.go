@@ -37,10 +37,17 @@ func disjointSources(i int) []*qilabel.Tree {
 
 // heapAlloc returns the live heap after a full collection.
 func heapAlloc() uint64 {
+	bytes, _ := liveHeap()
+	return bytes
+}
+
+// liveHeap returns the live heap's bytes and objects after a full
+// collection.
+func liveHeap() (bytes, objects uint64) {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
+	return ms.HeapAlloc, ms.HeapObjects
 }
 
 // TestServerMemoryBounded is the long-running-service audit for the
@@ -91,8 +98,9 @@ func TestServerMemoryBounded(t *testing.T) {
 // outlives a request; with it on (and large enough to keep every op), also
 // the cached entry. It replays distinct 32-source subsets of a 96-source
 // medium-preset population, with the matcher and the population's own
-// uploaded vocabulary, and bounds the live heap growth per request after
-// a warm-up request.
+// uploaded vocabulary, and bounds the live heap's growth per request after
+// a warm-up request, in bytes and in objects: the collector's cost grows
+// with the objects it has to trace.
 func TestRetainedBytesPerOp(t *testing.T) {
 	cfg, err := synth.Preset("medium")
 	if err != nil {
@@ -129,16 +137,20 @@ func TestRetainedBytesPerOp(t *testing.T) {
 	}
 
 	for _, row := range []struct {
-		name      string
-		cacheSize int
-		limit     float64 // MB per op
+		name        string
+		cacheSize   int
+		limit       float64 // MB per op
+		objectLimit float64 // heap objects per op
 	}{
-		{"cache off", -1, 0.05},
+		{"cache off", -1, 0.05, 100},
 		// A cached medium op retained 0.519 MB while entries kept the
 		// naming report and decoded source trees, 0.431 MB without the
-		// report, and 0.285 MB with the sources kept as their canonical
-		// encoding instead of trees.
-		{"cache on", ops + 1, 0.33},
+		// report, and 0.285 MB in 2,720 objects with the sources kept as
+		// their canonical encoding instead of trees, beside a result whose
+		// merge structure pinned the expanded source trees. An entry of
+		// encoded bytes and a flat translation index retains 0.098 MB in
+		// 35 objects.
+		{"cache on", ops + 1, 0.13, 200},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			s := New(Config{CacheSize: row.cacheSize})
@@ -153,17 +165,22 @@ func TestRetainedBytesPerOp(t *testing.T) {
 			serve(http.MethodPut, "/v1/lexicons/bench-medium", art)
 			serve(http.MethodPost, "/v1/integrate", bodies[0])
 			runtime.GC()
-			base := heapAlloc()
+			base, baseObjects := liveHeap()
 			for _, b := range bodies[1:] {
 				serve(http.MethodPost, "/v1/integrate", b)
 			}
 			runtime.GC()
-			grown := heapAlloc()
+			grown, grownObjects := liveHeap()
 			runtime.KeepAlive(s)
 			perOp := (float64(grown) - float64(base)) / ops / (1 << 20)
-			t.Logf("%.3f MB retained per op (%d ops, live heap %d → %d bytes)", perOp, ops, base, grown)
+			objects := (float64(grownObjects) - float64(baseObjects)) / ops
+			t.Logf("%.3f MB in %.0f objects retained per op (%d ops, live heap %d → %d bytes)",
+				perOp, objects, ops, base, grown)
 			if perOp > row.limit {
 				t.Fatalf("%.3f MB retained per op, limit %.2f", perOp, row.limit)
+			}
+			if objects > row.objectLimit {
+				t.Fatalf("%.0f heap objects retained per op, limit %.0f", objects, row.objectLimit)
 			}
 		})
 	}

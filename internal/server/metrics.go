@@ -255,7 +255,10 @@ type cacheSnapshot struct {
 	Misses    int64 `json:"misses"`
 	Coalesced int64 `json:"coalesced"`
 	Entries   int   `json:"entries"`
-	Capacity  int   `json:"capacity"`
+	// Bytes is the sum of the entries' sizes: their replies, translation
+	// indexes and the canonical encodings and hashes of their sources.
+	Bytes    int64 `json:"bytes"`
+	Capacity int   `json:"capacity"`
 }
 
 type batchSnapshot struct {

@@ -12,6 +12,7 @@ import (
 
 	"qilabel"
 	"qilabel/internal/schema"
+	"qilabel/internal/translate"
 )
 
 // Cache persistence: the LRU result cache survives restarts. A snapshot is
@@ -45,13 +46,15 @@ type cacheSnapshotFile struct {
 	Entries []cacheSnapshotEntry `json:"entries"`
 }
 
-// cacheSnapshotEntry is one persisted integration.
+// cacheSnapshotEntry is one persisted integration. Response is the
+// integrateResponse the entry replies with, which encoding/json writes
+// compacted from the entry's reply.
 type cacheSnapshotEntry struct {
-	Key      string            `json:"key"`
-	Domain   string            `json:"domain,omitempty"`
-	Options  requestOptions    `json:"options"`
-	Sources  []*qilabel.Tree   `json:"sources"`
-	Response integrateResponse `json:"response"`
+	Key      string          `json:"key"`
+	Domain   string          `json:"domain,omitempty"`
+	Options  requestOptions  `json:"options"`
+	Sources  []*qilabel.Tree `json:"sources"`
+	Response json.RawMessage `json:"response"`
 }
 
 // baseFingerprint identifies the server configuration for snapshot
@@ -86,7 +89,7 @@ func (s *Server) SaveCache(path string) (int, error) {
 			Domain:   e.domain,
 			Options:  e.options,
 			Sources:  sources,
-			Response: e.resp,
+			Response: e.reply,
 		})
 	}
 	data, err := json.Marshal(file)
@@ -143,8 +146,17 @@ func (s *Server) LoadCache(path string) (int, error) {
 	if fp := s.baseFingerprint(); file.Fingerprint != fp {
 		return 0, fmt.Errorf("cache snapshot %s was taken under configuration %q, this server runs %q; discarding", path, file.Fingerprint, fp)
 	}
+	responses := make([]integrateResponse, len(file.Entries))
+	for i, e := range file.Entries {
+		if len(e.Response) == 0 {
+			continue
+		}
+		if err := json.Unmarshal(e.Response, &responses[i]); err != nil {
+			return 0, fmt.Errorf("corrupt cache snapshot %s: entry %d: %w", path, i, err)
+		}
+	}
 	restored := 0
-	for _, e := range file.Entries {
+	for i, e := range file.Entries {
 		if e.Key == "" || len(e.Sources) == 0 {
 			continue
 		}
@@ -159,11 +171,11 @@ func (s *Server) LoadCache(path string) (int, error) {
 		if !valid || igErr != nil {
 			continue
 		}
-		entry := newCacheEntry(nil, e.Response, e.Domain, e.Options, e.Sources)
-		if schema.CacheKey(entry.hashes, ig.Fingerprint()) != e.Key {
+		canon, hashes := schema.EncodeCanonical(e.Sources)
+		if schema.CacheKey(hashes, ig.Fingerprint()) != e.Key {
 			continue
 		}
-		s.cache.Put(e.Key, entry)
+		s.cache.Put(e.Key, newCacheEntry(responses[i], e.Domain, e.Options, canon, hashes))
 		restored++
 	}
 	s.metrics.snapshotLoads.Add(1)
@@ -171,13 +183,13 @@ func (s *Server) LoadCache(path string) (int, error) {
 	return restored, nil
 }
 
-// rehydrate recomputes the full pipeline result of a snapshot-restored
-// cache entry from its sources, decoded from the entry's canonical
-// encoding, bounded by the request timeout and the worker pool, and
-// re-caches the entry with the result attached.
-// The pipeline is deterministic, so the recomputed result is exactly the
-// one the entry's key names.
-func (s *Server) rehydrate(ctx context.Context, key string, e *cacheEntry) (*qilabel.Result, *apiError) {
+// rehydrate rebuilds the translation index of a snapshot-restored cache
+// entry: it reruns the pipeline on the entry's sources, decoded from their
+// canonical encoding, bounded by the request timeout and the worker pool,
+// and re-caches the entry with the index attached. The pipeline is
+// deterministic, so the recomputed result is exactly the one the entry's
+// key names.
+func (s *Server) rehydrate(ctx context.Context, key string, e *cacheEntry) (*translate.Index, *apiError) {
 	wctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 	release, ok := s.acquireCtx(wctx)
@@ -197,12 +209,12 @@ func (s *Server) rehydrate(ctx context.Context, key string, e *cacheEntry) (*qil
 	if err != nil {
 		return nil, s.apiErrorFor(err)
 	}
-	res, err := ig.IntegrateContext(wctx, sources)
+	res, err := ig.IntegrateOwned(wctx, sources, e.digests())
 	if err != nil {
 		return nil, s.apiErrorFor(err)
 	}
 	next := *e
-	next.res = translatable(res)
+	next.index = translate.NewIndex(res.Merge.Sources)
 	s.cache.Put(key, &next)
-	return res, nil
+	return next.index, nil
 }

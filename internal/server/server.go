@@ -60,6 +60,7 @@ import (
 	"qilabel"
 	"qilabel/internal/dataset"
 	"qilabel/internal/discover"
+	"qilabel/internal/translate"
 )
 
 // Config tunes the service. The zero value selects production defaults.
@@ -482,6 +483,14 @@ func resolveSources(req integrateRequest) ([]*qilabel.Tree, *apiError) {
 		}
 		return sources, nil
 	case len(req.Sources) > 0:
+		for i, t := range req.Sources {
+			if t == nil {
+				// The pipeline would reject it too, but the cache key is
+				// computed first and needs a tree to hash.
+				return nil, &apiError{http.StatusBadRequest, codeBadRequest,
+					fmt.Sprintf("qilabel: source %d: %v", i, t.Validate())}
+			}
+		}
 		return req.Sources, nil
 	default:
 		return nil, &apiError{http.StatusBadRequest, codeBadRequest, "no source interfaces: provide sources or a builtin domain"}
@@ -504,22 +513,23 @@ func (s *Server) integrate(r *http.Request, w http.ResponseWriter, sources []*qi
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
-	key := ig.CacheKey(sources)
-	resp, _, apiErr := s.integrateShared(r.Context(), key, sources, domain, ropts, false)
+	e, status, apiErr := s.integrateShared(r.Context(), newPending(ig, sources, domain, ropts), false)
 	if apiErr != nil {
 		writeAPIError(w, apiErr)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, e, status)
 }
 
-// complete builds the response for a cold integration, feeds the rule
-// counters into the metrics registry and caches the entry — exactly once
-// per flight, however many requests coalesced onto it.
-func (s *Server) complete(key, domain string, sources []*qilabel.Tree, ropts requestOptions, res *qilabel.Result) integrateResponse {
-	rep := res.Report(domain, sources)
+// complete builds the entry of a cold integration — its reply and the
+// translation index of its expanded sources — feeds the rule counters
+// into the metrics registry and caches the entry, exactly once per flight
+// however many requests coalesced onto it. It reads the result only: the
+// reply carries no statistic of the request's own trees.
+func (s *Server) complete(p *pending, res *qilabel.Result) *cacheEntry {
+	rep := res.Report(p.domain, nil)
 	resp := integrateResponse{
-		Key:    key,
+		Key:    p.key,
 		Class:  res.Class.String(),
 		Labels: res.Labels,
 		Tree:   res.Tree,
@@ -540,8 +550,10 @@ func (s *Server) complete(key, domain string, sources []*qilabel.Tree, ropts req
 		resp.Rules[fmt.Sprintf("li%d", li)] = res.Naming.Counters.LI[li]
 	}
 	s.metrics.addRules(res.Naming.Counters)
-	s.cache.Put(key, newCacheEntry(translatable(res), resp, domain, ropts, sources))
-	return resp
+	e := newCacheEntry(resp, p.domain, p.ropts, p.canon, p.hashes)
+	e.index = translate.NewIndex(res.Merge.Sources)
+	s.cache.Put(p.key, e)
+	return e
 }
 
 func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
@@ -603,21 +615,21 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.cacheHits.Add(1)
 	s.metrics.recordLexicon(lexiconLabel(entry.options.Lexicon), statusHit)
-	res := entry.res
-	if res == nil {
+	ix := entry.index
+	if ix == nil {
 		// The entry was restored from a disk snapshot, which carries the
-		// response but not the in-memory merge structures translation
-		// needs. Recompute them once from the persisted sources (the
-		// pipeline is deterministic, so the result is the one the key
-		// names) and re-cache the rehydrated entry.
+		// response but not the translation index. Recompute it once from
+		// the persisted sources (the pipeline is deterministic, so the
+		// result is the one the key names) and re-cache the rehydrated
+		// entry.
 		var apiErr *apiError
-		res, apiErr = s.rehydrate(r.Context(), req.Key, entry)
+		ix, apiErr = s.rehydrate(r.Context(), req.Key, entry)
 		if apiErr != nil {
 			writeAPIError(w, apiErr)
 			return
 		}
 	}
-	subs := res.Translate(req.Query)
+	subs := ix.Translate(req.Query)
 	resp := translateResponse{Key: req.Key}
 	for _, sub := range subs {
 		sj := subQueryJSON{
@@ -656,6 +668,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.metrics.snapshot(s.cache.Len(), s.cfg.CacheSize, s.sessions.active())
+	snap.Cache.Bytes = s.cache.Bytes()
 	snap.Warm = warmSnapshotOf(s.warmStats())
 	snap.Discovery = discoverySnapshotOf(s.discoveryEngines(), s.cfg.DiscoverThreshold)
 	snap.Lexicons = s.lexiconsMetrics()
@@ -679,10 +692,11 @@ func (s *Server) warmStats() []qilabel.WarmStats {
 // decodes its first JSON value (see wire.go), answering 413 when the body
 // exceeds the limit and 400 with the parse error otherwise.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
+	buf, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
 	if err == nil {
-		err = decodeRequest(body, v)
+		err = decodeRequest(buf.Bytes(), v)
 	}
+	bodyBuffers.Put(buf)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

@@ -172,6 +172,9 @@ func TestIntegrateBadRequests(t *testing.T) {
 		{"both", `{"domain":"Airline","sources":[{"interface":"a","root":{}}]}`, "not both"},
 		{"unknown domain", `{"domain":"Groceries"}`, "unknown domain"},
 		{"invalid tree", `{"sources":[{"root":{"children":[{"label":"x"}]}}]}`, "interface name"},
+		// A null tree has nothing to hash for the cache key; it used to
+		// panic the handler and drop the connection.
+		{"null tree", `{"sources":[{"interface":"a","root":{}},null]}`, "qilabel: source 1: schema: tree has no root"},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/integrate", "application/json", strings.NewReader(tc.body))

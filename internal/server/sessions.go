@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"qilabel"
+	"qilabel/internal/schema"
 )
 
 // Stateful incremental integration over HTTP: a session owns a live
@@ -366,17 +367,15 @@ func (s *Server) handleSessionResult(w http.ResponseWriter, r *http.Request) {
 		// integration.
 		s.metrics.cacheHits.Add(1)
 		s.metrics.recordLexicon(lexiconLabel(ls.ropts.Lexicon), statusHit)
-		resp := entry.resp
-		resp.Cached = true
-		writeJSON(w, http.StatusOK, resp)
+		writeReply(w, entry, statusHit)
 		return
 	}
 	// Publish into the result cache under the from-scratch key: the
 	// equivalence gate guarantees res is byte-identical to what
 	// /v1/integrate would compute, so translate, cache persistence and
 	// later integrations all interoperate.
-	resp := s.complete(key, "", sources, ls.ropts, res)
-	writeJSON(w, http.StatusOK, resp)
+	canon, hashes := schema.EncodeCanonical(sources)
+	writeReply(w, s.complete(&pending{key: key, ropts: ls.ropts, canon: canon, hashes: hashes}, res), statusComputed)
 }
 
 // sessionErrorFor maps session-layer errors onto the shared envelope:

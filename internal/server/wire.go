@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"sync"
 
 	"qilabel/internal/schema"
 )
@@ -100,12 +101,21 @@ func decodeRequest(body []byte, v any) error {
 	return json.NewDecoder(bytes.NewReader(body)).Decode(v)
 }
 
-// readBody reads a request body whole. A declared length sizes the first
-// buffer, up to presizeLimit: a client that declares a large body must
-// send it before the buffer grows to hold it.
-func readBody(body io.Reader, length int64) ([]byte, error) {
-	length = min(max(length, 0), presizeLimit)
-	buf := bytes.NewBuffer(make([]byte, 0, length+bytes.MinRead))
+// bodyBuffers recycles request-body buffers. Every decoder copies what it
+// keeps out of the body (schema.Decoder interns its strings and
+// encoding/json allocates its own), so a buffer is free again once its
+// body is decoded.
+var bodyBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads a request body whole into a buffer from bodyBuffers,
+// which the caller returns there once the body is decoded. A declared
+// length grows the buffer by at most presizeLimit before any byte
+// arrives: a client that declares a large body must send it before the
+// buffer grows to hold it.
+func readBody(body io.Reader, length int64) (*bytes.Buffer, error) {
+	buf := bodyBuffers.Get().(*bytes.Buffer)
+	buf.Reset()
+	buf.Grow(int(min(max(length, 0), presizeLimit)) + bytes.MinRead)
 	_, err := buf.ReadFrom(body)
-	return buf.Bytes(), err
+	return buf, err
 }

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"qilabel"
@@ -310,4 +311,83 @@ func TestParentSnapshotLoads(t *testing.T) {
 	if got, want := bySource(saved), bySource(file); !reflect.DeepEqual(got, want) {
 		t.Fatalf("saved snapshot sources differ from the loaded ones:\n%v\nwant\n%v", got, want)
 	}
+}
+
+// decodePooled decodes data into a T through a pooled body buffer, as
+// Server.decode does, then overwrites the whole buffer and returns it to
+// the pool, and reports whether the decoded value still equals what
+// json.Unmarshal builds from a copy of data.
+func decodePooled[T any](data []byte) error {
+	var got, want T
+	if err := json.Unmarshal(bytes.Clone(data), &want); err != nil {
+		return err
+	}
+	buf, err := readBody(bytes.NewReader(data), int64(len(data)))
+	if err == nil {
+		err = decodeRequest(buf.Bytes(), &got)
+	}
+	scribble := buf.Bytes()
+	scribble = scribble[:cap(scribble)]
+	for i := range scribble {
+		scribble[i] = '#'
+	}
+	bodyBuffers.Put(buf)
+	if err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("%T decoded from %s changed after its buffer was overwritten: %+v", got, data, got)
+	}
+	return nil
+}
+
+// TestDecodedRequestsSurviveBufferReuse decodes every request body type
+// from pooled buffers on eight goroutines at once and overwrites each
+// buffer once its body is decoded: a decoded request must not alias the
+// buffer that the next request reuses. Labels and instances carry escapes,
+// which the tree decoder unescapes through its own scratch space.
+func TestDecodedRequestsSurviveBufferReuse(t *testing.T) {
+	escaped := qilabel.NewTree("café",
+		qilabel.NewGroup("Who \"goes\"\n",
+			qilabel.NewField("Adults\t", "c_Adult", "1", "2 "),
+			qilabel.NewMultiField("Kids", "c_Child", "c_Infant"),
+		),
+	)
+	sources := append(fixtureSources(), escaped)
+	opts := requestOptions{Matcher: true, MaxLevel: 2, Lexicon: "tenant-é"}
+	var bodies [][]byte
+	var decoders []func([]byte) error
+	add := func(v any, decode func([]byte) error) {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, data)
+		decoders = append(decoders, decode)
+	}
+	add(integrateRequest{Sources: sources, Options: opts}, decodePooled[integrateRequest])
+	add(integrateRequest{Domain: "Airline"}, decodePooled[integrateRequest])
+	add(batchRequest{Items: []integrateRequest{{Sources: sources}, {Domain: "Hotels", Options: opts}}, Parallelism: 2}, decodePooled[batchRequest])
+	add(sessionSourceRequest{Source: escaped}, decodePooled[sessionSourceRequest])
+	add(ingestRequest{Source: escaped, Lexicon: "vé"}, decodePooled[ingestRequest])
+	add(ingestRequest{HTML: "<form id=\"f\"><label>Café</label><input name=\"a\"></form>", Interface: "f"}, decodePooled[ingestRequest])
+	add(extractRequest{HTML: "<form><input name=\"q\"></form>", Interface: "xé", Integrate: true, Options: opts}, decodePooled[extractRequest])
+	add(translateRequest{Key: strings.Repeat("ab", 32), Query: map[string]string{"c_Adult": "2\n", "c_é": "x"}, Lexicon: "v"}, decodePooled[translateRequest])
+	add(sessionCreateRequest{Options: opts}, decodePooled[sessionCreateRequest])
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				k := (g + i) % len(bodies)
+				if err := decoders[k](bodies[k]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -23,6 +23,11 @@ func integrated(t *testing.T, trees []*schema.Tree) *merge.Result {
 	return mr
 }
 
+// translate runs q through the index of the merge result's sources.
+func translate(mr *merge.Result, q Query) []SubQuery {
+	return NewIndex(mr.Sources).Translate(q)
+}
+
 func airlineSources() []*schema.Tree {
 	return []*schema.Tree{
 		schema.NewTree("aa",
@@ -43,7 +48,7 @@ func airlineSources() []*schema.Tree {
 func TestTranslateDirectAndUnsupported(t *testing.T) {
 	mr := integrated(t, airlineSources())
 	q := Query{"c_Adult": "2", "c_Child": "1", "c_Senior": "1", "c_Class": "economy"}
-	subs := Translate(mr, q)
+	subs := translate(mr, q)
 	if len(subs) != 3 {
 		t.Fatalf("got %d subqueries, want 3", len(subs))
 	}
@@ -83,7 +88,7 @@ func TestTranslateAggregatesOneToMany(t *testing.T) {
 	mr := integrated(t, airlineSources())
 	q := Query{"c_Adult": "2", "c_Child": "1", "c_Senior": "1"}
 	var vac SubQuery
-	for _, s := range Translate(mr, q) {
+	for _, s := range translate(mr, q) {
 		if s.Interface == "vacations" {
 			vac = s
 		}
@@ -115,7 +120,7 @@ func TestTranslateAggregateNonNumeric(t *testing.T) {
 	}
 	mr := integrated(t, trees)
 	q := Query{"c_First": "Ada", "c_Last": "Lovelace"}
-	for _, s := range Translate(mr, q) {
+	for _, s := range translate(mr, q) {
 		if s.Interface == "s2" {
 			if len(s.Assignments) != 1 || s.Assignments[0].Value != "Ada, Lovelace" {
 				t.Errorf("s2 = %+v", s.Assignments)
@@ -128,7 +133,7 @@ func TestTranslatePartialAggregate(t *testing.T) {
 	mr := integrated(t, airlineSources())
 	// Only adults queried: the aggregate still fires with the one part.
 	q := Query{"c_Adult": "2"}
-	for _, s := range Translate(mr, q) {
+	for _, s := range translate(mr, q) {
 		if s.Interface == "vacations" {
 			if len(s.Assignments) != 1 || s.Assignments[0].Value != "2" {
 				t.Errorf("vacations = %+v", s.Assignments)
@@ -141,12 +146,16 @@ func TestTranslatePartialAggregate(t *testing.T) {
 }
 
 func TestCoerceApproximate(t *testing.T) {
-	leaf := schema.NewField("Class", "c_Class", "Economy Class", "Business Class")
-	a := coerce(leaf, "business")
+	ix := NewIndex([]*schema.Tree{schema.NewTree("s",
+		schema.NewField("Class", "c_Class", "Economy Class", "Business Class"))})
+	coerce := func(value string) Assignment {
+		return ix.Translate(Query{"c_Class": value})[0].Assignments[0]
+	}
+	a := coerce("business")
 	if a.Value != "Business Class" || !a.Approximate {
 		t.Errorf("coerce = %+v, want approximate Business Class", a)
 	}
-	b := coerce(leaf, "zeppelin")
+	b := coerce("zeppelin")
 	if !b.Approximate || b.Value != "zeppelin" {
 		t.Errorf("coerce unknown = %+v", b)
 	}
@@ -154,7 +163,7 @@ func TestCoerceApproximate(t *testing.T) {
 
 func TestTranslateEmptyQuery(t *testing.T) {
 	mr := integrated(t, airlineSources())
-	for _, s := range Translate(mr, Query{}) {
+	for _, s := range translate(mr, Query{}) {
 		if len(s.Assignments) != 0 || len(s.Unsupported) != 0 {
 			t.Errorf("%s: %+v", s.Interface, s)
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"qilabel/internal/cluster"
@@ -259,6 +260,14 @@ type Result struct {
 	// lex is the lexicon the result was built with (nil: the embedded
 	// default), retained so Verify re-checks with the same semantics.
 	lex *lexicon.Lexicon
+	// translation is the translation index of Merge.Sources, built by the
+	// first Translate call and shared by the later ones.
+	translation *lazyIndex
+}
+
+type lazyIndex struct {
+	once sync.Once
+	ix   *translate.Index
 }
 
 // Integrate matches (if requested), merges and labels the given source
@@ -412,13 +421,21 @@ type SubQuery = translate.SubQuery
 
 // Translate maps a query over the integrated interface onto every source
 // interface — the step the paper's system overview places after labeling.
+// The first call on a Result the pipeline built indexes Merge.Sources;
+// later calls reuse the index, so they do not see changes made to those
+// trees in between.
 func (r *Result) Translate(q Query) []SubQuery {
-	return translate.Translate(r.Merge, q)
+	if r.translation == nil {
+		return translate.NewIndex(r.Merge.Sources).Translate(q)
+	}
+	r.translation.once.Do(func() { r.translation.ix = translate.NewIndex(r.Merge.Sources) })
+	return r.translation.ix.Translate(q)
 }
 
 // Report computes the paper's evaluation metrics (FldAcc, IntAcc, HA,
 // HA′ and the Table 6 characteristics) for this result against the given
-// original sources.
+// original sources. Only the source characteristics (SrcInterfaces
+// through LQ) read the sources; nil sources leave them zero.
 func (r *Result) Report(domain string, sources []*Tree) metrics.Report {
 	return metrics.Evaluate(domain, sources, r.Merge, r.Naming)
 }

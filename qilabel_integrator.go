@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -150,6 +151,27 @@ func (ig *Integrator) Integrate(sources []*Tree) (*Result, error) {
 // IntegrateContext for the cancellation contract. A nil ctx is treated as
 // context.Background().
 func (ig *Integrator) IntegrateContext(ctx context.Context, sources []*Tree) (*Result, error) {
+	return ig.integrateSources(ctx, sources, nil, true)
+}
+
+// IntegrateOwned is IntegrateContext over trees the caller hands over: it
+// validates them as IntegrateContext does but does not copy them, and the
+// pipeline rewrites them in place (1:m expansion, matcher clusters) and
+// reorders the slice. The Result keeps them as Merge.Sources. The caller
+// must not read or modify the trees or the slice afterwards, on success or
+// failure. hashes, when non-nil, are the trees' canonical hashes in slice
+// order (schema.TreeHashes or schema.EncodeCanonical), which the pipeline
+// then need not compute; it does not modify them.
+func (ig *Integrator) IntegrateOwned(ctx context.Context, trees []*Tree, hashes []string) (*Result, error) {
+	if hashes != nil && len(hashes) != len(trees) {
+		return nil, fmt.Errorf("qilabel: %d hashes for %d source interfaces", len(hashes), len(trees))
+	}
+	return ig.integrateSources(ctx, trees, hashes, false)
+}
+
+// integrateSources validates the sources, clones them unless the caller
+// handed them over, and runs the pipeline on them.
+func (ig *Integrator) integrateSources(ctx context.Context, sources []*Tree, hashes []string, clone bool) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -160,14 +182,19 @@ func (ig *Integrator) IntegrateContext(ctx context.Context, sources []*Tree) (*R
 		return nil, err
 	}
 	start := time.Now()
-	trees := make([]*Tree, len(sources))
+	trees := sources
+	if clone {
+		trees = make([]*Tree, len(sources))
+	}
 	for i, s := range sources {
 		if err := s.Validate(); err != nil {
 			return nil, fmt.Errorf("qilabel: source %d: %w", i, err)
 		}
-		trees[i] = s.Clone()
+		if clone {
+			trees[i] = s.Clone()
+		}
 	}
-	res, _, err := ig.integrate(ctx, trees, time.Since(start))
+	res, _, err := ig.integrate(ctx, trees, hashes, time.Since(start))
 	return res, err
 }
 
@@ -178,12 +205,13 @@ var errNoClusters = errors.New("qilabel: no clusters; annotate the sources or us
 // integrate is the pipeline, the one path IntegrateContext and every
 // Session operation take: canonical source order, 1:m expansion, matching
 // (if configured), merging and naming. It owns trees: at least one
-// validated clone the caller will not touch again. validated is the time
-// the caller spent validating and cloning them; it is reported as the
-// "validate" stage, and each later stage is timed from the previous stage
-// event. It returns the Result and the number of candidate pairs the
-// matcher evaluated in this run.
-func (ig *Integrator) integrate(ctx context.Context, trees []*Tree, validated time.Duration) (*Result, int, error) {
+// validated tree the caller will not touch again. hashes are their
+// canonical hashes in slice order, or nil to compute them here. validated
+// is the time the caller spent validating (and cloning) them; it is
+// reported as the "validate" stage, and each later stage is timed from the
+// previous stage event. It returns the Result and the number of candidate
+// pairs the matcher evaluated in this run.
+func (ig *Integrator) integrate(ctx context.Context, trees []*Tree, hashes []string, validated time.Duration) (*Result, int, error) {
 	var start time.Time
 	stageDone := func(stage string, units int, took time.Duration) {
 		if ig.cfg.Observer != nil {
@@ -193,7 +221,7 @@ func (ig *Integrator) integrate(ctx context.Context, trees []*Tree, validated ti
 	}
 	stageDone("validate", len(trees), validated)
 
-	canonicalizeSourceOrder(trees)
+	canonicalizeSourceOrder(trees, hashes)
 	cluster.ExpandOneToMany(trees)
 
 	// One label-analysis table serves the whole run: the matcher and the
@@ -259,13 +287,14 @@ func (ig *Integrator) integrate(ctx context.Context, trees []*Tree, validated ti
 	stageDone("naming", len(nr.Groups)+len(nr.Nodes), time.Since(start))
 
 	res := &Result{
-		Tree:    mr.Tree,
-		Class:   nr.Class,
-		Labels:  make(map[string]string, len(m.Clusters)),
-		Mapping: m,
-		Merge:   mr,
-		Naming:  nr,
-		lex:     ig.cfg.Lexicon,
+		Tree:        mr.Tree,
+		Class:       nr.Class,
+		Labels:      make(map[string]string, len(m.Clusters)),
+		Mapping:     m,
+		Merge:       mr,
+		Naming:      nr,
+		lex:         ig.cfg.Lexicon,
+		translation: new(lazyIndex),
 	}
 	for _, c := range m.Clusters {
 		if leaf := mr.LeafOf[c.Name]; leaf != nil {
@@ -282,9 +311,16 @@ func (ig *Integrator) integrate(ctx context.Context, trees []*Tree, validated ti
 // sibling placement, candidate election) let a cached result differ from a
 // fresh computation over a permuted listing of the same pool. Structurally
 // identical trees compare equal and keep their relative order, which is
-// harmless — they are interchangeable everywhere downstream.
-func canonicalizeSourceOrder(trees []*Tree) {
-	sort.Stable(byHash{trees, schema.TreeHashes(trees)})
+// harmless — they are interchangeable everywhere downstream. hashes are
+// the trees' canonical hashes (nil: computed here); the sort permutes a
+// copy.
+func canonicalizeSourceOrder(trees []*Tree, hashes []string) {
+	if hashes == nil {
+		hashes = schema.TreeHashes(trees)
+	} else {
+		hashes = slices.Clone(hashes)
+	}
+	sort.Stable(byHash{trees, hashes})
 }
 
 // byHash sorts trees by their canonical hashes, keeping both aligned.

@@ -2,8 +2,13 @@ package qilabel
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"qilabel/internal/schema"
 )
 
 // TestIntegratorMatchesPackageLevel pins the thin-wrapper contract: an
@@ -35,6 +40,100 @@ func TestIntegratorMatchesPackageLevel(t *testing.T) {
 			t.Fatalf("call %d: integrator explanation differs", call)
 		}
 	}
+}
+
+// TestIntegrateOwnedMatchesIntegrateContext: trees handed over, in
+// another listing order and with or without their hashes, integrate to
+// IntegrateContext's result, which keeps the very trees handed over, not
+// copies; invalid trees fail with IntegrateContext's error.
+func TestIntegrateOwnedMatchesIntegrateContext(t *testing.T) {
+	ctx := context.Background()
+	query := Query{"c_Adult": "2", "c_Child": "1", "c_Make": "ford", "c_Title": "go"}
+	for _, name := range BuiltinDomains() {
+		for _, cfg := range []Config{{}, {UseMatcher: true}} {
+			ig, err := NewIntegrator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sources, err := BuiltinDomain(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ig.IntegrateContext(ctx, sources)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, withHashes := range []bool{false, true} {
+				owned, _ := BuiltinDomain(name)
+				slices.Reverse(owned)
+				var hashes []string
+				if withHashes {
+					hashes = schema.TreeHashes(owned)
+				}
+				handed := slices.Clone(owned)
+				got, err := ig.IntegrateOwned(ctx, owned, hashes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Tree.String() != want.Tree.String() || got.Naming.Explain() != want.Naming.Explain() ||
+					!slices.EqualFunc(got.Translate(query), want.Translate(query), func(a, b SubQuery) bool {
+						return a.Interface == b.Interface && len(a.Assignments) == len(b.Assignments) &&
+							slices.Equal(a.Unsupported, b.Unsupported)
+					}) {
+					t.Fatalf("%s %+v (hashes %v): owned integration differs from IntegrateContext's", name, cfg, withHashes)
+				}
+				for _, tr := range got.Merge.Sources {
+					if !slices.Contains(handed, tr) {
+						t.Fatalf("%s: the result holds a tree that was not handed over", name)
+					}
+				}
+			}
+		}
+	}
+
+	ig, err := NewIntegrator(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalid := []*Tree{NewTree("a", NewField("x", "c")), {Interface: "b"}}
+	_, want := ig.IntegrateContext(ctx, invalid)
+	if _, got := ig.IntegrateOwned(ctx, invalid, nil); got == nil || want == nil || got.Error() != want.Error() {
+		t.Fatalf("invalid tree: IntegrateOwned error %v, IntegrateContext error %v", got, want)
+	}
+	if _, err := ig.IntegrateOwned(ctx, []*Tree{NewTree("a", NewField("x", "c"))}, []string{}); err == nil {
+		t.Fatal("IntegrateOwned accepted no hash for one tree")
+	}
+}
+
+// TestResultTranslateConcurrent: goroutines translating against one
+// shared Result (a session's, say) race to build its index once and all
+// get what a fresh integration translates to.
+func TestResultTranslateConcurrent(t *testing.T) {
+	sources, err := BuiltinDomain("Airline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := Integrate(sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Integrate(sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []Query{{"c_Adult": "2", "c_Child": "1"}, {"c_Class": "econ", "c_Nope": "x"}, {}}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			q := queries[g%len(queries)]
+			if got, want := shared.Translate(q), fresh.Translate(q); !reflect.DeepEqual(got, want) {
+				t.Errorf("query %v: concurrent translation %+v, want %+v", q, got, want)
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestNewIntegratorValidates(t *testing.T) {

@@ -414,7 +414,7 @@ func TestCanonicalizeSourceOrder(t *testing.T) {
 	for i, j := 0, len(trees)-1; i < j; i, j = i+1, j-1 {
 		trees[i], trees[j] = trees[j], trees[i]
 	}
-	canonicalizeSourceOrder(trees)
+	canonicalizeSourceOrder(trees, nil)
 	for i := 1; i < len(trees); i++ {
 		if trees[i-1].CanonicalHash() > trees[i].CanonicalHash() {
 			t.Fatalf("trees[%d] out of order", i)

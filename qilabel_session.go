@@ -226,13 +226,15 @@ func (s *Session) apply(ctx context.Context, op string, next []sessionEntry, pre
 		// The pipeline mutates its trees (expansion, matcher annotations),
 		// so each run works on fresh clones of the pristine entries.
 		working := make([]*Tree, 0, st.Sources)
+		hashes := make([]string, 0, st.Sources)
 		for _, e := range next {
 			for k := 0; k < e.n; k++ {
 				working = append(working, e.tree.Clone())
+				hashes = append(hashes, e.hash)
 			}
 		}
 		var err error
-		res, st.PairsEvaluated, err = s.ig.integrate(ctx, working, prep+time.Since(start))
+		res, st.PairsEvaluated, err = s.ig.integrate(ctx, working, hashes, prep+time.Since(start))
 		if err != nil {
 			return err
 		}

@@ -128,18 +128,18 @@ func TestIntegrateAllocBudget(t *testing.T) {
 		long     bool    // skipped in -short mode
 		op       func(t *testing.T) func()
 	}{
-		{"hotels/serial", 11_981, false, hotelsOneShot(1)},
-		{"hotels/parallel", 12_070, false, hotelsOneShot(4)},
-		{"small/cold", 3_709, false, presetRun("small", true)},
-		{"small/warm", 2_429, false, presetRun("small", false)},
-		{"medium/cold", 21_927, false, presetRun("medium", true)},
-		{"medium/warm", 15_407, false, presetRun("medium", false)},
-		{"mega/cold", 249_921, true, presetRun("mega", true)},
-		{"mega/warm", 202_118, true, presetRun("mega", false)},
-		{"mega/decode", 4_363, true, megaDecode},
+		{"hotels/serial", 11_518, false, hotelsOneShot(1)},
+		{"hotels/parallel", 11_613, false, hotelsOneShot(4)},
+		{"small/cold", 3_591, false, presetRun("small", true)},
+		{"small/warm", 2_311, false, presetRun("small", false)},
+		{"medium/cold", 21_080, false, presetRun("medium", true)},
+		{"medium/warm", 14_560, false, presetRun("medium", false)},
+		{"mega/cold", 243_077, true, presetRun("mega", true)},
+		{"mega/warm", 195_276, true, presetRun("mega", false)},
+		{"mega/decode", 2_253, true, megaDecode},
 		{"relate-memo/resident", 0, false, relateMemoPasses(60)},
 		{"relate-memo/churn", 3_795_464, true, relateMemoPasses(360)},
-		{"session/add", 10_888, false, sessionAddCycle},
+		{"session/add", 10_302, false, sessionAddCycle},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
