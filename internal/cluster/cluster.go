@@ -165,59 +165,12 @@ func ExpandOneToMany(trees []*schema.Tree) {
 }
 
 // FromTrees derives the mapping from the cluster annotations on the leaves
-// of the given trees. Call ExpandOneToMany first; leaves still carrying
-// MultiClusters are rejected. Cluster order follows first appearance across
-// trees; unannotated leaves are ignored (they correspond to source-specific
-// fields the matcher could not align).
+// of the given trees (Table.DeriveMapping). Call ExpandOneToMany first; leaves
+// still carrying MultiClusters are rejected. Cluster order follows first
+// appearance across trees; unannotated leaves are ignored (they correspond
+// to source-specific fields the matcher could not align).
 func FromTrees(trees []*schema.Tree) (*Mapping, error) {
-	// Count each cluster's fields first, so every Members slice is
-	// allocated once at its final size.
-	leaves := make([][]*schema.Node, len(trees))
-	counts := make(map[string]int)
-	for i, t := range trees {
-		leaves[i] = t.Leaves()
-		for _, leaf := range leaves[i] {
-			if leaf.Cluster != "" {
-				counts[leaf.Cluster]++
-			}
-		}
-	}
-	// An interface's members of a cluster are the last ones appended while
-	// its tree is read, so the last member tells whether the tree already
-	// supplied the cluster; only a tree named like an earlier one, which
-	// may have supplied it before other trees did, needs the scan.
-	named := make(map[string]bool, len(trees))
-	m := NewMapping()
-	for i, t := range trees {
-		shared := named[t.Interface]
-		named[t.Interface] = true
-		for _, leaf := range leaves[i] {
-			if len(leaf.MultiClusters) > 0 {
-				return nil, fmt.Errorf(
-					"cluster: leaf %q of %s has an unexpanded 1:m correspondence",
-					leaf.Label, t.Interface)
-			}
-			if leaf.Cluster == "" {
-				continue
-			}
-			c := m.Get(leaf.Cluster)
-			if c == nil {
-				c = &Cluster{Name: leaf.Cluster, Members: make([]Member, 0, counts[leaf.Cluster])}
-				m.add(c)
-			}
-			dup := len(c.Members) > 0 && c.Members[len(c.Members)-1].Interface == t.Interface
-			if !dup && shared {
-				_, dup = c.MemberFor(t.Interface)
-			}
-			if dup {
-				return nil, fmt.Errorf(
-					"cluster: interface %s supplies two fields for cluster %s",
-					t.Interface, leaf.Cluster)
-			}
-			c.Members = append(c.Members, Member{Interface: t.Interface, Leaf: leaf})
-		}
-	}
-	return m, nil
+	return NewTable(trees).DeriveMapping()
 }
 
 // Tuple is one row of a group relation: the labels one interface supplies
@@ -254,13 +207,32 @@ type Relation struct {
 // member leaf; members with empty labels contribute null entries (their
 // labels cannot support any consistency), but their instances are kept.
 func BuildRelation(group []*Cluster, interfaces []string) *Relation {
-	// Row j of the relation holds its labels and instances at
-	// [j*k, (j+1)*k) of two arrays; row[iface] is the first row of iface.
-	k := len(group)
+	return NewRelations(interfaces).Build(group)
+}
+
+// Relations builds the group relations over one list of interfaces, as
+// BuildRelation does, indexing the interfaces once for all groups. It is
+// safe for concurrent use.
+type Relations struct {
+	interfaces []string
+	row        map[string]int // the first row of each interface
+}
+
+// NewRelations indexes the given interfaces (in tree order).
+func NewRelations(interfaces []string) *Relations {
 	row := make(map[string]int, len(interfaces))
 	for j := len(interfaces) - 1; j >= 0; j-- {
 		row[interfaces[j]] = j
 	}
+	return &Relations{interfaces: interfaces, row: row}
+}
+
+// Build assembles the group relation of the given clusters.
+func (rs *Relations) Build(group []*Cluster) *Relation {
+	// Row j of the relation holds its labels and instances at
+	// [j*k, (j+1)*k) of two arrays; row[iface] is the first row of iface.
+	k := len(group)
+	interfaces, row := rs.interfaces, rs.row
 	labels := make([]string, len(interfaces)*k)
 	instances := make([][]string, len(interfaces)*k)
 	for i, c := range group {

@@ -43,9 +43,8 @@ package match
 import (
 	"context"
 	"fmt"
-	"slices"
-	"strings"
 
+	"qilabel/internal/cluster"
 	"qilabel/internal/lexicon"
 	"qilabel/internal/naming"
 	"qilabel/internal/pool"
@@ -160,58 +159,108 @@ func (f *forest) union(a, b int32) {
 }
 
 // blockIndex is the blocked pass's candidate index. Field i's block keys
-// are the dense key IDs ids[off[i]:off[i+1]]; postings[id] lists the
-// fields carrying key id in ascending order, and at[k] is field i's
-// position in the posting list of ids[k], so a row enters each list right
-// after itself. Label equivalence keys and instance values are two key
-// spaces, one map each, so neither needs a prefix to stay apart.
+// are the dense key IDs ids[off[i]:off[i+1]]; the posting list of key id,
+// postings(id), lists the fields carrying it in ascending order, and at[k]
+// is field i's position in the posting list of ids[k], so a row enters
+// each list right after itself. Label equivalence keys and instance values
+// are two key spaces, one map each, so neither needs a prefix to stay
+// apart. Each distinct label's keys and each distinct instance set's
+// values are resolved to key IDs once, when a field first carries them.
+// The posting lists are laid out back to back in flat once every field is
+// added (finish).
 type blockIndex struct {
 	off, ids, at []int32
-	postings     [][]int32
+	count        []int32          // per key: its posting list's length
+	start, flat  []int32          // postings(id) = flat[start[id]:start[id+1]]
 	byKey        map[string]int32 // label equivalence keys
 	byValue      map[string]int32 // instance values
+	labelKeys    [][]int32        // per table label ID: its key IDs (nil: not resolved)
+	setValues    [][]int32        // per table set ID: its value IDs
 }
 
-func newBlockIndex(n int) blockIndex {
+func newBlockIndex(tab *cluster.Table) blockIndex {
+	// The maps are sized for what they can hold at most: every value of
+	// every distinct set, and a few keys per distinct label.
+	values := 0
+	for _, set := range tab.Sets {
+		values += len(set)
+	}
 	return blockIndex{
-		off:     make([]int32, 1, n+1),
-		byKey:   make(map[string]int32),
-		byValue: make(map[string]int32),
+		off:       make([]int32, 1, len(tab.Leaves)+1),
+		byKey:     make(map[string]int32, 2*len(tab.Labels)),
+		byValue:   make(map[string]int32, values),
+		labelKeys: make([][]int32, len(tab.Labels)),
+		setValues: make([][]int32, len(tab.Sets)),
 	}
 }
 
-// add appends the next field's block keys: its label's equivalence keys
-// and its instance values.
-func (x *blockIndex) add(labelKeys, values []string) {
-	for _, k := range labelKeys {
-		x.post(x.byKey, k)
+// add appends the next field's block keys: the key IDs of its label's
+// equivalence keys (label: its table ID, or -1) and of its instance values
+// (set: its table set ID).
+func (x *blockIndex) add(sem *naming.Semantics, tab *cluster.Table, label, set int32) {
+	if label >= 0 {
+		if x.labelKeys[label] == nil {
+			x.labelKeys[label] = x.resolve(x.byKey, sem.EquivalenceKeys(tab.Labels[label]))
+		}
+		x.post(x.labelKeys[label])
 	}
-	for _, v := range values {
-		x.post(x.byValue, v)
+	if set > 0 {
+		if x.setValues[set] == nil {
+			x.setValues[set] = x.resolve(x.byValue, tab.Sets[set])
+		}
+		x.post(x.setValues[set])
 	}
 	x.off = append(x.off, int32(len(x.ids)))
 }
 
-// post appends the field being added to the posting list of key k in the
-// given key space.
-func (x *blockIndex) post(space map[string]int32, k string) {
-	i := int32(len(x.off) - 1)
-	id, ok := space[k]
-	if !ok {
-		id = int32(len(x.postings))
-		space[k] = id
-		x.postings = append(x.postings, nil)
+// resolve returns the key IDs of keys in the given key space, numbering
+// the keys it has not seen; the result is never nil.
+func (x *blockIndex) resolve(space map[string]int32, keys []string) []int32 {
+	ids := make([]int32, len(keys))
+	for i, k := range keys {
+		id, ok := space[k]
+		if !ok {
+			id = int32(len(x.count))
+			space[k] = id
+			x.count = append(x.count, 0)
+		}
+		ids[i] = id
 	}
-	x.ids = append(x.ids, id)
-	x.at = append(x.at, int32(len(x.postings[id])))
-	x.postings[id] = append(x.postings[id], i)
+	return ids
 }
+
+// post adds the field being added to the posting lists of the given keys.
+func (x *blockIndex) post(ids []int32) {
+	for _, id := range ids {
+		x.ids = append(x.ids, id)
+		x.at = append(x.at, x.count[id])
+		x.count[id]++
+	}
+}
+
+// finish lays the posting lists out once every field is added.
+func (x *blockIndex) finish() {
+	x.start = make([]int32, len(x.count)+1)
+	for id, n := range x.count {
+		x.start[id+1] = x.start[id] + n
+	}
+	x.flat = make([]int32, len(x.ids))
+	for i := 0; i+1 < len(x.off); i++ {
+		for p := x.off[i]; p < x.off[i+1]; p++ {
+			x.flat[x.start[x.ids[p]]+x.at[p]] = int32(i)
+		}
+	}
+}
+
+// postings returns the posting list of key id.
+func (x *blockIndex) postings(id int32) []int32 { return x.flat[x.start[id]:x.start[id+1]] }
 
 // fieldInfo is one leaf of the source trees with the normalizations the
 // similarity signals need, computed once instead of per pair.
 type fieldInfo struct {
 	leaf  *schema.Node
 	label string   // trimmed label ("" when unusable)
+	id    int32    // the label's ID in the run's analysis table; -1: none
 	inst  []string // case-folded, trimmed instance values, sorted and distinct
 }
 
@@ -228,7 +277,13 @@ func Assign(trees []*schema.Tree, opts Options) int {
 // similarity pass checks ctx between rows and returns ctx.Err() once the
 // context is done, leaving the trees' annotations untouched.
 func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int, error) {
-	fields, ifaces := collectFields(trees)
+	return AssignTable(ctx, cluster.NewTable(trees), opts)
+}
+
+// AssignTable is AssignContext over a table of the trees: every leaf of
+// the table is a field, in table order.
+func AssignTable(ctx context.Context, tab *cluster.Table, opts Options) (int, error) {
+	fields, ifaces := tableFields(tab)
 
 	// The shared analysis table normalizes every field label once; each
 	// worker's Semantics reads it instead of re-analyzing into a cold
@@ -248,16 +303,27 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 			analysis = naming.PrecomputeAnalysis(opts.Lexicon, labels)
 		}
 
+		// The fields' label IDs, resolved once per distinct label.
+		ids := make([]int32, len(tab.Labels))
+		for i, l := range tab.Labels {
+			ids[i] = -1
+			if id, ok := analysis.ID(l); ok {
+				ids[i] = id
+			}
+		}
+		for i, l := range tab.Leaves {
+			if l.Trimmed >= 0 {
+				fields[i].id = ids[l.Trimmed]
+			}
+		}
+
 		// Block-key index over the fields in index order.
 		keySem := analysis.Semantics()
-		index = newBlockIndex(len(fields))
-		for i := range fields {
-			var keys []string
-			if fields[i].label != "" {
-				keys = keySem.EquivalenceKeys(fields[i].label)
-			}
-			index.add(keys, fields[i].inst)
+		index = newBlockIndex(tab)
+		for _, l := range tab.Leaves {
+			index.add(keySem, tab, l.Trimmed, l.Set)
 		}
+		index.finish()
 	}
 
 	// Pairwise similarity in rounds of roundRows rows, one row per field:
@@ -318,7 +384,7 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 		epoch := rb.beginRow(len(fields))
 		iface, root := ifaces[i], roots.root[i]
 		for p := index.off[i]; p < index.off[i+1]; p++ {
-			for _, j := range index.postings[index.ids[p]][index.at[p]+1:] {
+			for _, j := range index.postings(index.ids[p])[index.at[p]+1:] {
 				if ifaces[j] == iface || roots.root[j] == root || rb.stamp[j] == epoch {
 					continue
 				}
@@ -354,34 +420,19 @@ func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int
 	return clusterize(fields, ifaces, roots.root), nil
 }
 
-// collectFields flattens the trees' leaves into fieldInfos with the
-// normalizations the similarity signals need, computed once instead of per
-// pair. It also returns each field's interface ordinal, equal exactly when
-// the Interface strings are: a session may stack two copies of one
-// interface, so an interface's fields need not be contiguous.
-func collectFields(trees []*schema.Tree) ([]fieldInfo, []int32) {
-	var fields []fieldInfo
-	var ifaces []int32
-	ordinal := make(map[string]int32)
-	for _, t := range trees {
-		o, ok := ordinal[t.Interface]
-		if !ok {
-			o = int32(len(ordinal))
-			ordinal[t.Interface] = o
+// tableFields lists the table's leaves as fieldInfos, with each field's
+// interface ordinal, equal exactly when the Interface strings are: a
+// session may stack two copies of one interface, so an interface's fields
+// need not be contiguous.
+func tableFields(tab *cluster.Table) ([]fieldInfo, []int32) {
+	fields := make([]fieldInfo, len(tab.Leaves))
+	ifaces := make([]int32, len(tab.Leaves))
+	for i, l := range tab.Leaves {
+		fields[i] = fieldInfo{leaf: l.Node, id: -1, inst: tab.Sets[l.Set]}
+		if l.Trimmed >= 0 {
+			fields[i].label = tab.Labels[l.Trimmed]
 		}
-		for _, leaf := range t.Leaves() {
-			f := fieldInfo{leaf: leaf, label: strings.TrimSpace(leaf.Label)}
-			if len(leaf.Instances) > 0 {
-				f.inst = make([]string, len(leaf.Instances))
-				for i, v := range leaf.Instances {
-					f.inst[i] = strings.ToLower(strings.TrimSpace(v))
-				}
-				slices.Sort(f.inst)
-				f.inst = slices.Compact(f.inst)
-			}
-			fields = append(fields, f)
-			ifaces = append(ifaces, o)
-		}
+		ifaces[i] = tab.Sources[l.Source].Ordinal
 	}
 	return fields, ifaces
 }
@@ -423,8 +474,14 @@ func clusterize(fields []fieldInfo, ifaces []int32, roots []int32) int {
 
 // matchFields evaluates the two similarity signals on precomputed fields.
 func matchFields(sem *naming.Semantics, a, b *fieldInfo) bool {
-	if a.label != "" && b.label != "" && sem.Equivalent(a.label, b.label) {
-		return true
+	if a.label != "" && b.label != "" {
+		if a.id >= 0 && b.id >= 0 {
+			if sem.EquivalentIDs(a.id, b.id, a.label, b.label) {
+				return true
+			}
+		} else if sem.Equivalent(a.label, b.label) {
+			return true
+		}
 	}
 	return len(a.inst) > 0 && len(b.inst) > 0 && jaccard(a.inst, b.inst) >= minOverlap
 }
@@ -471,18 +528,16 @@ func Evaluate(truth []*schema.Tree, opts Options) Quality {
 	}
 	n := Assign(copies, opts)
 
-	gold := map[int]string{}     // field index -> gold cluster
-	assigned := map[int]string{} // field index -> matcher cluster
-	idx := 0
-	for ti, t := range truth {
-		gLeaves := t.Leaves()
-		aLeaves := copies[ti].Leaves()
-		for li := range gLeaves {
-			gold[idx] = gLeaves[li].Cluster
-			assigned[idx] = aLeaves[li].Cluster
-			idx++
-		}
+	// Field i of the truth's table is field i of the copies'.
+	gLeaves := cluster.NewTable(truth).Leaves
+	aLeaves := cluster.NewTable(copies).Leaves
+	gold := make([]string, len(gLeaves))     // field index -> gold cluster
+	assigned := make([]string, len(gLeaves)) // field index -> matcher cluster
+	for i := range gLeaves {
+		gold[i] = gLeaves[i].Node.Cluster
+		assigned[i] = aLeaves[i].Node.Cluster
 	}
+	idx := len(gold)
 	var tp, fp, fn int
 	for i := 0; i < idx; i++ {
 		for j := i + 1; j < idx; j++ {

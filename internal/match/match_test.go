@@ -3,6 +3,7 @@ package match
 import (
 	"testing"
 
+	"qilabel/internal/cluster"
 	"qilabel/internal/dataset"
 	"qilabel/internal/schema"
 )
@@ -104,15 +105,15 @@ func TestEvaluateOnCorpus(t *testing.T) {
 	}
 }
 
-// TestJaccard covers the instance signal through collectFields'
+// TestJaccard covers the instance signal through the table's
 // normalization: values compare case-folded, trimmed and deduplicated.
 func TestJaccard(t *testing.T) {
-	fields, _ := collectFields([]*schema.Tree{
+	fields, _ := tableFields(cluster.NewTable([]*schema.Tree{
 		schema.NewTree("a", schema.NewField("", "", "a", " b")),
 		schema.NewTree("b", schema.NewField("", "", "B", "c ")),
 		schema.NewTree("c", schema.NewField("", "")),
 		schema.NewTree("d", schema.NewField("", "", "B", " a", "A")),
-	})
+	}))
 	if j := jaccard(fields[0].inst, fields[3].inst); j != 1 {
 		t.Errorf("jaccard = %v, want 1 (a repeated value counts once)", j)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"qilabel/internal/cluster"
 	"qilabel/internal/naming"
 	"qilabel/internal/schema"
 )
@@ -50,7 +51,7 @@ func TestRoundsScheduleIndependent(t *testing.T) {
 	ctx := context.Background()
 	for seed := uint64(1); seed <= 4; seed++ {
 		trees := growingCorpus(t, seed, 40)
-		if fields, _ := collectFields(trees); len(fields) <= 3*roundRows {
+		if fields, _ := tableFields(cluster.NewTable(trees)); len(fields) <= 3*roundRows {
 			t.Fatalf("seed %d: %d fields span too few rounds", seed, len(fields))
 		}
 		ref := cloneTrees(trees)

@@ -3,21 +3,16 @@ package merge
 import (
 	"slices"
 	"sort"
-	"strings"
 )
 
 // iunit is the interned working form of a unit inside
-// unionCrossingPairHeap: the cluster set is a sorted slice of dense cluster
-// IDs, so crossing tests and unions are merge-scans instead of map walks,
-// and the lexicographic order of two units' canonical keys is exactly the
-// lexicographic order of their ID slices (IDs are assigned in sorted-name
-// order and names are separator-free, so joined-name comparison and
-// ID-sequence comparison agree).
+// unionCrossingPairHeap: the cluster set is a sorted slice of cluster
+// ranks, as in a unit.
 type iunit struct {
 	set         []int32
 	mkey        string // binary encoding of set: the work-map dedup key
 	support     int
-	occurrences []occurrence
+	occurrences []int32
 	alive       bool
 }
 
@@ -38,34 +33,12 @@ func pairLess(x, y lamPair) bool {
 // inverted cluster→units index. Two units can only cross if they share a
 // cluster, every unit's crossing partners are enumerated once at its
 // creation, and stale heap entries (an endpoint already merged away) are
-// discarded lazily on pop. It returns the whole family sorted by key.
-func unionCrossingPairHeap(units map[string]*unit) []*unit {
-	// Intern cluster names in sorted order so ID order mirrors name order.
-	nameSet := make(map[string]struct{})
-	for _, u := range units {
-		for c := range u.clusters {
-			nameSet[c] = struct{}{}
-		}
-	}
-	names := make([]string, 0, len(nameSet))
-	for c := range nameSet {
-		names = append(names, c)
-	}
-	sort.Strings(names)
-	id := make(map[string]int32, len(names))
-	for i, c := range names {
-		id[c] = int32(i)
-	}
-
+// discarded lazily on pop. It returns the whole family sorted by set.
+func unionCrossingPairHeap(units map[string]*unit, universeSize int) []*unit {
 	ius := make([]*iunit, 0, len(units))
 	work := make(map[string]*iunit, len(units))
 	for _, u := range units {
-		set := make([]int32, 0, u.size)
-		for c := range u.clusters {
-			set = append(set, id[c])
-		}
-		slices.Sort(set)
-		w := &iunit{set: set, mkey: string(appendIDs(nil, set)), support: u.support,
+		w := &iunit{set: u.set, mkey: string(appendIDs(nil, u.set)), support: u.support,
 			occurrences: u.occurrences, alive: true}
 		work[w.mkey] = w
 		ius = append(ius, w)
@@ -74,7 +47,7 @@ func unionCrossingPairHeap(units map[string]*unit) []*unit {
 	// Inverted index clusterID → indices into ius. Dead units linger in the
 	// lists and are skipped on enumeration; seen-stamps dedupe partners that
 	// share several clusters with the probe unit.
-	inv := make([][]int32, len(names))
+	inv := make([][]int32, universeSize)
 	seen := make([]int, len(ius))
 	stamp := 0
 	var heap pairHeap
@@ -125,7 +98,7 @@ func unionCrossingPairHeap(units map[string]*unit) []*unit {
 			ex.occurrences = append(ex.occurrences, b.occurrences...)
 		} else {
 			w := &iunit{set: merged, mkey: k, support: a.support + b.support,
-				occurrences: append(append([]occurrence(nil),
+				occurrences: append(append([]int32(nil),
 					a.occurrences...), b.occurrences...), alive: true}
 			work[k] = w
 			wi := int32(len(ius))
@@ -137,16 +110,9 @@ func unionCrossingPairHeap(units map[string]*unit) []*unit {
 
 	out := make([]*unit, 0, len(work))
 	for _, w := range work {
-		clusters := make(map[string]bool, len(w.set))
-		ns := make([]string, len(w.set))
-		for i, cid := range w.set {
-			clusters[names[cid]] = true
-			ns[i] = names[cid]
-		}
-		out = append(out, &unit{key: strings.Join(ns, "\x00"), clusters: clusters,
-			support: w.support, size: len(w.set), occurrences: w.occurrences})
+		out = append(out, &unit{set: w.set, key: w.mkey, support: w.support, occurrences: w.occurrences})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	sort.Slice(out, func(i, j int) bool { return slices.Compare(out[i].set, out[j].set) < 0 })
 	return out
 }
 

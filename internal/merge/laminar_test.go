@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -14,35 +15,36 @@ import (
 	"qilabel/internal/synth"
 )
 
-// crosses reports whether two sets overlap without one containing the
-// other: the map form the oracle and the laminar-property checks use.
-func crosses(a, b map[string]bool) bool {
-	inter := 0
-	for x := range a {
-		if b[x] {
-			inter++
-		}
-	}
-	return inter > 0 && inter != len(a) && inter != len(b)
-}
-
 // unionCrossingOracle is the definition of the union sequence: at every
 // step it scans all live pairs for the lexicographically smallest crossing
-// pair (keyA, keyB), keyA < keyB, and replaces the pair with its union,
-// folding the evidence into a live unit that already has the union's set.
-// Live units are kept sorted by key, so the first crossing pair the scan
-// meets is the smallest one.
-func unionCrossingOracle(units map[string]*unit) []*unit {
+// pair (keyA, keyB), keyA < keyB, of joined-name keys, and replaces the
+// pair with its union, folding the evidence into a live unit that already
+// has the union's set. Live units are kept sorted by key, so the first
+// crossing pair the scan meets is the smallest one. It works on names
+// (names[r] is the name of rank r), so it also checks that rank order is
+// name order.
+func unionCrossingOracle(units map[string]*unit, names []string) []*unit {
 	type named struct {
 		u     *unit
 		names []string // sorted
+		key   string
+	}
+	nameKey := func(ns []string) string { return strings.Join(ns, "\x00") }
+	rankOf := make(map[string]int32, len(names))
+	for r, n := range names {
+		rankOf[n] = int32(r)
 	}
 	live := make([]named, 0, len(units))
 	for _, u := range units {
-		live = append(live, named{u, strings.Split(u.key, "\x00")})
+		ns := make([]string, len(u.set))
+		for i, r := range u.set {
+			ns[i] = names[r]
+		}
+		sort.Strings(ns)
+		live = append(live, named{u, ns, nameKey(ns)})
 	}
 	for {
-		sort.Slice(live, func(i, j int) bool { return live[i].u.key < live[j].u.key })
+		sort.Slice(live, func(i, j int) bool { return live[i].key < live[j].key })
 		ai, bi := -1, -1
 	scan:
 		for i := range live {
@@ -60,37 +62,42 @@ func unionCrossingOracle(units map[string]*unit) []*unit {
 			}
 			return out
 		}
-		a, b := live[ai].u, live[bi].u
+		a, b := live[ai], live[bi]
 		live = append(live[:bi], live[bi+1:]...)
 		live = append(live[:ai], live[ai+1:]...)
-		clusters := make(map[string]bool, a.size+b.size)
-		for c := range a.clusters {
-			clusters[c] = true
+		union := map[string]bool{}
+		for _, c := range append(append([]string(nil), a.names...), b.names...) {
+			union[c] = true
 		}
-		for c := range b.clusters {
-			clusters[c] = true
+		ns := make([]string, 0, len(union))
+		for c := range union {
+			ns = append(ns, c)
 		}
-		k := key(clusters)
+		sort.Strings(ns)
+		k := nameKey(ns)
 		var ex *unit
 		for _, v := range live {
-			if v.u.key == k {
+			if v.key == k {
 				ex = v.u
 			}
 		}
 		if ex != nil {
-			ex.support += a.support + b.support
-			ex.occurrences = append(ex.occurrences, a.occurrences...)
-			ex.occurrences = append(ex.occurrences, b.occurrences...)
+			ex.support += a.u.support + b.u.support
+			ex.occurrences = append(ex.occurrences, a.u.occurrences...)
+			ex.occurrences = append(ex.occurrences, b.u.occurrences...)
 			continue
 		}
-		live = append(live, named{&unit{key: k, clusters: clusters, size: len(clusters),
-			support:     a.support + b.support,
-			occurrences: append(append([]occurrence(nil), a.occurrences...), b.occurrences...)},
-			strings.Split(k, "\x00")})
+		set := make([]int32, len(ns))
+		for i, c := range ns {
+			set[i] = rankOf[c]
+		}
+		live = append(live, named{&unit{set: set, support: a.u.support + b.u.support,
+			occurrences: append(append([]int32(nil), a.u.occurrences...), b.u.occurrences...)},
+			ns, k})
 	}
 }
 
-// crossesSorted is crosses over sorted name lists.
+// crossesSorted is crossing over sorted name lists.
 func crossesSorted(a, b []string) bool {
 	inter, aOnly, bOnly := false, false, false
 	i, j := 0, 0
@@ -116,88 +123,94 @@ func crossesSorted(a, b []string) bool {
 func cloneUnits(units map[string]*unit) map[string]*unit {
 	out := make(map[string]*unit, len(units))
 	for k, u := range units {
-		c := *u
-		c.occurrences = append([]occurrence(nil), u.occurrences...)
-		out[k] = &c
+		out[k] = &unit{set: u.set, key: u.key, support: u.support,
+			occurrences: append([]int32(nil), u.occurrences...), alive: true}
 	}
 	return out
 }
 
 // diffFamilies reports the first difference between two families sorted
-// by key: sets, support and the order of the occurrences.
+// by set: sets, support and the order of the occurrences.
 func diffFamilies(got, want []*unit) string {
 	if len(got) != len(want) {
 		return fmt.Sprintf("%d units, want %d", len(got), len(want))
 	}
 	for i, g := range got {
 		w := want[i]
-		if g.key != w.key || g.size != w.size || g.support != w.support ||
-			len(g.clusters) != g.size || len(g.occurrences) != len(w.occurrences) {
-			return fmt.Sprintf("unit %d: %q size %d support %d occurrences %d, want %q size %d support %d occurrences %d",
-				i, g.key, g.size, g.support, len(g.occurrences), w.key, w.size, w.support, len(w.occurrences))
+		if !slices.Equal(g.set, w.set) || g.support != w.support || len(g.occurrences) != len(w.occurrences) {
+			return fmt.Sprintf("unit %d: %v support %d occurrences %d, want %v support %d occurrences %d",
+				i, g.set, g.support, len(g.occurrences), w.set, w.support, len(w.occurrences))
 		}
-		if key(g.clusters) != g.key {
-			return fmt.Sprintf("unit %d: clusters %v disagree with key %q", i, g.clusters, g.key)
+		if g.key != "" && g.key != string(appendIDs(nil, g.set)) {
+			return fmt.Sprintf("unit %d: key disagrees with set %v", i, g.set)
 		}
-		for j, o := range g.occurrences {
-			if o != w.occurrences[j] {
-				return fmt.Sprintf("unit %d (%q): occurrence %d differs", i, g.key, j)
-			}
+		if !slices.Equal(g.occurrences, w.occurrences) {
+			return fmt.Sprintf("unit %d (%v): occurrences %v, want %v", i, g.set, g.occurrences, w.occurrences)
 		}
 	}
 	return ""
 }
 
+// corpus is a table of annotated trees with its merge units.
+type corpus struct {
+	tab   *cluster.Table
+	units map[string]*unit
+	names []string // by rank
+}
+
 // unitsOf collects the merge units of a corpus whose leaves carry their
 // clusters.
-func unitsOf(t testing.TB, trees []*schema.Tree) (map[string]*unit, int) {
+func unitsOf(t testing.TB, trees []*schema.Tree) corpus {
 	t.Helper()
-	m, err := cluster.FromTrees(trees)
+	tab := cluster.NewTable(trees)
+	m, err := tab.DeriveMapping()
 	if err != nil {
 		t.Fatal(err)
 	}
-	universe := make(map[string]bool, len(m.Clusters))
-	for _, c := range m.Clusters {
-		universe[c.Name] = true
+	byRank, rank := ranks(tab.Names[:len(m.Clusters)])
+	names := make([]string, len(byRank))
+	for r, id := range byRank {
+		names[r] = tab.Names[id]
 	}
-	return collectUnits(trees, universe), len(universe)
+	return corpus{tab, collectUnits(tab, rank), names}
 }
 
 // checkUnionSequence runs the indexed union loop, the pair-heap reference
 // and the oracle on copies of the same units and compares the families,
 // then compares selectLaminar with the reference's filtered family. It
 // returns the indexed loop's family.
-func checkUnionSequence(t *testing.T, name string, units map[string]*unit, universeSize int) []*unit {
+func checkUnionSequence(t *testing.T, name string, c corpus) []*unit {
 	t.Helper()
-	got, err := unionCrossing(context.Background(), cloneUnits(units))
+	n := len(c.names)
+	got, err := unionCrossing(context.Background(), cloneUnits(c.units), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := unionCrossingPairHeap(cloneUnits(units))
+	ref := unionCrossingPairHeap(cloneUnits(c.units), n)
 	if d := diffFamilies(got, ref); d != "" {
 		t.Fatalf("%s: unionCrossing vs pair heap: %s", name, d)
 	}
-	if d := diffFamilies(got, unionCrossingOracle(cloneUnits(units))); d != "" {
+	if d := diffFamilies(got, unionCrossingOracle(cloneUnits(c.units), c.names)); d != "" {
 		t.Fatalf("%s: unionCrossing vs oracle: %s", name, d)
 	}
 	for i, u := range got {
 		for _, v := range got[i+1:] {
-			if crosses(u.clusters, v.clusters) {
-				t.Fatalf("%s: family not laminar: %q crosses %q", name, u.key, v.key)
+			if crossesIDs(u.set, v.set) {
+				t.Fatalf("%s: family not laminar: %v crosses %v", name, u.set, v.set)
 			}
 		}
 	}
-	sel, err := selectLaminar(context.Background(), cloneUnits(units), universeSize)
+	sel, err := selectLaminar(context.Background(), c.tab.Nodes, cloneUnits(c.units), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var filtered []*unit
 	for _, u := range ref {
-		if u.size < universeSize {
+		if len(u.set) < n {
 			filtered = append(filtered, u)
 		}
 	}
-	if d := diffFamilies(sel, dropUnobservedNesting(filtered)); d != "" {
+	if d := diffFamilies(sel, dropUnobservedNesting(c.tab.Nodes, filtered)); d != "" {
 		t.Fatalf("%s: selectLaminar vs pair heap: %s", name, d)
 	}
 	return got
@@ -220,14 +233,18 @@ func TestSelectLaminarOrderFixture(t *testing.T) {
 			schema.NewGroup("G13", schema.NewField("1", "c_1"), schema.NewField("3", "c_3")),
 			schema.NewField("2", "c_2"), schema.NewField("4", "c_4")),
 	}
-	units, universeSize := unitsOf(t, trees)
-	if universeSize != 4 || len(units) != 3 {
-		t.Fatalf("fixture has %d clusters and %d units, want 4 and 3", universeSize, len(units))
+	c := unitsOf(t, trees)
+	if len(c.names) != 4 || len(c.units) != 3 {
+		t.Fatalf("fixture has %d clusters and %d units, want 4 and 3", len(c.names), len(c.units))
 	}
-	family := checkUnionSequence(t, "fixture", units, universeSize)
+	family := checkUnionSequence(t, "fixture", c)
 	var keys []string
 	for _, u := range family {
-		keys = append(keys, strings.ReplaceAll(u.key, "\x00", ","))
+		var ns []string
+		for _, r := range u.set {
+			ns = append(ns, c.names[r])
+		}
+		keys = append(keys, strings.Join(ns, ","))
 	}
 	if got, want := strings.Join(keys, " "), "c_1,c_2,c_3 c_2,c_3"; got != want {
 		t.Fatalf("family = %s, want %s", got, want)
@@ -242,8 +259,7 @@ func TestSelectLaminarOrderFixture(t *testing.T) {
 // corpora and on larger random corpora with heavily overlapping groups.
 func TestSelectLaminarMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
-		units, n := unitsOf(t, randomTrees(seed))
-		checkUnionSequence(t, fmt.Sprintf("randomTrees(%d)", seed), units, n)
+		checkUnionSequence(t, fmt.Sprintf("randomTrees(%d)", seed), unitsOf(t, randomTrees(seed)))
 	}
 	large := 1000
 	if testing.Short() {
@@ -252,9 +268,9 @@ func TestSelectLaminarMatchesReference(t *testing.T) {
 	unions := 0
 	for seed := uint64(0); seed < uint64(large); seed++ {
 		trees := randomOverlapTrees(rand.New(rand.NewPCG(seed, 17)))
-		units, n := unitsOf(t, trees)
-		fam := checkUnionSequence(t, fmt.Sprintf("randomOverlapTrees(%d)", seed), units, n)
-		unions += len(units) - len(fam)
+		c := unitsOf(t, trees)
+		fam := checkUnionSequence(t, fmt.Sprintf("randomOverlapTrees(%d)", seed), c)
+		unions += len(c.units) - len(fam)
 	}
 	if unions == 0 {
 		t.Fatal("the random corpora never needed a union")
@@ -267,9 +283,9 @@ func TestSelectLaminarMegaSubset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mega corpus skipped in -short mode")
 	}
-	units, n := unitsOf(t, megaSubset(t))
-	fam := checkUnionSequence(t, "mega subset", units, n)
-	t.Logf("%d units over %d clusters, %d left after the unions", len(units), n, len(fam))
+	c := unitsOf(t, megaSubset(t))
+	fam := checkUnionSequence(t, "mega subset", c)
+	t.Logf("%d units over %d clusters, %d left after the unions", len(c.units), len(c.names), len(fam))
 }
 
 // megaSubset draws 192 of 288 mega-preset sources, 1:m-expanded: the
@@ -344,14 +360,14 @@ func randomOverlapTrees(r *rand.Rand) []*schema.Tree {
 func TestUnionCrossingMemoryLinear(t *testing.T) {
 	const n = 20000
 	units := make(map[string]*unit, n)
-	for i := 0; i < n; i++ {
-		clusters := map[string]bool{fmt.Sprintf("c%06d", 2*i): true, fmt.Sprintf("c%06d", 2*i+1): true}
-		k := key(clusters)
-		units[k] = &unit{key: k, clusters: clusters, support: 1, size: 2}
+	for i := int32(0); i < n; i++ {
+		set := []int32{2 * i, 2*i + 1}
+		k := string(appendIDs(nil, set))
+		units[k] = &unit{set: set, key: k, support: 1, alive: true}
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	fam, err := unionCrossing(context.Background(), units)
+	fam, err := unionCrossing(context.Background(), units, 2*n)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +377,7 @@ func TestUnionCrossingMemoryLinear(t *testing.T) {
 	}
 	perUnit := float64(after.TotalAlloc-before.TotalAlloc) / n
 	t.Logf("%.0f bytes allocated per unit", perUnit)
-	const limit = 2048
+	const limit = 512
 	if perUnit > limit {
 		t.Fatalf("%.0f bytes allocated per unit, limit %d", perUnit, limit)
 	}

@@ -60,26 +60,27 @@ type Result struct {
 // unit is a candidate internal node of the integrated tree: a set of
 // clusters observed together under one source internal node.
 type unit struct {
-	key      string // canonical sorted key
-	clusters map[string]bool
-	support  int // number of source internal nodes exhibiting exactly this set
-	size     int
-	// occurrences are the source internal nodes that contributed this unit
-	// (after a union, the nodes of all fragments). They provide the
-	// evidence for keeping nested units as hierarchy.
-	occurrences []occurrence
-}
+	// set is the cluster set as sorted cluster ranks: a cluster's rank is
+	// its position in name order, so the lexicographic order of two sets is
+	// the order of their joined-name keys (names are separator-free).
+	set     []int32
+	key     string // appendIDs(set): the dedup key
+	support int    // number of source internal nodes exhibiting exactly this set
+	// occurrences are the source internal nodes (Table.Nodes indexes) that
+	// contributed this unit (after a union, the nodes of all fragments).
+	// They provide the evidence for keeping nested units as hierarchy.
+	occurrences []int32
 
-// occurrence ties a unit to a concrete internal node of a source tree.
-type occurrence struct {
-	tree *schema.Tree
-	node *schema.Node
+	// unionCrossing's working state.
+	alive  bool
+	seen   int // stamp of the last partner search that met it
+	shared int // clusters it shares with that search's unit
 }
 
 // Merge integrates the given source trees. The trees must already have 1:m
 // correspondences expanded (cluster.ExpandOneToMany) and every leaf must
 // carry a cluster name; m must be the mapping derived from the same trees.
-// Merge checks all of this and then runs MergeContext.
+// Merge checks all of this and then runs MergeTable.
 func Merge(trees []*schema.Tree, m *cluster.Mapping) (*Result, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -88,106 +89,98 @@ func Merge(trees []*schema.Tree, m *cluster.Mapping) (*Result, error) {
 		if err := t.Validate(); err != nil {
 			return nil, err
 		}
-		for _, leaf := range t.Leaves() {
-			if len(leaf.MultiClusters) > 0 {
-				return nil, fmt.Errorf("merge: %s has unexpanded 1:m leaf %q", t.Interface, leaf.Label)
-			}
+	}
+	tab := cluster.NewTable(trees)
+	for _, l := range tab.Leaves {
+		if len(l.Node.MultiClusters) > 0 {
+			return nil, fmt.Errorf("merge: %s has unexpanded 1:m leaf %q",
+				tab.Sources[l.Source].Interface, l.Node.Label)
 		}
 	}
-	return MergeContext(context.Background(), trees, m)
+	return MergeTable(context.Background(), tab.Bind(m))
 }
 
-// MergeContext is Merge with cooperative cancellation: the laminar-family
-// construction — the merge's only super-linear loop — checks ctx between
-// union steps and returns ctx.Err() once the context is done. It trusts
-// its inputs as the pipeline hands them over: trees that passed
+// MergeContext is MergeTable over a table of the given trees bound to m.
+// It trusts its inputs as the pipeline hands them over: trees that passed
 // Tree.Validate before their 1:m leaves were expanded, and a mapping
 // cluster.FromTrees built from them (which rejects unexpanded leaves), or
 // a subset of its clusters.
 func MergeContext(ctx context.Context, trees []*schema.Tree, m *cluster.Mapping) (*Result, error) {
-	if len(trees) == 0 {
+	return MergeTable(ctx, cluster.NewTable(trees).Bind(m))
+}
+
+// MergeTable integrates the sources of a table bound to its mapping, with
+// cooperative cancellation: the laminar-family construction — the merge's
+// only super-linear loop — checks ctx between union steps and returns
+// ctx.Err() once the context is done. The universe is the mapping's
+// clusters; fields of clusters the mapping lacks are ignored.
+func MergeTable(ctx context.Context, tab *cluster.Table) (*Result, error) {
+	if len(tab.Trees) == 0 {
 		return nil, errors.New("merge: no source trees")
 	}
-
-	universe := make(map[string]bool, len(m.Clusters))
-	for _, c := range m.Clusters {
-		universe[c.Name] = true
-	}
-	if len(universe) == 0 {
+	m := tab.Mapping
+	n := len(m.Clusters)
+	if n == 0 {
 		return nil, errors.New("merge: mapping has no clusters")
 	}
-
-	units := collectUnits(trees, universe)
-	laminar, err := selectLaminar(ctx, units, len(universe))
+	byRank, rank := ranks(tab.Names[:n])
+	laminar, err := selectLaminar(ctx, tab.Nodes, collectUnits(tab, rank), n)
 	if err != nil {
 		return nil, err
 	}
-	pos := averagePositions(trees)
-	root := buildTree(laminar, universe, pos)
-	tree := &schema.Tree{Interface: "integrated", Root: root}
-
-	res := &Result{Tree: tree, LeafOf: make(map[string]*schema.Node), Mapping: m, Sources: trees}
-	tree.Root.Walk(func(n *schema.Node) bool {
-		if n.IsLeaf() && n.Cluster != "" {
-			res.LeafOf[n.Cluster] = n
-		}
-		return true
-	})
+	res := &Result{LeafOf: make(map[string]*schema.Node, n), Mapping: m, Sources: tab.Trees}
+	root := buildTree(laminar, byRank, averagePositions(tab), tab.Names, res.LeafOf)
+	res.Tree = &schema.Tree{Interface: "integrated", Root: root}
 	classify(res)
 	return res, nil
 }
 
-// collectUnits gathers the cluster sets under every internal node of every
-// source tree (the root excluded: its set is the whole interface, which
-// contributes no grouping information).
-func collectUnits(trees []*schema.Tree, universe map[string]bool) map[string]*unit {
-	units := make(map[string]*unit)
-	for _, t := range trees {
-		for _, n := range t.InternalNodes() {
-			set := n.LeafClusters()
-			if len(set) < 2 {
-				continue // a single field imposes no grouping constraint
-			}
-			filtered := set
-			for c := range set {
-				if !universe[c] {
-					// Out-of-universe clusters (pruned as rare) are the
-					// exception, so the filtered copy is only built when
-					// one actually occurs; LeafClusters returns a fresh
-					// map, so trimming it in place would also be safe,
-					// but the copy keeps this loop obviously local.
-					filtered = make(map[string]bool, len(set))
-					for c := range set {
-						if universe[c] {
-							filtered[c] = true
-						}
-					}
-					break
-				}
-			}
-			if len(filtered) < 2 {
-				continue
-			}
-			k := key(filtered)
-			u := units[k]
-			if u == nil {
-				u = &unit{key: k, clusters: filtered, size: len(filtered)}
-				units[k] = u
-			}
-			u.support++
-			u.occurrences = append(u.occurrences, occurrence{t, n})
-		}
+// ranks numbers the universe's clusters, whose names are names, in name
+// order: byRank lists their IDs by rank, and rank inverts it.
+func ranks(names []string) (byRank, rank []int32) {
+	byRank = make([]int32, len(names))
+	for i := range byRank {
+		byRank[i] = int32(i)
 	}
-	return units
+	slices.SortFunc(byRank, func(a, b int32) int { return strings.Compare(names[a], names[b]) })
+	rank = make([]int32, len(names))
+	for r, id := range byRank {
+		rank[id] = int32(r)
+	}
+	return byRank, rank
 }
 
-func key(set map[string]bool) string {
-	names := make([]string, 0, len(set))
-	for c := range set {
-		names = append(names, c)
+// collectUnits gathers the cluster sets under every internal node of every
+// source (the root excluded: its set is the whole interface, which
+// contributes no grouping information), keyed by appendIDs of the set.
+// rank maps the universe's cluster IDs to their ranks; fields of other
+// clusters (pruned as rare) do not count.
+func collectUnits(tab *cluster.Table, rank []int32) map[string]*unit {
+	units := make(map[string]*unit)
+	limit := int32(len(rank))
+	var set []int32
+	var buf []byte
+	for ni, nd := range tab.Nodes {
+		set = set[:0]
+		for _, l := range tab.Leaves[nd.Lo:nd.Hi] {
+			if l.Cluster >= 0 && l.Cluster < limit {
+				set = append(set, rank[l.Cluster])
+			}
+		}
+		slices.Sort(set)
+		if set = slices.Compact(set); len(set) < 2 {
+			continue // a single field imposes no grouping constraint
+		}
+		buf = appendIDs(buf[:0], set)
+		u := units[string(buf)]
+		if u == nil {
+			u = &unit{set: slices.Clone(set), key: string(buf), alive: true}
+			units[u.key] = u
+		}
+		u.support++
+		u.occurrences = append(u.occurrences, int32(ni))
 	}
-	sort.Strings(names)
-	return strings.Join(names, "\x00")
+	return units
 }
 
 // selectLaminar turns the observed units into a laminar (non-crossing)
@@ -197,27 +190,28 @@ func key(set map[string]bool) string {
 // clusters no single source covers). Units nested by containment survive as
 // hierarchy (super-groups). Units covering the entire universe are
 // redundant with the root and dropped.
-func selectLaminar(ctx context.Context, units map[string]*unit, universeSize int) ([]*unit, error) {
-	family, err := unionCrossing(ctx, units)
+func selectLaminar(ctx context.Context, nodes []cluster.Node, units map[string]*unit, universeSize int) ([]*unit, error) {
+	family, err := unionCrossing(ctx, units, universeSize)
 	if err != nil {
 		return nil, err
 	}
 	out := family[:0]
 	for _, u := range family {
-		if u.size < universeSize {
+		if len(u.set) < universeSize {
 			out = append(out, u)
 		}
 	}
-	return dropUnobservedNesting(out), nil
+	return dropUnobservedNesting(nodes, out), nil
 }
 
-// unionCrossing runs the union steps of selectLaminar and returns the
-// resulting family sorted by key.
+// unionCrossing runs the union steps of selectLaminar over units whose
+// ranks are below universeSize and returns the resulting family sorted by
+// set.
 //
 // The union order matters: the laminar family is not unique, so the result
 // is pinned to one deterministic sequence — at every step, merge the
-// lexicographically smallest crossing pair (keyA, keyB), keyA < keyB.
-// Candidate units wait in a min-heap in key order; each unit enters it
+// lexicographically smallest crossing pair (setA, setB), setA < setB.
+// Candidate units wait in a min-heap in set order; each unit enters it
 // once, when it is created, and the heap holds every live unit that has a
 // crossing partner above it. A popped live unit a is therefore crossed
 // only by units above it (a smaller one would still be in the heap and
@@ -229,51 +223,21 @@ func selectLaminar(ctx context.Context, units map[string]*unit, universeSize int
 // is in a (so in w) and b holds a cluster above it. A dropped unit x that
 // crosses w crosses a or b (a and b overlap), and all of x's partners sort
 // below x, so x sorts above b (b is a's smallest partner) and so above w.
-func unionCrossing(ctx context.Context, units map[string]*unit) ([]*unit, error) {
+func unionCrossing(ctx context.Context, work map[string]*unit, universeSize int) ([]*unit, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	// Intern cluster names in sorted order so ID order mirrors name order:
-	// the lexicographic order of two sorted ID slices is then the order of
-	// the units' joined-name keys (names are separator-free).
-	nameSet := make(map[string]struct{})
-	for _, u := range units {
-		for c := range u.clusters {
-			nameSet[c] = struct{}{}
-		}
-	}
-	names := make([]string, 0, len(nameSet))
-	for c := range nameSet {
-		names = append(names, c)
-	}
-	sort.Strings(names)
-	id := make(map[string]int32, len(names))
-	for i, c := range names {
-		id[c] = int32(i)
+	l := &unionState{inv: make([][]*unit, universeSize)}
+	for _, u := range work {
+		l.add(u)
 	}
 
-	l := &unionState{inv: make([][]*lamUnit, len(names))}
-	work := make(map[string]*lamUnit, len(units))
 	var buf []byte
-	for _, u := range units {
-		set := make([]int32, 0, u.size)
-		for c := range u.clusters {
-			set = append(set, id[c])
-		}
-		slices.Sort(set)
-		buf = appendIDs(buf[:0], set)
-		w := &lamUnit{set: set, key: string(buf), support: u.support,
-			occurrences: u.occurrences, alive: true}
-		work[w.key] = w
-		l.add(w)
-	}
-
 	for len(l.heap) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		a := heap.Pop(&l.heap).(*lamUnit)
+		a := heap.Pop(&l.heap).(*unit)
 		if !a.alive {
 			continue
 		}
@@ -295,8 +259,8 @@ func unionCrossing(ctx context.Context, units map[string]*unit) ([]*unit, error)
 			ex.occurrences = append(ex.occurrences, b.occurrences...)
 			continue
 		}
-		w := &lamUnit{set: merged, key: string(buf), support: a.support + b.support,
-			occurrences: append(append([]occurrence(nil),
+		w := &unit{set: merged, key: string(buf), support: a.support + b.support,
+			occurrences: append(append([]int32(nil),
 				a.occurrences...), b.occurrences...), alive: true}
 		work[w.key] = w
 		l.add(w)
@@ -304,40 +268,22 @@ func unionCrossing(ctx context.Context, units map[string]*unit) ([]*unit, error)
 
 	out := make([]*unit, 0, len(work))
 	for _, w := range work {
-		clusters := make(map[string]bool, len(w.set))
-		ns := make([]string, len(w.set))
-		for i, c := range w.set {
-			clusters[names[c]] = true
-			ns[i] = names[c]
-		}
-		out = append(out, &unit{key: strings.Join(ns, "\x00"), clusters: clusters,
-			support: w.support, size: len(w.set), occurrences: w.occurrences})
+		out = append(out, w)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	slices.SortFunc(out, func(a, b *unit) int { return slices.Compare(a.set, b.set) })
 	return out, nil
-}
-
-// lamUnit is the working form of a unit inside unionCrossing.
-type lamUnit struct {
-	set         []int32 // sorted cluster IDs
-	key         string  // appendIDs(set): the work-map dedup key
-	support     int
-	occurrences []occurrence
-	alive       bool
-	seen        int // stamp of the last partner search that met it
-	shared      int // clusters it shares with that search's unit
 }
 
 // unionState is unionCrossing's candidate heap and inverted index.
 type unionState struct {
 	heap  unitHeap
-	inv   [][]*lamUnit // cluster ID → units holding it
+	inv   [][]*unit // cluster rank → units holding it
 	stamp int
-	met   []*lamUnit // reused: the units one partner search meets
+	met   []*unit // reused: the units one partner search meets
 }
 
 // add indexes a new live unit and makes it a candidate.
-func (l *unionState) add(u *lamUnit) {
+func (l *unionState) add(u *unit) {
 	for _, c := range u.set {
 		l.inv[c] = append(l.inv[c], u)
 	}
@@ -349,7 +295,7 @@ func (l *unionState) add(u *lamUnit) {
 // search costs what the live overlap does. The walk meets a unit v once
 // for every cluster v shares with a, so v crosses a exactly when that
 // count is below both sizes (a itself shares all of its clusters).
-func (l *unionState) partner(a *lamUnit) *lamUnit {
+func (l *unionState) partner(a *unit) *unit {
 	l.stamp++
 	met := l.met[:0]
 	for _, c := range a.set {
@@ -370,7 +316,7 @@ func (l *unionState) partner(a *lamUnit) *lamUnit {
 		clear(list[n:])
 		l.inv[c] = list[:n]
 	}
-	var best *lamUnit
+	var best *unit
 	for _, v := range met {
 		if v.shared < len(a.set) && v.shared < len(v.set) &&
 			(best == nil || slices.Compare(v.set, best.set) < 0) {
@@ -384,12 +330,12 @@ func (l *unionState) partner(a *lamUnit) *lamUnit {
 // unitHeap is a min-heap of candidate units in set order (container/heap).
 // slices.Compare orders sorted ID slices lexicographically, a proper
 // prefix first: the order of the units' keys.
-type unitHeap []*lamUnit
+type unitHeap []*unit
 
 func (h unitHeap) Len() int           { return len(h) }
 func (h unitHeap) Less(i, j int) bool { return slices.Compare(h[i].set, h[j].set) < 0 }
 func (h unitHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *unitHeap) Push(x any)        { *h = append(*h, x.(*lamUnit)) }
+func (h *unitHeap) Push(x any)        { *h = append(*h, x.(*unit)) }
 func (h *unitHeap) Pop() any {
 	s := *h
 	u := s[len(s)-1]
@@ -421,6 +367,22 @@ func unionIDs(a, b []int32) []int32 {
 	return out
 }
 
+// containsIDs reports whether the sorted ID set big holds every member of
+// the sorted ID set small.
+func containsIDs(big, small []int32) bool {
+	i := 0
+	for _, x := range small {
+		for i < len(big) && big[i] < x {
+			i++
+		}
+		if i == len(big) || big[i] != x {
+			return false
+		}
+		i++
+	}
+	return true
+}
+
 // appendIDs appends the 4-byte little-endian encoding of a sorted ID set
 // to buf: the set's dedup key.
 func appendIDs(buf []byte, set []int32) []byte {
@@ -438,17 +400,21 @@ func appendIDs(buf []byte, set []int32) []byte {
 // nested subgroup). Fragments that merely happen to be subsets of a larger
 // observed or unioned group (the aa Passengers pair inside the integrated
 // passenger group) are absorbed instead of creating a spurious level.
-func dropUnobservedNesting(units []*unit) []*unit {
+func dropUnobservedNesting(nodes []cluster.Node, units []*unit) []*unit {
+	// A container of u holds u's first cluster: only the units holding it
+	// are scanned, in order.
+	holders := holdersOf(units)
 	keep := make([]*unit, 0, len(units))
 	for _, u := range units {
 		contained := false
 		evidenced := false
-		for _, v := range units {
-			if v == u || v.size <= u.size || !containsAll(v.clusters, u.clusters) {
+		for _, j := range holders[u.set[0]] {
+			v := units[j]
+			if v == u || len(v.set) <= len(u.set) || !containsIDs(v.set, u.set) {
 				continue
 			}
 			contained = true
-			if nestingObserved(u, v) {
+			if nestingObserved(nodes, u, v) {
 				evidenced = true
 				break
 			}
@@ -460,22 +426,28 @@ func dropUnobservedNesting(units []*unit) []*unit {
 	return keep
 }
 
+// holdersOf lists, per cluster rank, the indexes of the units holding it,
+// ascending.
+func holdersOf(units []*unit) map[int32][]int32 {
+	holders := make(map[int32][]int32)
+	for j, u := range units {
+		for _, c := range u.set {
+			holders[c] = append(holders[c], int32(j))
+		}
+	}
+	return holders
+}
+
 // nestingObserved reports whether some source tree shows an occurrence node
-// of inner as a strict descendant of an occurrence node of outer.
-func nestingObserved(inner, outer *unit) bool {
+// of inner as a strict descendant of an occurrence node of outer: its leaf
+// span lies inside the outer node's and it comes later in pre-order (a
+// node and an ancestor can share a span, but the ancestor comes first).
+// Spans of different sources never meet.
+func nestingObserved(nodes []cluster.Node, inner, outer *unit) bool {
 	for _, oi := range inner.occurrences {
+		a := &nodes[oi]
 		for _, oo := range outer.occurrences {
-			if oi.tree != oo.tree || oi.node == oo.node {
-				continue
-			}
-			found := false
-			oo.node.Walk(func(n *schema.Node) bool {
-				if n == oi.node && n != oo.node {
-					found = true
-				}
-				return !found
-			})
-			if found {
+			if b := &nodes[oo]; oo < oi && b.Lo <= a.Lo && a.Hi <= b.Hi {
 				return true
 			}
 		}
@@ -483,84 +455,82 @@ func nestingObserved(inner, outer *unit) bool {
 	return false
 }
 
-// averagePositions computes, per cluster, the average normalized position
-// (0..1) of its fields across the source interfaces. Clusters never seen
-// get position 1 so they sort last.
-func averagePositions(trees []*schema.Tree) map[string]float64 {
-	sum := make(map[string]float64)
-	count := make(map[string]int)
-	for _, t := range trees {
-		leaves := t.Leaves()
-		if len(leaves) == 0 {
-			continue
-		}
-		for i, leaf := range leaves {
-			if leaf.Cluster == "" {
+// averagePositions computes, per cluster ID, the average normalized
+// position (0..1) of its fields across the source interfaces; clusters
+// without a field get -1.
+func averagePositions(tab *cluster.Table) []float64 {
+	sum := make([]float64, len(tab.Names))
+	count := make([]int32, len(tab.Names))
+	for _, src := range tab.Sources {
+		n := src.LeafHi - src.LeafLo
+		for i, leaf := range tab.Leaves[src.LeafLo:src.LeafHi] {
+			if leaf.Cluster < 0 {
 				continue
 			}
 			p := 0.0
-			if len(leaves) > 1 {
-				p = float64(i) / float64(len(leaves)-1)
+			if n > 1 {
+				p = float64(i) / float64(n-1)
 			}
 			sum[leaf.Cluster] += p
 			count[leaf.Cluster]++
 		}
 	}
-	pos := make(map[string]float64, len(sum))
-	for c, s := range sum {
-		pos[c] = s / float64(count[c])
+	for c, k := range count {
+		if k == 0 {
+			sum[c] = -1
+		} else {
+			sum[c] /= float64(k)
+		}
 	}
-	return pos
+	return sum
 }
 
 // buildTree materializes the laminar family as a tree. Each accepted unit
 // becomes an internal node whose parent is the smallest accepted unit
 // strictly containing it (or the root). Each cluster becomes a leaf under
-// the smallest unit containing it (or the root). Children are ordered by
-// the average source position of their clusters.
-func buildTree(accepted []*unit, universe map[string]bool, pos map[string]float64) *schema.Node {
-	// Sort by size ascending so parents (larger) are located by scanning up.
+// the smallest unit containing it (or the root), and is recorded in
+// leafOf. Children are ordered by the average source position of their
+// clusters. byRank lists the universe's cluster IDs in name order, pos
+// holds averagePositions and names every ID's name.
+func buildTree(accepted []*unit, byRank []int32, pos []float64, names []string, leafOf map[string]*schema.Node) *schema.Node {
+	// Sort by size ascending so parents (larger) are located by scanning up:
+	// the first container met is a smallest one.
 	bys := append([]*unit(nil), accepted...)
-	sort.Slice(bys, func(i, j int) bool {
-		if bys[i].size != bys[j].size {
-			return bys[i].size < bys[j].size
+	slices.SortFunc(bys, func(a, b *unit) int {
+		if len(a.set) != len(b.set) {
+			return len(a.set) - len(b.set)
 		}
-		return bys[i].key < bys[j].key
+		return slices.Compare(a.set, b.set)
 	})
-	nodes := make(map[string]*schema.Node, len(bys))
-	for _, u := range bys {
-		nodes[u.key] = &schema.Node{}
+	nodes := make([]*schema.Node, len(bys))
+	for i := range bys {
+		nodes[i] = &schema.Node{}
 	}
 	root := &schema.Node{}
 
-	parentOf := func(u *unit) *schema.Node {
-		var best *unit
-		for _, v := range bys {
-			if v == u || v.size <= u.size {
-				continue
-			}
-			if containsAll(v.clusters, u.clusters) {
-				if best == nil || v.size < best.size {
-					best = v
-				}
+	// A container of u holds u's first cluster, and a cluster's parent is
+	// the first unit holding it.
+	holders := holdersOf(bys)
+	parentOf := func(i int) *schema.Node {
+		u := bys[i]
+		for _, j := range holders[u.set[0]] {
+			if v := bys[j]; int(j) > i && len(v.set) > len(u.set) && containsIDs(v.set, u.set) {
+				return nodes[j]
 			}
 		}
-		if best == nil {
-			return root
-		}
-		return nodes[best.key]
+		return root
 	}
-	clusterParent := func(c string) *schema.Node {
-		var best *unit
-		for _, v := range bys {
-			if v.clusters[c] && (best == nil || v.size < best.size) {
-				best = v
-			}
+	clusterParent := func(r int32) *schema.Node {
+		if hs := holders[r]; len(hs) > 0 {
+			return nodes[hs[0]]
 		}
-		if best == nil {
-			return root
+		return root
+	}
+	leafPos := func(r int32) float64 {
+		if p := pos[byRank[r]]; p >= 0 {
+			return p
 		}
-		return nodes[best.key]
+		return 1
 	}
 
 	type childEntry struct {
@@ -568,41 +538,23 @@ func buildTree(accepted []*unit, universe map[string]bool, pos map[string]float6
 		pos  float64
 	}
 	children := make(map[*schema.Node][]childEntry)
-	unitPos := func(u *unit) float64 {
-		// Sum in sorted cluster order: float addition is not associative,
-		// so summing in map-iteration order yields ULP-different averages
-		// across runs, which can flip the sibling sort between children
-		// with near-equal positions.
-		cs := make([]string, 0, len(u.clusters))
-		for c := range u.clusters {
-			cs = append(cs, c)
-		}
-		if len(cs) == 0 {
-			return 1
-		}
-		sort.Strings(cs)
+	for i, u := range bys {
+		// Sum in name order, as the set lists the clusters: float addition
+		// is not associative, so another order yields ULP-different
+		// averages, which can flip the sibling sort between children with
+		// near-equal positions.
 		s := 0.0
-		for _, c := range cs {
-			s += pos[c]
+		for _, r := range u.set {
+			s += pos[byRank[r]]
 		}
-		return s / float64(len(cs))
+		p := parentOf(i)
+		children[p] = append(children[p], childEntry{nodes[i], s / float64(len(u.set))})
 	}
-	for _, u := range bys {
-		p := parentOf(u)
-		children[p] = append(children[p], childEntry{nodes[u.key], unitPos(u)})
-	}
-	names := make([]string, 0, len(universe))
-	for c := range universe {
-		names = append(names, c)
-	}
-	sort.Strings(names)
-	for _, c := range names {
-		p := clusterParent(c)
-		leafPos, ok := pos[c]
-		if !ok {
-			leafPos = 1
-		}
-		children[p] = append(children[p], childEntry{&schema.Node{Cluster: c}, leafPos})
+	for r, c := range byRank {
+		leaf := &schema.Node{Cluster: names[c]}
+		leafOf[leaf.Cluster] = leaf
+		p := clusterParent(int32(r))
+		children[p] = append(children[p], childEntry{leaf, leafPos(int32(r))})
 	}
 	var attach func(n *schema.Node)
 	attach = func(n *schema.Node) {
@@ -621,15 +573,6 @@ func buildTree(accepted []*unit, universe map[string]bool, pos map[string]float6
 	}
 	attach(root)
 	return root
-}
-
-func containsAll(big, small map[string]bool) bool {
-	for x := range small {
-		if !big[x] {
-			return false
-		}
-	}
-	return true
 }
 
 // classify splits the clusters into C_groups, C_root and C_int based on

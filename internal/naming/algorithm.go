@@ -3,6 +3,7 @@ package naming
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"strings"
 
@@ -164,6 +165,16 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 	if mr == nil || mr.Tree == nil {
 		return nil, errors.New("naming: nil merge result")
 	}
+	return RunTable(ctx, mr, cluster.NewTable(mr.Sources).Bind(mr.Mapping), opts)
+}
+
+// RunTable is RunContext over tab, the table of mr's sources bound to
+// mr.Mapping: the source labels, the labeled source nodes and the cluster
+// facts every phase reads come from it, computed once per run.
+func RunTable(ctx context.Context, mr *merge.Result, tab *cluster.Table, opts Options) (*Result, error) {
+	if mr == nil || mr.Tree == nil {
+		return nil, errors.New("naming: nil merge result")
+	}
 	// Analyze every source label once into an immutable table shared
 	// read-only by all pool workers, instead of each worker rebuilding its
 	// own cold cache. Labels the passes synthesize later still fall back to
@@ -173,7 +184,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 	if !opts.DisableMemo {
 		shared = opts.Analysis
 		if shared == nil {
-			shared = PrecomputeAnalysis(opts.Lexicon, SourceLabels(mr.Sources))
+			shared = PrecomputeAnalysis(opts.Lexicon, tab.Labels)
 		}
 		newSem = shared.Semantics
 	}
@@ -195,19 +206,32 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 		return sems[w]
 	}
 
-	ifaces := cluster.Interfaces(mr.Sources)
+	// The per-run index: every cluster's facts and the labeled source
+	// nodes, and for the indexed internal-node derivation their word lists,
+	// which the reference kernels do without.
+	var ix *runIndex
+	if opts.DisableMemo {
+		ix = newRunIndex(tab, nil)
+	} else {
+		ix = newRunIndex(tab, sem)
+	}
+
+	// Every integrated node's strict ancestors (root excluded), nearest
+	// first: a node's parent is the first, or the root.
+	ancestorsOf := ancestorIndex(mr.Tree)
 
 	// ---- Phase 1a: groups, the root group last. ----------------------------
 	groups := mr.Groups
 	if len(mr.Root) > 0 {
 		groups = append(groups[:len(groups):len(groups)], mr.Root)
 	}
+	relations := cluster.NewRelations(cluster.Interfaces(mr.Sources))
 	groupOuts := make([]*GroupOutcome, len(groups))
 	groupCounters := make([]Counters, len(groups))
 	err := pool.ForEach(ctx, workers, len(groups), func(w, i int) {
 		so := sopts
 		so.Counters = &groupCounters[i]
-		groupOuts[i] = semFor(w).SolveGroup(cluster.BuildRelation(groups[i], ifaces), so)
+		groupOuts[i] = semFor(w).solveGroup(relations.Build(groups[i]), ix.factsOf(groups[i]), so)
 	})
 	if err != nil {
 		return nil, err
@@ -216,7 +240,7 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 		res.Counters.Merge(groupCounters[i])
 		gr := &GroupReport{Clusters: clusterNames(g), Outcome: groupOuts[i]}
 		if i < len(mr.Groups) {
-			gr.Parent = mr.GroupParent(g)
+			gr.Parent = parentOf(mr.Tree, ancestorsOf, mr.LeafOf[g[0].Name])
 		} else {
 			gr.IsRoot = true
 		}
@@ -225,42 +249,43 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 
 	// ---- Phase 1b: isolated clusters. --------------------------------------
 	for _, c := range mr.Isolated {
-		res.IsolatedLabels[c.Name] = sem.LabelIsolated(c, sopts)
+		res.IsolatedLabels[c.Name] = sem.labelIsolated(c, ix.facts[ix.ids[c]], sopts)
 	}
 
 	// ---- Phase 1c: candidate labels for internal nodes (bottom-up). --------
-	var internals []*schema.Node
-	mr.Tree.Root.Walk(func(n *schema.Node) bool {
-		if n != mr.Tree.Root && !n.IsLeaf() {
-			internals = append(internals, n)
-		}
-		return true
-	})
+	internals, xs := integratedNodes(mr.Tree, tab)
 
-	// Nodes derive their candidates over a per-run index (bitset cluster
-	// sets, per-cluster content words); the reference kernels keep the
-	// map-based derivation it must match.
+	// Nodes derive their candidates over the per-run index (bitset cluster
+	// sets over X, per-cluster content words); the reference kernels keep
+	// the map-based derivation it must match.
 	nodeOuts := make([]*NodeReport, len(internals))
 	nodeCounters := make([]Counters, len(internals))
-	var units []sourceUnit
-	var ix *nodeIndex
-	if len(internals) > 0 {
-		units = collectSourceUnits(mr.Sources)
-		if !opts.DisableMemo {
-			ix = newNodeIndex(sem, mr.Mapping, units, mr.Tree.Root.LeafClusters())
-		}
+	var refUnits []refUnit
+	if opts.DisableMemo && len(internals) > 0 {
+		refUnits = ix.refUnits()
 	}
+	scratch := make([]*nodeScratch, workers)
 	err = pool.ForEach(ctx, workers, len(internals), func(w, i int) {
 		so := sopts
 		so.Counters = &nodeCounters[i]
-		x := internals[i].LeafClusters()
-		names := sortedKeys(x)
+		names := make([]string, len(xs[i]))
+		for k, c := range xs[i] {
+			names[k] = tab.Names[c]
+		}
+		sort.Strings(names)
 		var cands []CandidateLabel
 		var potentials int
-		if ix != nil {
-			cands, potentials = semFor(w).candidateLabelsIndexed(ix, ix.setOf(names), so)
+		if opts.DisableMemo {
+			x := make(map[string]bool, len(names))
+			for _, n := range names {
+				x[n] = true
+			}
+			cands, potentials = semFor(w).candidateLabels(x, refUnits, mr.Mapping, so)
 		} else {
-			cands, potentials = semFor(w).candidateLabels(x, units, mr.Mapping, so)
+			if scratch[w] == nil {
+				scratch[w] = newNodeScratch(len(tab.Names))
+			}
+			cands, potentials = semFor(w).candidateLabelsIndexed(ix, scratch[w], xs[i], so)
 		}
 		nodeOuts[i] = &NodeReport{
 			Node:           internals[i],
@@ -284,13 +309,12 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 	// solution consistent (Definition 6) with the most candidate labels of
 	// the internal nodes above the group (§4.3: the selection is correlated
 	// with the labels of other attributes in the schema tree).
-	ancestorsOf := ancestorIndex(mr.Tree)
 	for _, gr := range res.Groups {
 		gr.Chosen = chooseSolution(sem, gr, nodeReports, ancestorsOf)
 	}
 
 	// ---- Phase 3: assign labels. -------------------------------------------
-	assignLeafLabels(res, mr)
+	assignLeafLabels(res, mr, ix)
 	assignInternalLabels(sem, res, mr, nodeReports, ancestorsOf)
 
 	// ---- Classification (Definition 8). -------------------------------------
@@ -298,28 +322,54 @@ func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, e
 	return res, nil
 }
 
-// SourceLabels collects, in one walk over the source trees, the labels a
-// run's analysis table covers: every node label, which the internal-node
-// and isolated-cluster passes read, plus the trimmed form of every leaf
-// label that has surrounding space, which group relations
-// (cluster.BuildRelation) and the matcher compare. Repeats stay in: the
-// table deduplicates.
-func SourceLabels(sources []*schema.Tree) []string {
-	var labels []string
-	for _, t := range sources {
-		t.Root.Walk(func(n *schema.Node) bool {
-			if n.Label != "" {
-				labels = append(labels, n.Label)
-				if n.IsLeaf() {
-					if tr := strings.TrimSpace(n.Label); tr != n.Label && tr != "" {
-						labels = append(labels, tr)
-					}
-				}
-			}
-			return true
-		})
+// integratedNodes lists the integrated tree's internal nodes (the root
+// excluded) in pre-order, each with its descendant cluster set X as sorted
+// cluster IDs of tab: in pre-order a node's leaves are one run.
+func integratedNodes(t *schema.Tree, tab *cluster.Table) ([]*schema.Node, [][]int32) {
+	id := make(map[string]int32, len(tab.Names))
+	for i, n := range tab.Names {
+		if _, ok := id[n]; !ok {
+			id[n] = int32(i)
+		}
 	}
-	return labels
+	var nodes []*schema.Node
+	var spans [][2]int
+	var leaves []int32
+	var walk func(n *schema.Node)
+	walk = func(n *schema.Node) {
+		if n.IsLeaf() {
+			if c, ok := id[n.Cluster]; ok {
+				leaves = append(leaves, c)
+			}
+			return
+		}
+		k := -1
+		if n != t.Root {
+			k = len(nodes)
+			nodes = append(nodes, n)
+			spans = append(spans, [2]int{len(leaves), 0})
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+		if k >= 0 {
+			spans[k][1] = len(leaves)
+		}
+	}
+	walk(t.Root)
+	size := 0
+	for _, sp := range spans {
+		size += sp[1] - sp[0]
+	}
+	flat := make([]int32, 0, size)
+	xs := make([][]int32, len(nodes))
+	for k, sp := range spans {
+		lo := len(flat)
+		flat = append(flat, leaves[sp[0]:sp[1]]...)
+		xs[k] = flat[lo:len(flat):len(flat)]
+		slices.Sort(xs[k])
+	}
+	return nodes, xs
 }
 
 func clusterNames(g []*cluster.Cluster) []string {
@@ -337,6 +387,18 @@ func sortedKeys(m map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// parentOf returns n's parent in t given t's ancestorIndex, or nil for a
+// nil n (merge.Result.GroupParent without a search from the root).
+func parentOf(t *schema.Tree, ancestorsOf map[*schema.Node][]*schema.Node, n *schema.Node) *schema.Node {
+	if n == nil {
+		return nil
+	}
+	if anc := ancestorsOf[n]; len(anc) > 0 {
+		return anc[0]
+	}
+	return t.Root
 }
 
 // ancestorIndex maps every node to its strict ancestors (root excluded),
@@ -419,7 +481,7 @@ func chooseSolution(sem *Semantics, gr *GroupReport,
 
 // assignLeafLabels writes the group solutions and isolated labels onto the
 // integrated tree's leaves.
-func assignLeafLabels(res *Result, mr *merge.Result) {
+func assignLeafLabels(res *Result, mr *merge.Result, ix *runIndex) {
 	for _, gr := range res.Groups {
 		if gr.Chosen == nil {
 			continue
@@ -439,9 +501,9 @@ func assignLeafLabels(res *Result, mr *merge.Result) {
 	// Leaves inherit their fields' instances: the integrated field's domain
 	// is the union of the matched source fields' domains ([12]; computed
 	// here so examples and metrics can inspect it).
-	for _, c := range mr.Mapping.Clusters {
+	for i, c := range mr.Mapping.Clusters {
 		if leaf := mr.LeafOf[c.Name]; leaf != nil {
-			leaf.Instances = c.Instances("")
+			leaf.Instances = ix.facts[i].domain
 		}
 	}
 }
@@ -464,6 +526,21 @@ func assignInternalLabels(sem *Semantics, res *Result, mr *merge.Result,
 		for _, a := range append([]*schema.Node{gr.Parent}, ancestorsOf[gr.Parent]...) {
 			groupsUnder[a] = append(groupsUnder[a], gr)
 		}
+	}
+
+	// The labeled leaf children of each parent, gathered once per parent.
+	leafLabels := make(map[*schema.Node][]string)
+	siblingsOf := func(parent *schema.Node) []string {
+		labels, ok := leafLabels[parent]
+		if !ok {
+			for _, sib := range parent.Children {
+				if sib.IsLeaf() && strings.TrimSpace(sib.Label) != "" {
+					labels = append(labels, sib.Label)
+				}
+			}
+			leafLabels[parent] = labels
+		}
+		return labels
 	}
 
 	for _, nr := range res.Nodes {
@@ -503,13 +580,10 @@ func assignInternalLabels(sem *Semantics, res *Result, mr *merge.Result,
 		// introduction's Job Type / Job Preferences discussion): a node
 		// title must not repeat the name of a sibling field. Prefer
 		// conflict-free candidates; fall back if every candidate collides.
-		if parent := res.Tree.Root.Parent(nr.Node); parent != nil {
-			var siblingLabels []string
-			for _, sib := range parent.Children {
-				if sib != nr.Node && sib.IsLeaf() && strings.TrimSpace(sib.Label) != "" {
-					siblingLabels = append(siblingLabels, sib.Label)
-				}
-			}
+		// nr.Node is internal, so its labeled leaf siblings are its
+		// parent's labeled leaf children.
+		if parent := parentOf(res.Tree, ancestorsOf, nr.Node); parent != nil {
+			siblingLabels := siblingsOf(parent)
 			if len(siblingLabels) > 0 {
 				conflicts := func(label string) bool {
 					for _, sl := range siblingLabels {

@@ -110,8 +110,14 @@ func (o SolverOptions) maxLevel() Level {
 // covering partition. If no level suffices, it constructs one partially
 // consistent solution from the partitions of the weakest level.
 func (s *Semantics) SolveGroup(rel *cluster.Relation, opts SolverOptions) *GroupOutcome {
+	return s.solveGroup(rel, nil, opts)
+}
+
+// solveGroup is SolveGroup with the facts of the relation's clusters, in
+// column order (nil: computed here).
+func (s *Semantics) solveGroup(rel *cluster.Relation, facts []*clusterFacts, opts SolverOptions) *GroupOutcome {
 	if opts.UseInstances {
-		rel = s.dropValueLabels(rel, opts.Counters)
+		rel = s.dropValueLabels(rel, facts, opts.Counters)
 	}
 	// Clusters without a label on any source interface cannot participate
 	// in any consistency requirement: the algorithm can never label them
@@ -425,16 +431,26 @@ func (s *Semantics) sameName(a, b string) bool {
 // among the instances of another field in the same cluster is a data value,
 // not a name ("hardcover" among the instances of "Format"); it is too
 // specific and is discarded from the relation, provided the cluster keeps
-// at least one other label.
-func (s *Semantics) dropValueLabels(rel *cluster.Relation, counters *Counters) *cluster.Relation {
+// at least one other label. facts are the columns' cluster facts (nil:
+// computed here); they rule most labels out without a scan of the members.
+func (s *Semantics) dropValueLabels(rel *cluster.Relation, facts []*clusterFacts, counters *Counters) *cluster.Relation {
 	out := &cluster.Relation{Clusters: rel.Clusters}
 	drop := make(map[int]map[string]bool) // column -> lower-cased labels to drop
 	for col, c := range rel.Clusters {
-		labels := c.Labels()
+		var f *clusterFacts
+		if facts != nil {
+			f = facts[col]
+		} else {
+			f = newClusterFacts(c, nil, nil)
+		}
+		labels := f.labels
 		if len(labels) < 2 {
 			continue
 		}
 		for _, l := range labels {
+			if !f.mayHaveValue(l) {
+				continue
+			}
 			ll := strings.ToLower(strings.TrimSpace(l))
 			for _, m := range c.Members {
 				if strings.EqualFold(strings.TrimSpace(m.Leaf.Label), l) {

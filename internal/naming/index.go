@@ -1,18 +1,24 @@
 package naming
 
 import (
+	"math"
 	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 
 	"qilabel/internal/cluster"
 )
 
-// clusterSet is a set of clusters numbered by a nodeIndex, one bit per
-// cluster. All sets of one index have the same length, so ⊆, = and ∪ are
-// word operations.
+// clusterSet is a set of the clusters of one X being derived, one bit per
+// cluster's position in X (nodeScratch.local). All sets of one derivation
+// have the same length, so ⊆, = and ∪ are word operations, and a set costs
+// what X holds, not what the run does.
 type clusterSet []uint64
 
-func (a clusterSet) add(i int) { a[i/64] |= 1 << (i % 64) }
+func (a clusterSet) add(i int32) { a[i/64] |= 1 << (i % 64) }
+
+func (a clusterSet) has(i int32) bool { return a[i/64]&(1<<(i%64)) != 0 }
 
 func (a clusterSet) subsetOf(b clusterSet) bool {
 	for i, w := range a {
@@ -61,164 +67,340 @@ func (a clusterSet) count() int {
 	return n
 }
 
-// each calls fn with every member's number, ascending.
-func (a clusterSet) each(fn func(int)) {
+// each calls fn with every member's position, ascending.
+func (a clusterSet) each(fn func(int32)) {
 	for i, w := range a {
 		for w != 0 {
-			fn(i*64 + bits.TrailingZeros64(w))
+			fn(int32(i*64 + bits.TrailingZeros64(w)))
 			w &= w - 1
 		}
 	}
 }
 
-// nodeIndex is the per-run index behind the internal-node candidate
-// derivation (§5): every cluster numbered once, every labeled source node
-// reduced to a clusterSet, and every cluster's field-label content words
-// sorted and deduplicated. RunContext builds it serially before the
-// per-node fan-out; the workers only read it.
-type nodeIndex struct {
-	m     *cluster.Mapping
-	ids   map[string]int
-	names []string
-	words [][]string // per cluster: its field labels' content words
-	units []sourceUnit
-	sets  []clusterSet // per unit: its cluster set
+// noID marks a source unit whose label the run's analysis table lacks:
+// each Semantics then interns it on its own (labelID).
+const noID = math.MinInt32
+
+// sourceUnit is a labeled internal node of a source tree, reduced to its
+// descendant cluster set: the run units.ids[lo:hi] of its sorted distinct
+// cluster IDs (cluster.Table numbering).
+type sourceUnit struct {
+	iface   string
+	label   string
+	id      int32 // the label's ID in the run's analysis table, or noID
+	form    int32 // the label's table ID
+	ordinal int32 // the interface's table ordinal
+	lo, hi  int32
 }
 
-// newNodeIndex numbers the mapping's clusters, then any other cluster the
-// units or the integrated leaves name (leaves: the integrated tree's leaf
-// clusters, the universe every node's X is drawn from).
-func newNodeIndex(s *Semantics, m *cluster.Mapping, units []sourceUnit, leaves map[string]bool) *nodeIndex {
-	ix := &nodeIndex{m: m, ids: make(map[string]int, len(m.Clusters))}
-	for _, c := range m.Clusters {
-		ix.number(c.Name)
-	}
-	var extra []string
-	for _, u := range units {
-		for c := range u.clusters {
-			if _, ok := ix.ids[c]; !ok {
-				extra = append(extra, c)
-			}
-		}
-	}
-	for c := range leaves {
-		if _, ok := ix.ids[c]; !ok {
-			extra = append(extra, c)
-		}
-	}
-	sort.Strings(extra)
-	for _, c := range extra {
-		ix.number(c)
-	}
+// sourceUnits lists every labeled internal node of a table's sources with
+// a non-empty cluster set, in table order.
+type sourceUnits struct {
+	list []sourceUnit
+	ids  []int32 // the units' cluster-ID runs, back to back
+}
 
-	ix.words = make([][]string, len(ix.names))
-	for i, name := range ix.names {
-		cl := m.Get(name)
-		if cl == nil {
+// newSourceUnits reads the labeled nodes off the table. shared, when
+// non-nil, is the run's analysis table, whose IDs the units carry.
+func newSourceUnits(tab *cluster.Table, shared *Analysis) sourceUnits {
+	var us sourceUnits
+	for _, nd := range tab.Nodes {
+		if nd.Label < 0 {
 			continue
 		}
-		var words []string
-		for _, l := range cl.Labels() {
-			words = append(words, s.ContentWords(l)...)
+		label := tab.Labels[nd.Label]
+		if strings.TrimSpace(label) == "" {
+			continue
 		}
-		sort.Strings(words)
-		ix.words[i] = dedupSorted(words)
-	}
-
-	ix.units = units
-	ix.sets = make([]clusterSet, len(units))
-	for i, u := range units {
-		ix.sets[i] = ix.newSet()
-		for c := range u.clusters {
-			ix.sets[i].add(ix.ids[c])
+		lo := int32(len(us.ids))
+		us.ids = tab.SpanClusters(us.ids, nd.Lo, nd.Hi, int32(len(tab.Names)))
+		if int32(len(us.ids)) == lo {
+			continue
 		}
-	}
-	return ix
-}
-
-func (ix *nodeIndex) number(name string) {
-	if _, ok := ix.ids[name]; !ok {
-		ix.ids[name] = len(ix.names)
-		ix.names = append(ix.names, name)
-	}
-}
-
-func (ix *nodeIndex) newSet() clusterSet {
-	return make(clusterSet, (len(ix.names)+63)/64)
-}
-
-// setOf returns the set of the named clusters, which must all be indexed.
-func (ix *nodeIndex) setOf(names []string) clusterSet {
-	set := ix.newSet()
-	for _, n := range names {
-		set.add(ix.ids[n])
-	}
-	return set
-}
-
-// namesOf lists a set's cluster names in index order.
-func (ix *nodeIndex) namesOf(set clusterSet) []string {
-	var out []string
-	set.each(func(i int) { out = append(out, ix.names[i]) })
-	return out
-}
-
-// wordsOf merges the content-word lists of a set's clusters into one
-// sorted, deduplicated list — fieldContentWords over the set.
-func (ix *nodeIndex) wordsOf(set clusterSet) []string {
-	var words []string
-	set.each(func(i int) { words = append(words, ix.words[i]...) })
-	sort.Strings(words)
-	return dedupSorted(words)
-}
-
-// wordsCover reports whether every word of the sorted, duplicate-free list
-// ws is a content word of some cluster in set: subsetSorted(ws,
-// wordsOf(set)) without materializing the union.
-func (ix *nodeIndex) wordsCover(ws []string, set clusterSet) bool {
-next:
-	for _, w := range ws {
-		for i, b := range set {
-			for ; b != 0; b &= b - 1 {
-				cw := ix.words[i*64+bits.TrailingZeros64(b)]
-				if j := sort.SearchStrings(cw, w); j < len(cw) && cw[j] == w {
-					continue next
-				}
+		src := &tab.Sources[nd.Source]
+		u := sourceUnit{iface: src.Interface, label: label, id: noID, form: nd.Label,
+			ordinal: src.Ordinal, lo: lo, hi: int32(len(us.ids))}
+		if shared != nil {
+			if id, ok := shared.ids[label]; ok {
+				u.id = id
 			}
 		}
-		return false
+		us.list = append(us.list, u)
+	}
+	return us
+}
+
+// run returns unit k's sorted cluster IDs.
+func (us *sourceUnits) run(k int) []int32 { return us.ids[us.list[k].lo:us.list[k].hi] }
+
+// clusterFacts are the facts the naming passes read about one cluster,
+// computed once per run from its members.
+type clusterFacts struct {
+	// labels are the distinct trimmed member labels, first seen first
+	// (Cluster.Labels).
+	labels []string
+	// domain is the sorted union of the members' instances, domain("") of
+	// LI 6 and the integrated field's instances.
+	domain []string
+	// values are the members' instances trimmed and lower-cased, sorted
+	// and distinct: the form LI 5's instance condition compares.
+	values []string
+	// ascii reports that every instance is ASCII, where strings.EqualFold
+	// is equality of the lower-cased strings.
+	ascii bool
+}
+
+// newClusterFacts derives the facts of cluster c. leaves, when tab is not
+// nil, are the table leaves of c's members (tab.Members): their trimmed
+// labels and folded instance sets are the table's, so a set several
+// members share is read once. Members without a table leaf are read off
+// their nodes.
+func newClusterFacts(c *cluster.Cluster, tab *cluster.Table, leaves []int32) *clusterFacts {
+	f := &clusterFacts{ascii: true}
+	var sets []int32   // the distinct folded sets of members in the table
+	var stray []string // the folded instances of the other members
+	n := 0
+	for k, m := range c.Members {
+		node := m.Leaf
+		leaf := int32(-1)
+		if tab != nil {
+			leaf = leaves[k]
+		}
+		var label string
+		if leaf >= 0 {
+			l := &tab.Leaves[leaf]
+			if l.Trimmed >= 0 {
+				label = tab.Labels[l.Trimmed]
+			}
+			if l.Set > 0 && !slices.Contains(sets, l.Set) {
+				sets = append(sets, l.Set)
+			}
+		} else {
+			label = strings.TrimSpace(node.Label)
+			for _, v := range node.Instances {
+				stray = append(stray, strings.ToLower(strings.TrimSpace(v)))
+			}
+		}
+		if label != "" && !slices.Contains(f.labels, label) {
+			f.labels = append(f.labels, label)
+		}
+		n += len(node.Instances)
+	}
+	if n == 0 {
+		return f
+	}
+	f.domain = make([]string, 0, n)
+	for _, m := range c.Members {
+		for _, v := range m.Leaf.Instances {
+			f.domain = append(f.domain, v)
+			f.ascii = f.ascii && isASCII(v)
+		}
+	}
+	slices.Sort(f.domain)
+	f.domain = slices.Clip(slices.Compact(f.domain))
+	if len(sets) == 1 && len(stray) == 0 {
+		f.values = tab.Sets[sets[0]] // shared with the table: read only
+		return f
+	}
+	for _, set := range sets {
+		stray = append(stray, tab.Sets[set]...)
+	}
+	slices.Sort(stray)
+	f.values = slices.Compact(stray)
+	return f
+}
+
+// mayHaveValue reports whether some member instance might equal label
+// under strings.EqualFold after trimming: false only when the cluster is
+// ASCII and no lower-cased instance is lower(label).
+func (f *clusterFacts) mayHaveValue(label string) bool {
+	if !f.ascii || !isASCII(label) {
+		return true
+	}
+	_, ok := slices.BinarySearch(f.values, strings.ToLower(strings.TrimSpace(label)))
+	return ok
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
 	}
 	return true
 }
 
+// runIndex is the per-run index the naming passes share: the facts of
+// every mapping cluster (by table cluster ID), and for the internal-node
+// candidate derivation (§5) the labeled source nodes as cluster-ID runs,
+// each unit's content words, and every cluster's field-label content
+// words. RunTable builds it serially before the fan-outs; the workers only
+// read it.
+type runIndex struct {
+	tab    *cluster.Table
+	facts  []*clusterFacts // per mapping cluster
+	ids    map[*cluster.Cluster]int32
+	ifaces []string // the interface names by table ordinal
+	units  sourceUnits
+	// byMin lists, per cluster ID, the units whose smallest cluster it is,
+	// ascending: the only units that can lie inside an X holding it.
+	byMin [][]int32
+	// The indexed derivation's word lists: per unit, its label's content
+	// words; per cluster, its field labels' content words, sorted and
+	// deduplicated.
+	unitWords [][]string
+	words     [][]string
+}
+
+// newRunIndex computes the cluster facts of the table's bound mapping and
+// the source units. With s non-nil (the indexed derivation) it also
+// indexes the units by their smallest cluster and derives the word lists
+// through s.
+func newRunIndex(tab *cluster.Table, s *Semantics) *runIndex {
+	m := tab.Mapping
+	ix := &runIndex{tab: tab, facts: make([]*clusterFacts, len(m.Clusters)),
+		ids: make(map[*cluster.Cluster]int32, len(m.Clusters))}
+	for i, c := range m.Clusters {
+		ix.facts[i] = newClusterFacts(c, tab, tab.Members(int32(i)))
+		ix.ids[c] = int32(i)
+	}
+	var shared *Analysis
+	if s != nil {
+		shared = s.shared
+	}
+	ix.units = newSourceUnits(tab, shared)
+	if s == nil {
+		return ix
+	}
+	for _, src := range tab.Sources {
+		if int(src.Ordinal) == len(ix.ifaces) {
+			ix.ifaces = append(ix.ifaces, src.Interface)
+		}
+	}
+	ix.byMin = make([][]int32, len(tab.Names))
+	ix.unitWords = make([][]string, len(ix.units.list))
+	for k := range ix.units.list {
+		first := ix.units.run(k)[0]
+		ix.byMin[first] = append(ix.byMin[first], int32(k))
+		ix.unitWords[k] = s.contentWords(ix.units.list[k].label)
+	}
+	ix.words = make([][]string, len(tab.Names))
+	for i, f := range ix.facts {
+		var words []string
+		for _, l := range f.labels {
+			words = append(words, s.contentWords(l)...)
+		}
+		sort.Strings(words)
+		ix.words[i] = dedupSorted(words)
+	}
+	return ix
+}
+
+// factsOf returns the facts of the given clusters of the bound mapping.
+func (ix *runIndex) factsOf(group []*cluster.Cluster) []*clusterFacts {
+	out := make([]*clusterFacts, len(group))
+	for i, c := range group {
+		out[i] = ix.facts[ix.ids[c]]
+	}
+	return out
+}
+
+// nodeScratch is one worker's reusable state for the indexed derivation:
+// local[id] is cluster id's position in the X being derived, -1 outside
+// it, so a derivation's sets have |X| bits whatever the run's size.
+type nodeScratch struct {
+	local []int32
+	sub   []int32
+}
+
+func newNodeScratch(n int) *nodeScratch {
+	sc := &nodeScratch{local: make([]int32, n)}
+	for i := range sc.local {
+		sc.local[i] = -1
+	}
+	return sc
+}
+
+// inside reports whether every cluster of run lies in the current X.
+func (sc *nodeScratch) inside(run []int32) bool {
+	for _, c := range run {
+		if sc.local[c] < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// addRun adds the positions of run's clusters, all in X, to set.
+func (sc *nodeScratch) addRun(set clusterSet, run []int32) {
+	for _, c := range run {
+		set.add(sc.local[c])
+	}
+}
+
 // indexedPotential is potential with bitset coverage and extended sets,
-// carrying its label's ID (labelID) for relateIDs.
+// carrying its label's ID (labelID) for relateIDs and its content-word
+// count. Its forms are table label IDs, each once, and its origins a
+// bitset of interface ordinals.
 type indexedPotential struct {
 	label    string
 	id       int32
-	forms    map[string]bool
-	origins  map[string]bool
+	words    int
+	forms    []int32
+	origins  []uint64
 	coverage clusterSet
 	extended clusterSet
 }
 
-// candidateLabelsIndexed is candidateLabels over a nodeIndex: the same
+// addForm adds a table label ID to the potential's forms.
+func (p *indexedPotential) addForm(form int32) {
+	if !slices.Contains(p.forms, form) {
+		p.forms = append(p.forms, form)
+	}
+}
+
+// candidateLabelsIndexed is candidateLabels over a runIndex: the same
 // derivation step for step — same potential order, same LI1 merge order,
-// same rule tallies — with X, the unit cluster sets and the potentials'
-// coverage and extended sets carried as bitsets. candidateLabels remains
-// the reference it must match byte for byte (Options.DisableMemo).
-func (s *Semantics) candidateLabelsIndexed(ix *nodeIndex, x clusterSet, opts SolverOptions) ([]CandidateLabel, int) {
-	// Potential labels: labeled source nodes whose cluster sets are inside
-	// X. Every later read of the unit list filters on the same condition,
-	// so the derivation only ever consults sub.
-	var sub []int
-	var pots []*indexedPotential
-	for k, u := range ix.units {
-		if !ix.sets[k].subsetOf(x) {
-			continue
+// same rule tallies — with X (xs: its sorted cluster IDs), the unit
+// cluster sets and the potentials' coverage and extended sets carried as
+// bitsets over X's clusters. candidateLabels remains the reference it must
+// match byte for byte (Options.DisableMemo).
+func (s *Semantics) candidateLabelsIndexed(ix *runIndex, sc *nodeScratch, xs []int32, opts SolverOptions) ([]CandidateLabel, int) {
+	for i, c := range xs {
+		sc.local[c] = int32(i)
+	}
+	defer func() {
+		for _, c := range xs {
+			sc.local[c] = -1
 		}
-		sub = append(sub, k)
-		id := s.labelID(u.label)
+	}()
+	x := make(clusterSet, (len(xs)+63)/64)
+	for i := range xs {
+		x.add(int32(i))
+	}
+
+	// Potential labels: labeled source nodes whose cluster sets are inside
+	// X, in unit order. A unit inside X has its smallest cluster in X.
+	// Every later read of the unit list filters on the same condition, so
+	// the derivation only ever consults sub.
+	sub := sc.sub[:0]
+	for _, c := range xs {
+		for _, k := range ix.byMin[c] {
+			if sc.inside(ix.units.run(int(k))) {
+				sub = append(sub, k)
+			}
+		}
+	}
+	slices.Sort(sub)
+	sc.sub = sub
+	var pots []*indexedPotential
+	for _, k := range sub {
+		u := &ix.units.list[k]
+		id := u.id
+		if id == noID {
+			id = s.labelID(u.label)
+		}
+		words := len(ix.unitWords[k])
 		var found *indexedPotential
 		for _, p := range pots {
 			if s.relateIDs(p.id, id, p.label, u.label).equivalent() {
@@ -230,17 +412,17 @@ func (s *Semantics) candidateLabelsIndexed(ix *nodeIndex, x clusterSet, opts Sol
 			found = &indexedPotential{
 				label:    u.label,
 				id:       id,
-				forms:    map[string]bool{},
-				origins:  map[string]bool{},
-				coverage: ix.newSet(),
+				words:    words,
+				origins:  make([]uint64, (len(ix.ifaces)+63)/64),
+				coverage: make(clusterSet, len(x)),
 			}
 			pots = append(pots, found)
-		} else if s.ContentWordCount(u.label) > s.ContentWordCount(found.label) {
-			found.label, found.id = u.label, id
+		} else if words > found.words {
+			found.label, found.id, found.words = u.label, id, words
 		}
-		found.forms[u.label] = true
-		found.origins[u.iface] = true
-		found.coverage.or(ix.sets[k])
+		found.addForm(u.form)
+		found.origins[u.ordinal/64] |= 1 << (u.ordinal % 64)
+		sc.addRun(found.coverage, ix.units.run(int(k)))
 	}
 	if len(pots) == 0 {
 		return nil, 0
@@ -257,16 +439,14 @@ func (s *Semantics) candidateLabelsIndexed(ix *nodeIndex, x clusterSet, opts Sol
 				a, b := pots[i], pots[j]
 				if s.relateIDs(a.id, b.id, a.label, b.label) == RelHypernym && a.coverage.subsetOf(b.coverage) {
 					opts.Counters.Add(1)
-					if s.ContentWordCount(b.label) >= s.ContentWordCount(a.label) {
-						a.label, a.id = b.label, b.id
+					if b.words >= a.words {
+						a.label, a.id, a.words = b.label, b.id, b.words
 					}
-					for f := range b.forms {
-						a.forms[f] = true
+					for _, f := range b.forms {
+						a.addForm(f)
 					}
 					a.coverage.or(b.coverage)
-					for o := range b.origins {
-						a.origins[o] = true
-					}
+					clusterSet(a.origins).or(b.origins)
 					pots = append(pots[:j], pots[j+1:]...)
 					merged = true
 				}
@@ -319,7 +499,7 @@ func (s *Semantics) candidateLabelsIndexed(ix *nodeIndex, x clusterSet, opts Sol
 				opts.Counters.Add(4)
 			}
 		default:
-			if s.extendMeaningIndexed(ix, p.extended, x, sub, opts) {
+			if s.extendMeaningIndexed(ix, sc, xs, p.extended, x, sub, opts) {
 				rule = 5
 				opts.Counters.Add(5)
 			}
@@ -330,59 +510,66 @@ func (s *Semantics) candidateLabelsIndexed(ix *nodeIndex, x clusterSet, opts Sol
 		if rule == 2 {
 			opts.Counters.Add(2)
 		}
-		out = append(out, s.newCandidate(p.label, p.forms, p.origins, rule))
+		forms := make([]string, len(p.forms))
+		for i, f := range p.forms {
+			forms[i] = ix.tab.Labels[f]
+		}
+		var origins []string
+		clusterSet(p.origins).each(func(o int32) { origins = append(origins, ix.ifaces[o]) })
+		out = append(out, s.newCandidate(p.label, forms, origins, rule))
 	}
 	rankCandidates(out)
 	return out, len(pots)
 }
 
-// extendMeaningIndexed is extendMeaning over a nodeIndex, consulting only
+// extendMeaningIndexed is extendMeaning over a runIndex, consulting only
 // the units in sub (those inside X — condition (2) requires u ⊆ X anyway).
 // Z's content words are merged once per call, W's are looked up in the
-// per-cluster lists.
-func (s *Semantics) extendMeaningIndexed(ix *nodeIndex, y, x clusterSet, sub []int, opts SolverOptions) bool {
+// per-cluster lists, and the instance condition compares the clusters'
+// precomputed values.
+func (s *Semantics) extendMeaningIndexed(ix *runIndex, sc *nodeScratch, xs []int32, y, x clusterSet, sub []int32, opts SolverOptions) bool {
 	z := x.minus(y)
 	nz := z.count()
-	if nz == 0 || nz == x.count() {
+	if nz == 0 || nz == len(xs) {
 		return false
 	}
 
 	// Condition (1): instance containment (see extendMeaning).
-	if opts.UseInstances {
-		zNames := ix.namesOf(z)
-		if allHaveInstances(ix.m, zNames) {
-			zInst := unionInstances(ix.m, zNames)
-			if len(zInst) > 0 && subsetFold(zInst, unionInstances(ix.m, ix.namesOf(y))) {
-				return true
-			}
-		}
+	if opts.UseInstances && ix.valuesCovered(xs, z, y) {
+		return true
 	}
 
 	// Condition (2): a source node over W ∪ Z whose label's content words
 	// come from W's field labels and not all from Z's.
 	var zWords []string
 	zDone := false
-	w := ix.newSet()
+	w := make(clusterSet, len(x))
 	for _, k := range sub {
-		if !z.subsetOf(ix.sets[k]) {
-			continue
-		}
-		empty := true
-		for i, b := range ix.sets[k] {
-			w[i] = b &^ z[i]
-			if w[i] != 0 {
-				empty = false
+		run := ix.units.run(int(k))
+		inZ := 0
+		for _, c := range run {
+			if z.has(sc.local[c]) {
+				inZ++
 			}
 		}
-		if empty || !w.subsetOf(y) {
+		if inZ != nz || inZ == len(run) {
+			continue // Z ⊄ u, or W = u − Z is empty
+		}
+		clear(w)
+		for _, c := range run {
+			if i := sc.local[c]; !z.has(i) {
+				w.add(i)
+			}
+		}
+		if !w.subsetOf(y) {
 			continue
 		}
-		labelWords := s.ContentWords(ix.units[k].label)
-		if len(labelWords) == 0 || !ix.wordsCover(labelWords, w) {
+		labelWords := ix.unitWords[k]
+		if len(labelWords) == 0 || !ix.wordsCover(labelWords, xs, w) {
 			continue
 		}
 		if !zDone {
-			zWords, zDone = ix.wordsOf(z), true
+			zWords, zDone = ix.wordsOf(xs, z), true
 		}
 		if len(zWords) > 0 && subsetSorted(labelWords, zWords) {
 			continue
@@ -390,4 +577,62 @@ func (s *Semantics) extendMeaningIndexed(ix *nodeIndex, y, x clusterSet, sub []i
 		return true
 	}
 	return false
+}
+
+// valuesCovered is LI 5's instance condition over X's clusters: every
+// cluster of Z carries instances, and each of Z's instance values (trimmed
+// and lower-cased) is a value of some cluster of Y.
+func (ix *runIndex) valuesCovered(xs []int32, z, y clusterSet) bool {
+	covered := true
+	z.each(func(i int32) {
+		if covered && len(ix.facts[xs[i]].domain) == 0 {
+			covered = false
+		}
+	})
+	if !covered {
+		return false
+	}
+	z.each(func(i int32) {
+		for _, v := range ix.facts[xs[i]].values {
+			if !covered {
+				return
+			}
+			found := false
+			y.each(func(j int32) {
+				if !found {
+					_, found = slices.BinarySearch(ix.facts[xs[j]].values, v)
+				}
+			})
+			covered = found
+		}
+	})
+	return covered
+}
+
+// wordsOf merges the content-word lists of a set's clusters into one
+// sorted, deduplicated list — fieldContentWords over the set.
+func (ix *runIndex) wordsOf(xs []int32, set clusterSet) []string {
+	var words []string
+	set.each(func(i int32) { words = append(words, ix.words[xs[i]]...) })
+	sort.Strings(words)
+	return dedupSorted(words)
+}
+
+// wordsCover reports whether every word of the sorted, duplicate-free list
+// ws is a content word of some cluster in set: subsetSorted(ws,
+// wordsOf(set)) without materializing the union.
+func (ix *runIndex) wordsCover(ws []string, xs []int32, set clusterSet) bool {
+next:
+	for _, w := range ws {
+		for i, b := range set {
+			for ; b != 0; b &= b - 1 {
+				cw := ix.words[xs[i*64+bits.TrailingZeros64(b)]]
+				if j := sort.SearchStrings(cw, w); j < len(cw) && cw[j] == w {
+					continue next
+				}
+			}
+		}
+		return false
+	}
+	return true
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"qilabel/internal/cluster"
-	"qilabel/internal/schema"
 )
 
 // CandidateLabel is a label derivable for a global internal node, annotated
@@ -43,31 +42,25 @@ type potential struct {
 	extended map[string]bool // coverage after hypernymy propagation
 }
 
-// sourceUnit is a labeled internal node of a source tree, reduced to its
-// cluster set.
-type sourceUnit struct {
+// refUnit is a source unit with its cluster set as a set of names: the
+// form the reference derivation reads.
+type refUnit struct {
 	iface    string
 	label    string
 	clusters map[string]bool
 }
 
-// collectSourceUnits lists every labeled internal node of the source trees
-// with its descendant cluster set.
-func collectSourceUnits(sources []*schema.Tree) []sourceUnit {
-	var units []sourceUnit
-	for _, t := range sources {
-		for _, n := range t.InternalNodes() {
-			if strings.TrimSpace(n.Label) == "" {
-				continue
-			}
-			set := n.LeafClusters()
-			if len(set) == 0 {
-				continue
-			}
-			units = append(units, sourceUnit{iface: t.Interface, label: n.Label, clusters: set})
+// refUnits converts the run's source units for the reference derivation.
+func (ix *runIndex) refUnits() []refUnit {
+	out := make([]refUnit, len(ix.units.list))
+	for k, u := range ix.units.list {
+		set := make(map[string]bool, u.hi-u.lo)
+		for _, c := range ix.units.run(k) {
+			set[ix.tab.Names[c]] = true
 		}
+		out[k] = refUnit{iface: u.iface, label: u.label, clusters: set}
 	}
-	return units
+	return out
 }
 
 // candidateLabels computes the candidate labels of a global internal node
@@ -81,7 +74,7 @@ func collectSourceUnits(sources []*schema.Tree) []sourceUnit {
 // coverage down its hypernymy hierarchy, and LI 5 extends the meaning of a
 // label over dependent concepts. A label becomes a candidate when its
 // extended coverage reaches X.
-func (s *Semantics) candidateLabels(x map[string]bool, units []sourceUnit,
+func (s *Semantics) candidateLabels(x map[string]bool, units []refUnit,
 	m *cluster.Mapping, opts SolverOptions) ([]CandidateLabel, int) {
 
 	// Potential labels: labeled source nodes whose cluster sets are inside X.
@@ -223,7 +216,7 @@ func (s *Semantics) candidateLabels(x map[string]bool, units []sourceUnit,
 		if rule == 2 {
 			opts.Counters.Add(2)
 		}
-		out = append(out, s.newCandidate(p.label, p.forms, p.origins, rule))
+		out = append(out, s.newCandidate(p.label, keys(p.forms), keys(p.origins), rule))
 	}
 	rankCandidates(out)
 	return out, len(pots)
@@ -231,15 +224,13 @@ func (s *Semantics) candidateLabels(x map[string]bool, units []sourceUnit,
 
 // newCandidate renders one surviving potential as a candidate label:
 // origins sorted, the other display forms as alternates, most descriptive
-// first.
-func (s *Semantics) newCandidate(label string, forms, origins map[string]bool, rule int) CandidateLabel {
-	origs := make([]string, 0, len(origins))
-	for o := range origins {
-		origs = append(origs, o)
-	}
+// first. forms and origins hold each form and interface once; newCandidate
+// sorts origins in place.
+func (s *Semantics) newCandidate(label string, forms, origins []string, rule int) CandidateLabel {
+	origs := origins
 	sort.Strings(origs)
 	var alternates []string
-	for f := range forms {
+	for _, f := range forms {
 		if f != label {
 			alternates = append(alternates, f)
 		}
@@ -281,7 +272,7 @@ func rankCandidates(out []CandidateLabel) {
 // node has exactly W ∪ Z as descendant leaves and its label's content words
 // are a subset of the content words of W's field labels (the Make/Model ⊃
 // Keywords configuration of Figure 8).
-func (s *Semantics) extendMeaning(y, x map[string]bool, units []sourceUnit,
+func (s *Semantics) extendMeaning(y, x map[string]bool, units []refUnit,
 	m *cluster.Mapping, opts SolverOptions) bool {
 
 	var z []string
@@ -337,7 +328,7 @@ func (s *Semantics) extendMeaning(y, x map[string]bool, units []sourceUnit,
 		// a label like "Drop-off" whose word also prefixes Z's own field
 		// labels ("Drop-off City") groups peers, it does not subordinate
 		// them.
-		labelWords := s.ContentWords(u.label)
+		labelWords := s.contentWords(u.label)
 		if len(labelWords) == 0 ||
 			!subsetSorted(labelWords, fieldContentWords(s, m, w)) {
 			continue
@@ -361,7 +352,7 @@ func fieldContentWords(s *Semantics, m *cluster.Mapping, set map[string]bool) []
 			continue
 		}
 		for _, l := range cl.Labels() {
-			words = append(words, s.ContentWords(l)...)
+			words = append(words, s.contentWords(l)...)
 		}
 	}
 	sort.Strings(words)
@@ -398,6 +389,15 @@ func unionInstances(m *cluster.Mapping, names []string) []string {
 				out = append(out, v)
 			}
 		}
+	}
+	return out
+}
+
+// keys lists a set's members in no particular order.
+func keys(set map[string]bool) []string {
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package naming
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"qilabel/internal/cluster"
@@ -18,11 +19,16 @@ func setOf(names ...string) map[string]bool {
 }
 
 func mappingFor(trees ...*schema.Tree) *cluster.Mapping {
-	m, err := cluster.FromTrees(trees)
-	if err != nil {
+	return tableFor(trees...).Mapping
+}
+
+// tableFor lays annotated trees out as a table numbered by their mapping.
+func tableFor(trees ...*schema.Tree) *cluster.Table {
+	tab := cluster.NewTable(trees)
+	if _, err := tab.DeriveMapping(); err != nil {
 		panic(err)
 	}
-	return m
+	return tab
 }
 
 // deriveBoth runs the §5 candidate derivation for X through both kernels —
@@ -33,16 +39,24 @@ func mappingFor(trees ...*schema.Tree) *cluster.Mapping {
 // outcome and adds its tallies to opts.Counters.
 func deriveBoth(t *testing.T, trees []*schema.Tree, x map[string]bool, opts SolverOptions) ([]CandidateLabel, int) {
 	t.Helper()
-	m := mappingFor(trees...)
-	units := collectSourceUnits(trees)
+	tab := tableFor(trees...)
 	var refCnt, ixCnt Counters
 	refOpts, ixOpts := opts, opts
 	refOpts.Counters, ixOpts.Counters = &refCnt, &ixCnt
-	ref, refPots := NewSemantics(nil).candidateLabels(x, units, m, refOpts)
+	ref, refPots := NewSemantics(nil).candidateLabels(x, newRunIndex(tab, nil).refUnits(), tab.Mapping, refOpts)
 
 	s := NewSemantics(nil)
-	ix := newNodeIndex(s, m, units, x)
-	got, gotPots := s.candidateLabelsIndexed(ix, ix.setOf(sortedKeys(x)), ixOpts)
+	ix := newRunIndex(tab, s)
+	var xs []int32
+	for c := range x {
+		id := slices.Index(tab.Names, c)
+		if id < 0 {
+			t.Fatalf("X names %s, which no source has", c)
+		}
+		xs = append(xs, int32(id))
+	}
+	slices.Sort(xs)
+	got, gotPots := s.candidateLabelsIndexed(ix, newNodeScratch(len(tab.Names)), xs, ixOpts)
 	if !reflect.DeepEqual(got, ref) {
 		t.Errorf("indexed candidates diverge from the reference:\nindexed:   %+v\nreference: %+v", got, ref)
 	}
@@ -304,8 +318,9 @@ func TestCandidateLabelsNone(t *testing.T) {
 
 // TestCandidateLabelsStraddlingUnit: a source node whose clusters straddle
 // X — two inside, one outside — is not a potential label of X. Seventy
-// filler clusters number the outside cluster past the first bitset word,
-// so the indexed ⊆ test must reject the unit on a word X leaves empty.
+// filler clusters number the outside cluster past the first bitset word
+// of the run's numbering, so the indexed ⊆ test must reject the unit on a
+// cluster far from X's.
 func TestCandidateLabelsStraddlingUnit(t *testing.T) {
 	fillers := make([]*schema.Node, 70)
 	for i := range fillers {
@@ -321,8 +336,7 @@ func TestCandidateLabelsStraddlingUnit(t *testing.T) {
 			schema.NewField("State", "c_State"),
 			schema.NewField("Zip Code", "c_Zip"))),
 	}
-	ix := newNodeIndex(NewSemantics(nil), mappingFor(trees...), collectSourceUnits(trees), nil)
-	if zip := ix.ids["c_Zip"]; zip < 64 {
+	if zip := slices.Index(tableFor(trees...).Names, "c_Zip"); zip < 64 {
 		t.Fatalf("c_Zip numbered %d, want it past the first bitset word", zip)
 	}
 
@@ -343,8 +357,8 @@ func TestCollectSourceUnitsSkipsUnlabeled(t *testing.T) {
 			schema.NewGroup("", schema.NewField("A", "c_A")),
 			schema.NewGroup("G", schema.NewField("B", "c_B"))),
 	}
-	units := collectSourceUnits(trees)
-	if len(units) != 1 || units[0].label != "G" {
-		t.Errorf("units = %+v, want only the labeled node", units)
+	units := newSourceUnits(tableFor(trees...), nil)
+	if len(units.list) != 1 || units.list[0].label != "G" {
+		t.Errorf("units = %+v, want only the labeled node", units.list)
 	}
 }

@@ -1,6 +1,7 @@
 package naming
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -18,14 +19,19 @@ import (
 // same domain is replaced by it) and LI 7 discards labels that are data
 // values of sibling fields.
 func (s *Semantics) LabelIsolated(c *cluster.Cluster, opts SolverOptions) string {
-	labels := c.Labels()
+	return s.labelIsolated(c, newClusterFacts(c, nil, nil), opts)
+}
+
+// labelIsolated is LabelIsolated over the cluster's precomputed facts.
+func (s *Semantics) labelIsolated(c *cluster.Cluster, f *clusterFacts, opts SolverOptions) string {
+	labels := f.labels
 	if len(labels) == 0 {
 		return ""
 	}
 	freq := c.LabelFrequency()
 
 	if opts.UseInstances && len(labels) > 1 {
-		labels = s.discardValueLabels(c, labels, opts.Counters)
+		labels = s.discardValueLabels(c, f, labels, opts.Counters)
 	}
 	if len(labels) == 1 {
 		return labels[0]
@@ -34,8 +40,18 @@ func (s *Semantics) LabelIsolated(c *cluster.Cluster, opts SolverOptions) string
 	roots := s.hierarchyRoots(labels)
 
 	if opts.UseInstances {
+		// Each label's domain is unioned once, however many roots read it.
+		domains := make(map[string][]string, len(labels))
+		domain := func(l string) []string {
+			d, ok := domains[l]
+			if !ok {
+				d = c.Instances(l)
+				domains[l] = d
+			}
+			return d
+		}
 		for i, r := range roots {
-			if repl := s.reconcileLI6(c, r, labels, opts.Counters); repl != "" {
+			if repl := s.reconcileLI6(domain, r, labels, opts.Counters); repl != "" {
 				roots[i] = repl
 			}
 		}
@@ -79,8 +95,10 @@ func (s *Semantics) hierarchyRoots(labels []string) []string {
 		}
 	}
 	if len(roots) == 0 {
-		// Hypernymy cycles over equivalent labels: fall back to all labels.
-		roots = labels
+		// Hypernymy cycles over equivalent labels: fall back to all labels
+		// (a copy: callers reorder the roots, and labels may be a
+		// cluster's facts).
+		roots = slices.Clone(labels)
 	}
 	return roots
 }
@@ -89,9 +107,10 @@ func (s *Semantics) hierarchyRoots(labels []string) []string {
 // look for a more descriptive label whose accumulated instance domain
 // includes the root's domain; if found, the root's general meaning is
 // bounded to that label in this domain, so the descriptive label replaces
-// the root (Flight Class replaces Class in the airline domain).
-func (s *Semantics) reconcileLI6(c *cluster.Cluster, root string, labels []string, counters *Counters) string {
-	rootDomain := c.Instances(root)
+// the root (Flight Class replaces Class in the airline domain). domain
+// returns a label's domain(l).
+func (s *Semantics) reconcileLI6(domain func(label string) []string, root string, labels []string, counters *Counters) string {
+	rootDomain := domain(root)
 	if len(rootDomain) == 0 {
 		return ""
 	}
@@ -100,7 +119,7 @@ func (s *Semantics) reconcileLI6(c *cluster.Cluster, root string, labels []strin
 		if h == root || s.Relate(root, h) != RelHypernym {
 			continue
 		}
-		if !subsetFold(rootDomain, c.Instances(h)) {
+		if !subsetFold(rootDomain, domain(h)) {
 			continue
 		}
 		if s.ContentWordCount(h) <= s.ContentWordCount(root) {
@@ -118,24 +137,22 @@ func (s *Semantics) reconcileLI6(c *cluster.Cluster, root string, labels []strin
 
 // discardValueLabels implements LI 7 for a single cluster: labels occurring
 // among the instances of sibling members are data values and are discarded,
-// keeping at least one label.
-func (s *Semantics) discardValueLabels(c *cluster.Cluster, labels []string, counters *Counters) []string {
+// keeping at least one label. The facts rule most labels out without a
+// scan of the members.
+func (s *Semantics) discardValueLabels(c *cluster.Cluster, f *clusterFacts, labels []string, counters *Counters) []string {
 	keep := labels[:0:0]
 	for _, l := range labels {
 		isValue := false
 		for _, m := range c.Members {
+			if isValue || !f.mayHaveValue(l) {
+				break
+			}
 			if strings.EqualFold(strings.TrimSpace(m.Leaf.Label), l) {
 				continue
 			}
-			for _, inst := range m.Leaf.Instances {
-				if strings.EqualFold(strings.TrimSpace(inst), l) {
-					isValue = true
-					break
-				}
-			}
-			if isValue {
-				break
-			}
+			isValue = slices.ContainsFunc(m.Leaf.Instances, func(inst string) bool {
+				return strings.EqualFold(strings.TrimSpace(inst), l)
+			})
 		}
 		if isValue && len(labels)-1 >= 1 {
 			counters.Add(7)

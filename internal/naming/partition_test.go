@@ -387,7 +387,7 @@ func TestPartitionProbeCount(t *testing.T) {
 	}{{"Hotels", hotels, 1, 1000}, {"mega", mega, 0, 1000}} {
 		probes := func(parallelism int) int64 {
 			mr, lex := c.corpus()
-			a := PrecomputeAnalysis(lex, SourceLabels(mr.Sources))
+			a := PrecomputeAnalysis(lex, cluster.NewTable(mr.Sources).Labels)
 			if _, err := Run(mr, Options{Lexicon: lex, Parallelism: parallelism, Analysis: a}); err != nil {
 				t.Fatal(err)
 			}

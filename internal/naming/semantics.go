@@ -94,6 +94,7 @@ type labelWords struct {
 	// Definition 1 does not define hypernymy.
 	conjunction bool
 	keys        []string // see Semantics.EquivalenceKeys
+	stems       []string // the words' stems, sorted (see Semantics.ContentWords)
 }
 
 // Analysis is an immutable label-analysis table: the two-step normalization
@@ -136,6 +137,13 @@ func PrecomputeAnalysis(lex *lexicon.Lexicon, labels []string) *Analysis {
 		a.ids[l] = int32(len(a.ids))
 	}
 	return a
+}
+
+// ID returns the label's ID in the table, which Semantics derived from the
+// table intern it under, and whether the table holds the label.
+func (a *Analysis) ID(label string) (int32, bool) {
+	id, ok := a.ids[label]
+	return id, ok
 }
 
 // Semantics returns a fresh Semantics backed by this table: analyses of
@@ -254,6 +262,11 @@ func analyzeLabel(lex *lexicon.Lexicon, label string) *labelWords {
 		lw.words = append(lw.words, word{stem: st, base: base})
 	}
 	lw.keys = equivalenceKeys(lex, lw)
+	lw.stems = make([]string, len(lw.words))
+	for i, w := range lw.words {
+		lw.stems[i] = w.stem
+	}
+	sort.Strings(lw.stems)
 	return lw
 }
 
@@ -352,13 +365,13 @@ func (s *Semantics) ContentWordCount(label string) int {
 // ContentWords exposes the content-word stems of a label (sorted), mainly
 // for LI5's subset tests and for diagnostics.
 func (s *Semantics) ContentWords(label string) []string {
-	lw := s.analyze(label)
-	out := make([]string, len(lw.words))
-	for i, w := range lw.words {
-		out[i] = w.stem
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(s.contentWords(label))
+}
+
+// contentWords is ContentWords without the copy: callers must not modify
+// the returned slice, which the label's analysis shares.
+func (s *Semantics) contentWords(label string) []string {
+	return s.analyze(label).stems
 }
 
 // EquivalenceKeys returns the label's equivalence keys: two labels that
@@ -461,6 +474,14 @@ func (s *Semantics) relate(a, b string) Rel {
 // when collecting potential labels and detecting homonyms.
 func (s *Semantics) Equivalent(a, b string) bool {
 	return s.Relate(a, b).equivalent()
+}
+
+// EquivalentIDs is Equivalent for two labels of the analysis table s was
+// derived from, whose IDs (Analysis.ID) the caller resolved beforehand: a
+// caller comparing each label with many others resolves every ID once
+// instead of looking both labels up on every call.
+func (s *Semantics) EquivalentIDs(ia, ib int32, a, b string) bool {
+	return s.relateIDs(ia, ib, a, b).equivalent()
 }
 
 // equivalent reports whether r is one of the relations Equivalent accepts.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"qilabel/internal/cluster"
 	"qilabel/internal/lexicon"
 	"qilabel/internal/synth"
 )
@@ -263,7 +264,7 @@ func TestEquivalentLabelsShareKeys(t *testing.T) {
 		labels []string
 	}{
 		{"domains", nil, domainLabels(t)},
-		{"medium", lex, distinct(SourceLabels(trees))},
+		{"medium", lex, cluster.NewTable(trees).Labels},
 	} {
 		s := NewSemantics(c.lex)
 		var related [RelHyponym + 1]int

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"qilabel/internal/cluster"
 	"qilabel/internal/dataset"
 	"qilabel/internal/merge"
 	"qilabel/internal/schema"
@@ -76,7 +77,7 @@ func TestWarmRunEquivalence(t *testing.T) {
 			w := NewWarm(nil)
 			for pass := 0; pass < 3; pass++ {
 				mr := domainMerge(t, d.Name)
-				res, err := Run(mr, Options{Analysis: w.Analysis(SourceLabels(mr.Sources))})
+				res, err := Run(mr, Options{Analysis: w.Analysis(cluster.NewTable(mr.Sources).Labels)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -100,7 +101,7 @@ func TestWarmDoesNotPinRuns(t *testing.T) {
 		mr := domainMerge(t, "Airline")
 		leaf := mr.Groups[0][0].Members[0].Leaf
 		runtime.SetFinalizer(leaf, func(*schema.Node) { close(collected) })
-		if _, err := Run(mr, Options{Analysis: w.Analysis(SourceLabels(mr.Sources))}); err != nil {
+		if _, err := Run(mr, Options{Analysis: w.Analysis(cluster.NewTable(mr.Sources).Labels)}); err != nil {
 			t.Fatal(err)
 		}
 	}()

@@ -12,7 +12,9 @@ package pool
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -63,6 +65,13 @@ func chunkSize(workers, n int) int {
 // not have run), nil otherwise. With workers == 1 the units run on the
 // calling goroutine in index order, so a serial configuration is not merely
 // equivalent to the parallel one — it is the plain loop.
+//
+// A unit that panics on a worker goroutine does not take the process down
+// from there: the worker recovers, the other workers stop claiming units,
+// and once every worker has returned ForEach panics on the calling
+// goroutine with a *Panic holding the value and the worker's stack, where
+// the caller can recover it. A unit run on the calling goroutine panics
+// there directly.
 func ForEach(ctx context.Context, workers, n int, fn func(worker, i int)) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -83,11 +92,17 @@ func ForEach(ctx context.Context, workers, n int, fn func(worker, i int)) error 
 	chunk := chunkSize(workers, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var failed atomic.Pointer[Panic]
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			for ctx.Err() == nil {
+			defer func() {
+				if v := recover(); v != nil {
+					failed.CompareAndSwap(nil, &Panic{Value: v, Stack: debug.Stack()})
+				}
+			}()
+			for ctx.Err() == nil && failed.Load() == nil {
 				end := int(next.Add(int64(chunk)))
 				start := end - chunk
 				if start >= n {
@@ -97,7 +112,7 @@ func ForEach(ctx context.Context, workers, n int, fn func(worker, i int)) error 
 					end = n
 				}
 				for i := start; i < end; i++ {
-					if ctx.Err() != nil {
+					if ctx.Err() != nil || failed.Load() != nil {
 						return
 					}
 					fn(worker, i)
@@ -106,5 +121,20 @@ func ForEach(ctx context.Context, workers, n int, fn func(worker, i int)) error 
 		}(w)
 	}
 	wg.Wait()
+	if p := failed.Load(); p != nil {
+		panic(p)
+	}
 	return ctx.Err()
+}
+
+// Panic is the value ForEach panics with on its caller's goroutine when a
+// unit panicked on a worker goroutine: the unit's panic value and the
+// worker's stack at the panic.
+type Panic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *Panic) Error() string {
+	return fmt.Sprintf("panic in a pool worker: %v\n\n%s", p.Value, p.Stack)
 }

@@ -174,3 +174,52 @@ func TestWorkers(t *testing.T) {
 		t.Fatal("explicit parallelism not honored")
 	}
 }
+
+// TestForEachRepanicsOnCaller: a unit panicking on a worker goroutine
+// re-panics on ForEach's caller, once every worker has returned, with the
+// value and the worker's stack; the other workers stop claiming units.
+func TestForEachRepanicsOnCaller(t *testing.T) {
+	const n = 1000
+	var ran, running atomic.Int32
+	caller := goroutineID()
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		ForEach(context.Background(), 4, n, func(_, i int) {
+			running.Add(1)
+			defer running.Add(-1)
+			ran.Add(1)
+			if i == 100 {
+				if goroutineID() == caller {
+					t.Error("the unit ran on the caller's goroutine")
+				}
+				panic("unit 100 failed")
+			}
+		})
+	}()
+	p, ok := got.(*Panic)
+	if !ok {
+		t.Fatalf("recovered %#v, want a *Panic", got)
+	}
+	if p.Value != "unit 100 failed" || !strings.Contains(string(p.Stack), "TestForEachRepanicsOnCaller") {
+		t.Fatalf("panic value %v with stack\n%s", p.Value, p.Stack)
+	}
+	if !strings.Contains(p.Error(), "unit 100 failed") {
+		t.Errorf("Error() = %q", p.Error())
+	}
+	if running.Load() != 0 {
+		t.Error("ForEach returned while units were still running")
+	}
+	if ran.Load() == n {
+		t.Error("the workers ran every unit after one panicked")
+	}
+
+	// A serial run panics with the unit's own value, on the caller.
+	func() {
+		defer func() { got = recover() }()
+		ForEach(context.Background(), 1, 3, func(_, i int) { panic(i) })
+	}()
+	if got != 0 {
+		t.Fatalf("serial run recovered %#v, want the unit's value 0", got)
+	}
+}

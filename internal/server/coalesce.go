@@ -240,22 +240,51 @@ func (s *Server) runFlight(f *flight, p *pending, block bool) {
 	}
 	defer release()
 
+	// compute caches the entry before finish removes the flight, so there
+	// is no instant at which the key is neither cached nor in the air.
+	e, err := s.compute(f.ctx, p)
+	s.flights.finish(p.key, f, e, err)
+}
+
+// compute runs the pipeline on a flight's request and caches its entry. A
+// panic in it becomes an internal error, and nothing is cached.
+func (s *Server) compute(ctx context.Context, p *pending) (e *cacheEntry, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			e, err = nil, s.internalError(v)
+		}
+	}()
 	if s.testHookSlow != nil {
 		s.testHookSlow()
 	}
+	if s.testHookPipeline != nil {
+		s.testHookPipeline()
+	}
 	ig, err := s.integrator(p.ropts)
 	if err != nil {
-		s.flights.finish(p.key, f, nil, err)
-		return
+		return nil, err
 	}
-	res, err := ig.IntegrateOwned(f.ctx, p.sources, p.hashes)
+	res, err := ig.IntegrateOwned(ctx, p.sources, p.hashes)
 	if err != nil {
-		s.flights.finish(p.key, f, nil, err)
-		return
+		return nil, err
 	}
-	// complete caches the entry before finish removes the flight, so there
-	// is no instant at which the key is neither cached nor in the air.
-	s.flights.finish(p.key, f, s.complete(p, res), nil)
+	return s.complete(p, res), nil
+}
+
+// internalError is a panic recovered in the pipeline: the request fails
+// with the internal error code, and the daemon and its other requests go
+// on.
+type internalError struct{ value any }
+
+func (e *internalError) Error() string {
+	return fmt.Sprintf("internal error: %v", e.value)
+}
+
+// internalError counts a recovered panic and returns the error its
+// request fails with.
+func (s *Server) internalError(v any) error {
+	s.metrics.panics.Add(1)
+	return &internalError{v}
 }
 
 // apiErrorFor maps a flight error onto the shared error envelope.
@@ -269,6 +298,9 @@ func (s *Server) apiErrorFor(err error) *apiError {
 	case errors.Is(err, context.Canceled):
 		return &apiError{statusClientClosedRequest, codeCanceled,
 			"request canceled before the integration finished"}
+	case errors.As(err, new(*internalError)):
+		return &apiError{500, codeInternal,
+			"internal error while integrating; nothing was cached or changed, and the request may be retried"}
 	default:
 		return &apiError{400, codeBadRequest, err.Error()}
 	}

@@ -201,13 +201,33 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	resp := ingestResponse{Assignments: make([]ingestAssignment, 0, len(forms))}
+	resp, err := s.ingest(ctx, eng, ropts, forms)
+	if err != nil {
+		writeAPIError(w, s.apiErrorFor(err))
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// ingest files the forms into the engine's partition and publishes every
+// domain they changed. A panic in the pipeline becomes an internal error;
+// an engine changes nothing for an ingest whose integration did not
+// finish.
+func (s *Server) ingest(ctx context.Context, eng *discover.Engine, ropts requestOptions, forms []*qilabel.Tree) (resp ingestResponse, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			resp, err = ingestResponse{}, s.internalError(v)
+		}
+	}()
+	if s.testHookPipeline != nil {
+		s.testHookPipeline()
+	}
+	resp = ingestResponse{Assignments: make([]ingestAssignment, 0, len(forms))}
 	touched := make(map[string]bool)
 	for _, t := range forms {
 		a, err := eng.Ingest(ctx, t)
 		if err != nil {
-			writeAPIError(w, s.apiErrorFor(err))
-			return
+			return ingestResponse{}, err
 		}
 		if !a.Duplicate {
 			touched[a.Domain] = true
@@ -230,11 +250,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// the same domain publishes the newer state under its own key.
 	for id := range touched {
 		if err := s.publishDomain(eng, ropts, id); err != nil && !errors.Is(err, discover.ErrUnknownDomain) {
-			writeAPIError(w, s.apiErrorFor(err))
-			return
+			return ingestResponse{}, err
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // publishDomain caches one discovered domain's current integration under

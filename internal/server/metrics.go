@@ -27,6 +27,9 @@ type metrics struct {
 	// coalesced counts requests that joined another identical request's
 	// in-flight pipeline run instead of starting their own.
 	coalesced atomic.Int64
+	// panics counts panics recovered in the pipeline, each answered with
+	// the internal error code.
+	panics atomic.Int64
 
 	// batches / batchItems count /v1/integrate/batch requests and the
 	// items they carried.
@@ -206,6 +209,7 @@ type stageSnapshot struct {
 type snapshot struct {
 	UptimeSeconds float64                     `json:"uptimeSeconds"`
 	Inflight      int64                       `json:"inflight"`
+	Panics        int64                       `json:"panics"`
 	Cache         cacheSnapshot               `json:"cache"`
 	Warm          warmSnapshot                `json:"warm"`
 	Batch         batchSnapshot               `json:"batch"`
@@ -324,6 +328,7 @@ func (m *metrics) snapshot(cacheEntries, cacheCap, sessionsActive int) snapshot 
 	s := snapshot{
 		UptimeSeconds: time.Since(m.start).Seconds(),
 		Inflight:      m.inflight.Load(),
+		Panics:        m.panics.Load(),
 		Cache: cacheSnapshot{
 			Hits:      m.cacheHits.Load(),
 			Misses:    m.cacheMisses.Load(),

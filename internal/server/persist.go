@@ -214,7 +214,7 @@ func (s *Server) rehydrate(ctx context.Context, key string, e *cacheEntry) (*tra
 		return nil, s.apiErrorFor(err)
 	}
 	next := *e
-	next.index = translate.NewIndex(res.Merge.Sources)
+	next.index = res.TranslationIndex()
 	s.cache.Put(key, &next)
 	return next.index, nil
 }

@@ -60,7 +60,6 @@ import (
 	"qilabel"
 	"qilabel/internal/dataset"
 	"qilabel/internal/discover"
-	"qilabel/internal/translate"
 )
 
 // Config tunes the service. The zero value selects production defaults.
@@ -164,6 +163,10 @@ type Server struct {
 	// flight.
 	testHookSlow   func()
 	testHookMissed func()
+	// testHookPipeline, when set, runs where a panic in the pipeline is
+	// recovered: inside an integration's flight, a session delta and an
+	// ingest, before the pipeline runs. Tests make it panic.
+	testHookPipeline func()
 }
 
 // New builds a Server with the given configuration.
@@ -551,7 +554,7 @@ func (s *Server) complete(p *pending, res *qilabel.Result) *cacheEntry {
 	}
 	s.metrics.addRules(res.Naming.Counters)
 	e := newCacheEntry(resp, p.domain, p.ropts, p.canon, p.hashes)
-	e.index = translate.NewIndex(res.Merge.Sources)
+	e.index = res.TranslationIndex()
 	s.cache.Put(p.key, e)
 	return e
 }
@@ -727,6 +730,7 @@ const (
 	codeTimeout    = "timeout"
 	codeCanceled   = "canceled"
 	codeNotFound   = "not_found"
+	codeInternal   = "internal"
 )
 
 // statusClientClosedRequest is nginx's de-facto standard status for a

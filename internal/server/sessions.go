@@ -308,23 +308,41 @@ func (s *Server) sessionDelta(w http.ResponseWriter, r *http.Request,
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	ls.mu.Lock()
-	hash, err := op(ctx, ls, req)
-	resp := sessionOpResponse{ID: ls.id, Hash: hash}
-	if err == nil {
-		resp.Stats = ls.sess.Stats()
-		resp.Sources = ls.sess.Len()
-		if resp.Sources > 0 {
-			resp.Key = ls.sess.CacheKey()
-		}
-	}
-	ls.mu.Unlock()
+	resp, err := s.runDelta(ctx, ls, req, op)
 	if err != nil {
 		writeAPIError(w, s.sessionErrorFor(err))
 		return
 	}
 	s.recordDelta(resp.Stats.Op)
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// runDelta runs one delta operation and reads the new state back under
+// the session's lock. A panic in the pipeline becomes an internal error;
+// the session keeps its state, since a Session commits an operation only
+// after its run succeeds.
+func (s *Server) runDelta(ctx context.Context, ls *liveSession, req sessionSourceRequest,
+	op func(context.Context, *liveSession, sessionSourceRequest) (string, error)) (resp sessionOpResponse, err error) {
+
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	defer func() {
+		if v := recover(); v != nil {
+			resp, err = sessionOpResponse{}, s.internalError(v)
+		}
+	}()
+	if s.testHookPipeline != nil {
+		s.testHookPipeline()
+	}
+	hash, err := op(ctx, ls, req)
+	if err != nil {
+		return sessionOpResponse{}, err
+	}
+	resp = sessionOpResponse{ID: ls.id, Hash: hash, Stats: ls.sess.Stats(), Sources: ls.sess.Len()}
+	if resp.Sources > 0 {
+		resp.Key = ls.sess.CacheKey()
+	}
+	return resp, nil
 }
 
 // recordDelta counts one delta operation by kind.

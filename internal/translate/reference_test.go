@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
@@ -15,6 +16,146 @@ import (
 	"qilabel/internal/schema"
 	"qilabel/internal/synth"
 )
+
+// indexOf projects the index of trees without a mapping: every cluster
+// their leaves name is numbered as one the mapping lacks.
+func indexOf(sources []*schema.Tree) *Index {
+	return FromTable(cluster.NewTable(sources).Bind(cluster.NewMapping()))
+}
+
+// treeIndex is the tree walk FromTable replaced: it builds the index of
+// the given expanded source trees by walking them. A leaf
+// without a cluster is not fillable; the first clustered leaf child of an
+// Aggregated node stands for the whole aggregate, whose parts are the
+// node's clustered children.
+func treeIndex(sources []*schema.Tree) *Index {
+	// Sources of one domain share most fields: a few distinct ones each.
+	b := treeBuilder{spans: make(map[string]span), ids: make(map[string]uint32, 16*len(sources))}
+	for _, t := range sources {
+		b.tree(t)
+	}
+	return &Index{
+		arena:   string(b.arena),
+		sources: clip(b.sources),
+		refs:    clip(b.refs),
+		fields:  clip(b.fields),
+		strs:    clip(b.strs),
+	}
+}
+
+type treeBuilder struct {
+	arena   []byte
+	spans   map[string]span   // each distinct string is stored once
+	ids     map[string]uint32 // each distinct field, keyed by its strings
+	sources []sourceRec
+	refs    []uint32
+	fields  []fieldRec
+	strs    []span
+	key     []byte
+}
+
+func (b *treeBuilder) span(s string) span {
+	if sp, ok := b.spans[s]; ok {
+		return sp
+	}
+	sp := span{uint32(len(b.arena)), uint32(len(b.arena) + len(s))}
+	b.arena = append(b.arena, s...)
+	b.spans[s] = sp
+	return sp
+}
+
+func (b *treeBuilder) tree(t *schema.Tree) {
+	iface := b.span(t.Interface)
+	if t.Root.IsLeaf() {
+		if t.Root.Cluster != "" {
+			b.field(t.Root)
+		}
+	} else {
+		b.children(t.Root)
+	}
+	b.sources = append(b.sources, sourceRec{iface: iface, end: uint32(len(b.refs))})
+}
+
+// children records the fillable fields under internal node n in
+// interface (pre-)order.
+func (b *treeBuilder) children(n *schema.Node) {
+	aggregated := false
+	for _, c := range n.Children {
+		switch {
+		case !c.IsLeaf():
+			b.children(c)
+		case c.Cluster == "":
+		case !n.Aggregated:
+			b.field(c)
+		case !aggregated:
+			aggregated = true
+			b.aggregate(n)
+		}
+	}
+}
+
+// field adds a reference to a plain field, storing the field first if
+// no earlier source had it.
+func (b *treeBuilder) field(leaf *schema.Node) {
+	b.key = appendString(appendString(b.key[:0], leaf.Label), leaf.Cluster)
+	for _, inst := range leaf.Instances {
+		b.key = appendString(b.key, inst)
+	}
+	if b.known() {
+		return
+	}
+	f := fieldRec{label: b.span(leaf.Label), cluster: b.span(leaf.Cluster), from: uint32(len(b.strs))}
+	for _, inst := range leaf.Instances {
+		b.strs = append(b.strs, b.span(inst))
+	}
+	b.store(f)
+}
+
+// aggregate adds a reference to the 1:m field n stands for. Its key's
+// empty cluster sets it apart from every plain field.
+func (b *treeBuilder) aggregate(n *schema.Node) {
+	b.key = appendString(appendString(b.key[:0], n.Label), "")
+	for _, part := range n.Children {
+		if part.Cluster != "" {
+			b.key = appendString(b.key, part.Cluster)
+		}
+	}
+	if b.known() {
+		return
+	}
+	f := fieldRec{label: b.span(n.Label), from: uint32(len(b.strs))}
+	for _, part := range n.Children {
+		if part.Cluster != "" {
+			b.strs = append(b.strs, b.span(part.Cluster))
+		}
+	}
+	b.store(f)
+}
+
+// known adds a reference to the field keyed by b.key if it is stored.
+func (b *treeBuilder) known() bool {
+	id, ok := b.ids[string(b.key)]
+	if ok {
+		b.refs = append(b.refs, id)
+	}
+	return ok
+}
+
+// store stores f, whose run ends at the end of strs, under b.key and adds
+// a reference to it.
+func (b *treeBuilder) store(f fieldRec) {
+	f.to = uint32(len(b.strs))
+	id := uint32(len(b.fields))
+	b.fields = append(b.fields, f)
+	b.ids[string(b.key)] = id
+	b.refs = append(b.refs, id)
+}
+
+// appendString appends s with a length prefix, so distinct string
+// sequences never encode alike.
+func appendString(b []byte, s string) []byte {
+	return append(binary.LittleEndian.AppendUint32(b, uint32(len(s))), s...)
+}
 
 // referenceTranslate is the tree walk Index replaces: every source's
 // leaves in pre-order, each leaf's parent found by a search from the root,
@@ -242,7 +383,10 @@ func TestIndexMatchesReference(t *testing.T) {
 	var aggregates, approximate, unsupported int
 	r := rand.New(rand.NewPCG(7, 11))
 	for _, c := range cases {
-		ix := NewIndex(c.mr.Sources)
+		ix := FromTable(cluster.NewTable(c.mr.Sources).Bind(c.mr.Mapping))
+		if want := treeIndex(c.mr.Sources); !reflect.DeepEqual(ix, want) {
+			t.Fatalf("%s: the projected index differs from the tree walk's", c.name)
+		}
 		for i := 0; i < 40; i++ {
 			q := randomQuery(r, c.mr)
 			got, want := ix.Translate(q), referenceTranslate(c.mr, q)
@@ -290,7 +434,11 @@ func TestIndexMatchesReference(t *testing.T) {
 	for _, srcs := range [][]*schema.Tree{{leafRoot, mixed, aggRoot}, nil} {
 		mr := &merge.Result{Sources: srcs}
 		for _, q := range []Query{{}, {"c_A": "2", "c_C": "3"}, {"c_A": "t", "c_B": "B", "c_Z": "z"}, {"c_C": "kid"}} {
-			if got, want := NewIndex(srcs).Translate(q), referenceTranslate(mr, q); !reflect.DeepEqual(got, want) {
+			ix := indexOf(srcs)
+			if !reflect.DeepEqual(ix, treeIndex(srcs)) {
+				t.Fatal("edge shapes: the projected index differs from the tree walk's")
+			}
+			if got, want := ix.Translate(q), referenceTranslate(mr, q); !reflect.DeepEqual(got, want) {
 				t.Fatalf("edge shapes, query %v:\nindex     %+v\nreference %+v", q, got, want)
 			}
 		}

@@ -19,17 +19,19 @@
 //     so the caller can post-filter the source's results.
 //
 // An Index holds what translation reads of the expanded source trees, as
-// integer offsets into one string arena: it is built once per integration
-// and keeps no pointer into the trees.
+// integer offsets into one string arena: it is projected once per
+// integration from the run's table (cluster.Table) and keeps no pointer
+// into the trees.
 package translate
 
 import (
-	"encoding/binary"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"unsafe"
 
+	"qilabel/internal/cluster"
 	"qilabel/internal/schema"
 )
 
@@ -108,15 +110,45 @@ type fieldRec struct {
 
 func (f *fieldRec) aggregate() bool { return f.cluster.off == f.cluster.end }
 
-// NewIndex builds the index of the given expanded source trees. A leaf
-// without a cluster is not fillable; the first clustered leaf child of an
-// Aggregated node stands for the whole aggregate, whose parts are the
-// node's clustered children.
-func NewIndex(sources []*schema.Tree) *Index {
+// FromTable builds the index of a table's expanded sources, whose cluster
+// IDs are numbered (cluster.Table.DeriveMapping or Bind). A leaf without a
+// cluster is not fillable; the first clustered leaf child of an Aggregated
+// node stands for the whole aggregate, whose parts are the node's
+// clustered children.
+func FromTable(tab *cluster.Table) *Index {
 	// Sources of one domain share most fields: a few distinct ones each.
-	b := indexBuilder{spans: make(map[string]span), ids: make(map[string]uint32, 16*len(sources))}
-	for _, t := range sources {
-		b.tree(t)
+	b := indexBuilder{
+		tab:      tab,
+		spans:    make(map[string]span),
+		heads:    make(map[uint64]uint32, 16*len(tab.Sources)),
+		labels:   make([]span, len(tab.Labels)),
+		clusters: make([]span, len(tab.Names)),
+		done:     make([]bool, len(tab.Nodes)),
+	}
+	for _, src := range tab.Sources {
+		iface := b.span(src.Interface)
+		rootDone := false
+		for _, leaf := range tab.Leaves[src.LeafLo:src.LeafHi] {
+			if leaf.Cluster < 0 {
+				continue
+			}
+			var parent *schema.Node
+			label, done := src.Label, &rootDone
+			if leaf.Parent >= 0 {
+				nd := &tab.Nodes[leaf.Parent]
+				parent, label, done = nd.Node, nd.Label, &b.done[leaf.Parent]
+			} else if root := tab.Trees[leaf.Source].Root; root != leaf.Node {
+				parent = root
+			}
+			switch {
+			case parent == nil || !parent.Aggregated:
+				b.field(leaf)
+			case !*done:
+				*done = true
+				b.aggregate(parent, label)
+			}
+		}
+		b.sources = append(b.sources, sourceRec{iface: iface, end: uint32(len(b.refs))})
 	}
 	return &Index{
 		arena:   string(b.arena),
@@ -145,15 +177,33 @@ func (ix *Index) Size() int {
 		len(ix.strs)*int(unsafe.Sizeof(span{}))
 }
 
+// fieldKey files a field under its label ID and its cluster ID (-1 for an
+// aggregate); the fields sharing a key are told apart by their raw
+// instances or parts.
+func fieldKey(label, cluster int32) uint64 {
+	return uint64(uint32(label))<<32 | uint64(uint32(cluster))
+}
+
 type indexBuilder struct {
-	arena   []byte
-	spans   map[string]span   // each distinct string is stored once
-	ids     map[string]uint32 // each distinct field, keyed by its strings
-	sources []sourceRec
-	refs    []uint32
-	fields  []fieldRec
-	strs    []span
-	key     []byte
+	tab   *cluster.Table
+	arena []byte
+	spans map[string]span // each distinct string is stored once
+	// heads holds 1 + the first stored field of each key; next chains the
+	// later ones (1 + field ID, 0 ends the chain), and raw holds each
+	// stored field's instances or parts.
+	heads map[uint64]uint32
+	next  []uint32
+	raw   [][]string
+	// labels and clusters cache the spans of table labels and cluster
+	// IDs (a zero span: not cached yet); done marks the Aggregated nodes
+	// already referenced.
+	labels, clusters []span
+	done             []bool
+	parts            []string
+	sources          []sourceRec
+	refs             []uint32
+	fields           []fieldRec
+	strs             []span
 }
 
 func (b *indexBuilder) span(s string) span {
@@ -166,97 +216,80 @@ func (b *indexBuilder) span(s string) span {
 	return sp
 }
 
-func (b *indexBuilder) tree(t *schema.Tree) {
-	iface := b.span(t.Interface)
-	if t.Root.IsLeaf() {
-		if t.Root.Cluster != "" {
-			b.field(t.Root)
-		}
-	} else {
-		b.children(t.Root)
+// cached returns s's span through the cache slot c.
+func (b *indexBuilder) cached(c *span, s string) span {
+	if c.end == 0 {
+		*c = b.span(s)
 	}
-	b.sources = append(b.sources, sourceRec{iface: iface, end: uint32(len(b.refs))})
+	return *c
 }
 
-// children records the fillable fields under internal node n in
-// interface (pre-)order.
-func (b *indexBuilder) children(n *schema.Node) {
-	aggregated := false
-	for _, c := range n.Children {
-		switch {
-		case !c.IsLeaf():
-			b.children(c)
-		case c.Cluster == "":
-		case !n.Aggregated:
-			b.field(c)
-		case !aggregated:
-			aggregated = true
-			b.aggregate(n)
-		}
+// labelSpan returns the span of a table label (-1: the empty label).
+func (b *indexBuilder) labelSpan(id int32) span {
+	if id < 0 {
+		return b.span("")
 	}
+	return b.cached(&b.labels[id], b.tab.Labels[id])
 }
 
 // field adds a reference to a plain field, storing the field first if
 // no earlier source had it.
-func (b *indexBuilder) field(leaf *schema.Node) {
-	b.key = appendString(appendString(b.key[:0], leaf.Label), leaf.Cluster)
-	for _, inst := range leaf.Instances {
-		b.key = appendString(b.key, inst)
-	}
-	if b.known() {
+func (b *indexBuilder) field(leaf cluster.Leaf) {
+	k := fieldKey(leaf.Label, leaf.Cluster)
+	if b.known(k, leaf.Node.Instances) {
 		return
 	}
-	f := fieldRec{label: b.span(leaf.Label), cluster: b.span(leaf.Cluster), from: uint32(len(b.strs))}
-	for _, inst := range leaf.Instances {
+	f := fieldRec{label: b.labelSpan(leaf.Label),
+		cluster: b.cached(&b.clusters[leaf.Cluster], b.tab.Names[leaf.Cluster]),
+		from:    uint32(len(b.strs))}
+	for _, inst := range leaf.Node.Instances {
 		b.strs = append(b.strs, b.span(inst))
 	}
-	b.store(f)
+	b.store(k, f, leaf.Node.Instances)
 }
 
-// aggregate adds a reference to the 1:m field n stands for. Its key's
-// empty cluster sets it apart from every plain field.
-func (b *indexBuilder) aggregate(n *schema.Node) {
-	b.key = appendString(appendString(b.key[:0], n.Label), "")
+// aggregate adds a reference to the 1:m field n stands for, whose label
+// has the given table ID. Its parts set it apart from every plain field.
+func (b *indexBuilder) aggregate(n *schema.Node, label int32) {
+	b.parts = b.parts[:0]
 	for _, part := range n.Children {
 		if part.Cluster != "" {
-			b.key = appendString(b.key, part.Cluster)
+			b.parts = append(b.parts, part.Cluster)
 		}
 	}
-	if b.known() {
+	k := fieldKey(label, -1)
+	if b.known(k, b.parts) {
 		return
 	}
-	f := fieldRec{label: b.span(n.Label), from: uint32(len(b.strs))}
-	for _, part := range n.Children {
-		if part.Cluster != "" {
-			b.strs = append(b.strs, b.span(part.Cluster))
+	f := fieldRec{label: b.labelSpan(label), from: uint32(len(b.strs))}
+	for _, part := range b.parts {
+		b.strs = append(b.strs, b.span(part))
+	}
+	b.store(k, f, slices.Clone(b.parts))
+}
+
+// known adds a reference to the stored field with key k and the given
+// instances or parts, if there is one.
+func (b *indexBuilder) known(k uint64, raw []string) bool {
+	for id := b.heads[k]; id != 0; id = b.next[id-1] {
+		if slices.Equal(b.raw[id-1], raw) {
+			b.refs = append(b.refs, id-1)
+			return true
 		}
 	}
-	b.store(f)
+	return false
 }
 
-// known adds a reference to the field keyed by b.key if it is stored.
-func (b *indexBuilder) known() bool {
-	id, ok := b.ids[string(b.key)]
-	if ok {
-		b.refs = append(b.refs, id)
-	}
-	return ok
-}
-
-// store stores f, whose run ends at the end of strs, under b.key and adds
-// a reference to it.
-func (b *indexBuilder) store(f fieldRec) {
+// store stores f, whose run ends at the end of strs, under k and adds a
+// reference to it.
+func (b *indexBuilder) store(k uint64, f fieldRec, raw []string) {
 	f.to = uint32(len(b.strs))
 	id := uint32(len(b.fields))
 	b.fields = append(b.fields, f)
-	b.ids[string(b.key)] = id
+	b.raw = append(b.raw, raw)
+	b.next = append(b.next, b.heads[k])
+	b.heads[k] = id + 1
 	b.refs = append(b.refs, id)
-}
-
-// appendString appends s with a length prefix, so distinct string
-// sequences never encode alike.
-func appendString(b []byte, s string) []byte {
-	return append(binary.LittleEndian.AppendUint32(b, uint32(len(s))), s...)
 }
 
 func (ix *Index) str(sp span) string { return ix.arena[sp.off:sp.end] }

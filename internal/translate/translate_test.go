@@ -25,7 +25,7 @@ func integrated(t *testing.T, trees []*schema.Tree) *merge.Result {
 
 // translate runs q through the index of the merge result's sources.
 func translate(mr *merge.Result, q Query) []SubQuery {
-	return NewIndex(mr.Sources).Translate(q)
+	return indexOf(mr.Sources).Translate(q)
 }
 
 func airlineSources() []*schema.Tree {
@@ -146,7 +146,7 @@ func TestTranslatePartialAggregate(t *testing.T) {
 }
 
 func TestCoerceApproximate(t *testing.T) {
-	ix := NewIndex([]*schema.Tree{schema.NewTree("s",
+	ix := indexOf([]*schema.Tree{schema.NewTree("s",
 		schema.NewField("Class", "c_Class", "Economy Class", "Business Class"))})
 	coerce := func(value string) Assignment {
 		return ix.Translate(Query{"c_Class": value})[0].Assignments[0]

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"qilabel/internal/cluster"
@@ -260,14 +259,9 @@ type Result struct {
 	// lex is the lexicon the result was built with (nil: the embedded
 	// default), retained so Verify re-checks with the same semantics.
 	lex *lexicon.Lexicon
-	// translation is the translation index of Merge.Sources, built by the
-	// first Translate call and shared by the later ones.
-	translation *lazyIndex
-}
-
-type lazyIndex struct {
-	once sync.Once
-	ix   *translate.Index
+	// translation is the translation index of Merge.Sources, projected
+	// from the run's table by the pipeline.
+	translation *translate.Index
 }
 
 // Integrate matches (if requested), merges and labels the given source
@@ -421,15 +415,20 @@ type SubQuery = translate.SubQuery
 
 // Translate maps a query over the integrated interface onto every source
 // interface — the step the paper's system overview places after labeling.
-// The first call on a Result the pipeline built indexes Merge.Sources;
-// later calls reuse the index, so they do not see changes made to those
-// trees in between.
+// It reads TranslationIndex, so it does not see changes made to
+// Merge.Sources after the integration.
 func (r *Result) Translate(q Query) []SubQuery {
-	if r.translation == nil {
-		return translate.NewIndex(r.Merge.Sources).Translate(q)
+	return r.TranslationIndex().Translate(q)
+}
+
+// TranslationIndex returns the flat translation index of Merge.Sources
+// that Translate reads: the pipeline projects it from the run's table,
+// and a Result built otherwise indexes Merge.Sources on every call.
+func (r *Result) TranslationIndex() *translate.Index {
+	if r.translation != nil {
+		return r.translation
 	}
-	r.translation.once.Do(func() { r.translation.ix = translate.NewIndex(r.Merge.Sources) })
-	return r.translation.ix.Translate(q)
+	return translate.FromTable(cluster.NewTable(r.Merge.Sources).Bind(r.Merge.Mapping))
 }
 
 // Report computes the paper's evaluation metrics (FldAcc, IntAcc, HA,

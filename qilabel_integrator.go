@@ -15,6 +15,7 @@ import (
 	"qilabel/internal/naming"
 	"qilabel/internal/pool"
 	"qilabel/internal/schema"
+	"qilabel/internal/translate"
 )
 
 // Integrator is the primary entry point of the package: a validated,
@@ -224,20 +225,25 @@ func (ig *Integrator) integrate(ctx context.Context, trees []*Tree, hashes []str
 	canonicalizeSourceOrder(trees, hashes)
 	cluster.ExpandOneToMany(trees)
 
+	// One table per run lays the expanded sources out flat: every stage
+	// reads its leaves, internal nodes, labels and instance sets instead of
+	// walking the trees again, and the translation index is projected from
+	// it. It is freed with the run.
+	tab := cluster.NewTable(trees)
+
 	// One label-analysis table serves the whole run: the matcher and the
 	// group relations read trimmed leaf labels, the other naming passes
-	// raw node labels (naming.SourceLabels collects both). The table is a
-	// pure accelerator (labels outside it fall back to per-worker caches),
+	// raw node labels (the table's label list holds both). The analysis is
+	// a pure accelerator (labels outside it fall back to per-worker caches),
 	// so sharing it cannot change output — the reference kernels skip it
 	// entirely to stay a true baseline. Through the warm cache, the table
 	// skips re-analyzing labels an earlier run already saw.
 	var analysis *naming.Analysis
 	if !ig.cfg.referenceKernels {
-		labels := naming.SourceLabels(trees)
 		if ig.warm != nil {
-			analysis = ig.warm.Analysis(labels)
+			analysis = ig.warm.Analysis(tab.Labels)
 		} else {
-			analysis = naming.PrecomputeAnalysis(ig.cfg.Lexicon, labels)
+			analysis = naming.PrecomputeAnalysis(ig.cfg.Lexicon, tab.Labels)
 		}
 	}
 
@@ -245,7 +251,7 @@ func (ig *Integrator) integrate(ctx context.Context, trees []*Tree, hashes []str
 	if ig.cfg.UseMatcher {
 		// After expansion, so matcher-assigned clusters replace every
 		// annotation uniformly (including the expanded 1:m children).
-		n, err := match.AssignContext(ctx, trees, match.Options{
+		n, err := match.AssignTable(ctx, tab, match.Options{
 			Lexicon:         ig.cfg.Lexicon,
 			Parallelism:     ig.cfg.Parallelism,
 			DisableBlocking: ig.cfg.referenceKernels,
@@ -257,23 +263,23 @@ func (ig *Integrator) integrate(ctx context.Context, trees []*Tree, hashes []str
 		}
 		stageDone("match", n, time.Since(start))
 	}
-	m, err := cluster.FromTrees(trees)
+	m, err := tab.DeriveMapping()
 	if err != nil {
 		return nil, 0, err
 	}
 	if ig.cfg.MinFrequency > 1 {
-		m = pruneRareClusters(trees, m, ig.cfg.MinFrequency)
+		m = tab.Prune(ig.cfg.MinFrequency)
 	}
 	if len(m.Clusters) == 0 {
 		return nil, 0, errNoClusters
 	}
-	mr, err := merge.MergeContext(ctx, trees, m)
+	mr, err := merge.MergeTable(ctx, tab)
 	if err != nil {
 		return nil, 0, err
 	}
 	stageDone("merge", len(m.Clusters), time.Since(start))
 
-	nr, err := naming.RunContext(ctx, mr, naming.Options{
+	nr, err := naming.RunTable(ctx, mr, tab, naming.Options{
 		Lexicon:          ig.cfg.Lexicon,
 		MaxLevel:         naming.Level(ig.cfg.MaxLevel),
 		DisableInstances: ig.cfg.DisableInstances,
@@ -294,7 +300,7 @@ func (ig *Integrator) integrate(ctx context.Context, trees []*Tree, hashes []str
 		Merge:       mr,
 		Naming:      nr,
 		lex:         ig.cfg.Lexicon,
-		translation: new(lazyIndex),
+		translation: translate.FromTable(tab),
 	}
 	for _, c := range m.Clusters {
 		if leaf := mr.LeafOf[c.Name]; leaf != nil {
@@ -334,32 +340,6 @@ func (s byHash) Less(i, j int) bool { return s.hashes[i] < s.hashes[j] }
 func (s byHash) Swap(i, j int) {
 	s.trees[i], s.trees[j] = s.trees[j], s.trees[i]
 	s.hashes[i], s.hashes[j] = s.hashes[j], s.hashes[i]
-}
-
-// pruneRareClusters rebuilds the mapping without the clusters appearing on
-// fewer than minFreq interfaces and clears their leaves' annotations so
-// the merge ignores those fields.
-func pruneRareClusters(trees []*Tree, m *cluster.Mapping, minFreq int) *cluster.Mapping {
-	drop := make(map[string]bool)
-	var keep []*cluster.Cluster
-	for _, c := range m.Clusters {
-		if c.Frequency() < minFreq {
-			drop[c.Name] = true
-			continue
-		}
-		keep = append(keep, c)
-	}
-	if len(drop) == 0 {
-		return m
-	}
-	for _, t := range trees {
-		for _, leaf := range t.Leaves() {
-			if drop[leaf.Cluster] {
-				leaf.Cluster = ""
-			}
-		}
-	}
-	return cluster.NewMapping(keep...)
 }
 
 // IntegrateBatch integrates many source-tree sets; see the package-level

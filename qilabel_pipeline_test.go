@@ -422,19 +422,21 @@ func TestCanonicalizeSourceOrder(t *testing.T) {
 	}
 }
 
-// TestPruneRareClusters: MinFrequency drops clusters below the floor and
-// clears their leaves' annotations; a floor nothing falls under returns
-// the mapping unchanged. A MinFrequency session mirrors from-scratch
+// TestPruneRareClusters: MinFrequency drops clusters below the floor
+// (cluster.Table.Prune), clears their leaves' annotations and renumbers
+// the kept clusters' leaves; a floor nothing falls under returns the
+// mapping unchanged. A MinFrequency session mirrors from-scratch
 // semantics exactly — a single-source state prunes everything and the add
 // fails with errNoClusters.
 func TestPruneRareClusters(t *testing.T) {
 	trees := sessionPool(t, 31, 3)
 	cluster.ExpandOneToMany(trees)
-	m, err := cluster.FromTrees(trees)
+	tab := cluster.NewTable(trees)
+	m, err := tab.DeriveMapping()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pruneRareClusters(trees, m, 1); got != m {
+	if got := tab.Prune(1); got != m {
 		t.Fatal("no-drop prune rebuilt the mapping")
 	}
 	rare := 0
@@ -446,22 +448,28 @@ func TestPruneRareClusters(t *testing.T) {
 	if rare == 0 {
 		t.Fatal("corpus has no rare clusters; pick another seed")
 	}
-	pruned := pruneRareClusters(trees, m, 2)
-	if len(pruned.Clusters) != len(m.Clusters)-rare {
+	pruned := tab.Prune(2)
+	if len(pruned.Clusters) != len(m.Clusters)-rare || tab.Mapping != pruned {
 		t.Fatalf("pruned to %d clusters, want %d", len(pruned.Clusters), len(m.Clusters)-rare)
 	}
-	kept := make(map[string]bool, len(pruned.Clusters))
-	for _, c := range pruned.Clusters {
+	kept := make(map[string]int32, len(pruned.Clusters))
+	for i, c := range pruned.Clusters {
 		if c.Frequency() < 2 {
 			t.Fatalf("cluster %s survived with frequency %d", c.Name, c.Frequency())
 		}
-		kept[c.Name] = true
+		kept[c.Name] = int32(i)
 	}
 	for _, tr := range trees {
 		for _, leaf := range tr.Leaves() {
-			if leaf.Cluster != "" && !kept[leaf.Cluster] {
+			if _, ok := kept[leaf.Cluster]; leaf.Cluster != "" && !ok {
 				t.Fatalf("leaf %q still annotated with pruned cluster %q", leaf.Label, leaf.Cluster)
 			}
+		}
+	}
+	// Every leaf's cluster ID is its kept cluster's new index, or -1.
+	for _, l := range tab.Leaves {
+		if id, ok := kept[l.Node.Cluster]; ok && l.Cluster != id || !ok && l.Cluster != -1 {
+			t.Fatalf("leaf %q numbered %d after the prune", l.Node.Label, l.Cluster)
 		}
 	}
 

@@ -128,18 +128,18 @@ func TestIntegrateAllocBudget(t *testing.T) {
 		long     bool    // skipped in -short mode
 		op       func(t *testing.T) func()
 	}{
-		{"hotels/serial", 11_518, false, hotelsOneShot(1)},
-		{"hotels/parallel", 11_613, false, hotelsOneShot(4)},
-		{"small/cold", 3_591, false, presetRun("small", true)},
-		{"small/warm", 2_311, false, presetRun("small", false)},
-		{"medium/cold", 21_080, false, presetRun("medium", true)},
-		{"medium/warm", 14_560, false, presetRun("medium", false)},
-		{"mega/cold", 243_077, true, presetRun("mega", true)},
-		{"mega/warm", 195_276, true, presetRun("mega", false)},
-		{"mega/decode", 2_253, true, megaDecode},
+		{"hotels/serial", 9_393, false, hotelsOneShot(1)},
+		{"hotels/parallel", 9_495, false, hotelsOneShot(4)},
+		{"small/cold", 3_095, false, presetRun("small", true)},
+		{"small/warm", 1_770, false, presetRun("small", false)},
+		{"medium/cold", 14_757, false, presetRun("medium", true)},
+		{"medium/warm", 7_993, false, presetRun("medium", false)},
+		{"mega/cold", 142_585, true, presetRun("mega", true)},
+		{"mega/warm", 93_260, true, presetRun("mega", false)},
+		{"mega/decode", 2_251, true, megaDecode},
 		{"relate-memo/resident", 0, false, relateMemoPasses(60)},
 		{"relate-memo/churn", 3_795_464, true, relateMemoPasses(360)},
-		{"session/add", 10_302, false, sessionAddCycle},
+		{"session/add", 7_398, false, sessionAddCycle},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
