@@ -6,39 +6,35 @@ package qilabel
 // seven-domain corpus and attach the reproduced numbers as custom metrics
 // (b.ReportMetric), so `go test -bench . -benchmem` regenerates the paper's
 // results alongside the performance profile. The cmd/benchmark tool prints
-// the same numbers as tables.
+// the same numbers as tables. Each benchmark holds one Integrator per
+// Config, so the numbers are the ones the pipeline outputs.
 
 import (
 	"testing"
 
 	"qilabel/internal/baseline"
-	"qilabel/internal/cluster"
 	"qilabel/internal/dataset"
 	"qilabel/internal/match"
-	"qilabel/internal/merge"
 	"qilabel/internal/metrics"
 	"qilabel/internal/naming"
 	"qilabel/internal/schema"
 )
 
-// runPipeline executes expansion, mapping, merging and naming for one
-// generated corpus.
-func runPipeline(b *testing.B, trees []*schema.Tree, opts naming.Options) (*merge.Result, *naming.Result) {
+// runPipeline integrates every generated domain with one Integrator over
+// cfg, calling fn with each domain's result.
+func runPipeline(b *testing.B, cfg Config, fn func(res *Result)) {
 	b.Helper()
-	cluster.ExpandOneToMany(trees)
-	m, err := cluster.FromTrees(trees)
+	ig, err := NewIntegrator(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	mr, err := merge.Merge(trees, m)
-	if err != nil {
-		b.Fatal(err)
+	for _, d := range dataset.Domains() {
+		res, err := ig.Integrate(d.Generate())
+		if err != nil {
+			b.Fatal(err)
+		}
+		fn(res)
 	}
-	res, err := naming.Run(mr, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return mr, res
 }
 
 // benchDomain runs the full pipeline for one domain each iteration and
@@ -48,17 +44,20 @@ func benchDomain(b *testing.B, name string) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ig, err := NewIntegrator(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	var rep metrics.Report
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		trees := d.Generate()
-		sources := make([]*schema.Tree, len(trees))
-		for j, t := range trees {
-			sources[j] = t.Clone()
+		sources := d.Generate()
+		res, err := ig.Integrate(sources)
+		if err != nil {
+			b.Fatal(err)
 		}
-		mr, res := runPipeline(b, trees, naming.Options{})
-		rep = metrics.Evaluate(name, sources, mr, res)
+		rep = res.Report(name, sources)
 	}
 	b.ReportMetric(rep.FldAcc*100, "FldAcc%")
 	b.ReportMetric(rep.IntAcc*100, "IntAcc%")
@@ -83,13 +82,11 @@ func BenchmarkFigure10(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		total = naming.Counters{}
-		for _, d := range dataset.Domains() {
-			trees := d.Generate()
-			_, res := runPipeline(b, trees, naming.Options{})
+		runPipeline(b, Config{}, func(res *Result) {
 			for li := 1; li <= 7; li++ {
-				total.LI[li] += res.Counters.LI[li]
+				total.LI[li] += res.Naming.Counters.LI[li]
 			}
-		}
+		})
 	}
 	shares := metrics.LIShares(total)
 	b.ReportMetric(shares[1]*100, "LI1%")
@@ -114,24 +111,16 @@ func BenchmarkAblationBaseline(b *testing.B) {
 		paperWords, baseWords = 0, 0
 		paperGroups, baseGroups, totalGroups = 0, 0, 0
 		domains := 0
-		for _, d := range dataset.Domains() {
-			trees := d.Generate()
-			mr, _ := runPipeline(b, trees, naming.Options{})
-			paper := make(map[string]string)
-			for _, c := range mr.Mapping.Clusters {
-				if leaf := mr.LeafOf[c.Name]; leaf != nil {
-					paper[c.Name] = leaf.Label
-				}
-			}
-			base := baseline.Run(sem, mr.Mapping)
-			cmp := baseline.Compare(sem, mr.Mapping, mr.Groups, paper, base)
+		runPipeline(b, Config{}, func(res *Result) {
+			base := baseline.Run(sem, res.Mapping)
+			cmp := baseline.Compare(sem, res.Mapping, res.Merge.Groups, res.Labels, base)
 			paperWords += cmp.PaperWords
 			baseWords += cmp.BaselineWords
 			paperGroups += cmp.PaperGroupsConsistent
 			baseGroups += cmp.BaselineGroupsConsistent
 			totalGroups += cmp.GroupsTotal
 			domains++
-		}
+		})
 		paperWords /= float64(domains)
 		baseWords /= float64(domains)
 	}
@@ -151,10 +140,8 @@ func BenchmarkAblationLevels(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				solved, total = 0, 0
-				for _, d := range dataset.Domains() {
-					trees := d.Generate()
-					_, res := runPipeline(b, trees, naming.Options{MaxLevel: lvl})
-					for _, gr := range res.Groups {
+				runPipeline(b, Config{MaxLevel: int(lvl)}, func(res *Result) {
+					for _, gr := range res.Naming.Groups {
 						if gr.IsRoot {
 							continue
 						}
@@ -163,7 +150,7 @@ func BenchmarkAblationLevels(b *testing.B) {
 							solved++
 						}
 					}
-				}
+				})
 			}
 			b.ReportMetric(float64(solved)/float64(total)*100, "solved%")
 		})
@@ -183,11 +170,9 @@ func BenchmarkAblationInstances(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				firings = 0
-				for _, d := range dataset.Domains() {
-					trees := d.Generate()
-					_, res := runPipeline(b, trees, naming.Options{DisableInstances: mode.disable})
-					firings += res.Counters.LI[6] + res.Counters.LI[7]
-				}
+				runPipeline(b, Config{DisableInstances: mode.disable}, func(res *Result) {
+					firings += res.Naming.Counters.LI[6] + res.Naming.Counters.LI[7]
+				})
 			}
 			b.ReportMetric(float64(firings), "LI6+LI7")
 		})

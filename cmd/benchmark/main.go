@@ -7,9 +7,11 @@
 //	                     consistency-level cap, instance rules on/off)
 //	benchmark -all       print everything
 //
-// The corpus is deterministic, so the output is stable across runs;
-// testdata/all.txt holds the -all output, and the package test checks that
-// the command still reproduces it byte for byte.
+// Every table comes from a qilabel.Integrator, the pipeline labeler and
+// qilabeld run, with one Integrator per configuration. The corpus is
+// deterministic, so the output is stable across runs; testdata/all.txt
+// holds the -all output, and the package test checks that the command
+// still reproduces it byte for byte.
 package main
 
 import (
@@ -18,13 +20,11 @@ import (
 	"io"
 	"os"
 
+	"qilabel"
 	"qilabel/internal/baseline"
-	"qilabel/internal/cluster"
 	"qilabel/internal/dataset"
-	"qilabel/internal/merge"
 	"qilabel/internal/metrics"
 	"qilabel/internal/naming"
-	"qilabel/internal/schema"
 )
 
 func main() {
@@ -48,7 +48,7 @@ func main() {
 
 // run prints the selected sections to w.
 func run(w io.Writer, table6, figure10, ablation bool) error {
-	runs, err := runAllDomains(naming.Options{})
+	runs, err := runAllDomains(qilabel.Config{})
 	if err != nil {
 		return err
 	}
@@ -64,45 +64,27 @@ func run(w io.Writer, table6, figure10, ablation bool) error {
 	return nil
 }
 
-// domainRun carries one domain's full pipeline output.
+// domainRun is one domain's sources and the Integrator's result over them.
 type domainRun struct {
 	name    string
-	sources []*schema.Tree
-	mapping *cluster.Mapping
-	merged  *merge.Result
-	named   *naming.Result
-	report  metrics.Report
+	sources []*qilabel.Tree
+	res     *qilabel.Result
 }
 
-func runAllDomains(opts naming.Options) ([]domainRun, error) {
+// runAllDomains integrates every domain with one Integrator over cfg.
+func runAllDomains(cfg qilabel.Config) ([]domainRun, error) {
+	ig, err := qilabel.NewIntegrator(cfg)
+	if err != nil {
+		return nil, err
+	}
 	var runs []domainRun
 	for _, d := range dataset.Domains() {
-		trees := d.Generate()
-		sources := make([]*schema.Tree, len(trees))
-		for i, t := range trees {
-			sources[i] = t.Clone()
-		}
-		cluster.ExpandOneToMany(trees)
-		m, err := cluster.FromTrees(trees)
+		sources := d.Generate()
+		res, err := ig.Integrate(sources)
 		if err != nil {
 			return nil, err
 		}
-		mr, err := merge.Merge(trees, m)
-		if err != nil {
-			return nil, err
-		}
-		res, err := naming.Run(mr, opts)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, domainRun{
-			name:    d.Name,
-			sources: sources,
-			mapping: m,
-			merged:  mr,
-			named:   res,
-			report:  metrics.Evaluate(d.Name, sources, mr, res),
-		})
+		runs = append(runs, domainRun{name: d.Name, sources: sources, res: res})
 	}
 	return runs, nil
 }
@@ -111,7 +93,7 @@ func printTable6(w io.Writer, runs []domainRun) {
 	fmt.Fprintln(w, "Table 6 — characteristics of interfaces per domain")
 	fmt.Fprintln(w, metrics.Table6Header())
 	for _, r := range runs {
-		fmt.Fprintln(w, r.report.FormatTable6Row())
+		fmt.Fprintln(w, r.res.Report(r.name, r.sources).FormatTable6Row())
 	}
 	fmt.Fprintln(w)
 }
@@ -120,7 +102,7 @@ func printFigure10(w io.Writer, runs []domainRun) {
 	var total naming.Counters
 	for _, r := range runs {
 		for li := 1; li <= 7; li++ {
-			total.LI[li] += r.named.Counters.LI[li]
+			total.LI[li] += r.res.Naming.Counters.LI[li]
 		}
 	}
 	fmt.Fprintln(w, "Figure 10 — logical inference involvement (all domains)")
@@ -141,14 +123,8 @@ func printAblations(w io.Writer, runs []domainRun) error {
 		"Domain", "PprWords", "BasWords", "MoreGeneric", "PprGrpConsist", "BasGrpConsist")
 	sem := naming.NewSemantics(nil)
 	for _, r := range runs {
-		paper := make(map[string]string)
-		for _, c := range r.mapping.Clusters {
-			if leaf := r.merged.LeafOf[c.Name]; leaf != nil {
-				paper[c.Name] = leaf.Label
-			}
-		}
-		base := baseline.Run(sem, r.mapping)
-		cmp := baseline.Compare(sem, r.mapping, r.merged.Groups, paper, base)
+		base := baseline.Run(sem, r.res.Mapping)
+		cmp := baseline.Compare(sem, r.res.Mapping, r.res.Merge.Groups, r.res.Labels, base)
 		fmt.Fprintf(w, "  %-12s %8.2f %8.2f %9d/%-3d %11d/%-3d %11d/%-3d\n",
 			r.name, cmp.PaperWords, cmp.BaselineWords,
 			cmp.MoreGeneric, cmp.Clusters,
@@ -159,15 +135,19 @@ func printAblations(w io.Writer, runs []domainRun) error {
 
 	fmt.Fprintln(w, "Ablation 2 — consistency levels (groups solved consistently per level cap)")
 	fmt.Fprintf(w, "  %-12s %10s %10s %10s\n", "Domain", "string", "+equality", "+synonymy")
-	for _, d := range dataset.Domains() {
-		counts := make([]string, 0, 3)
-		for lvl := naming.LevelString; lvl <= naming.LevelSynonymy; lvl++ {
-			run, err := runDomainWith(d, naming.Options{MaxLevel: lvl})
-			if err != nil {
-				return err
-			}
+	var capped [][]domainRun // per level, every domain
+	for lvl := naming.LevelString; lvl <= naming.LevelSynonymy; lvl++ {
+		lr, err := runAllDomains(qilabel.Config{MaxLevel: int(lvl)})
+		if err != nil {
+			return err
+		}
+		capped = append(capped, lr)
+	}
+	for i, r := range runs {
+		counts := make([]string, 0, len(capped))
+		for _, lr := range capped {
 			solved, total := 0, 0
-			for _, gr := range run.Groups {
+			for _, gr := range lr[i].res.Naming.Groups {
 				if gr.IsRoot {
 					continue
 				}
@@ -178,39 +158,20 @@ func printAblations(w io.Writer, runs []domainRun) error {
 			}
 			counts = append(counts, fmt.Sprintf("%d/%d", solved, total))
 		}
-		fmt.Fprintf(w, "  %-12s %10s %10s %10s\n", d.Name, counts[0], counts[1], counts[2])
+		fmt.Fprintf(w, "  %-12s %10s %10s %10s\n", r.name, counts[0], counts[1], counts[2])
 	}
 	fmt.Fprintln(w)
 
 	fmt.Fprintln(w, "Ablation 3 — instance rules LI6/LI7 on vs off (inference firings)")
 	fmt.Fprintf(w, "  %-12s %14s %14s\n", "Domain", "with instances", "without")
-	for _, d := range dataset.Domains() {
-		on, err := runDomainWith(d, naming.Options{})
-		if err != nil {
-			return err
-		}
-		off, err := runDomainWith(d, naming.Options{DisableInstances: true})
-		if err != nil {
-			return err
-		}
+	without, err := runAllDomains(qilabel.Config{DisableInstances: true})
+	if err != nil {
+		return err
+	}
+	for i, r := range runs {
+		on, off := r.res.Naming.Counters, without[i].res.Naming.Counters
 		fmt.Fprintf(w, "  %-12s %8d (LI6=%d LI7=%d) %5d (LI6=%d LI7=%d)\n",
-			d.Name,
-			on.Counters.Total(), on.Counters.LI[6], on.Counters.LI[7],
-			off.Counters.Total(), off.Counters.LI[6], off.Counters.LI[7])
+			r.name, on.Total(), on.LI[6], on.LI[7], off.Total(), off.LI[6], off.LI[7])
 	}
 	return nil
-}
-
-func runDomainWith(d *dataset.DomainSpec, opts naming.Options) (*naming.Result, error) {
-	trees := d.Generate()
-	cluster.ExpandOneToMany(trees)
-	m, err := cluster.FromTrees(trees)
-	if err != nil {
-		return nil, err
-	}
-	mr, err := merge.Merge(trees, m)
-	if err != nil {
-		return nil, err
-	}
-	return naming.Run(mr, opts)
 }

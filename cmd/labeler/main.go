@@ -2,8 +2,10 @@
 // and naming — over query interfaces described in a JSON file, and prints
 // the labeled integrated interface.
 //
-//	labeler [-match] [-no-instances] [-max-level N] [-summary] [-timeout 30s]
+//	labeler [-match] [-no-instances] [-max-level N] [-min-freq N] [-summary]
+//	        [-explain] [-html out.html] [-lexicon lex.json] [-timeout 30s]
 //	        [-parallelism N] [-v] [-strict] [-verify] file.json
+//	labeler -from-html [flags] page.html...
 //	labeler -domain Airline [-summary]
 //
 // The JSON format is an array of schema trees (see qilabel.EncodeTrees):
@@ -19,7 +21,11 @@
 // Fields either carry "cluster" annotations (ground-truth matching) or the
 // -match flag derives clusters from labels and selection-list values.
 // With -domain the built-in evaluation corpus of one of the paper's seven
-// domains is used instead of a file.
+// domains is used instead of a file; with -from-html every <form> of the
+// given pages is extracted as one interface, and clusters come from the
+// matcher. -min-freq drops fields fewer than N interfaces supply, -explain
+// prints why each label was chosen, -html writes the integrated interface
+// as an HTML form and -lexicon extends the built-in lexicon.
 package main
 
 import (

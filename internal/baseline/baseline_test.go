@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"qilabel/internal/cluster"
@@ -58,15 +59,16 @@ func TestCompareOnJobDomain(t *testing.T) {
 	}
 	trees := d.Generate()
 	cluster.ExpandOneToMany(trees)
-	m, err := cluster.FromTrees(trees)
+	tab := cluster.NewTable(trees)
+	m, err := tab.DeriveMapping()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := merge.Merge(trees, m)
+	mr, err := merge.MergeTable(context.Background(), tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := naming.Run(mr, naming.Options{}); err != nil {
+	if _, err := naming.RunTable(context.Background(), mr, tab, naming.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	paper := make(map[string]string)
@@ -103,7 +105,7 @@ func TestGroupVectorConsistent(t *testing.T) {
 			schema.NewField("To", "c_Max"),
 		),
 	}
-	m, err := cluster.FromTrees(trees)
+	m, err := cluster.NewTable(trees).DeriveMapping()
 	if err != nil {
 		t.Fatal(err)
 	}

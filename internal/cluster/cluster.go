@@ -164,15 +164,6 @@ func ExpandOneToMany(trees []*schema.Tree) {
 	}
 }
 
-// FromTrees derives the mapping from the cluster annotations on the leaves
-// of the given trees (Table.DeriveMapping). Call ExpandOneToMany first; leaves
-// still carrying MultiClusters are rejected. Cluster order follows first
-// appearance across trees; unannotated leaves are ignored (they correspond
-// to source-specific fields the matcher could not align).
-func FromTrees(trees []*schema.Tree) (*Mapping, error) {
-	return NewTable(trees).DeriveMapping()
-}
-
 // Tuple is one row of a group relation: the labels one interface supplies
 // for the clusters of a group. Labels[i] == "" is the null entry. The
 // instances of the underlying fields ride along for LI 6 / LI 7.
@@ -201,18 +192,9 @@ type Relation struct {
 	Tuples   []Tuple
 }
 
-// BuildRelation assembles the group relation of the given clusters over the
-// given interfaces (in tree order). Interfaces whose entries are all null
-// are discarded, as in §4.1.1. An interface contributes the label of its
-// member leaf; members with empty labels contribute null entries (their
-// labels cannot support any consistency), but their instances are kept.
-func BuildRelation(group []*Cluster, interfaces []string) *Relation {
-	return NewRelations(interfaces).Build(group)
-}
-
-// Relations builds the group relations over one list of interfaces, as
-// BuildRelation does, indexing the interfaces once for all groups. It is
-// safe for concurrent use.
+// Relations builds the group relations over one list of interfaces,
+// indexing the interfaces once for all groups. It is safe for concurrent
+// use.
 type Relations struct {
 	interfaces []string
 	row        map[string]int // the first row of each interface
@@ -227,7 +209,11 @@ func NewRelations(interfaces []string) *Relations {
 	return &Relations{interfaces: interfaces, row: row}
 }
 
-// Build assembles the group relation of the given clusters.
+// Build assembles the group relation of the given clusters over the
+// interfaces. Interfaces whose entries are all null are discarded, as in
+// §4.1.1. An interface contributes the label of its member leaf; members
+// with empty labels contribute null entries (their labels cannot support
+// any consistency), but their instances are kept.
 func (rs *Relations) Build(group []*Cluster) *Relation {
 	// Row j of the relation holds its labels and instances at
 	// [j*k, (j+1)*k) of two arrays; row[iface] is the first row of iface.

@@ -68,10 +68,10 @@ func TestExpandOneToMany(t *testing.T) {
 	}
 }
 
-func TestFromTrees(t *testing.T) {
+func TestDeriveMapping(t *testing.T) {
 	trees := figure2Trees()
 	ExpandOneToMany(trees)
-	m, err := FromTrees(trees)
+	m, err := NewTable(trees).DeriveMapping()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,19 +102,19 @@ func TestFromTrees(t *testing.T) {
 	}
 }
 
-func TestFromTreesRejectsUnexpanded(t *testing.T) {
+func TestDeriveMappingRejectsUnexpanded(t *testing.T) {
 	trees := figure2Trees()
-	if _, err := FromTrees(trees); err == nil {
-		t.Fatal("FromTrees must reject unexpanded 1:m leaves")
+	if _, err := NewTable(trees).DeriveMapping(); err == nil {
+		t.Fatal("DeriveMapping must reject unexpanded 1:m leaves")
 	}
 }
 
-func TestFromTreesRejectsDuplicateMembership(t *testing.T) {
+func TestDeriveMappingRejectsDuplicateMembership(t *testing.T) {
 	tr := schema.NewTree("dup",
 		schema.NewField("A", "c_X"),
 		schema.NewField("B", "c_X"),
 	)
-	if _, err := FromTrees([]*schema.Tree{tr}); err == nil {
+	if _, err := NewTable([]*schema.Tree{tr}).DeriveMapping(); err == nil {
 		t.Fatal("two fields of one interface in one cluster must be rejected")
 	}
 }
@@ -151,7 +151,7 @@ func TestClusterInstances(t *testing.T) {
 	}
 }
 
-func TestBuildRelationTable2(t *testing.T) {
+func TestRelationTable2(t *testing.T) {
 	// Reproduce Table 2: the airline group [c_Senior, c_Adult, c_Child,
 	// c_Infant] over six interfaces.
 	rows := []struct {
@@ -178,12 +178,12 @@ func TestBuildRelationTable2(t *testing.T) {
 		}
 		trees = append(trees, schema.NewTree(r.iface, kids...))
 	}
-	m, err := FromTrees(trees)
+	m, err := NewTable(trees).DeriveMapping()
 	if err != nil {
 		t.Fatal(err)
 	}
 	group := []*Cluster{m.Get("c_Senior"), m.Get("c_Adult"), m.Get("c_Child"), m.Get("c_Infant")}
-	rel := BuildRelation(group, Interfaces(trees))
+	rel := NewRelations(Interfaces(trees)).Build(group)
 	if len(rel.Tuples) != 6 {
 		t.Fatalf("got %d tuples, want 6", len(rel.Tuples))
 	}
@@ -201,17 +201,17 @@ func TestBuildRelationTable2(t *testing.T) {
 	}
 }
 
-func TestBuildRelationDiscardsAllNullTuples(t *testing.T) {
+func TestRelationDiscardsAllNullTuples(t *testing.T) {
 	trees := []*schema.Tree{
 		schema.NewTree("labeled", schema.NewField("A", "c_1")),
 		schema.NewTree("unlabeled", schema.NewField("", "c_1")),
 		schema.NewTree("absent", schema.NewField("B", "c_other")),
 	}
-	m, err := FromTrees(trees)
+	m, err := NewTable(trees).DeriveMapping()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := BuildRelation([]*Cluster{m.Get("c_1")}, Interfaces(trees))
+	rel := NewRelations(Interfaces(trees)).Build([]*Cluster{m.Get("c_1")})
 	if len(rel.Tuples) != 1 || rel.Tuples[0].Interface != "labeled" {
 		t.Errorf("tuples = %+v, want only the labeled interface", rel.Tuples)
 	}

@@ -12,7 +12,7 @@ import (
 // holds, so empty trees, annotation-free trees and degenerate relations
 // must all round-trip without error.
 
-func TestFromTreesEdgeCases(t *testing.T) {
+func TestDeriveMappingEdgeCases(t *testing.T) {
 	cases := []struct {
 		name     string
 		trees    []*schema.Tree
@@ -47,7 +47,7 @@ func TestFromTreesEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := FromTrees(tc.trees)
+			m, err := NewTable(tc.trees).DeriveMapping()
 			if tc.wantErr {
 				if err == nil {
 					t.Fatal("error expected, got none")
@@ -117,7 +117,7 @@ func TestExpandOneToManyEdgeCases(t *testing.T) {
 			),
 		)
 		ExpandOneToMany([]*schema.Tree{tree})
-		m, err := FromTrees([]*schema.Tree{tree})
+		m, err := NewTable([]*schema.Tree{tree}).DeriveMapping()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestExpandOneToManyEdgeCases(t *testing.T) {
 	})
 }
 
-func TestBuildRelationEdgeCases(t *testing.T) {
+func TestRelationEdgeCases(t *testing.T) {
 	adults := &Cluster{Name: "c_Adult", Members: []Member{
 		{Interface: "a", Leaf: schema.NewField("Adults", "c_Adult", "1", "2")},
 		{Interface: "b", Leaf: schema.NewField("", "c_Adult", "3")},
@@ -139,13 +139,13 @@ func TestBuildRelationEdgeCases(t *testing.T) {
 	}}
 
 	t.Run("empty group yields no tuples", func(t *testing.T) {
-		r := BuildRelation(nil, []string{"a", "b"})
+		r := NewRelations([]string{"a", "b"}).Build(nil)
 		if len(r.Tuples) != 0 {
 			t.Fatalf("%d tuples from an empty group", len(r.Tuples))
 		}
 	})
 	t.Run("no interfaces yields no tuples", func(t *testing.T) {
-		r := BuildRelation([]*Cluster{adults}, nil)
+		r := NewRelations(nil).Build([]*Cluster{adults})
 		if len(r.Tuples) != 0 {
 			t.Fatalf("%d tuples from no interfaces", len(r.Tuples))
 		}
@@ -154,7 +154,7 @@ func TestBuildRelationEdgeCases(t *testing.T) {
 		// Interface b supplies only an unlabeled member: its tuple is all
 		// null labels, so it is discarded wholesale; interface c supplies
 		// nothing at all. Only a survives.
-		r := BuildRelation([]*Cluster{adults, children}, []string{"a", "b", "c"})
+		r := NewRelations([]string{"a", "b", "c"}).Build([]*Cluster{adults, children})
 		if len(r.Tuples) != 1 || r.Tuples[0].Interface != "a" {
 			t.Fatalf("tuples %+v, want only interface a", r.Tuples)
 		}
@@ -170,7 +170,7 @@ func TestBuildRelationEdgeCases(t *testing.T) {
 		blank := &Cluster{Name: "c_X", Members: []Member{
 			{Interface: "a", Leaf: schema.NewField("   ", "c_X")},
 		}}
-		r := BuildRelation([]*Cluster{blank}, []string{"a"})
+		r := NewRelations([]string{"a"}).Build([]*Cluster{blank})
 		if len(r.Tuples) != 0 {
 			t.Fatalf("whitespace label produced a tuple: %+v", r.Tuples)
 		}

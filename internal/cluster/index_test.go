@@ -10,22 +10,22 @@ import (
 	"qilabel/internal/schema"
 )
 
-// TestSharedInterfaceName pins the lookups of FromTrees and BuildRelation
-// when two trees share an interface name: FromTrees rejects a second
-// field for a cluster however many trees lie between the two, and every
-// relation row of the name carries, per cluster, the first member of that
-// interface.
+// TestSharedInterfaceName pins the lookups of DeriveMapping and
+// Relations.Build when two trees share an interface name: DeriveMapping
+// rejects a second field for a cluster however many trees lie between the
+// two, and every relation row of the name carries, per cluster, the first
+// member of that interface.
 func TestSharedInterfaceName(t *testing.T) {
 	trees := []*schema.Tree{
 		schema.NewTree("x", schema.NewField("A", "c1")),
 		schema.NewTree("y", schema.NewField("C", "c1")),
 		schema.NewTree("x", schema.NewField("B", "c2")),
 	}
-	m, err := FromTrees(trees)
+	m, err := NewTable(trees).DeriveMapping()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := BuildRelation([]*Cluster{m.Get("c1"), m.Get("c2")}, Interfaces(trees))
+	r := NewRelations(Interfaces(trees)).Build([]*Cluster{m.Get("c1"), m.Get("c2")})
 	want := []Tuple{
 		{Interface: "x", Labels: []string{"A", "B"}, Instances: make([][]string, 2)},
 		{Interface: "y", Labels: []string{"C", ""}, Instances: make([][]string, 2)},
@@ -40,7 +40,7 @@ func TestSharedInterfaceName(t *testing.T) {
 	}
 
 	trees = append(trees, schema.NewTree("x", schema.NewField("D", "c1")))
-	_, err = FromTrees(trees)
+	_, err = NewTable(trees).DeriveMapping()
 	if err == nil || err.Error() != "cluster: interface x supplies two fields for cluster c1" {
 		t.Fatalf("error %v, want the duplicate-interface error", err)
 	}
@@ -51,16 +51,16 @@ func TestSharedInterfaceName(t *testing.T) {
 		{Interface: "x", Leaf: schema.NewField(" P ", "c", "p")},
 		{Interface: "x", Leaf: schema.NewField("Q", "c", "q")},
 	}}
-	r = BuildRelation([]*Cluster{c}, []string{"x"})
+	r = NewRelations([]string{"x"}).Build([]*Cluster{c})
 	if len(r.Tuples) != 1 || r.Tuples[0].Labels[0] != "P" || r.Tuples[0].Instances[0][0] != "p" {
 		t.Fatalf("tuples %+v, want the first member's", r.Tuples)
 	}
 }
 
-// buildRelationByScan is BuildRelation as a scan of each cluster's
+// relationByScan is Relations.Build as a scan of each cluster's
 // members per interface (MemberFor), the reference the indexed lookup
 // must equal.
-func buildRelationByScan(group []*Cluster, interfaces []string) *Relation {
+func relationByScan(group []*Cluster, interfaces []string) *Relation {
 	r := &Relation{Clusters: group}
 	for _, iface := range interfaces {
 		tuple := Tuple{Interface: iface, Labels: make([]string, len(group)), Instances: make([][]string, len(group))}
@@ -77,10 +77,10 @@ func buildRelationByScan(group []*Cluster, interfaces []string) *Relation {
 	return r
 }
 
-// TestBuildRelationMatchesScan compares BuildRelation with the scan over
+// TestRelationMatchesScan compares Relations.Build with the scan over
 // random groups whose clusters may hold several members of an interface,
 // blank labels and interfaces no cluster has, listed with repeats.
-func TestBuildRelationMatchesScan(t *testing.T) {
+func TestRelationMatchesScan(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 7))
 	for seed := 0; seed < 500; seed++ {
 		names := make([]string, 1+r.IntN(6))
@@ -99,7 +99,7 @@ func TestBuildRelationMatchesScan(t *testing.T) {
 			}
 			group[i] = c
 		}
-		got, want := BuildRelation(group, names), buildRelationByScan(group, names)
+		got, want := NewRelations(names).Build(group), relationByScan(group, names)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: %+v, want %+v", seed, got.Tuples, want.Tuples)
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"qilabel/internal/schema"
@@ -39,21 +38,17 @@ type Table struct {
 	Sets [][]string
 
 	// Mapping is the mapping the cluster IDs were numbered against
-	// (DeriveMapping, Bind, Prune): ID i < len(Mapping.Clusters) is
-	// Mapping.Clusters[i]. Names lists the
-	// cluster name of every ID, followed by the clusters leaves name that
-	// the mapping lacks, in name order.
+	// (DeriveMapping, then Prune): ID i is Mapping.Clusters[i], and Names
+	// lists the cluster name of every ID.
 	Mapping *Mapping
 	Names   []string
 	// members[memberOff[i]:memberOff[i+1]] are the Leaves indexes of the
-	// members of Mapping.Clusters[i], in member order; -1 for a member
-	// whose leaf the table lacks.
+	// members of Mapping.Clusters[i], in member order.
 	memberOff, members []int32
 }
 
 // Members returns the Leaves indexes of the members of the mapping's
-// cluster id, in member order, -1 for a member whose leaf is not in the
-// table.
+// cluster id, in member order.
 func (t *Table) Members(id int32) []int32 {
 	return t.members[t.memberOff[id]:t.memberOff[id+1]]
 }
@@ -92,7 +87,7 @@ type Node struct {
 }
 
 // NewTable lays the given expanded trees out as a table. Cluster IDs are
-// unset (-1) until DeriveMapping or Bind numbers them.
+// unset (-1) until DeriveMapping numbers them.
 func NewTable(trees []*schema.Tree) *Table {
 	b := tableBuilder{
 		t:      &Table{Trees: trees, Sources: make([]Source, len(trees)), Sets: [][]string{nil}},
@@ -213,8 +208,12 @@ func appendStrings(buf []byte, ss []string) []byte {
 	return buf
 }
 
-// DeriveMapping derives the mapping from the leaves' cluster annotations,
-// as FromTrees does, and numbers every leaf's cluster by its index in it.
+// DeriveMapping derives the mapping from the leaves' cluster annotations
+// and numbers every leaf's cluster by its index in it. Leaves still
+// carrying MultiClusters (call ExpandOneToMany first) and two fields of
+// one interface in a cluster are rejected. Cluster order follows first
+// appearance across the sources; unannotated leaves are ignored (they
+// correspond to source-specific fields the matcher could not align).
 func (t *Table) DeriveMapping() (*Mapping, error) {
 	// Number the clusters in order of first appearance and count their
 	// fields, so every Members slice is allocated once at its final size.
@@ -291,71 +290,14 @@ func (t *Table) DeriveMapping() (*Mapping, error) {
 	return m, nil
 }
 
-// Bind numbers every leaf's cluster against m: a cluster of m by its index
-// in m.Clusters, a cluster m lacks after all of m's, in name order. It
-// returns t.
-func (t *Table) Bind(m *Mapping) *Table {
-	t.Mapping = m
-	ids := make(map[string]int32, len(m.Clusters))
-	t.Names = make([]string, 0, len(m.Clusters))
-	for i, c := range m.Clusters {
-		if _, ok := ids[c.Name]; !ok {
-			ids[c.Name] = int32(i)
-		}
-		t.Names = append(t.Names, c.Name)
-	}
-	var extra []string
-	for i := range t.Leaves {
-		if c := t.Leaves[i].Node.Cluster; c != "" {
-			if _, ok := ids[c]; !ok {
-				ids[c] = -1
-				extra = append(extra, c)
-			}
-		}
-	}
-	sort.Strings(extra)
-	for _, c := range extra {
-		ids[c] = int32(len(t.Names))
-		t.Names = append(t.Names, c)
-	}
-	for i := range t.Leaves {
-		t.Leaves[i].Cluster = -1
-		if c := t.Leaves[i].Node.Cluster; c != "" {
-			t.Leaves[i].Cluster = ids[c]
-		}
-	}
-	t.bindMembers()
-	return t
-}
-
-// bindMembers finds the leaf of every member of the bound mapping.
-func (t *Table) bindMembers() {
-	leafOf := make(map[*schema.Node]int32, len(t.Leaves))
-	for i, l := range t.Leaves {
-		leafOf[l.Node] = int32(i)
-	}
-	t.memberOff = make([]int32, 1, len(t.Mapping.Clusters)+1)
-	t.members = t.members[:0]
-	for _, c := range t.Mapping.Clusters {
-		for _, m := range c.Members {
-			i, ok := leafOf[m.Leaf]
-			if !ok {
-				i = -1
-			}
-			t.members = append(t.members, i)
-		}
-		t.memberOff = append(t.memberOff, int32(len(t.members)))
-	}
-}
-
-// Prune drops the clusters of the bound mapping that fewer than minFreq
+// Prune drops the clusters of the derived mapping that fewer than minFreq
 // interfaces supply: their leaves lose their annotation and their ID, and
 // the kept clusters are renumbered in order. It returns the new mapping,
-// or the bound one when every cluster is kept.
+// or the derived one when every cluster is kept.
 func (t *Table) Prune(minFreq int) *Mapping {
-	mapped := len(t.Mapping.Clusters)
 	renum := make([]int32, len(t.Names))
 	var keep []*Cluster
+	var names []string
 	off := []int32{0}
 	var members []int32
 	for i, c := range t.Mapping.Clusters {
@@ -363,21 +305,15 @@ func (t *Table) Prune(minFreq int) *Mapping {
 		if c.Frequency() >= minFreq {
 			renum[i] = int32(len(keep))
 			keep = append(keep, c)
+			names = append(names, c.Name)
 			members = append(members, t.Members(int32(i))...)
 			off = append(off, int32(len(members)))
 		}
 	}
-	if len(keep) == mapped {
+	if len(keep) == len(t.Mapping.Clusters) {
 		return t.Mapping
 	}
-	for i := mapped; i < len(renum); i++ {
-		renum[i] = int32(len(keep) + i - mapped)
-	}
-	names := make([]string, 0, len(keep)+len(t.Names)-mapped)
-	for _, c := range keep {
-		names = append(names, c.Name)
-	}
-	t.Names = append(names, t.Names[mapped:]...)
+	t.Names = names
 	for i := range t.Leaves {
 		leaf := &t.Leaves[i]
 		if leaf.Cluster < 0 {
@@ -392,12 +328,11 @@ func (t *Table) Prune(minFreq int) *Mapping {
 }
 
 // SpanClusters appends the sorted distinct cluster IDs of Leaves[lo:hi]
-// that are below limit to buf: the descendant cluster set of a node, or of
-// any run of leaves, restricted to the first limit IDs.
-func (t *Table) SpanClusters(buf []int32, lo, hi, limit int32) []int32 {
+// to buf: the descendant cluster set of a node, or of any run of leaves.
+func (t *Table) SpanClusters(buf []int32, lo, hi int32) []int32 {
 	start := len(buf)
 	for _, l := range t.Leaves[lo:hi] {
-		if l.Cluster >= 0 && l.Cluster < limit {
+		if l.Cluster >= 0 {
 			buf = append(buf, l.Cluster)
 		}
 	}

@@ -15,7 +15,7 @@ import (
 
 // This file keeps the tree walks the table replaced, as the references it
 // is compared against: the pipeline's label list (one walk over every
-// node), FromTrees's mapping over Leaves, and each leaf's folding of its
+// node), the mapping as a walk over Leaves, and each leaf's folding of its
 // instances.
 
 // treeLabels is the label walk the table's Labels replaced: every node
@@ -46,7 +46,7 @@ func treeLabels(sources []*schema.Tree) []string {
 	return labels
 }
 
-// treeMapping is FromTrees as a walk over each tree's Leaves.
+// treeMapping is DeriveMapping as a walk over each tree's Leaves.
 func treeMapping(trees []*schema.Tree) (*Mapping, error) {
 	m := NewMapping()
 	for _, t := range trees {
@@ -157,7 +157,9 @@ func tableCorpora(t *testing.T) map[string][]*schema.Tree {
 // in pre-order (each node's span holding exactly its descendant leaves,
 // and its parent), the label list, every leaf's labels and folded
 // instance set, the mapping, errors included, the members' leaves, and
-// the table's and the walk's pruning.
+// the table's and the walk's pruning. After DeriveMapping and after
+// Prune, Names lists exactly the mapping's clusters, so every leaf's
+// cluster ID names a mapping cluster.
 func TestTableMatchesTreeWalk(t *testing.T) {
 	mapped, failed := 0, 0
 	for name, trees := range tableCorpora(t) {
@@ -273,12 +275,16 @@ func parentNode(tab *Table, parent, source int32) *schema.Node {
 }
 
 // checkMapping compares a mapping the table numbered with the tree walk's
-// and checks every leaf's cluster ID and every cluster's member leaves.
+// and checks the names, every leaf's cluster ID and every cluster's member
+// leaves.
 func checkMapping(t *testing.T, name string, tab *Table, m, want *Mapping) {
 	t.Helper()
 	if len(m.Clusters) != len(want.Clusters) || len(m.Clusters) > 0 && !reflect.DeepEqual(m.Clusters, want.Clusters) ||
 		tab.Mapping != m {
 		t.Fatalf("%s: the mapping differs from the tree walk's", name)
+	}
+	if len(tab.Names) != len(m.Clusters) {
+		t.Fatalf("%s: %d names for %d clusters", name, len(tab.Names), len(m.Clusters))
 	}
 	for i, c := range m.Clusters {
 		if tab.Names[i] != c.Name {
@@ -299,15 +305,5 @@ func checkMapping(t *testing.T, name string, tab *Table, m, want *Mapping) {
 			want != nil && m.Clusters[l.Cluster] != want {
 			t.Fatalf("%s: leaf %d numbered %d for %q", name, i, l.Cluster, l.Node.Cluster)
 		}
-	}
-	// Binding the mapping numbers the table the same way.
-	bound := NewTable(tab.Trees).Bind(m)
-	for i, l := range bound.Leaves {
-		if l.Cluster != tab.Leaves[i].Cluster {
-			t.Fatalf("%s: Bind numbered leaf %d %d, DeriveMapping %d", name, i, l.Cluster, tab.Leaves[i].Cluster)
-		}
-	}
-	if !slices.Equal(bound.members, tab.members) || !slices.Equal(bound.memberOff, tab.memberOff) {
-		t.Fatalf("%s: Bind found other member leaves", name)
 	}
 }

@@ -152,7 +152,7 @@ func TestRealEstateLeasePhenomenon(t *testing.T) {
 	d, _ := ByName("Real Estate")
 	trees := d.Generate()
 	cluster.ExpandOneToMany(trees)
-	m, err := cluster.FromTrees(trees)
+	m, err := cluster.NewTable(trees).DeriveMapping()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestBookLabelsAsValues(t *testing.T) {
 	d, _ := ByName("Book")
 	trees := d.Generate()
 	cluster.ExpandOneToMany(trees)
-	m, err := cluster.FromTrees(trees)
+	m, err := cluster.NewTable(trees).DeriveMapping()
 	if err != nil {
 		t.Fatal(err)
 	}

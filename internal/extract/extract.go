@@ -11,7 +11,8 @@ import (
 // interfaces:
 //
 //   - <fieldset> elements become internal (group) nodes, titled by their
-//     <legend>;
+//     <legend>; a fieldset left without fields, or nested deeper than a
+//     schema tree may be (schema.MaxDepth), is no group of its own;
 //   - <input> (textual types), <select> and <textarea> elements become
 //     fields; <select> options become the field's instances;
 //   - field labels come from <label for=...> associations, from wrapping
@@ -87,6 +88,23 @@ func parseForm(tokens []token, start int, iface string, nth int) (*schema.Tree, 
 	}
 	// Second pass: build the tree.
 	stack := []*schema.Node{tree.Root}
+	flat := 0 // open fieldsets nested too deep to be groups
+	closeFieldset := func() {
+		if flat > 0 {
+			flat--
+			return
+		}
+		node := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		// An empty fieldset is layout chrome; drop it here, before it
+		// becomes indistinguishable from an unlabeled field (an empty group
+		// is a leaf by structure). While it was open, it was the last child
+		// of the node below it.
+		if len(node.Children) == 0 {
+			top := stack[len(stack)-1]
+			top.Children = top.Children[:len(top.Children)-1]
+		}
+	}
 	expectLegend := false
 	for i := start + 1; i < end; i++ {
 		t := tokens[i]
@@ -114,14 +132,20 @@ func parseForm(tokens []token, start int, iface string, nth int) (*schema.Tree, 
 			}
 			switch t.name {
 			case "fieldset":
-				node := schema.NewGroup("")
-				top := stack[len(stack)-1]
-				top.Children = append(top.Children, node)
-				stack = append(stack, node)
+				// A field sits at depth len(stack): a group opened at
+				// the limit would hold its fields past schema.MaxDepth.
+				if len(stack) == schema.MaxDepth {
+					flat++
+				} else {
+					node := schema.NewGroup("")
+					top := stack[len(stack)-1]
+					top.Children = append(top.Children, node)
+					stack = append(stack, node)
+				}
 				expectLegend = true
 				p.pending = ""
 			case "legend":
-				if len(stack) > 1 {
+				if len(stack) > 1 && flat == 0 {
 					stack[len(stack)-1].Label = collectText(tokens, i+1, "legend")
 				}
 				expectLegend = false
@@ -146,17 +170,7 @@ func parseForm(tokens []token, start int, iface string, nth int) (*schema.Tree, 
 			switch t.name {
 			case "fieldset":
 				if len(stack) > 1 {
-					node := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					// An empty fieldset is layout chrome; drop it here,
-					// before it becomes indistinguishable from an unlabeled
-					// field (an empty group is a leaf by structure).
-					if len(node.Children) == 0 {
-						top := stack[len(stack)-1]
-						if n := len(top.Children); n > 0 && top.Children[n-1] == node {
-							top.Children = top.Children[:n-1]
-						}
-					}
+					closeFieldset()
 				}
 				p.pending = ""
 				expectLegend = false
@@ -166,8 +180,10 @@ func parseForm(tokens []token, start int, iface string, nth int) (*schema.Tree, 
 			}
 		}
 	}
-	// Drop empty fieldsets (layout-only containers).
-	prune(tree.Root)
+	// The form closes the fieldsets left open.
+	for len(stack) > 1 {
+		closeFieldset()
+	}
 	return tree, end
 }
 
@@ -237,7 +253,7 @@ func parseSelect(tokens []token, start, end int) (*schema.Node, int) {
 			break
 		}
 		if t.kind == tokenStartTag && t.name == "option" {
-			text := strings.TrimSpace(collectText(tokens, i+1, "option"))
+			text := optionText(tokens, i+1, end)
 			if text == "" {
 				text = strings.TrimSpace(t.attrs["value"])
 			}
@@ -260,6 +276,21 @@ func isPlaceholderOption(text string) bool {
 	return strings.HasPrefix(low, "select ") || strings.HasPrefix(low, "choose ")
 }
 
+// optionText is the text of the option whose content starts at from: up
+// to its end tag or, since HTML lets an option omit it, to the next option
+// or option group or the end of the select.
+func optionText(tokens []token, from, end int) string {
+	var b strings.Builder
+	for _, t := range tokens[from:end] {
+		if t.kind == tokenText {
+			b.WriteString(t.text)
+		} else if t.name == "option" || t.name == "optgroup" || t.name == "select" && t.kind == tokenEndTag {
+			break
+		}
+	}
+	return strings.Join(strings.Fields(b.String()), " ")
+}
+
 // collectText concatenates the text tokens until the end tag of element.
 func collectText(tokens []token, from int, element string) string {
 	var b strings.Builder
@@ -273,21 +304,6 @@ func collectText(tokens []token, from int, element string) string {
 		}
 	}
 	return strings.Join(strings.Fields(b.String()), " ")
-}
-
-// prune removes internal nodes without any leaf below them.
-func prune(n *schema.Node) {
-	kept := n.Children[:0]
-	for _, c := range n.Children {
-		if !c.IsLeaf() {
-			prune(c)
-			if len(c.Children) == 0 {
-				continue
-			}
-		}
-		kept = append(kept, c)
-	}
-	n.Children = kept
 }
 
 func itoa(n int) string {

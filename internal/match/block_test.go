@@ -8,7 +8,7 @@ import (
 	"qilabel/internal/schema"
 )
 
-// assignAll runs Assign over fresh copies of a domain's trees and returns
+// assignAll runs the matcher over fresh copies of a domain's trees and returns
 // the leaf-order cluster assignment.
 func assignAll(t testing.TB, domain string, opts Options) []string {
 	t.Helper()
@@ -17,7 +17,7 @@ func assignAll(t testing.TB, domain string, opts Options) []string {
 		t.Fatal(err)
 	}
 	trees := d.Generate()
-	Assign(trees, opts)
+	assign(t, trees, opts)
 	var out []string
 	for _, tr := range trees {
 		for _, leaf := range tr.Leaves() {
@@ -59,7 +59,7 @@ func TestBlockedUnlabeledFields(t *testing.T) {
 			&schema.Node{Instances: []string{"red", "green", "blue", "teal"}},
 			&schema.Node{}),
 	}
-	if n := Assign(trees, Options{}); n != 3 {
+	if n := assign(t, trees, Options{}); n != 3 {
 		t.Fatalf("got %d clusters, want 3 (one instance match, two singletons)", n)
 	}
 	if a, b := trees[0].Leaves()[0].Cluster, trees[1].Leaves()[0].Cluster; a != b {
@@ -80,14 +80,14 @@ func benchTrees(b *testing.B, domain string) []*schema.Tree {
 	return d.Generate()
 }
 
-// BenchmarkMatcherBlocked measures Assign with the block-key index on the
+// BenchmarkMatcherBlocked measures the matcher with the block-key index on the
 // Hotels corpus (the matcher benchmark domain of the pipeline benches).
 func BenchmarkMatcherBlocked(b *testing.B) {
 	trees := benchTrees(b, "Hotels")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Assign(trees, Options{Parallelism: 1})
+		assign(b, trees, Options{Parallelism: 1})
 	}
 }
 
@@ -97,6 +97,6 @@ func BenchmarkMatcherUnblocked(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Assign(trees, Options{Parallelism: 1, DisableBlocking: true})
+		assign(b, trees, Options{Parallelism: 1, DisableBlocking: true})
 	}
 }

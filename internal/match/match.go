@@ -264,24 +264,13 @@ type fieldInfo struct {
 	inst  []string // case-folded, trimmed instance values, sorted and distinct
 }
 
-// Assign computes clusters for the leaves of the given trees and writes
-// the cluster names onto the leaves in place (overwriting any existing
-// annotation). It returns the number of clusters formed. Leaves with
-// neither a usable label nor instances form singleton clusters.
-func Assign(trees []*schema.Tree, opts Options) int {
-	n, _ := AssignContext(context.Background(), trees, opts)
-	return n
-}
-
-// AssignContext is Assign with cooperative cancellation: the pairwise
-// similarity pass checks ctx between rows and returns ctx.Err() once the
-// context is done, leaving the trees' annotations untouched.
-func AssignContext(ctx context.Context, trees []*schema.Tree, opts Options) (int, error) {
-	return AssignTable(ctx, cluster.NewTable(trees), opts)
-}
-
-// AssignTable is AssignContext over a table of the trees: every leaf of
-// the table is a field, in table order.
+// AssignTable computes clusters for the leaves of a table's trees, every
+// leaf a field in table order, and writes the cluster names onto the
+// leaves in place (overwriting any existing annotation). It returns the
+// number of clusters formed. Leaves with neither a usable label nor
+// instances form singleton clusters. The pairwise similarity pass checks
+// ctx between rows and returns ctx.Err() once the context is done, leaving
+// the trees' annotations untouched.
 func AssignTable(ctx context.Context, tab *cluster.Table, opts Options) (int, error) {
 	fields, ifaces := tableFields(tab)
 
@@ -526,11 +515,12 @@ func Evaluate(truth []*schema.Tree, opts Options) Quality {
 	for i, t := range truth {
 		copies[i] = t.Clone()
 	}
-	n := Assign(copies, opts)
+	tab := cluster.NewTable(copies)
+	n, _ := AssignTable(context.Background(), tab, opts)
 
 	// Field i of the truth's table is field i of the copies'.
 	gLeaves := cluster.NewTable(truth).Leaves
-	aLeaves := cluster.NewTable(copies).Leaves
+	aLeaves := tab.Leaves
 	gold := make([]string, len(gLeaves))     // field index -> gold cluster
 	assigned := make([]string, len(gLeaves)) // field index -> matcher cluster
 	for i := range gLeaves {

@@ -1,12 +1,23 @@
 package match
 
 import (
+	"context"
 	"testing"
 
 	"qilabel/internal/cluster"
 	"qilabel/internal/dataset"
 	"qilabel/internal/schema"
 )
+
+// assign runs the matcher over the table of trees, as the pipeline does.
+func assign(tb testing.TB, trees []*schema.Tree, opts Options) int {
+	tb.Helper()
+	n, err := AssignTable(context.Background(), cluster.NewTable(trees), opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return n
+}
 
 func TestAssignBasic(t *testing.T) {
 	trees := []*schema.Tree{
@@ -22,7 +33,7 @@ func TestAssignBasic(t *testing.T) {
 			schema.NewField("Salary", ""),
 		),
 	}
-	n := Assign(trees, Options{})
+	n := assign(t, trees, Options{})
 	if n != 3 {
 		t.Fatalf("got %d clusters, want 3 (job type, city, salary)", n)
 	}
@@ -47,7 +58,7 @@ func TestAssignInstanceSignal(t *testing.T) {
 		schema.NewTree("b", schema.NewField("Cabin", "", "economy", "business", "first")),
 		schema.NewTree("c", schema.NewField("Colors", "", "Red", "Blue")),
 	}
-	Assign(trees, Options{})
+	assign(t, trees, Options{})
 	if trees[0].Leaves()[0].Cluster != trees[1].Leaves()[0].Cluster {
 		t.Error("instance overlap should match the unlabeled field with Cabin")
 	}
@@ -63,7 +74,7 @@ func TestAssignSameInterfaceNeverMatches(t *testing.T) {
 			schema.NewField("Town", ""), // synonym on the same interface
 		),
 	}
-	Assign(trees, Options{})
+	assign(t, trees, Options{})
 	leaves := trees[0].Leaves()
 	if leaves[0].Cluster == leaves[1].Cluster {
 		t.Error("two fields of one interface must stay in distinct clusters")

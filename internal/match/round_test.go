@@ -1,7 +1,6 @@
 package match
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -28,11 +27,7 @@ func TestRoundsSkipConnectedCandidates(t *testing.T) {
 	}
 	for _, par := range []int{1, 4} {
 		var probed int
-		got, err := AssignContext(context.Background(), cloneTrees(trees),
-			Options{Parallelism: par, Pairs: &probed})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := assign(t, cloneTrees(trees), Options{Parallelism: par, Pairs: &probed})
 		if got != 1 {
 			t.Fatalf("par=%d: %d clusters, want 1", par, got)
 		}
@@ -48,16 +43,13 @@ func TestRoundsSkipConnectedCandidates(t *testing.T) {
 // leave in a fresh naming.Warm, come out identical at every Parallelism,
 // and the assignment equals the exhaustive reference pass.
 func TestRoundsScheduleIndependent(t *testing.T) {
-	ctx := context.Background()
 	for seed := uint64(1); seed <= 4; seed++ {
 		trees := growingCorpus(t, seed, 40)
 		if fields, _ := tableFields(cluster.NewTable(trees)); len(fields) <= 3*roundRows {
 			t.Fatalf("seed %d: %d fields span too few rounds", seed, len(fields))
 		}
 		ref := cloneTrees(trees)
-		if _, err := AssignContext(ctx, ref, Options{DisableBlocking: true}); err != nil {
-			t.Fatal(err)
-		}
+		assign(t, ref, Options{DisableBlocking: true})
 		var wantProbed, wantVerdicts int
 		for _, par := range []int{1, 2, 4, 8} {
 			step := fmt.Sprintf("seed %d par %d", seed, par)
@@ -65,9 +57,7 @@ func TestRoundsScheduleIndependent(t *testing.T) {
 			var probed int
 			got := cloneTrees(trees)
 			opts := Options{Parallelism: par, Analysis: w.Analysis(fieldLabels(got)), Pairs: &probed}
-			if _, err := AssignContext(ctx, got, opts); err != nil {
-				t.Fatal(err)
-			}
+			assign(t, got, opts)
 			assertSameAssignment(t, step, got, ref)
 			verdicts := w.Stats().Verdicts
 			if par == 1 {

@@ -1,7 +1,6 @@
 package match
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -72,28 +71,20 @@ func assertSameAssignment(t *testing.T, step string, a, b []*schema.Tree) {
 
 // TestWarmAssignEquivalence pins the matcher's contract over the warm
 // cache the way a delta session feeds it: as the source set grows source
-// by source, an AssignContext over an analysis table one naming.Warm
-// builds produces the exact cluster assignment of an AssignContext with no
-// table, and the growing runs hit the Warm's Relate verdicts.
+// by source, a run over an analysis table one naming.Warm builds produces
+// the exact cluster assignment of a run with no analysis table, and the
+// growing runs hit the Warm's Relate verdicts.
 func TestWarmAssignEquivalence(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			trees := growingCorpus(t, seed, 6)
 			w := naming.NewWarm(nil)
-			ctx := context.Background()
 			for n := 1; n <= len(trees); n++ {
 				warm := cloneTrees(trees[:n])
 				cold := cloneTrees(trees[:n])
 				var probed int
-				nw, err := AssignContext(ctx, warm,
-					Options{Analysis: w.Analysis(fieldLabels(warm)), Pairs: &probed})
-				if err != nil {
-					t.Fatal(err)
-				}
-				nc, err := AssignContext(ctx, cold, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
+				nw := assign(t, warm, Options{Analysis: w.Analysis(fieldLabels(warm)), Pairs: &probed})
+				nc := assign(t, cold, Options{})
 				if nw != nc {
 					t.Fatalf("n=%d: %d clusters warm vs %d from scratch", n, nw, nc)
 				}
@@ -116,13 +107,10 @@ func TestWarmAssignEquivalence(t *testing.T) {
 func TestWarmAssignReuse(t *testing.T) {
 	trees := growingCorpus(t, 7, 5)
 	w := naming.NewWarm(nil)
-	ctx := context.Background()
 	run := func() int {
 		got := cloneTrees(trees)
 		var probed int
-		if _, err := AssignContext(ctx, got, Options{Analysis: w.Analysis(fieldLabels(got)), Pairs: &probed}); err != nil {
-			t.Fatal(err)
-		}
+		assign(t, got, Options{Analysis: w.Analysis(fieldLabels(got)), Pairs: &probed})
 		return probed
 	}
 	first := run()
@@ -151,9 +139,7 @@ func TestSerialAssignReachesWarm(t *testing.T) {
 	w := naming.NewWarm(nil)
 	var probed int
 	opts := Options{Parallelism: 1, Analysis: w.Analysis(fieldLabels(trees)), Pairs: &probed}
-	if _, err := AssignContext(context.Background(), trees, opts); err != nil {
-		t.Fatal(err)
-	}
+	assign(t, trees, opts)
 	if probed == 0 {
 		t.Fatal("the serial run evaluated no pair")
 	}

@@ -1,6 +1,7 @@
 package merge
 
 import (
+	"context"
 	"testing"
 
 	"qilabel/internal/cluster"
@@ -10,47 +11,28 @@ import (
 
 // BenchmarkMerge measures the structural integration of the largest real
 // corpus (Hotels, 30 interfaces) and of megaSubset (192 mega-preset
-// sources).
+// sources), each over its table with the derived mapping.
 func BenchmarkMerge(b *testing.B) {
 	b.Run("Hotels", func(b *testing.B) {
 		d, err := dataset.ByName("Hotels")
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Trees are regenerated per iteration because Merge consumes the
-		// 1:m-expanded trees.
-		prepare := func() ([]*schema.Tree, *cluster.Mapping) {
-			trees := d.Generate()
-			cluster.ExpandOneToMany(trees)
-			m, err := cluster.FromTrees(trees)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return trees, m
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			trees, m := prepare()
-			b.StartTimer()
-			if _, err := Merge(trees, m); err != nil {
-				b.Fatal(err)
-			}
-		}
+		trees := d.Generate()
+		cluster.ExpandOneToMany(trees)
+		benchMergeTable(b, trees)
 	})
-	b.Run("mega", func(b *testing.B) {
-		trees := megaSubset(b)
-		m, err := cluster.FromTrees(trees)
-		if err != nil {
+	b.Run("mega", func(b *testing.B) { benchMergeTable(b, megaSubset(b)) })
+}
+
+// benchMergeTable times MergeTable over the table of the expanded trees.
+func benchMergeTable(b *testing.B, trees []*schema.Tree) {
+	tab := tableOf(b, trees)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MergeTable(context.Background(), tab); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := Merge(trees, m); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

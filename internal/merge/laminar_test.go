@@ -162,12 +162,8 @@ type corpus struct {
 // clusters.
 func unitsOf(t testing.TB, trees []*schema.Tree) corpus {
 	t.Helper()
-	tab := cluster.NewTable(trees)
-	m, err := tab.DeriveMapping()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byRank, rank := ranks(tab.Names[:len(m.Clusters)])
+	tab := tableOf(t, trees)
+	byRank, rank := ranks(tab.Names)
 	names := make([]string, len(byRank))
 	for r, id := range byRank {
 		names[r] = tab.Names[id]

@@ -24,7 +24,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -77,43 +76,11 @@ type unit struct {
 	shared int // clusters it shares with that search's unit
 }
 
-// Merge integrates the given source trees. The trees must already have 1:m
-// correspondences expanded (cluster.ExpandOneToMany) and every leaf must
-// carry a cluster name; m must be the mapping derived from the same trees.
-// Merge checks all of this and then runs MergeTable.
-func Merge(trees []*schema.Tree, m *cluster.Mapping) (*Result, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	for _, t := range trees {
-		if err := t.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	tab := cluster.NewTable(trees)
-	for _, l := range tab.Leaves {
-		if len(l.Node.MultiClusters) > 0 {
-			return nil, fmt.Errorf("merge: %s has unexpanded 1:m leaf %q",
-				tab.Sources[l.Source].Interface, l.Node.Label)
-		}
-	}
-	return MergeTable(context.Background(), tab.Bind(m))
-}
-
-// MergeContext is MergeTable over a table of the given trees bound to m.
-// It trusts its inputs as the pipeline hands them over: trees that passed
-// Tree.Validate before their 1:m leaves were expanded, and a mapping
-// cluster.FromTrees built from them (which rejects unexpanded leaves), or
-// a subset of its clusters.
-func MergeContext(ctx context.Context, trees []*schema.Tree, m *cluster.Mapping) (*Result, error) {
-	return MergeTable(ctx, cluster.NewTable(trees).Bind(m))
-}
-
-// MergeTable integrates the sources of a table bound to its mapping, with
-// cooperative cancellation: the laminar-family construction — the merge's
-// only super-linear loop — checks ctx between union steps and returns
-// ctx.Err() once the context is done. The universe is the mapping's
-// clusters; fields of clusters the mapping lacks are ignored.
+// MergeTable integrates the sources of a table whose mapping is derived
+// (cluster.Table.DeriveMapping, then Prune), with cooperative
+// cancellation: the laminar-family construction — the merge's only
+// super-linear loop — checks ctx between union steps and returns ctx.Err()
+// once the context is done. The universe is the mapping's clusters.
 func MergeTable(ctx context.Context, tab *cluster.Table) (*Result, error) {
 	if len(tab.Trees) == 0 {
 		return nil, errors.New("merge: no source trees")
@@ -123,7 +90,7 @@ func MergeTable(ctx context.Context, tab *cluster.Table) (*Result, error) {
 	if n == 0 {
 		return nil, errors.New("merge: mapping has no clusters")
 	}
-	byRank, rank := ranks(tab.Names[:n])
+	byRank, rank := ranks(tab.Names)
 	laminar, err := selectLaminar(ctx, tab.Nodes, collectUnits(tab, rank), n)
 	if err != nil {
 		return nil, err
@@ -153,17 +120,15 @@ func ranks(names []string) (byRank, rank []int32) {
 // collectUnits gathers the cluster sets under every internal node of every
 // source (the root excluded: its set is the whole interface, which
 // contributes no grouping information), keyed by appendIDs of the set.
-// rank maps the universe's cluster IDs to their ranks; fields of other
-// clusters (pruned as rare) do not count.
+// rank maps the universe's cluster IDs to their ranks.
 func collectUnits(tab *cluster.Table, rank []int32) map[string]*unit {
 	units := make(map[string]*unit)
-	limit := int32(len(rank))
 	var set []int32
 	var buf []byte
 	for ni, nd := range tab.Nodes {
 		set = set[:0]
 		for _, l := range tab.Leaves[nd.Lo:nd.Hi] {
-			if l.Cluster >= 0 && l.Cluster < limit {
+			if l.Cluster >= 0 {
 				set = append(set, rank[l.Cluster])
 			}
 		}

@@ -1,6 +1,7 @@
 package merge
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -47,13 +48,21 @@ func airlineTrees() []*schema.Tree {
 	}
 }
 
+// tableOf lays expanded trees out as the pipeline does: their table with
+// its derived mapping, MergeTable's input.
+func tableOf(tb testing.TB, trees []*schema.Tree) *cluster.Table {
+	tb.Helper()
+	tab := cluster.NewTable(trees)
+	if _, err := tab.DeriveMapping(); err != nil {
+		tb.Fatal(err)
+	}
+	return tab
+}
+
+// integrate merges expanded trees as the pipeline does.
 func integrate(t *testing.T, trees []*schema.Tree) *Result {
 	t.Helper()
-	m, err := cluster.FromTrees(trees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Merge(trees, m)
+	res, err := MergeTable(context.Background(), tableOf(t, trees))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,16 +241,11 @@ func TestMergeCrossingGroupsUnion(t *testing.T) {
 }
 
 func TestMergeInputValidation(t *testing.T) {
-	if _, err := Merge(nil, cluster.NewMapping()); err == nil {
+	if _, err := MergeTable(context.Background(), cluster.NewTable(nil)); err == nil {
 		t.Error("no trees must fail")
 	}
-	tr := schema.NewTree("s", schema.NewMultiField("P", "c_1", "c_2"))
-	m := cluster.NewMapping(&cluster.Cluster{Name: "c_1"})
-	if _, err := Merge([]*schema.Tree{tr}, m); err == nil {
-		t.Error("unexpanded 1:m leaf must fail")
-	}
-	empty := schema.NewTree("s", schema.NewField("A", ""))
-	if _, err := Merge([]*schema.Tree{empty}, cluster.NewMapping()); err == nil {
+	tab := tableOf(t, []*schema.Tree{schema.NewTree("s", schema.NewField("A", ""))})
+	if _, err := MergeTable(context.Background(), tab); err == nil {
 		t.Error("empty mapping must fail")
 	}
 }
@@ -290,12 +294,12 @@ func TestGroupParent(t *testing.T) {
 // form a laminar family.
 func TestMergeProperties(t *testing.T) {
 	f := func(seed int64) bool {
-		trees := randomTrees(seed)
-		m, err := cluster.FromTrees(trees)
+		tab := cluster.NewTable(randomTrees(seed))
+		m, err := tab.DeriveMapping()
 		if err != nil || len(m.Clusters) == 0 {
 			return true // degenerate input, skip
 		}
-		res, err := Merge(trees, m)
+		res, err := MergeTable(context.Background(), tab)
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,31 +12,36 @@ import (
 	"qilabel/internal/schema"
 )
 
+// integrate runs the stages over source trees as the Integrator does, in
+// the order given: 1:m expansion, the table and its derived mapping,
+// merge.MergeTable and naming.RunTable.
+func integrate(t *testing.T, trees []*schema.Tree) (*merge.Result, *naming.Result) {
+	t.Helper()
+	cluster.ExpandOneToMany(trees)
+	tab := cluster.NewTable(trees)
+	if _, err := tab.DeriveMapping(); err != nil {
+		t.Fatal(err)
+	}
+	mr, err := merge.MergeTable(context.Background(), tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := naming.RunTable(context.Background(), mr, tab, naming.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mr, res
+}
+
+// runDomain integrates one domain and returns its unexpanded sources too.
 func runDomain(t *testing.T, name string) ([]*schema.Tree, *merge.Result, *naming.Result) {
 	t.Helper()
 	d, err := dataset.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trees := d.Generate()
-	sources := make([]*schema.Tree, len(trees))
-	for i, tr := range trees {
-		sources[i] = tr.Clone()
-	}
-	cluster.ExpandOneToMany(trees)
-	m, err := cluster.FromTrees(trees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr, err := merge.Merge(trees, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := naming.Run(mr, naming.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sources, mr, res
+	mr, res := integrate(t, d.Generate())
+	return d.Generate(), mr, res
 }
 
 func TestEvaluateAllDomains(t *testing.T) {
@@ -173,15 +179,7 @@ func TestFigure10Shape(t *testing.T) {
 func TestHumanAcceptanceEdgeCases(t *testing.T) {
 	// A single-source, fully labeled corpus: every cluster has frequency 1,
 	// so HA collapses but HA' discounts everything.
-	trees := []*schema.Tree{schema.NewTree("only", schema.NewField("A", "c_A"))}
-	m, _ := cluster.FromTrees(trees)
-	mr, err := merge.Merge(trees, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := naming.Run(mr, naming.Options{}); err != nil {
-		t.Fatal(err)
-	}
+	mr, _ := integrate(t, []*schema.Tree{schema.NewTree("only", schema.NewField("A", "c_A"))})
 	ha, hap := HumanAcceptance(mr)
 	want := 1 - 4.0/11.0 // the minority flag rate for frequency-1 fields
 	if ha < want-1e-9 || ha > want+1e-9 {

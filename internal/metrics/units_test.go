@@ -3,24 +3,11 @@ package metrics
 import (
 	"testing"
 
-	"qilabel/internal/cluster"
-	"qilabel/internal/merge"
 	"qilabel/internal/schema"
 )
 
-// buildMerge assembles a merge result from already-labeled trees.
-func buildMerge(t *testing.T, trees []*schema.Tree) *merge.Result {
-	t.Helper()
-	m, err := cluster.FromTrees(trees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr, err := merge.Merge(trees, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mr
-}
+// Each test integrates its trees, then sets the labels it scores on the
+// integrated tree.
 
 func TestFldAccCountsLabels(t *testing.T) {
 	trees := []*schema.Tree{
@@ -32,7 +19,7 @@ func TestFldAccCountsLabels(t *testing.T) {
 			schema.NewField("A", "c_A"),
 		),
 	}
-	mr := buildMerge(t, trees)
+	mr, _ := integrate(t, trees)
 	// Assign labels manually: one labeled, one not.
 	mr.LeafOf["c_A"].Label = "A"
 	mr.LeafOf["c_B"].Label = ""
@@ -56,12 +43,12 @@ func TestIntAccCountsInternalLabels(t *testing.T) {
 			schema.NewGroup("G2", schema.NewField("C", "c_C"), schema.NewField("D", "c_D")),
 		),
 	}
-	mr := buildMerge(t, trees)
+	mr, _ := integrate(t, trees)
 	internal := mr.Tree.InternalNodes()
 	if len(internal) != 2 {
 		t.Fatalf("expected 2 internal nodes, got %d", len(internal))
 	}
-	internal[0].Label = "G1"
+	internal[0].Label, internal[1].Label = "G1", ""
 	if got := IntAcc(mr); got != 0.5 {
 		t.Errorf("IntAcc = %v, want 0.5", got)
 	}
@@ -86,7 +73,7 @@ func TestHumanAcceptanceHomonyms(t *testing.T) {
 			),
 		),
 	}
-	mr := buildMerge(t, trees)
+	mr, _ := integrate(t, trees)
 	mr.LeafOf["c_X"].Label = "Type"
 	mr.LeafOf["c_Y"].Label = "Type"
 	ha, _ := HumanAcceptance(mr)
@@ -105,7 +92,7 @@ func TestHumanAcceptanceUnlabeledNeedsInstances(t *testing.T) {
 		schema.NewTree("s1", schema.NewField("", "c_A", "v1"), schema.NewField("", "c_B")),
 		schema.NewTree("s2", schema.NewField("", "c_A", "v1"), schema.NewField("", "c_B")),
 	}
-	mr := buildMerge(t, trees)
+	mr, _ := integrate(t, trees)
 	mr.LeafOf["c_A"].Label = ""
 	mr.LeafOf["c_A"].Instances = []string{"v1"}
 	mr.LeafOf["c_B"].Label = ""

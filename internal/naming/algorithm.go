@@ -140,8 +140,11 @@ type Result struct {
 	Counters Counters
 }
 
-// Run executes the three-phase naming algorithm (§6) over an integration
-// result, labeling mr.Tree in place.
+// RunTable executes the three-phase naming algorithm (§6) over an
+// integration result, labeling mr.Tree in place. tab is the table mr was
+// merged from (merge.MergeTable): the source labels, the labeled source
+// nodes and the cluster facts every phase reads come from it, computed
+// once per run.
 //
 // Phase one walks the tree bottom-up determining candidate labels: group
 // relations are built and solved (§4), isolated clusters are labeled
@@ -149,28 +152,14 @@ type Result struct {
 // internal nodes (§5). Phase two determines the consistency level the
 // schema tree supports (Definition 8). Phase three assigns each node a
 // label complying with that level.
-func Run(mr *merge.Result, opts Options) (*Result, error) {
-	return RunContext(context.Background(), mr, opts)
-}
-
-// RunContext is Run with cooperative cancellation and a bounded worker
-// pool: the per-group solver passes (Phase 1a) and the per-node candidate
+//
+// The per-group solver passes (Phase 1a) and the per-node candidate
 // derivation (Phase 1c) — the two passes that dominate large domains — fan
 // out over Options.Parallelism workers and check ctx between units,
 // returning ctx.Err() once the context is done. Each worker carries its own
 // Semantics (the label-analysis cache is not concurrency-safe) over the
 // same lexicon, and each unit tallies inference rules into its own slot, so
 // the parallel run is label- and counter-identical to the serial one.
-func RunContext(ctx context.Context, mr *merge.Result, opts Options) (*Result, error) {
-	if mr == nil || mr.Tree == nil {
-		return nil, errors.New("naming: nil merge result")
-	}
-	return RunTable(ctx, mr, cluster.NewTable(mr.Sources).Bind(mr.Mapping), opts)
-}
-
-// RunTable is RunContext over tab, the table of mr's sources bound to
-// mr.Mapping: the source labels, the labeled source nodes and the cluster
-// facts every phase reads come from it, computed once per run.
 func RunTable(ctx context.Context, mr *merge.Result, tab *cluster.Table, opts Options) (*Result, error) {
 	if mr == nil || mr.Tree == nil {
 		return nil, errors.New("naming: nil merge result")
@@ -328,9 +317,7 @@ func RunTable(ctx context.Context, mr *merge.Result, tab *cluster.Table, opts Op
 func integratedNodes(t *schema.Tree, tab *cluster.Table) ([]*schema.Node, [][]int32) {
 	id := make(map[string]int32, len(tab.Names))
 	for i, n := range tab.Names {
-		if _, ok := id[n]; !ok {
-			id[n] = int32(i)
-		}
+		id[n] = int32(i)
 	}
 	var nodes []*schema.Node
 	var spans [][2]int
@@ -338,9 +325,7 @@ func integratedNodes(t *schema.Tree, tab *cluster.Table) ([]*schema.Node, [][]in
 	var walk func(n *schema.Node)
 	walk = func(n *schema.Node) {
 		if n.IsLeaf() {
-			if c, ok := id[n.Cluster]; ok {
-				leaves = append(leaves, c)
-			}
+			leaves = append(leaves, id[n.Cluster])
 			return
 		}
 		k := -1

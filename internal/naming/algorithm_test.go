@@ -1,6 +1,7 @@
 package naming
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,21 +10,28 @@ import (
 	"qilabel/internal/schema"
 )
 
-// pipeline runs expansion, mapping, merging and naming over source trees.
-func pipeline(t *testing.T, opts Options, trees ...*schema.Tree) (*merge.Result, *Result) {
-	t.Helper()
+// merged runs the stages before naming over source trees as the
+// Integrator does, in the order given: 1:m expansion, the table and its
+// derived mapping (tableFor), then merge.MergeTable. It returns RunTable's
+// inputs.
+func merged(tb testing.TB, trees ...*schema.Tree) (*cluster.Table, *merge.Result) {
+	tb.Helper()
 	cluster.ExpandOneToMany(trees)
-	m, err := cluster.FromTrees(trees)
+	tab := tableFor(trees...)
+	mr, err := merge.MergeTable(context.Background(), tab)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	mr, err := merge.Merge(trees, m)
+	return tab, mr
+}
+
+// pipeline runs every stage over source trees: merged, then RunTable.
+func pipeline(tb testing.TB, opts Options, trees ...*schema.Tree) (*merge.Result, *Result) {
+	tb.Helper()
+	tab, mr := merged(tb, trees...)
+	res, err := RunTable(context.Background(), mr, tab, opts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(mr, opts)
-	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return mr, res
 }
@@ -295,7 +303,7 @@ func TestRunWeaklyConsistent(t *testing.T) {
 }
 
 func TestRunNilInput(t *testing.T) {
-	if _, err := Run(nil, Options{}); err == nil {
+	if _, err := RunTable(context.Background(), nil, nil, Options{}); err == nil {
 		t.Error("nil merge result must fail")
 	}
 }

@@ -1,6 +1,7 @@
 package naming
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -9,34 +10,25 @@ import (
 	"qilabel/internal/merge"
 )
 
-// corpusMerge prepares one domain's merge result outside the timed loop.
-func corpusMerge(b *testing.B, domain string) *merge.Result {
+// corpusMerge prepares one domain's table and merge result, the inputs of
+// RunTable, outside the timed loop.
+func corpusMerge(b *testing.B, domain string) (*cluster.Table, *merge.Result) {
 	b.Helper()
 	d, err := dataset.ByName(domain)
 	if err != nil {
 		b.Fatal(err)
 	}
-	trees := d.Generate()
-	cluster.ExpandOneToMany(trees)
-	m, err := cluster.FromTrees(trees)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mr, err := merge.Merge(trees, m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return mr
+	return merged(b, d.Generate()...)
 }
 
 // BenchmarkRun measures the full naming algorithm on the Airline corpus
 // (the hierarchically richest domain).
 func BenchmarkRun(b *testing.B) {
-	mr := corpusMerge(b, "Airline")
+	tab, mr := corpusMerge(b, "Airline")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(mr, Options{}); err != nil {
+		if _, err := RunTable(context.Background(), mr, tab, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -89,7 +81,7 @@ func BenchmarkRelateMemo(b *testing.B) {
 
 // BenchmarkSolveGroup measures one group relation solve (Table 2 shape).
 func BenchmarkSolveGroup(b *testing.B) {
-	mr := corpusMerge(b, "Airline")
+	_, mr := corpusMerge(b, "Airline")
 	if len(mr.Groups) == 0 {
 		b.Fatal("no groups")
 	}
@@ -100,7 +92,7 @@ func BenchmarkSolveGroup(b *testing.B) {
 			best = g
 		}
 	}
-	rel := cluster.BuildRelation(best, cluster.Interfaces(mr.Sources))
+	rel := cluster.NewRelations(cluster.Interfaces(mr.Sources)).Build(best)
 	sem := NewSemantics(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -111,10 +103,11 @@ func BenchmarkSolveGroup(b *testing.B) {
 
 // BenchmarkPartitions measures the graph-closure partitioning (§4.1.1).
 func BenchmarkPartitions(b *testing.B) {
-	mr := corpusMerge(b, "Hotels")
+	_, mr := corpusMerge(b, "Hotels")
 	var rel *cluster.Relation
+	relations := cluster.NewRelations(cluster.Interfaces(mr.Sources))
 	for _, g := range mr.Groups {
-		r := cluster.BuildRelation(g, cluster.Interfaces(mr.Sources))
+		r := relations.Build(g)
 		if rel == nil || len(r.Tuples) > len(rel.Tuples) {
 			rel = r
 		}

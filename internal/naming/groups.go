@@ -441,7 +441,7 @@ func (s *Semantics) dropValueLabels(rel *cluster.Relation, facts []*clusterFacts
 		if facts != nil {
 			f = facts[col]
 		} else {
-			f = newClusterFacts(c, nil, nil)
+			f = memberFacts(c)
 		}
 		labels := f.labels
 		if len(labels) < 2 {

@@ -47,10 +47,7 @@ func relationFromRows(clusterNames []string, rows [][2]interface{}) *cluster.Rel
 		}
 		trees = append(trees, schema.NewTree(iface, kids...))
 	}
-	m, err := cluster.FromTrees(trees)
-	if err != nil {
-		panic(err)
-	}
+	m := mappingFor(trees...)
 	var group []*cluster.Cluster
 	for _, n := range clusterNames {
 		c := m.Get(n)
@@ -59,7 +56,7 @@ func relationFromRows(clusterNames []string, rows [][2]interface{}) *cluster.Rel
 		}
 		group = append(group, c)
 	}
-	return cluster.BuildRelation(group, cluster.Interfaces(trees))
+	return cluster.NewRelations(cluster.Interfaces(trees)).Build(group)
 }
 
 // --- Definition 2 / partitioning ------------------------------------------
@@ -356,11 +353,8 @@ func TestDropValueLabelsLI7(t *testing.T) {
 		schema.NewTree("b2", schema.NewField("hardcover", "c_Format")),
 		schema.NewTree("b3", schema.NewField("Binding", "c_Format")),
 	}
-	m, err := cluster.FromTrees(trees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := cluster.BuildRelation([]*cluster.Cluster{m.Get("c_Format")}, cluster.Interfaces(trees))
+	m := mappingFor(trees...)
+	rel := cluster.NewRelations(cluster.Interfaces(trees)).Build([]*cluster.Cluster{m.Get("c_Format")})
 	var counters Counters
 	out := s.SolveGroup(rel, SolverOptions{UseInstances: true, Counters: &counters})
 	best := out.Best()

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"qilabel/internal/cluster"
+	"qilabel/internal/schema"
 )
 
 // clusterSet is a set of the clusters of one X being derived, one bit per
@@ -113,7 +114,7 @@ func newSourceUnits(tab *cluster.Table, shared *Analysis) sourceUnits {
 			continue
 		}
 		lo := int32(len(us.ids))
-		us.ids = tab.SpanClusters(us.ids, nd.Lo, nd.Hi, int32(len(tab.Names)))
+		us.ids = tab.SpanClusters(us.ids, nd.Lo, nd.Hi)
 		if int32(len(us.ids)) == lo {
 			continue
 		}
@@ -150,64 +151,58 @@ type clusterFacts struct {
 	ascii bool
 }
 
-// newClusterFacts derives the facts of cluster c. leaves, when tab is not
-// nil, are the table leaves of c's members (tab.Members): their trimmed
-// labels and folded instance sets are the table's, so a set several
-// members share is read once. Members without a table leaf are read off
-// their nodes.
-func newClusterFacts(c *cluster.Cluster, tab *cluster.Table, leaves []int32) *clusterFacts {
+// newClusterFacts derives the facts of a cluster from the table leaves of
+// its members (tab.Members): their trimmed labels and folded instance sets
+// are the table's, so a set several members share is read once.
+func newClusterFacts(tab *cluster.Table, leaves []int32) *clusterFacts {
 	f := &clusterFacts{ascii: true}
-	var sets []int32   // the distinct folded sets of members in the table
-	var stray []string // the folded instances of the other members
+	var sets []int32 // the distinct folded sets of the members
 	n := 0
-	for k, m := range c.Members {
-		node := m.Leaf
-		leaf := int32(-1)
-		if tab != nil {
-			leaf = leaves[k]
+	for _, leaf := range leaves {
+		l := &tab.Leaves[leaf]
+		if l.Trimmed >= 0 && !slices.Contains(f.labels, tab.Labels[l.Trimmed]) {
+			f.labels = append(f.labels, tab.Labels[l.Trimmed])
 		}
-		var label string
-		if leaf >= 0 {
-			l := &tab.Leaves[leaf]
-			if l.Trimmed >= 0 {
-				label = tab.Labels[l.Trimmed]
-			}
-			if l.Set > 0 && !slices.Contains(sets, l.Set) {
-				sets = append(sets, l.Set)
-			}
-		} else {
-			label = strings.TrimSpace(node.Label)
-			for _, v := range node.Instances {
-				stray = append(stray, strings.ToLower(strings.TrimSpace(v)))
-			}
+		if l.Set > 0 && !slices.Contains(sets, l.Set) {
+			sets = append(sets, l.Set)
 		}
-		if label != "" && !slices.Contains(f.labels, label) {
-			f.labels = append(f.labels, label)
-		}
-		n += len(node.Instances)
+		n += len(l.Node.Instances)
 	}
 	if n == 0 {
 		return f
 	}
 	f.domain = make([]string, 0, n)
-	for _, m := range c.Members {
-		for _, v := range m.Leaf.Instances {
+	for _, leaf := range leaves {
+		for _, v := range tab.Leaves[leaf].Node.Instances {
 			f.domain = append(f.domain, v)
 			f.ascii = f.ascii && isASCII(v)
 		}
 	}
 	slices.Sort(f.domain)
 	f.domain = slices.Clip(slices.Compact(f.domain))
-	if len(sets) == 1 && len(stray) == 0 {
+	if len(sets) == 1 {
 		f.values = tab.Sets[sets[0]] // shared with the table: read only
 		return f
 	}
+	var values []string
 	for _, set := range sets {
-		stray = append(stray, tab.Sets[set]...)
+		values = append(values, tab.Sets[set]...)
 	}
-	slices.Sort(stray)
-	f.values = slices.Compact(stray)
+	slices.Sort(values)
+	f.values = slices.Compact(values)
 	return f
+}
+
+// memberFacts derives the facts of a cluster outside a pipeline run, over
+// a table whose sources are the cluster's members.
+func memberFacts(c *cluster.Cluster) *clusterFacts {
+	trees := make([]*schema.Tree, len(c.Members))
+	leaves := make([]int32, len(c.Members))
+	for k, m := range c.Members {
+		trees[k] = &schema.Tree{Interface: m.Interface, Root: m.Leaf}
+		leaves[k] = int32(k)
+	}
+	return newClusterFacts(cluster.NewTable(trees), leaves)
 }
 
 // mayHaveValue reports whether some member instance might equal label
@@ -261,7 +256,7 @@ func newRunIndex(tab *cluster.Table, s *Semantics) *runIndex {
 	ix := &runIndex{tab: tab, facts: make([]*clusterFacts, len(m.Clusters)),
 		ids: make(map[*cluster.Cluster]int32, len(m.Clusters))}
 	for i, c := range m.Clusters {
-		ix.facts[i] = newClusterFacts(c, tab, tab.Members(int32(i)))
+		ix.facts[i] = newClusterFacts(tab, tab.Members(int32(i)))
 		ix.ids[c] = int32(i)
 	}
 	var shared *Analysis

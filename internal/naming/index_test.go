@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"qilabel/internal/cluster"
-	"qilabel/internal/merge"
 	"qilabel/internal/schema"
 )
 
@@ -32,14 +30,7 @@ func TestNamingMemoryLinear(t *testing.T) {
 		}
 		trees[s] = schema.NewTree(fmt.Sprintf("s%d", s), kids...)
 	}
-	tab := cluster.NewTable(trees)
-	if _, err := tab.DeriveMapping(); err != nil {
-		t.Fatal(err)
-	}
-	mr, err := merge.MergeTable(context.Background(), tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, mr := merged(t, trees...)
 	analysis := PrecomputeAnalysis(nil, tab.Labels)
 	var before, after runtime.MemStats
 	runtime.GC()

@@ -19,7 +19,7 @@ import (
 // same domain is replaced by it) and LI 7 discards labels that are data
 // values of sibling fields.
 func (s *Semantics) LabelIsolated(c *cluster.Cluster, opts SolverOptions) string {
-	return s.labelIsolated(c, newClusterFacts(c, nil, nil), opts)
+	return s.labelIsolated(c, memberFacts(c), opts)
 }
 
 // labelIsolated is LabelIsolated over the cluster's precomputed facts.

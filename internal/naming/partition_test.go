@@ -1,6 +1,7 @@
 package naming
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -9,7 +10,6 @@ import (
 	"qilabel/internal/cluster"
 	"qilabel/internal/dataset"
 	"qilabel/internal/lexicon"
-	"qilabel/internal/merge"
 	"qilabel/internal/schema"
 	"qilabel/internal/synth"
 )
@@ -253,31 +253,17 @@ func TestSolveGroupAlwaysReturnsSomething(t *testing.T) {
 	}
 }
 
-// mergeCorpus merges a corpus on its annotated clusters.
-func mergeCorpus(t *testing.T, trees []*schema.Tree) *merge.Result {
-	t.Helper()
-	cluster.ExpandOneToMany(trees)
-	m, err := cluster.FromTrees(trees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr, err := merge.Merge(trees, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mr
-}
-
-// corpusRelations merges a corpus on its annotated clusters and builds the
-// group relation of every group, the root group last, as RunContext does.
+// corpusRelations integrates a corpus on its annotated clusters and builds
+// the group relation of every group, the root group last, as RunTable
+// does.
 func corpusRelations(t *testing.T, trees []*schema.Tree) []*cluster.Relation {
 	t.Helper()
-	mr := mergeCorpus(t, trees)
-	ifaces := cluster.Interfaces(mr.Sources)
+	mr, _ := pipeline(t, Options{}, trees...)
+	relations := cluster.NewRelations(cluster.Interfaces(mr.Sources))
 	var rels []*cluster.Relation
 	for _, g := range append(mr.Groups, mr.Root) {
 		if len(g) > 0 {
-			rels = append(rels, cluster.BuildRelation(g, ifaces))
+			rels = append(rels, relations.Build(g))
 		}
 	}
 	return rels
@@ -368,7 +354,7 @@ func TestPartitionProbeCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mega corpus skipped in -short mode")
 	}
-	mega := func() (*merge.Result, *lexicon.Lexicon) {
+	mega := func() ([]*schema.Tree, *lexicon.Lexicon) {
 		cfg, err := synth.Preset("mega")
 		if err != nil {
 			t.Fatal(err)
@@ -377,18 +363,25 @@ func TestPartitionProbeCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return mergeCorpus(t, trees), lex
+		return trees, lex
 	}
-	hotels := func() (*merge.Result, *lexicon.Lexicon) { return domainMerge(t, "Hotels"), nil }
+	hotels := func() ([]*schema.Tree, *lexicon.Lexicon) {
+		d, err := dataset.ByName("Hotels")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.Generate(), nil
+	}
 	for _, c := range []struct {
 		name     string
-		corpus   func() (*merge.Result, *lexicon.Lexicon)
+		corpus   func() ([]*schema.Tree, *lexicon.Lexicon)
 		min, max int64
 	}{{"Hotels", hotels, 1, 1000}, {"mega", mega, 0, 1000}} {
 		probes := func(parallelism int) int64 {
-			mr, lex := c.corpus()
-			a := PrecomputeAnalysis(lex, cluster.NewTable(mr.Sources).Labels)
-			if _, err := Run(mr, Options{Lexicon: lex, Parallelism: parallelism, Analysis: a}); err != nil {
+			trees, lex := c.corpus()
+			tab, mr := merged(t, trees...)
+			a := PrecomputeAnalysis(lex, tab.Labels)
+			if _, err := RunTable(context.Background(), mr, tab, Options{Lexicon: lex, Parallelism: parallelism, Analysis: a}); err != nil {
 				t.Fatal(err)
 			}
 			return a.partitionProbes.Load()

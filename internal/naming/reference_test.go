@@ -350,8 +350,8 @@ func TestRunIndexMatchesTreeWalk(t *testing.T) {
 			if words = dedupSorted(words); !slices.Equal(ix.words[i], words) {
 				t.Fatalf("%s: %s words %q, want %q", c.name, cl.Name, ix.words[i], words)
 			}
-			if got := newClusterFacts(cl, nil, nil); !reflect.DeepEqual(got, f) {
-				t.Fatalf("%s: %s facts from the members %+v, from the table %+v", c.name, cl.Name, got, f)
+			if got := memberFacts(cl); !reflect.DeepEqual(got, f) {
+				t.Fatalf("%s: %s facts from the members %+v, from the run's table %+v", c.name, cl.Name, got, f)
 			}
 		}
 

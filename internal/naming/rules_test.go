@@ -2,7 +2,7 @@ package naming
 
 // End-to-end exercises of the label-inference rules LI1–LI7: each test
 // hands a minimal set of handcrafted source trees to the full pipeline
-// (cluster.FromTrees → merge.Merge → Run) and asserts both the label the
+// (pipeline: the table, merge.MergeTable, RunTable) and asserts both the label the
 // rule derives on the integrated tree and the rule's involvement counter
 // in the aggregated Result.Counters (Figure 10). The companion tests in
 // internal_test.go / isolated_test.go / groups_test.go drive the same
@@ -14,27 +14,8 @@ import (
 	"sort"
 	"testing"
 
-	"qilabel/internal/cluster"
-	"qilabel/internal/merge"
 	"qilabel/internal/schema"
 )
-
-func runPipeline(t *testing.T, trees ...*schema.Tree) *Result {
-	t.Helper()
-	m, err := cluster.FromTrees(trees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr, err := merge.Merge(trees, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(mr, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
 
 // nodeReport finds the report of the integrated internal node whose
 // descendant leaf clusters are exactly the given set.
@@ -83,7 +64,7 @@ func leafLabel(t *testing.T, res *Result, clusterName string) string {
 // two potentials merge (LI1), keep the more descriptive display form, and
 // cover the whole node.
 func TestPipelineLI1(t *testing.T) {
-	res := runPipeline(t,
+	_, res := pipeline(t, Options{},
 		schema.NewTree("i1",
 			schema.NewGroup("Location",
 				schema.NewField("State", "c_State"),
@@ -106,7 +87,7 @@ func TestPipelineLI1(t *testing.T) {
 // TestPipelineLI2 — a label recurring across interfaces whose accumulated
 // coverage is exactly the node's leaf set becomes the label of the node.
 func TestPipelineLI2(t *testing.T) {
-	res := runPipeline(t,
+	_, res := pipeline(t, Options{},
 		schema.NewTree("i1",
 			schema.NewGroup("Location",
 				schema.NewField("City", "c_City"),
@@ -133,7 +114,7 @@ func TestPipelineLI2(t *testing.T) {
 // node. The unlabeled group of i1 supplies the structural unit without
 // contributing a competing potential label.
 func TestPipelineLI3(t *testing.T) {
-	res := runPipeline(t,
+	_, res := pipeline(t, Options{},
 		schema.NewTree("i1",
 			schema.NewGroup("",
 				schema.NewField("Meal", "c_Meal"),
@@ -162,7 +143,7 @@ func TestPipelineLI3(t *testing.T) {
 // TestPipelineLI4 — the same extension pooling several hyponym hierarchies
 // (two specific preference labels) is LI4, not LI3.
 func TestPipelineLI4(t *testing.T) {
-	res := runPipeline(t,
+	_, res := pipeline(t, Options{},
 		schema.NewTree("i1",
 			schema.NewGroup("",
 				schema.NewField("Meal", "c_Meal"),
@@ -193,7 +174,7 @@ func TestPipelineLI4(t *testing.T) {
 // Model, Keywords} shows Keywords is characterized by {Make, Model},
 // extending Car Information's meaning over the whole node.
 func TestPipelineLI5(t *testing.T) {
-	res := runPipeline(t,
+	_, res := pipeline(t, Options{},
 		schema.NewTree("i1",
 			schema.NewGroup("Car Information",
 				schema.NewField("Make", "c_Make"),
@@ -229,7 +210,7 @@ func TestPipelineLI5(t *testing.T) {
 // hierarchy root but its instance domain is bounded by Flight Class's, so
 // LI6 elects the more descriptive hyponym and the label reaches the leaf.
 func TestPipelineLI6(t *testing.T) {
-	res := runPipeline(t,
+	_, res := pipeline(t, Options{},
 		schema.NewTree("i1",
 			schema.NewGroup("Itinerary",
 				schema.NewField("Class", "c_Class", "economy", "business", "first"),
@@ -267,7 +248,7 @@ func TestPipelineLI7(t *testing.T) {
 				schema.NewField("Title", "c_Title"))),
 		}
 	}
-	res := runPipeline(t, bookTrees()...)
+	_, res := pipeline(t, Options{}, bookTrees()...)
 	if got := leafLabel(t, res, "c_Format"); got != "Format" {
 		t.Errorf("leaf label = %q, want Format after LI7 discards the value label", got)
 	}
@@ -275,19 +256,7 @@ func TestPipelineLI7(t *testing.T) {
 		t.Error("LI7 must be counted in the aggregated result")
 	}
 	// LI7 is an instance rule: with instances disabled it must not fire.
-	trees := bookTrees()
-	m, err := cluster.FromTrees(trees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr, err := merge.Merge(trees, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := Run(mr, Options{DisableInstances: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res2 := pipeline(t, Options{DisableInstances: true}, bookTrees()...)
 	if res2.Counters.LI[7] != 0 {
 		t.Error("LI7 must not fire with instances disabled")
 	}

@@ -2,6 +2,7 @@ package naming
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"qilabel/internal/schema"
@@ -40,9 +41,12 @@ func (v Violation) String() string {
 // least as general as the descendant's. Generality holds lexically
 // (Definition 1's string-equal/equal/synonym/hypernym) or structurally
 // (Definition 5(ii): the ancestor's label was derived for a superset of
-// descendant leaves — always true for candidates produced by the
-// three-phase algorithm, so a violation indicates labels that entered the
-// tree outside the algorithm).
+// descendant leaves). The structural half holds exactly when the
+// ancestor's label is one the algorithm derived for that ancestor — a
+// candidate of its NodeReport, in its primary or an alternate form — since
+// a candidate of a node covers the node's leaves. So the algorithm's own
+// output always verifies, and a label that entered the tree outside the
+// algorithm must be lexically general enough.
 //
 // It also checks that no two labeled siblings of one parent carry the same
 // name (the homonym condition of §4.2.3). It returns the violations,
@@ -68,9 +72,7 @@ func (r *Result) VerifyViolations(sem *Semantics) []Violation {
 				if sem.AtLeastAsGeneral(a.Label, n.Label) {
 					continue
 				}
-				// Structural half of Definition 5: the ancestor covers a
-				// superset of leaves, which the integrated tree guarantees.
-				if subsetSet(n.LeafClusters(), a.LeafClusters()) {
+				if derivedFor(nodeByPtr[a], a.Label) {
 					continue
 				}
 				violations = append(violations, Violation{
@@ -111,4 +113,18 @@ func (r *Result) VerifyViolations(sem *Semantics) []Violation {
 	})
 
 	return violations
+}
+
+// derivedFor reports whether label is a candidate the algorithm derived
+// for the node nr reports, in its primary or an alternate form.
+func derivedFor(nr *NodeReport, label string) bool {
+	if nr == nil {
+		return false
+	}
+	for _, c := range nr.Candidates {
+		if c.Label == label || slices.Contains(c.Alternates, label) {
+			return true
+		}
+	}
+	return false
 }

@@ -1,28 +1,16 @@
 package naming
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
-	"qilabel/internal/cluster"
 	"qilabel/internal/dataset"
-	"qilabel/internal/merge"
 	"qilabel/internal/schema"
 )
-
-// domainMerge builds a fresh merge result for one corpus domain. Run
-// labels the merged tree in place, so every Run call needs its own.
-func domainMerge(t *testing.T, domain string) *merge.Result {
-	t.Helper()
-	d, err := dataset.ByName(domain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mergeCorpus(t, d.Generate())
-}
 
 // renderNaming serializes every observable of a naming result: the labeled
 // tree, the classification, each group's relation/solution/report, the
@@ -61,23 +49,21 @@ func renderNaming(res *Result) string {
 
 // TestWarmRunEquivalence pins the warm cache's contract on every corpus
 // domain: runs whose analysis table is interned through a Warm produce
-// results indistinguishable from a plain Run — tree labels,
+// results indistinguishable from a plain run — tree labels,
 // classification, group reports, isolated labels, node reports and rule
 // counters. The first pass fills the Warm; the later ones resolve every
-// label and shared verdict from it.
+// label and shared verdict from it. RunTable labels the merged tree in
+// place, so every run merges freshly generated sources.
 func TestWarmRunEquivalence(t *testing.T) {
 	for _, d := range dataset.Domains() {
 		t.Run(d.Name, func(t *testing.T) {
-			base, err := Run(domainMerge(t, d.Name), Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, base := pipeline(t, Options{}, d.Generate()...)
 			want := renderNaming(base)
 
 			w := NewWarm(nil)
 			for pass := 0; pass < 3; pass++ {
-				mr := domainMerge(t, d.Name)
-				res, err := Run(mr, Options{Analysis: w.Analysis(cluster.NewTable(mr.Sources).Labels)})
+				tab, mr := merged(t, d.Generate()...)
+				res, err := RunTable(context.Background(), mr, tab, Options{Analysis: w.Analysis(tab.Labels)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -98,10 +84,14 @@ func TestWarmDoesNotPinRuns(t *testing.T) {
 	w := NewWarm(nil)
 	collected := make(chan struct{})
 	func() {
-		mr := domainMerge(t, "Airline")
+		d, err := dataset.ByName("Airline")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, mr := merged(t, d.Generate()...)
 		leaf := mr.Groups[0][0].Members[0].Leaf
 		runtime.SetFinalizer(leaf, func(*schema.Node) { close(collected) })
-		if _, err := Run(mr, Options{Analysis: w.Analysis(cluster.NewTable(mr.Sources).Labels)}); err != nil {
+		if _, err := RunTable(context.Background(), mr, tab, Options{Analysis: w.Analysis(tab.Labels)}); err != nil {
 			t.Fatal(err)
 		}
 	}()

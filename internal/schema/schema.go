@@ -233,9 +233,13 @@ func (n *Node) Clone() *Node {
 	return c
 }
 
+// MaxDepth is the deepest level a node of a valid tree may sit at, the
+// root's level being 0.
+const MaxDepth = 64
+
 // Validate checks structural invariants: the tree has a root, no node is
-// shared or part of a cycle, internal nodes carry no instances, and cluster
-// names appear only on leaves.
+// shared or part of a cycle, no node lies deeper than MaxDepth, internal
+// nodes carry no instances, and cluster names appear only on leaves.
 func (t *Tree) Validate() error {
 	if t == nil || t.Root == nil {
 		return errors.New("schema: tree has no root")
@@ -289,8 +293,8 @@ func validateNode(n *Node, depth int, seen map[*Node]struct{}) error {
 		return fmt.Errorf("schema: node %q is shared or cyclic", n.Label)
 	}
 	seen[n] = struct{}{}
-	if depth > 64 {
-		return errors.New("schema: tree deeper than 64 levels")
+	if depth > MaxDepth {
+		return fmt.Errorf("schema: tree deeper than %d levels", MaxDepth)
 	}
 	if n.IsLeaf() && n.Cluster != "" && len(n.MultiClusters) > 0 {
 		return fmt.Errorf("schema: leaf %q has both a cluster and multi-clusters", n.Label)

@@ -17,10 +17,31 @@ import (
 	"qilabel/internal/synth"
 )
 
-// indexOf projects the index of trees without a mapping: every cluster
-// their leaves name is numbered as one the mapping lacks.
+// indexOf projects the index of expanded trees as the pipeline does, from
+// their table with its derived mapping. A shape DeriveMapping rejects, two
+// fields of one interface in a cluster, cannot reach FromTable in
+// production; for the edge shapes that carry one, the clusters are
+// numbered here instead, in order of first appearance.
 func indexOf(sources []*schema.Tree) *Index {
-	return FromTable(cluster.NewTable(sources).Bind(cluster.NewMapping()))
+	tab := cluster.NewTable(sources)
+	if _, err := tab.DeriveMapping(); err != nil {
+		ids := make(map[string]int32)
+		tab.Names = nil
+		for i := range tab.Leaves {
+			l := &tab.Leaves[i]
+			l.Cluster = -1
+			if c := l.Node.Cluster; c != "" {
+				id, ok := ids[c]
+				if !ok {
+					id = int32(len(tab.Names))
+					ids[c] = id
+					tab.Names = append(tab.Names, c)
+				}
+				l.Cluster = id
+			}
+		}
+	}
+	return FromTable(tab)
 }
 
 // treeIndex is the tree walk FromTable replaced: it builds the index of
@@ -345,19 +366,10 @@ func TestIndexMatchesReference(t *testing.T) {
 		mr   *merge.Result
 	}
 	add := func(name string, trees []*schema.Tree) {
-		cluster.ExpandOneToMany(trees)
-		m, err := cluster.FromTrees(trees)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		mr, err := merge.Merge(trees, m)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
 		cases = append(cases, struct {
 			name string
 			mr   *merge.Result
-		}{name, mr})
+		}{name, integrated(t, trees)})
 	}
 	for _, d := range dataset.Domains() {
 		add(d.Name, d.Generate())
@@ -383,7 +395,7 @@ func TestIndexMatchesReference(t *testing.T) {
 	var aggregates, approximate, unsupported int
 	r := rand.New(rand.NewPCG(7, 11))
 	for _, c := range cases {
-		ix := FromTable(cluster.NewTable(c.mr.Sources).Bind(c.mr.Mapping))
+		ix := indexOf(c.mr.Sources)
 		if want := treeIndex(c.mr.Sources); !reflect.DeepEqual(ix, want) {
 			t.Fatalf("%s: the projected index differs from the tree walk's", c.name)
 		}
@@ -416,8 +428,8 @@ func TestIndexMatchesReference(t *testing.T) {
 
 	// Shapes the pipeline does not produce but a tree may carry: a root
 	// that is itself a field, an aggregate whose first clustered child
-	// follows an unclustered one and a nested group, an aggregated root,
-	// and no sources at all.
+	// follows an unclustered one and a nested group, a cluster with two
+	// fields of one interface, an aggregated root, and no sources at all.
 	leafRoot := &schema.Tree{Interface: "leaf", Root: schema.NewField("Only", "c_A", "One", "Two")}
 	mixed := schema.NewTree("mixed",
 		&schema.Node{Label: "Who", Aggregated: true, Children: []*schema.Node{

@@ -111,10 +111,10 @@ type fieldRec struct {
 func (f *fieldRec) aggregate() bool { return f.cluster.off == f.cluster.end }
 
 // FromTable builds the index of a table's expanded sources, whose cluster
-// IDs are numbered (cluster.Table.DeriveMapping or Bind). A leaf without a
-// cluster is not fillable; the first clustered leaf child of an Aggregated
-// node stands for the whole aggregate, whose parts are the node's
-// clustered children.
+// IDs are numbered (cluster.Table.DeriveMapping, then Prune). A leaf
+// without a cluster is not fillable; the first clustered leaf child of an
+// Aggregated node stands for the whole aggregate, whose parts are the
+// node's clustered children.
 func FromTable(tab *cluster.Table) *Index {
 	// Sources of one domain share most fields: a few distinct ones each.
 	b := indexBuilder{

@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -9,14 +10,16 @@ import (
 	"qilabel/internal/schema"
 )
 
+// integrated merges source trees as the pipeline does: 1:m expansion,
+// their table and its derived mapping, then merge.MergeTable.
 func integrated(t *testing.T, trees []*schema.Tree) *merge.Result {
 	t.Helper()
 	cluster.ExpandOneToMany(trees)
-	m, err := cluster.FromTrees(trees)
-	if err != nil {
+	tab := cluster.NewTable(trees)
+	if _, err := tab.DeriveMapping(); err != nil {
 		t.Fatal(err)
 	}
-	mr, err := merge.Merge(trees, m)
+	mr, err := merge.MergeTable(context.Background(), tab)
 	if err != nil {
 		t.Fatal(err)
 	}

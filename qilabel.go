@@ -422,14 +422,8 @@ func (r *Result) Translate(q Query) []SubQuery {
 }
 
 // TranslationIndex returns the flat translation index of Merge.Sources
-// that Translate reads: the pipeline projects it from the run's table,
-// and a Result built otherwise indexes Merge.Sources on every call.
-func (r *Result) TranslationIndex() *translate.Index {
-	if r.translation != nil {
-		return r.translation
-	}
-	return translate.FromTable(cluster.NewTable(r.Merge.Sources).Bind(r.Merge.Mapping))
-}
+// that Translate reads, which the pipeline projects from the run's table.
+func (r *Result) TranslationIndex() *translate.Index { return r.translation }
 
 // Report computes the paper's evaluation metrics (FldAcc, IntAcc, HA,
 // HA′ and the Table 6 characteristics) for this result against the given

@@ -382,7 +382,7 @@ func TestWarmEpochResetExactlyOnce(t *testing.T) {
 }
 
 // TestPaddedLeafLabelsReachWarm: group relations compare trimmed leaf
-// labels (cluster.BuildRelation trims them), so the run's analysis table
+// labels (cluster.Relations.Build trims them), so the run's analysis table
 // must hold the trimmed forms whether or not the matcher runs. A trimmed
 // form missing from the table is analyzed again on every worker, and its
 // Relate verdicts never reach the Warm. Padding every leaf label of Hotels
