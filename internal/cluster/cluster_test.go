@@ -68,7 +68,8 @@ func TestExpandOneToMany(t *testing.T) {
 	}
 }
 
-func TestDeriveMapping(t *testing.T) {
+// TestFromTrees derives the mapping of Figure 2's trees from their table.
+func TestFromTrees(t *testing.T) {
 	trees := figure2Trees()
 	ExpandOneToMany(trees)
 	m, err := NewTable(trees).DeriveMapping()
@@ -102,14 +103,14 @@ func TestDeriveMapping(t *testing.T) {
 	}
 }
 
-func TestDeriveMappingRejectsUnexpanded(t *testing.T) {
+func TestFromTreesRejectsUnexpanded(t *testing.T) {
 	trees := figure2Trees()
 	if _, err := NewTable(trees).DeriveMapping(); err == nil {
 		t.Fatal("DeriveMapping must reject unexpanded 1:m leaves")
 	}
 }
 
-func TestDeriveMappingRejectsDuplicateMembership(t *testing.T) {
+func TestFromTreesRejectsDuplicateMembership(t *testing.T) {
 	tr := schema.NewTree("dup",
 		schema.NewField("A", "c_X"),
 		schema.NewField("B", "c_X"),
@@ -151,7 +152,7 @@ func TestClusterInstances(t *testing.T) {
 	}
 }
 
-func TestRelationTable2(t *testing.T) {
+func TestBuildRelationTable2(t *testing.T) {
 	// Reproduce Table 2: the airline group [c_Senior, c_Adult, c_Child,
 	// c_Infant] over six interfaces.
 	rows := []struct {
@@ -201,7 +202,7 @@ func TestRelationTable2(t *testing.T) {
 	}
 }
 
-func TestRelationDiscardsAllNullTuples(t *testing.T) {
+func TestBuildRelationDiscardsAllNullTuples(t *testing.T) {
 	trees := []*schema.Tree{
 		schema.NewTree("labeled", schema.NewField("A", "c_1")),
 		schema.NewTree("unlabeled", schema.NewField("", "c_1")),

@@ -12,7 +12,7 @@ import (
 // holds, so empty trees, annotation-free trees and degenerate relations
 // must all round-trip without error.
 
-func TestDeriveMappingEdgeCases(t *testing.T) {
+func TestFromTreesEdgeCases(t *testing.T) {
 	cases := []struct {
 		name     string
 		trees    []*schema.Tree
@@ -129,7 +129,7 @@ func TestExpandOneToManyEdgeCases(t *testing.T) {
 	})
 }
 
-func TestRelationEdgeCases(t *testing.T) {
+func TestBuildRelationEdgeCases(t *testing.T) {
 	adults := &Cluster{Name: "c_Adult", Members: []Member{
 		{Interface: "a", Leaf: schema.NewField("Adults", "c_Adult", "1", "2")},
 		{Interface: "b", Leaf: schema.NewField("", "c_Adult", "3")},

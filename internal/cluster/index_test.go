@@ -77,10 +77,10 @@ func relationByScan(group []*Cluster, interfaces []string) *Relation {
 	return r
 }
 
-// TestRelationMatchesScan compares Relations.Build with the scan over
+// TestBuildRelationMatchesScan compares Relations.Build with the scan over
 // random groups whose clusters may hold several members of an interface,
 // blank labels and interfaces no cluster has, listed with repeats.
-func TestRelationMatchesScan(t *testing.T) {
+func TestBuildRelationMatchesScan(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 7))
 	for seed := 0; seed < 500; seed++ {
 		names := make([]string, 1+r.IntN(6))
