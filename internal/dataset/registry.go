@@ -20,13 +20,20 @@ func Domains() []*DomainSpec {
 }
 
 // ByName returns the named domain's specification (case-insensitive,
-// spaces optional: "realestate" matches "Real Estate").
+// spaces optional: "realestate" matches "Real Estate"), the one whose Key
+// equals the name's.
 func ByName(name string) (*DomainSpec, error) {
-	canon := strings.ToLower(strings.ReplaceAll(name, " ", ""))
+	key := Key(name)
 	for _, d := range Domains() {
-		if strings.ToLower(strings.ReplaceAll(d.Name, " ", "")) == canon {
+		if Key(d.Name) == key {
 			return d, nil
 		}
 	}
 	return nil, fmt.Errorf("dataset: unknown domain %q", name)
+}
+
+// Key returns the form of a domain name ByName matches: lower case,
+// without spaces.
+func Key(name string) string {
+	return strings.ToLower(strings.ReplaceAll(name, " ", ""))
 }

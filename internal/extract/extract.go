@@ -114,9 +114,6 @@ func parseForm(tokens []token, start int, iface string, nth int) (*schema.Tree, 
 			if text == "" {
 				break
 			}
-			if expectLegend {
-				break // legend handled by its own tag
-			}
 			if p.inLabel {
 				if p.openLabelFor == "" {
 					p.pending = text
@@ -126,7 +123,7 @@ func parseForm(tokens []token, start int, iface string, nth int) (*schema.Tree, 
 			}
 		case tokenStartTag, tokenSelfClosing:
 			// A legend must be the first element of its fieldset: any other
-			// tag means no legend is coming and text is significant again.
+			// tag means no legend is coming.
 			if t.name != "fieldset" && t.name != "legend" {
 				expectLegend = false
 			}
@@ -148,6 +145,11 @@ func parseForm(tokens []token, start int, iface string, nth int) (*schema.Tree, 
 				if len(stack) > 1 && flat == 0 {
 					stack[len(stack)-1].Label = collectText(tokens, i+1, "legend")
 				}
+				// Text between the fieldset and its legend labels no field;
+				// without a legend it labels the next one.
+				if expectLegend {
+					p.pending = ""
+				}
 				expectLegend = false
 			case "label":
 				p.inLabel = true
@@ -165,6 +167,13 @@ func parseForm(tokens []token, start int, iface string, nth int) (*schema.Tree, 
 				p.attachLabel(field, t)
 				top := stack[len(stack)-1]
 				top.Children = append(top.Children, field)
+			case "option":
+				// An option outside any select (parseSelect consumes the
+				// ones inside), such as a datalist's, is skipped with its
+				// text up to the next tag, so that text labels no control.
+				for i+1 < end && tokens[i+1].kind == tokenText {
+					i++
+				}
 			}
 		case tokenEndTag:
 			switch t.name {

@@ -8,14 +8,16 @@ import (
 
 // hostileForms are robustness cases modelled on what open-web extraction
 // meets (OPAL's layout-bound labels, abused fieldsets). Each must extract
-// one valid tree with one field per text input and select, whatever labels
-// they get, and every select's options as its instances; selects lists
-// the instance sets of the fields that have any, in field order.
+// one valid tree with one field per text input and select, and every
+// select's options as its instances; selects lists the instance sets of
+// the fields that have any, in field order. labels, where set, lists every
+// field's label, in field order.
 var hostileForms = []struct {
 	name    string
 	html    string
 	fields  int
 	selects [][]string
+	labels  []string
 }{
 	{
 		name: "fieldset around the whole form",
@@ -34,6 +36,7 @@ var hostileForms = []struct {
 			</fieldset>Model<input name=model></fieldset><fieldset></fieldset></fieldset>
 			<fieldset><fieldset></fieldset></fieldset>Year<input name=year></form>`,
 		fields: 3,
+		labels: []string{"Make", "Model", "Year"},
 	},
 	{
 		name: "fieldsets nested past the tree depth limit",
@@ -74,6 +77,7 @@ var hostileForms = []struct {
 			<option>Red</select><option>After</option><input name=q></form>`,
 		fields:  2,
 		selects: [][]string{{"Red"}},
+		labels:  []string{"Color", ""},
 	},
 	{
 		name: "legends and labels out of place",
@@ -96,13 +100,18 @@ func TestHostileForms(t *testing.T) {
 		}
 		leaves := trees[0].Leaves()
 		var selects [][]string
+		var labels []string
 		for _, l := range leaves {
 			if len(l.Instances) > 0 {
 				selects = append(selects, l.Instances)
 			}
+			labels = append(labels, l.Label)
 		}
 		if len(leaves) != c.fields || !reflect.DeepEqual(selects, c.selects) {
 			t.Errorf("%s: %d fields with instances %q, want %d with %q", c.name, len(leaves), selects, c.fields, c.selects)
+		}
+		if c.labels != nil && !reflect.DeepEqual(labels, c.labels) {
+			t.Errorf("%s: labels %q, want %q", c.name, labels, c.labels)
 		}
 	}
 }

@@ -223,3 +223,23 @@ func TestForEachRepanicsOnCaller(t *testing.T) {
 		t.Fatalf("serial run recovered %#v, want the unit's value 0", got)
 	}
 }
+
+func TestFreeReusesUpToItsBound(t *testing.T) {
+	made := 0
+	f := NewFree(2, func() *int { made++; return new(int) })
+	a, b, c := f.Get(), f.Get(), f.Get()
+	if made != 3 {
+		t.Fatalf("made %d values for three Gets from an empty list, want 3", made)
+	}
+	f.Put(a)
+	f.Put(b)
+	f.Put(c) // beyond the bound: dropped
+	for _, want := range []*int{a, b} {
+		if got := f.Get(); got != want {
+			t.Fatalf("Get returned %p, want the value put first, %p", got, want)
+		}
+	}
+	if f.Get(); made != 4 {
+		t.Fatalf("made %d values, want a fourth once the list is empty", made)
+	}
+}

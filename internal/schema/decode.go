@@ -32,31 +32,31 @@ const maxDepth = 10000
 //   - a value of the wrong type is an error, and so is nesting deeper than
 //     encoding/json's 10,000 levels.
 //
-// Strings are copied out of the input (none refers to it) and interned
-// per Decoder; nodes and their slices come from slabs. A Decoder is not
-// safe for concurrent use.
+// Trees are read into a pooled scratch first (see walk.go), from which
+// AppendCanonical encodes them without building them and Tree and Trees
+// build them. Built strings are copied out of the input (none refers to
+// it) and interned per Decoder; nodes and their slices come from slabs. A
+// Decoder is not safe for concurrent use.
 type Decoder struct {
 	data  []byte
 	off   int
 	depth int
 
-	strs    map[string]string // interned strings
-	scratch []byte            // unescaped string bytes
+	strs map[string]string // interned strings
+	esc  []byte            // unescaped string bytes
+	s    *scratch          // what the walker read; nil until it runs
 
 	// Slabs the next values come from, each refilled with a chunk of the
-	// current chunk size, and the stacks array elements wait on.
-	chunk     int
-	nodes     []Node
-	ptrs      []*Node
-	strSlab   []string
-	nodeStack []*Node
-	strStack  []string
-	treeStack []*Tree
+	// current chunk size.
+	chunk    int
+	nodeSlab []Node
+	ptrSlab  []*Node
+	strSlab  []string
 }
 
 // NewDecoder returns a Decoder reading data, which it never modifies.
 func NewDecoder(data []byte) *Decoder {
-	return &Decoder{data: data, strs: make(map[string]string), chunk: 16}
+	return &Decoder{data: data, chunk: 16}
 }
 
 // ---- errors -------------------------------------------------------------
@@ -177,7 +177,7 @@ var plain = func() (t [256]bool) {
 }()
 
 // str consumes the string at the input and returns its unescaped bytes,
-// which alias the input or the scratch buffer and stay valid only until
+// which alias the input or the escape buffer and stay valid only until
 // the next string is read.
 func (d *Decoder) str() ([]byte, error) {
 	d.off++ // the opening quote
@@ -207,10 +207,10 @@ func (d *Decoder) str() ([]byte, error) {
 }
 
 // strSlow finishes a string from data[i] on, data[start:i] being plain,
-// unescaping into the scratch buffer as encoding/json's unquote does.
+// unescaping into the escape buffer as encoding/json's unquote does.
 func (d *Decoder) strSlow(start, i int) ([]byte, error) {
-	b := append(d.scratch[:0], d.data[start:i]...)
-	defer func() { d.scratch = b[:0] }()
+	b := append(d.esc[:0], d.data[start:i]...)
+	defer func() { d.esc = b[:0] }()
 	for i < len(d.data) {
 		c := d.data[i]
 		switch {
@@ -321,6 +321,9 @@ func (d *Decoder) intern(b []byte) string {
 	}
 	if s, ok := d.strs[string(b)]; ok {
 		return s
+	}
+	if d.strs == nil {
+		d.strs = make(map[string]string)
 	}
 	s := string(b)
 	d.strs[s] = s
@@ -506,14 +509,6 @@ func (d *Decoder) end() error {
 // read. elem decodes the element at the input into the value it is given
 // and returns the result. A nil dst skips the elements' values.
 func DecodeSlice[T any](d *Decoder, dst *[]T, elem func(T) (T, error)) error {
-	var stack []T
-	return decodeSlice(d, dst, &stack, nil, elem)
-}
-
-// decodeSlice is DecodeSlice with the elements waiting on stack, which
-// nested arrays share (each leaves it as it found it), and alloc, if not
-// nil, sizing a new backing array.
-func decodeSlice[T any](d *Decoder, dst *[]T, stack *[]T, alloc func(int) []T, elem func(T) (T, error)) error {
 	switch d.peek() {
 	case '[':
 	case 'n':
@@ -527,11 +522,11 @@ func decodeSlice[T any](d *Decoder, dst *[]T, stack *[]T, alloc func(int) []T, e
 	if err := d.open(); err != nil {
 		return err
 	}
-	var old []T
+	var old, items []T
 	if dst != nil {
 		old = (*dst)[:cap(*dst)]
 	}
-	base, n := len(*stack), 0
+	n := 0
 	if d.peek() != ']' {
 		for {
 			var v T
@@ -543,7 +538,7 @@ func decodeSlice[T any](d *Decoder, dst *[]T, stack *[]T, alloc func(int) []T, e
 				return err
 			}
 			if dst != nil {
-				*stack = append(*stack, v)
+				items = append(items, v)
 			}
 			n++
 			if c := d.peek(); c == ']' {
@@ -556,104 +551,20 @@ func decodeSlice[T any](d *Decoder, dst *[]T, stack *[]T, alloc func(int) []T, e
 	}
 	d.off++
 	d.depth--
-	if dst == nil {
-		return nil
-	}
-	items := (*stack)[base:]
 	switch {
+	case dst == nil:
 	case n == 0:
 		*dst = []T{}
 	case n <= len(old):
 		copy(old, items)
 		*dst = old[:n]
 	default:
-		if alloc != nil {
-			*dst = alloc(n)
-		} else {
-			*dst = make([]T, n)
-		}
-		copy(*dst, items)
+		*dst = items
 	}
-	clear(items)
-	*stack = (*stack)[:base]
 	return nil
 }
 
-// ---- trees --------------------------------------------------------------
-
-// Trees decodes an array of trees into *dst (see DecodeSlice).
-func (d *Decoder) Trees(dst *[]*Tree) error {
-	return decodeSlice(d, dst, &d.treeStack, nil, d.tree)
-}
-
-// Tree decodes a tree object into **dst, allocating a Tree if *dst is
-// nil and decoding into the one there otherwise; null sets *dst to nil.
-func (d *Decoder) Tree(dst **Tree) error {
-	t, err := d.tree(*dst)
-	*dst = t
-	return err
-}
-
-func (d *Decoder) tree(t *Tree) (*Tree, error) {
-	switch d.peek() {
-	case '{':
-	case 'n':
-		return nil, d.literal("null")
-	default:
-		return t, d.typeError("schema.Tree")
-	}
-	if t == nil {
-		t = new(Tree)
-	}
-	return t, d.Object(func(key []byte) error {
-		switch MatchField(key, "interface", "root") {
-		case 0:
-			return d.String(&t.Interface)
-		case 1:
-			var err error
-			t.Root, err = d.node(t.Root)
-			return err
-		}
-		return d.Skip()
-	})
-}
-
-// node decodes a node object into n, as tree decodes a tree.
-func (d *Decoder) node(n *Node) (*Node, error) {
-	switch d.peek() {
-	case '{':
-	case 'n':
-		return nil, d.literal("null")
-	default:
-		return n, d.typeError("schema.Node")
-	}
-	if n == nil {
-		n = d.newNode()
-	}
-	return n, d.Object(func(key []byte) error {
-		switch MatchField(key, "label", "instances", "children", "cluster", "multiClusters", "aggregated") {
-		case 0:
-			return d.String(&n.Label)
-		case 1:
-			return decodeSlice(d, &n.Instances, &d.strStack, d.newStrings, d.stringValue)
-		case 2:
-			return decodeSlice(d, &n.Children, &d.nodeStack, d.newPtrs, d.node)
-		case 3:
-			return d.String(&n.Cluster)
-		case 4:
-			return decodeSlice(d, &n.MultiClusters, &d.strStack, d.newStrings, d.stringValue)
-		case 5:
-			return d.boolean(&n.Aggregated)
-		}
-		return d.Skip()
-	})
-}
-
-// stringValue is String as an array element decoder.
-func (d *Decoder) stringValue(s string) (string, error) {
-	err := d.String(&s)
-	return s, err
-}
+// ---- slabs --------------------------------------------------------------
 
 // grow returns the size of the next slab chunk for a request of n values:
 // chunks double from 16 to 1024, so a small body allocates little and a
@@ -667,21 +578,21 @@ func (d *Decoder) grow(n int) int {
 }
 
 func (d *Decoder) newNode() *Node {
-	if len(d.nodes) == 0 {
-		d.nodes = make([]Node, d.grow(1))
+	if len(d.nodeSlab) == 0 {
+		d.nodeSlab = make([]Node, d.grow(1))
 	}
-	n := &d.nodes[0]
-	d.nodes = d.nodes[1:]
+	n := &d.nodeSlab[0]
+	d.nodeSlab = d.nodeSlab[1:]
 	return n
 }
 
 // newPtrs and newStrings cut an n-element slice, capacity n, from a slab.
 func (d *Decoder) newPtrs(n int) []*Node {
-	if len(d.ptrs) < n {
-		d.ptrs = make([]*Node, d.grow(n))
+	if len(d.ptrSlab) < n {
+		d.ptrSlab = make([]*Node, d.grow(n))
 	}
-	s := d.ptrs[:n:n]
-	d.ptrs = d.ptrs[n:]
+	s := d.ptrSlab[:n:n]
+	d.ptrSlab = d.ptrSlab[n:]
 	return s
 }
 

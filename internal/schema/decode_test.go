@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -21,7 +22,9 @@ func decodeTreesRaw(data []byte) ([]*Tree, error) {
 }
 
 // checkLikeUnmarshal fails unless the Decoder accepts data exactly when
-// json.Unmarshal does into []*Tree, building reflect.DeepEqual trees.
+// json.Unmarshal does into []*Tree, building reflect.DeepEqual trees, and
+// unless, without building them, AppendCanonical encodes and hashes those
+// trees as EncodeCanonical does.
 func checkLikeUnmarshal(t *testing.T, data []byte) {
 	t.Helper()
 	var want []*Tree
@@ -30,10 +33,29 @@ func checkLikeUnmarshal(t *testing.T, data []byte) {
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("%q: encoding/json error %v, Decoder error %v", data, wantErr, gotErr)
 	}
-	if wantErr == nil && !reflect.DeepEqual(got, want) {
+	if wantErr != nil {
+		return
+	}
+	if !reflect.DeepEqual(got, want) {
 		wj, _ := json.Marshal(want)
 		gj, _ := json.Marshal(got)
 		t.Fatalf("%q: trees differ\nencoding/json: %s\nDecoder:       %s", data, wj, gj)
+	}
+	var raw RawTrees
+	d := NewDecoder(data)
+	defer d.Release()
+	if err := d.RawTrees(&raw); err != nil {
+		t.Fatalf("%q: RawTrees error %v", data, err)
+	}
+	enc, hashes, null := d.AppendCanonical([]byte("prefix"), raw)
+	if i := slices.Index(want, nil); null != i || raw.Len() != len(want) {
+		t.Fatalf("%q: %d trees, first null %d; encoding/json %d, %d", data, raw.Len(), null, len(want), i)
+	} else if i >= 0 {
+		return
+	}
+	wantEnc, wantHashes := EncodeCanonical(want)
+	if !bytes.Equal(enc, append([]byte("prefix"), wantEnc...)) || !slices.Equal(hashes, wantHashes) {
+		t.Fatalf("%q: canonical encoding or hashes differ from EncodeCanonical's", data)
 	}
 }
 
@@ -139,9 +161,10 @@ func TestDecoderDepth(t *testing.T) {
 }
 
 // TestDecoderCopiesStrings pins that no decoded string shares memory with
-// the input: overwriting the input leaves the trees unchanged.
+// the input or with the released scratch, whose text holds the unescaped
+// strings: overwriting both leaves the trees unchanged.
 func TestDecoderCopiesStrings(t *testing.T) {
-	data := []byte(`[{"interface":"aa","root":{"children":[{"label":"From","cluster":"c_From","instances":["x","y"]},{"label":"From"}]}}]`)
+	data := []byte(`[{"interface":"aa","root":{"children":[{"label":"From","cluster":"c_From","instances":["x","y\n"]},{"label":"Fr\u00f6m"}]}}]`)
 	trees, err := DecodeTrees(data)
 	if err != nil {
 		t.Fatal(err)
@@ -150,6 +173,11 @@ func TestDecoderCopiesStrings(t *testing.T) {
 	for i := range data {
 		data[i] = 'z'
 	}
+	s := scratches.Get()
+	for i := range s.text[:cap(s.text)] {
+		s.text[:cap(s.text)][i] = 'z'
+	}
+	scratches.Put(s)
 	if got := trees[0].String(); got != want {
 		t.Fatalf("trees changed with the input:\n%s\nwant\n%s", got, want)
 	}

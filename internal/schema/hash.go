@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"sort"
+	"strings"
 )
 
 // CanonicalHash returns a hex-encoded digest of the tree's canonical
@@ -29,12 +30,34 @@ func (t *Tree) canonicalHash(buf *[]byte) string {
 	return hexSum(b)
 }
 
+// HashLen is the length of a canonical hash: a hex SHA-256 digest.
+const HashLen = 2 * sha256.Size
+
 // hexSum returns the hex-encoded SHA-256 digest of b.
 func hexSum(b []byte) string {
+	var sb strings.Builder
+	writeHexSum(&sb, b)
+	return sb.String()
+}
+
+// writeHexSum writes the hex-encoded SHA-256 digest of b to sb. A set's
+// digests written to one builder, grown to hold them all, cost one
+// allocation; SplitHashes then cuts them apart.
+func writeHexSum(sb *strings.Builder, b []byte) {
 	sum := sha256.Sum256(b)
-	var hx [2 * sha256.Size]byte
+	var hx [HashLen]byte
 	hex.Encode(hx[:], sum[:])
-	return string(hx[:])
+	sb.Write(hx[:])
+}
+
+// SplitHashes splits a concatenation of canonical hashes into them. They
+// share the concatenation's memory.
+func SplitHashes(hashes string) []string {
+	out := make([]string, len(hashes)/HashLen)
+	for i := range out {
+		out[i] = hashes[i*HashLen : (i+1)*HashLen]
+	}
+	return out
 }
 
 // EncodeCanonical returns the trees' canonical forms, concatenated in
@@ -47,14 +70,15 @@ func EncodeCanonical(trees []*Tree) ([]byte, []string) {
 		size += 4 + len(t.Interface) + t.Root.canonicalSize()
 	}
 	b := make([]byte, 0, size)
-	hashes := make([]string, len(trees))
-	for i, t := range trees {
+	var sums strings.Builder
+	sums.Grow(HashLen * len(trees))
+	for _, t := range trees {
 		start := len(b)
 		b = appendString(b, t.Interface)
 		b = appendNode(b, t.Root)
-		hashes[i] = hexSum(b[start:])
+		writeHexSum(&sums, b[start:])
 	}
-	return b, hashes
+	return b, SplitHashes(sums.String())
 }
 
 // canonicalSize returns the length of appendNode's encoding of n.
@@ -266,7 +290,7 @@ func appendStrings(b []byte, ss []string) []byte {
 	return b
 }
 
-func appendString(b []byte, s string) []byte {
+func appendString[S string | []byte](b []byte, s S) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
 	return append(b, s...)
 }

@@ -17,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"qilabel/internal/pool"
 )
 
 // Node is a node of an ordered schema tree. A node with no children is a
@@ -255,34 +257,23 @@ func (t *Tree) Validate() error {
 
 // visitedSets is a free list of the node sets Validate finds shared and
 // cyclic nodes with. A cleared map keeps its buckets, so validating a tree
-// no larger than the ones validated before allocates nothing. Unlike a
-// sync.Pool, the list keeps its sets across collections and under the
-// race detector, so allocation counts depend on neither. It holds at most
-// 16 sets, more than the validations a process runs at once (the pipeline
-// validates one tree at a time per request), and drops the ones that held
-// more than maxReusedVisited nodes, so clearing a reused set stays cheap.
-var visitedSets = make(chan map[*Node]struct{}, 16)
+// no larger than the ones validated before allocates nothing. It holds at
+// most 16 sets, more than the validations a process runs at once (the
+// pipeline validates one tree at a time per request), and drops the ones
+// that held more than maxReusedVisited nodes, so clearing a reused set
+// stays cheap.
+var visitedSets = pool.NewFree(16, func() map[*Node]struct{} { return make(map[*Node]struct{}) })
 
 const maxReusedVisited = 1 << 12
 
-func getVisited() map[*Node]struct{} {
-	select {
-	case m := <-visitedSets:
-		return m
-	default:
-		return make(map[*Node]struct{})
-	}
-}
+func getVisited() map[*Node]struct{} { return visitedSets.Get() }
 
 func putVisited(m map[*Node]struct{}) {
 	if len(m) > maxReusedVisited {
 		return
 	}
 	clear(m)
-	select {
-	case visitedSets <- m:
-	default:
-	}
+	visitedSets.Put(m)
 }
 
 func validateNode(n *Node, depth int, seen map[*Node]struct{}) error {
@@ -401,6 +392,7 @@ func DecodeTrees(data []byte) ([]*Tree, error) {
 	if err == nil {
 		err = d.end()
 	}
+	d.Release()
 	if err != nil {
 		return nil, fmt.Errorf("schema: decoding trees: %w", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"sync"
 
-	"qilabel"
 	"qilabel/internal/pool"
 )
 
@@ -21,15 +20,19 @@ import (
 // index field identifies them). Errors are isolated per item: one
 // malformed tree set fails its own line, never the batch.
 
+// batchRequest is a /v1/integrate/batch body, decoded by hand (wire.go).
 type batchRequest struct {
 	// Items are the integrations to perform; each is a full
 	// /v1/integrate request body (sources or a builtin domain, plus
 	// options).
-	Items []integrateRequest `json:"items"`
+	Items []integrateRequest
 	// Parallelism bounds how many of the batch's distinct items integrate
 	// concurrently (a per-batch budget; items still queue for the server's
 	// global worker pool). Zero: the server's MaxInflight.
-	Parallelism int `json:"parallelism,omitempty"`
+	Parallelism int
+	// buf holds the items' canonical encodings until the batch is
+	// answered.
+	buf *[]byte
 }
 
 // batchItemResult is one streamed NDJSON line of the batch response.
@@ -73,6 +76,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
+	defer req.release()
 	if len(req.Items) == 0 {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "empty batch: provide at least one item")
 		return
@@ -91,21 +95,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	first := make(map[string]int) // cache key -> index of first occurrence
 	dupes := make(map[int][]int)  // first occurrence -> duplicate indices
 	distinct := make([]*batchPlan, 0, len(req.Items))
-	for i, item := range req.Items {
+	for i := range req.Items {
+		item := &req.Items[i]
 		plan := &batchPlan{index: i}
 		// Each item resolves its own lexicon (the X-Lexicon header fills
 		// items that select none), so one batch can span tenants while
 		// every item keys — and coalesces — strictly within its version.
 		ropts, err := s.resolveLexicon(lexiconFromRequest(r, item.Options))
-		var sources []*qilabel.Tree
+		var canon []byte
+		var hashes []string
 		if err == nil {
-			sources, err = resolveSources(item)
+			canon, hashes, err = resolveSources(item)
 		}
 		if err == nil {
 			if ig, igErr := s.integrator(ropts); igErr != nil {
 				err = &apiError{http.StatusBadRequest, codeBadRequest, igErr.Error()}
 			} else {
-				plan.p = newPending(ig, sources, item.Domain, ropts)
+				plan.p = newPending(ig, canon, hashes, item.Domain, ropts)
 			}
 		}
 		plan.err = err

@@ -12,7 +12,7 @@ import (
 
 // postBatch sends a batch request and splits the NDJSON response into item
 // lines and the trailing summary line.
-func postBatch(t *testing.T, url string, req batchRequest) (int, []batchItemResult, *batchSummaryLine) {
+func postBatch(t *testing.T, url string, req batchBody) (int, []batchItemResult, *batchSummaryLine) {
 	t.Helper()
 	resp := postJSON(t, url+"/v1/integrate/batch", req)
 	defer resp.Body.Close()
@@ -59,7 +59,7 @@ func postBatch(t *testing.T, url string, req batchRequest) (int, []batchItemResu
 // cache.
 func TestBatchDedupAndStatuses(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	req := batchRequest{Items: []integrateRequest{
+	req := batchBody{Items: []integrateBody{
 		{Domain: "Airline"},
 		{Domain: "Airline"}, // duplicate of item 0
 		{Sources: fixtureSources()},
@@ -126,7 +126,7 @@ func TestBatchDedupAndStatuses(t *testing.T) {
 // (no clusters) errors only its own line; the other items complete.
 func TestBatchItemErrorIsolation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	req := batchRequest{Items: []integrateRequest{
+	req := batchBody{Items: []integrateBody{
 		{Sources: []*qilabel.Tree{qilabel.NewTree("solo", qilabel.NewField("Only", ""))}},
 		{Sources: fixtureSources()},
 	}}
@@ -153,7 +153,7 @@ func TestBatchItemErrorIsolation(t *testing.T) {
 // line before any pipeline work (it used to panic the whole batch).
 func TestBatchNullSourceIsolated(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	req := batchRequest{Items: []integrateRequest{{Sources: []*qilabel.Tree{nil}}, {Sources: fixtureSources()}}}
+	req := batchBody{Items: []integrateBody{{Sources: []*qilabel.Tree{nil}}, {Sources: fixtureSources()}}}
 	status, items, summary := postBatch(t, ts.URL, req)
 	if status != http.StatusOK || summary == nil || summary.Errors != 1 || summary.Computed != 1 {
 		t.Fatalf("status %d, summary %+v, want 1 error and 1 computed", status, summary)
@@ -169,12 +169,12 @@ func TestBatchNullSourceIsolated(t *testing.T) {
 func TestBatchLimits(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBatchItems: 2})
 
-	status, _, _ := postBatch(t, ts.URL, batchRequest{})
+	status, _, _ := postBatch(t, ts.URL, batchBody{})
 	if status != http.StatusBadRequest {
 		t.Fatalf("empty batch status = %d, want 400", status)
 	}
 
-	over := batchRequest{Items: []integrateRequest{
+	over := batchBody{Items: []integrateBody{
 		{Domain: "Airline"}, {Domain: "Book"}, {Domain: "Job"},
 	}}
 	status, _, _ = postBatch(t, ts.URL, over)
@@ -187,9 +187,9 @@ func TestBatchLimits(t *testing.T) {
 // but still completes them all.
 func TestBatchParallelismBudget(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxInflight: 4})
-	req := batchRequest{
+	req := batchBody{
 		Parallelism: 1,
-		Items: []integrateRequest{
+		Items: []integrateBody{
 			{Domain: "Airline"}, {Domain: "Book"}, {Domain: "Auto"},
 		},
 	}

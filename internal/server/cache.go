@@ -8,21 +8,23 @@ import (
 	"strings"
 	"sync"
 
+	"qilabel/internal/schema"
 	"qilabel/internal/translate"
 )
 
 // cacheEntry is one cached integration, held as a few flat allocations
-// with no pointer into the pipeline's result. reply is the body the
-// computing request received, encoded once; hits, coalesced waiters and
-// batch lines are written from it. index translates queries against the
-// integration (/v1/translate); it is nil on entries restored from a
+// with no pointer into the pipeline's result, none into a request's
+// buffers, and no spare capacity in its reply or canon. reply is the body
+// the computing request received, encoded once; hits, coalesced waiters
+// and batch lines are written from it. index translates queries against
+// the integration (/v1/translate); it is nil on entries restored from a
 // snapshot until a translate rehydrates them. The rest are the inputs
 // that produced the entry, so it can be persisted to disk and
 // deterministically rehydrated after a restart: the domain, the request
 // options, the sources' canonical hashes, from which the lexicon upgrade
 // report re-keys the entry, and their concatenated canonical encoding
-// (schema.EncodeCanonical), which persistence and rehydration decode back
-// to trees.
+// (schema.EncodeCanonical's format), which the computing run, persistence
+// and rehydration all decode their trees from.
 type cacheEntry struct {
 	// reply is the /v1/integrate body, indented JSON with "cached": false
 	// at reply[flag:flag+len("false")]; empty if the response did not
@@ -35,14 +37,11 @@ type cacheEntry struct {
 	index   *translate.Index
 	domain  string
 	options requestOptions
-	// hashes concatenates the sources' canonical hashes, hashLen hex
+	// hashes concatenates the sources' canonical hashes, schema.HashLen
 	// digits each, in source order.
 	hashes string
 	canon  []byte
 }
-
-// hashLen is the length of a canonical hash: a hex SHA-256 digest.
-const hashLen = 64
 
 // cachedFlag precedes the "cached" flag's value in an encoded reply.
 var cachedFlag = []byte("\n  \"cached\": ")
@@ -57,7 +56,8 @@ func newCacheEntry(resp integrateResponse, domain string, options requestOptions
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	if enc.Encode(resp) == nil {
-		e.reply = bytes.Clone(buf.Bytes())
+		e.reply = make([]byte, buf.Len())
+		copy(e.reply, buf.Bytes())
 		e.flag = bytes.Index(e.reply, cachedFlag) + len(cachedFlag)
 	}
 	// Strings and a map of strings always encode.
@@ -107,17 +107,12 @@ func (e *cacheEntry) batchLine(index int, status string) []byte {
 }
 
 // digests splits hashes back into the sources' canonical hashes.
-func (e *cacheEntry) digests() []string {
-	out := make([]string, len(e.hashes)/hashLen)
-	for i := range out {
-		out[i] = e.hashes[i*hashLen : (i+1)*hashLen]
-	}
-	return out
-}
+func (e *cacheEntry) digests() []string { return schema.SplitHashes(e.hashes) }
 
-// size returns the bytes the entry's slices and strings hold.
+// size returns the bytes the entry's slices and strings hold, spare
+// capacity included.
 func (e *cacheEntry) size() int64 {
-	n := len(e.reply) + len(e.batch) + len(e.hashes) + len(e.canon)
+	n := cap(e.reply) + cap(e.batch) + len(e.hashes) + cap(e.canon)
 	if e.index != nil {
 		n += e.index.Size()
 	}

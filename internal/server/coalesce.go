@@ -133,30 +133,38 @@ type apiError struct {
 }
 
 // pending is one integration request resolved for the shared path: its
-// cache key and what a cold run needs. The sources' canonical encoding
-// and hashes are computed once, for the key; the entry keeps them. The
-// run hands sources over to the pipeline, so nothing reads them after the
-// request joins its flight.
+// cache key and what a cold run needs, the sources' canonical encoding
+// and hashes. canon may lie in the request's pooled buffer; the flight's
+// run gets its own copy (owned), which the entry keeps, so a computed
+// result is a function of the bytes its entry stores.
 type pending struct {
-	key     string
-	domain  string
-	ropts   requestOptions
-	sources []*qilabel.Tree
-	canon   []byte
-	hashes  []string
+	key    string
+	domain string
+	ropts  requestOptions
+	canon  []byte
+	hashes []string
 }
 
-// newPending resolves an integration of sources under ig.
-func newPending(ig *qilabel.Integrator, sources []*qilabel.Tree, domain string, ropts requestOptions) *pending {
-	canon, hashes := schema.EncodeCanonical(sources)
+// newPending resolves an integration, under ig, of the sources with the
+// given canonical encoding and hashes.
+func newPending(ig *qilabel.Integrator, canon []byte, hashes []string, domain string, ropts requestOptions) *pending {
 	return &pending{
-		key:     schema.CacheKey(hashes, ig.Fingerprint()),
-		domain:  domain,
-		ropts:   ropts,
-		sources: sources,
-		canon:   canon,
-		hashes:  hashes,
+		key:    schema.CacheKey(hashes, ig.Fingerprint()),
+		domain: domain,
+		ropts:  ropts,
+		canon:  canon,
+		hashes: hashes,
 	}
+}
+
+// owned returns p with an exact-size copy of its canonical encoding: the
+// request's buffer returns to its pool when the request is answered,
+// while the run it leads may go on, and the entry keeps the copy.
+func (p *pending) owned() *pending {
+	q := *p
+	q.canon = make([]byte, len(p.canon))
+	copy(q.canon, p.canon)
+	return &q
 }
 
 // integrateShared is the one path every integration takes: cache first,
@@ -195,7 +203,7 @@ func (s *Server) integrateShared(ctx context.Context, p *pending, block bool) (*
 		}
 		s.metrics.cacheMisses.Add(1)
 		s.metrics.recordLexicon(lexLabel, statusComputed)
-		go s.runFlight(f, p, block)
+		go s.runFlight(f, p.owned(), block)
 	} else {
 		s.metrics.coalesced.Add(1)
 		s.metrics.recordLexicon(lexLabel, statusCoalesced)
@@ -221,10 +229,10 @@ func (s *Server) integrateShared(ctx context.Context, p *pending, block bool) (*
 }
 
 // runFlight is the leader's run: claim a worker slot, execute the pipeline
-// under the flight context on the request's trees, cache on success,
-// publish the outcome. It runs on its own goroutine so the leader's
-// request can time out or disconnect without killing a run other waiters
-// still depend on.
+// under the flight context on the trees of the request's canonical
+// encoding, cache on success, publish the outcome. It runs on its own
+// goroutine so the leader's request can time out or disconnect without
+// killing a run other waiters still depend on.
 func (s *Server) runFlight(f *flight, p *pending, block bool) {
 	var release func()
 	var ok bool
@@ -246,8 +254,9 @@ func (s *Server) runFlight(f *flight, p *pending, block bool) {
 	s.flights.finish(p.key, f, e, err)
 }
 
-// compute runs the pipeline on a flight's request and caches its entry. A
-// panic in it becomes an internal error, and nothing is cached.
+// compute decodes a flight's sources from their canonical encoding, runs
+// the pipeline on them and caches the entry. A panic in it becomes an
+// internal error, and nothing is cached.
 func (s *Server) compute(ctx context.Context, p *pending) (e *cacheEntry, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -264,7 +273,11 @@ func (s *Server) compute(ctx context.Context, p *pending) (e *cacheEntry, err er
 	if err != nil {
 		return nil, err
 	}
-	res, err := ig.IntegrateOwned(ctx, p.sources, p.hashes)
+	trees, err := schema.DecodeCanonical(p.canon)
+	if err != nil {
+		return nil, err
+	}
+	res, err := ig.IntegrateOwned(ctx, trees, p.hashes)
 	if err != nil {
 		return nil, err
 	}

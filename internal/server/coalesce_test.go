@@ -38,7 +38,7 @@ func TestCoalescingSingleRun(t *testing.T) {
 	unblock, release := holdHook(t)
 	s.testHookSlow = func() { <-unblock }
 
-	body, err := json.Marshal(integrateRequest{Sources: fixtureSources()})
+	body, err := json.Marshal(integrateBody{Sources: fixtureSources()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestCoalescingLeaderDisconnect(t *testing.T) {
 		<-unblock
 	}
 
-	body, err := json.Marshal(integrateRequest{Sources: fixtureSources()})
+	body, err := json.Marshal(integrateBody{Sources: fixtureSources()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestCoalescedErrorDoesNotLeakFlight(t *testing.T) {
 	bad := []*qilabel.Tree{qilabel.NewTree("solo", qilabel.NewField("Only", ""))}
 
 	for i := 0; i < 2; i++ {
-		resp := postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Sources: bad})
+		resp := postJSON(t, ts.URL+"/v1/integrate", integrateBody{Sources: bad})
 		var env errorEnvelope
 		decodeBody(t, resp, &env)
 		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != codeBadRequest {
@@ -232,7 +232,7 @@ func TestCoalescedErrorDoesNotLeakFlight(t *testing.T) {
 // identical request to completion, so the window is hit every time. Batch
 // items take the same path.
 func TestMissedProbeServedFromCache(t *testing.T) {
-	body, err := json.Marshal(integrateRequest{Sources: fixtureSources()})
+	body, err := json.Marshal(integrateBody{Sources: fixtureSources()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestMissedProbeServedFromCache(t *testing.T) {
 		send func(t *testing.T, url string) string
 	}{
 		{"single", func(t *testing.T, url string) string {
-			resp := postJSON(t, url+"/v1/integrate", integrateRequest{Sources: fixtureSources()})
+			resp := postJSON(t, url+"/v1/integrate", integrateBody{Sources: fixtureSources()})
 			var out integrateResponse
 			decodeBody(t, resp, &out)
 			if resp.StatusCode != http.StatusOK {
@@ -257,7 +257,7 @@ func TestMissedProbeServedFromCache(t *testing.T) {
 			return statusComputed
 		}},
 		{"batch", func(t *testing.T, url string) string {
-			status, items, _ := postBatch(t, url, batchRequest{Items: []integrateRequest{{Sources: fixtureSources()}}})
+			status, items, _ := postBatch(t, url, batchBody{Items: []integrateBody{{Sources: fixtureSources()}}})
 			if status != http.StatusOK || len(items) != 1 {
 				t.Fatalf("batch status = %d with %d items, want 200 with 1", status, len(items))
 			}

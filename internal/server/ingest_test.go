@@ -132,7 +132,7 @@ func TestIngestLifecycleHTTP(t *testing.T) {
 	}
 	var batch integrateResponse
 	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate",
-		integrateRequest{Sources: members, Options: requestOptions{Matcher: true}}), &batch)
+		integrateBody{Sources: members, Options: requestOptions{Matcher: true}}), &batch)
 	if batch.Key != flights.Key {
 		t.Fatalf("batch integrate key %s != discovered key %s", batch.Key, flights.Key)
 	}

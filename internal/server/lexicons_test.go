@@ -69,7 +69,7 @@ func dedicatedRun(t *testing.T, lex *qilabel.Lexicon) string {
 	t.Helper()
 	_, ts := newTestServer(t, Config{Lexicon: lex})
 	var out integrateResponse
-	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Sources: fixtureSources()}), &out)
+	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate", integrateBody{Sources: fixtureSources()}), &out)
 	body, err := semanticBody(out)
 	if err != nil {
 		t.Fatal(err)
@@ -139,8 +139,8 @@ func TestLexiconEndpoints(t *testing.T) {
 	// namespace — the same key, so the second request is a warm hit.
 	var byAlias integrateResponse
 	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate",
-		integrateRequest{Sources: fixtureSources(), Options: requestOptions{Lexicon: "tenant-a"}}), &byAlias)
-	data, _ := json.Marshal(integrateRequest{Sources: fixtureSources()})
+		integrateBody{Sources: fixtureSources(), Options: requestOptions{Lexicon: "tenant-a"}}), &byAlias)
+	data, _ := json.Marshal(integrateBody{Sources: fixtureSources()})
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/integrate", bytes.NewReader(data))
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("X-Lexicon", put.ID)
@@ -156,9 +156,9 @@ func TestLexiconEndpoints(t *testing.T) {
 
 	// Spelling the default explicitly keys identically to no selection.
 	var plain, byDefault integrateResponse
-	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Sources: fixtureSources()}), &plain)
+	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate", integrateBody{Sources: fixtureSources()}), &plain)
 	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate",
-		integrateRequest{Sources: fixtureSources(), Options: requestOptions{Lexicon: "default"}}), &byDefault)
+		integrateBody{Sources: fixtureSources(), Options: requestOptions{Lexicon: "default"}}), &byDefault)
 	if byDefault.Key != plain.Key || !byDefault.Cached {
 		t.Fatalf("explicit default: key=%s cached=%v, want the unselected key %s", byDefault.Key, byDefault.Cached, plain.Key)
 	}
@@ -168,7 +168,7 @@ func TestLexiconEndpoints(t *testing.T) {
 
 	// Unknown selections answer 404 with guidance.
 	resp = postJSON(t, ts.URL+"/v1/integrate",
-		integrateRequest{Sources: fixtureSources(), Options: requestOptions{Lexicon: "nobody"}})
+		integrateBody{Sources: fixtureSources(), Options: requestOptions{Lexicon: "nobody"}})
 	var env errorEnvelope
 	decodeBody(t, resp, &env)
 	if resp.StatusCode != http.StatusNotFound || env.Error.Code != codeNotFound {
@@ -198,7 +198,7 @@ func TestLexiconUpgradeReport(t *testing.T) {
 
 	// Warm the default namespace with one integration.
 	var base integrateResponse
-	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Sources: fixtureSources()}), &base)
+	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate", integrateBody{Sources: fixtureSources()}), &base)
 
 	next := tenantLexicon(9)
 	put, _ := putLexiconBody(t, ts.URL, "vnext", artifactOf(t, next))
@@ -230,7 +230,7 @@ func TestLexiconUpgradeReport(t *testing.T) {
 	// the report then shows nothing left to invalidate.
 	var upgraded integrateResponse
 	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate",
-		integrateRequest{Sources: fixtureSources(), Options: requestOptions{Lexicon: "vnext"}}), &upgraded)
+		integrateBody{Sources: fixtureSources(), Options: requestOptions{Lexicon: "vnext"}}), &upgraded)
 	if upgraded.Key != entry.NewKey {
 		t.Fatalf("new-version key %s, report predicted %s", upgraded.Key, entry.NewKey)
 	}
@@ -317,12 +317,12 @@ func TestTenantIsolation(t *testing.T) {
 					var resp *http.Response
 					var err error
 					if (g+k)%2 == 0 {
-						resp, err = tryPostJSON(ts.URL+"/v1/integrate", integrateRequest{
+						resp, err = tryPostJSON(ts.URL+"/v1/integrate", integrateBody{
 							Sources: fixtureSources(),
 							Options: requestOptions{Lexicon: fmt.Sprintf("tenant-%d", tn)},
 						})
 					} else {
-						data, _ := json.Marshal(integrateRequest{Sources: fixtureSources()})
+						data, _ := json.Marshal(integrateBody{Sources: fixtureSources()})
 						req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/integrate", bytes.NewReader(data))
 						req.Header.Set("Content-Type", "application/json")
 						req.Header.Set("X-Lexicon", ids[tn])
@@ -444,7 +444,7 @@ func TestLexiconHotReloadUnderTraffic(t *testing.T) {
 	// The traffic helpers run on worker goroutines, so they return their
 	// failures instead of failing t.
 	integrateOnce := func(g, k int) (string, error) {
-		resp, err := tryPostJSON(ts.URL+"/v1/integrate", integrateRequest{
+		resp, err := tryPostJSON(ts.URL+"/v1/integrate", integrateBody{
 			Sources: fixtureSources(),
 			Options: requestOptions{Lexicon: "tenant"},
 		})

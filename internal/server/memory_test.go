@@ -65,7 +65,7 @@ func TestServerMemoryBounded(t *testing.T) {
 	run := func(from, to int) {
 		for i := from; i < to; i++ {
 			resp := postJSON(t, ts.URL+"/v1/integrate",
-				integrateRequest{Sources: disjointSources(i)})
+				integrateBody{Sources: disjointSources(i)})
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
@@ -124,7 +124,7 @@ func TestRetainedBytesPerOp(t *testing.T) {
 		sort.Ints(idx)
 		if k := fmt.Sprint(idx); !seen[k] {
 			seen[k] = true
-			req := integrateRequest{Options: requestOptions{Matcher: true, Lexicon: "bench-medium"}}
+			req := integrateBody{Options: requestOptions{Matcher: true, Lexicon: "bench-medium"}}
 			for _, i := range idx {
 				req.Sources = append(req.Sources, pop[i])
 			}

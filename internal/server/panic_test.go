@@ -48,7 +48,7 @@ func TestFlightPanicIsContained(t *testing.T) {
 	armed.Store(true)
 	unblock, release := holdHook(t)
 	panicHook(s, &armed, unblock)
-	req := integrateRequest{Sources: fixtureSources()}
+	req := integrateBody{Sources: fixtureSources()}
 
 	codes := make(chan string, clients)
 	statuses := make(chan int, clients)

@@ -11,7 +11,7 @@ import (
 )
 
 // integrateOnce runs one integration against ts and returns the response.
-func integrateOnce(t *testing.T, url string, req integrateRequest) integrateResponse {
+func integrateOnce(t *testing.T, url string, req integrateBody) integrateResponse {
 	t.Helper()
 	resp := postJSON(t, url+"/v1/integrate", req)
 	if resp.StatusCode != http.StatusOK {
@@ -27,8 +27,8 @@ func integrateOnce(t *testing.T, url string, req integrateRequest) integrateResp
 // and /v1/translate by recomputing (rehydrating) the pipeline result.
 func TestCacheSnapshotRoundTrip(t *testing.T) {
 	sA, tsA := newTestServer(t, Config{})
-	airline := integrateOnce(t, tsA.URL, integrateRequest{Domain: "Airline"})
-	fixture := integrateOnce(t, tsA.URL, integrateRequest{Sources: fixtureSources()})
+	airline := integrateOnce(t, tsA.URL, integrateBody{Domain: "Airline"})
+	fixture := integrateOnce(t, tsA.URL, integrateBody{Sources: fixtureSources()})
 
 	path := filepath.Join(t.TempDir(), "cache.json")
 	saved, err := sA.SaveCache(path)
@@ -53,7 +53,7 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 
 	// The restored entries answer /v1/integrate from the cache, with the
 	// response the original server computed.
-	got := integrateOnce(t, tsB.URL, integrateRequest{Domain: "Airline"})
+	got := integrateOnce(t, tsB.URL, integrateBody{Domain: "Airline"})
 	if !got.Cached {
 		t.Fatal("restored Airline entry did not serve as a cache hit")
 	}
@@ -109,7 +109,7 @@ func TestLoadCacheDefensive(t *testing.T) {
 	dir := t.TempDir()
 
 	s, ts := newTestServer(t, Config{})
-	integrateOnce(t, ts.URL, integrateRequest{Domain: "Airline"})
+	integrateOnce(t, ts.URL, integrateBody{Domain: "Airline"})
 	path := filepath.Join(dir, "cache.json")
 	if _, err := s.SaveCache(path); err != nil {
 		t.Fatal(err)
@@ -204,10 +204,10 @@ func TestLoadCacheDefensive(t *testing.T) {
 // evicted after the restore.
 func TestSaveCachePreservesRecency(t *testing.T) {
 	s, ts := newTestServer(t, Config{CacheSize: 4})
-	airline := integrateOnce(t, ts.URL, integrateRequest{Domain: "Airline"})
-	book := integrateOnce(t, ts.URL, integrateRequest{Domain: "Book"})
+	airline := integrateOnce(t, ts.URL, integrateBody{Domain: "Airline"})
+	book := integrateOnce(t, ts.URL, integrateBody{Domain: "Book"})
 	// Touch Airline so Book is the least recently used.
-	integrateOnce(t, ts.URL, integrateRequest{Domain: "Airline"})
+	integrateOnce(t, ts.URL, integrateBody{Domain: "Airline"})
 
 	path := filepath.Join(t.TempDir(), "cache.json")
 	if _, err := s.SaveCache(path); err != nil {
@@ -235,11 +235,11 @@ func TestSaveCacheOverwritesAtomically(t *testing.T) {
 	path := filepath.Join(dir, "cache.json")
 
 	s, ts := newTestServer(t, Config{})
-	integrateOnce(t, ts.URL, integrateRequest{Domain: "Airline"})
+	integrateOnce(t, ts.URL, integrateBody{Domain: "Airline"})
 	if _, err := s.SaveCache(path); err != nil {
 		t.Fatal(err)
 	}
-	integrateOnce(t, ts.URL, integrateRequest{Domain: "Book"})
+	integrateOnce(t, ts.URL, integrateBody{Domain: "Book"})
 	n, err := s.SaveCache(path)
 	if err != nil {
 		t.Fatal(err)

@@ -144,7 +144,7 @@ func TestRepliesMatchStructEncoding(t *testing.T) {
 		ropts   requestOptions
 	}
 	expected := make(map[string]expectation)
-	expect := func(req integrateRequest) (string, expectation) {
+	expect := func(req integrateBody) (string, expectation) {
 		t.Helper()
 		sources := req.Sources
 		if req.Domain != "" {
@@ -177,12 +177,12 @@ func TestRepliesMatchStructEncoding(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name string
-		req  integrateRequest
+		req  integrateBody
 	}{
-		{"builtin domain", integrateRequest{Domain: "Airline"}},
-		{"annotated sources", integrateRequest{Sources: fixtureSources()}},
-		{"options", integrateRequest{Sources: fixtureSources(), Options: requestOptions{MinFrequency: 2, NoInstances: true}}},
-		{"matcher on a synth corpus", integrateRequest{Sources: medium[:12], Options: requestOptions{Matcher: true}}},
+		{"builtin domain", integrateBody{Domain: "Airline"}},
+		{"annotated sources", integrateBody{Sources: fixtureSources()}},
+		{"options", integrateBody{Sources: fixtureSources(), Options: requestOptions{MinFrequency: 2, NoInstances: true}}},
+		{"matcher on a synth corpus", integrateBody{Sources: medium[:12], Options: requestOptions{Matcher: true}}},
 	} {
 		_, e := expect(c.req)
 		status, got := send(t, http.MethodPost, ts.URL+"/v1/integrate", e.body)
@@ -192,7 +192,7 @@ func TestRepliesMatchStructEncoding(t *testing.T) {
 	}
 
 	// Coalesced: the leader's run is held until a second request joins.
-	_, held := expect(integrateRequest{Sources: fixtureSources(), Options: requestOptions{MaxLevel: 2}})
+	_, held := expect(integrateBody{Sources: fixtureSources(), Options: requestOptions{MaxLevel: 2}})
 	armed.Store(true)
 	type reply struct {
 		status int
@@ -224,10 +224,10 @@ func TestRepliesMatchStructEncoding(t *testing.T) {
 	expectBody(t, "coalesced waiter", w.status, w.body, structReply(t, held.resp, false, true))
 
 	// Batch: a hit, a computed item with its duplicate, and an error.
-	_, airline := expect(integrateRequest{Domain: "Airline"})
-	_, fresh := expect(integrateRequest{Sources: fixtureSources(), Options: requestOptions{MaxLevel: 1}})
+	_, airline := expect(integrateBody{Domain: "Airline"})
+	_, fresh := expect(integrateBody{Sources: fixtureSources(), Options: requestOptions{MaxLevel: 1}})
 	_, unknownErr := qilabel.BuiltinDomain("Nope")
-	batch := batchRequest{Items: []integrateRequest{
+	batch := batchBody{Items: []integrateBody{
 		{Domain: "Airline"},
 		{Sources: fixtureSources(), Options: requestOptions{MaxLevel: 1}},
 		{Sources: fixtureSources(), Options: requestOptions{MaxLevel: 1}},
@@ -261,7 +261,7 @@ func TestRepliesMatchStructEncoding(t *testing.T) {
 
 	// Session /result: published on the first read, a hit on the second.
 	sessOpts := requestOptions{NoInstances: true, MaxLevel: 1}
-	_, sess := expect(integrateRequest{Sources: fixtureSources(), Options: sessOpts})
+	_, sess := expect(integrateBody{Sources: fixtureSources(), Options: sessOpts})
 	var created sessionCreateResponse
 	status, body = send(t, http.MethodPost, ts.URL+"/v1/sessions", mustJSON(t, sessionCreateRequest{Options: sessOpts}))
 	if err := json.Unmarshal(body, &created); status != http.StatusOK || err != nil {
@@ -294,7 +294,7 @@ func TestRepliesMatchStructEncoding(t *testing.T) {
 		if err := json.Unmarshal(e.Response, &resp); err != nil {
 			t.Fatal(err)
 		}
-		expected[e.Key] = expectation{resp, mustJSON(t, integrateRequest{Sources: e.Sources, Options: e.Options}), e.Sources, e.Options}
+		expected[e.Key] = expectation{resp, mustJSON(t, integrateBody{Sources: e.Sources, Options: e.Options}), e.Sources, e.Options}
 	}
 	path := filepath.Join(t.TempDir(), "cache.json")
 	n, err := s.SaveCache(path)

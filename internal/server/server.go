@@ -60,6 +60,7 @@ import (
 	"qilabel"
 	"qilabel/internal/dataset"
 	"qilabel/internal/discover"
+	"qilabel/internal/schema"
 )
 
 // Config tunes the service. The zero value selects production defaults.
@@ -127,9 +128,6 @@ type Server struct {
 	metrics  *metrics
 	sessions *sessionStore
 	mux      *http.ServeMux
-
-	domainsOnce sync.Once
-	domainsList []domainInfo
 
 	// registry holds every servable lexicon version (see lexicons.go);
 	// defaultID caches the content address of the optionless-request
@@ -367,12 +365,23 @@ func (s *Server) integrator(o requestOptions) (*qilabel.Integrator, error) {
 	return ig, nil
 }
 
+// integrateRequest is a /v1/integrate body, or one item of a batch: inline
+// source trees ("sources", qilabel JSON format) or a builtin corpus
+// ("domain"), and options. It is decoded by hand (wire.go), which keeps
+// the sources as the cache keys them rather than as trees.
 type integrateRequest struct {
-	// Sources are the interface trees to integrate (qilabel JSON format).
-	Sources []*qilabel.Tree `json:"sources,omitempty"`
-	// Domain selects a builtin evaluation corpus instead of Sources.
-	Domain  string         `json:"domain,omitempty"`
-	Options requestOptions `json:"options"`
+	// Domain selects a builtin evaluation corpus instead of sources.
+	Domain  string
+	Options requestOptions
+	// sources are the walked "sources" array. Once the body is read, canon
+	// is their canonical encoding, in buf or in the batch's buffer until
+	// the request is answered, hashes their canonical hashes, and
+	// nullSource the index of the first null source, or -1.
+	sources    schema.RawTrees
+	canon      []byte
+	hashes     []string
+	nullSource int
+	buf        *[]byte
 }
 
 type reportJSON struct {
@@ -464,40 +473,69 @@ func (s *Server) handleIntegrate(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	sources, apiErr := resolveSources(req)
+	defer req.release()
+	canon, hashes, apiErr := resolveSources(&req)
 	if apiErr != nil {
 		writeAPIError(w, apiErr)
 		return
 	}
-	s.integrate(r, w, sources, req.Domain, req.Options)
+	s.integrate(r, w, canon, hashes, req.Domain, req.Options)
 }
 
-// resolveSources materializes a request's source trees (inline sources or
-// a builtin corpus). Endpoint-independent: the single and batch handlers
-// both use it, rendering the error their own way.
-func resolveSources(req integrateRequest) ([]*qilabel.Tree, *apiError) {
+// resolveSources returns the canonical encoding and hashes of a request's
+// sources: its inline sources or a builtin corpus. Endpoint-independent:
+// the single and batch handlers both use it, rendering the error their
+// own way.
+func resolveSources(req *integrateRequest) ([]byte, []string, *apiError) {
 	switch {
-	case req.Domain != "" && len(req.Sources) > 0:
-		return nil, &apiError{http.StatusBadRequest, codeBadRequest, "specify either sources or domain, not both"}
+	case req.Domain != "" && req.sources.Len() > 0:
+		return nil, nil, &apiError{http.StatusBadRequest, codeBadRequest, "specify either sources or domain, not both"}
 	case req.Domain != "":
-		sources, err := qilabel.BuiltinDomain(req.Domain)
+		set, err := builtinSources(req.Domain)
 		if err != nil {
-			return nil, &apiError{http.StatusBadRequest, codeBadRequest, err.Error()}
+			return nil, nil, &apiError{http.StatusBadRequest, codeBadRequest, err.Error()}
 		}
-		return sources, nil
-	case len(req.Sources) > 0:
-		for i, t := range req.Sources {
-			if t == nil {
-				// The pipeline would reject it too, but the cache key is
-				// computed first and needs a tree to hash.
-				return nil, &apiError{http.StatusBadRequest, codeBadRequest,
-					fmt.Sprintf("qilabel: source %d: %v", i, t.Validate())}
-			}
+		return set.canon, set.hashes, nil
+	case req.sources.Len() > 0:
+		if req.nullSource >= 0 {
+			// The pipeline would reject it too, but the cache key is
+			// computed first, and a null source has no encoding to hash.
+			var t *qilabel.Tree
+			return nil, nil, &apiError{http.StatusBadRequest, codeBadRequest,
+				fmt.Sprintf("qilabel: source %d: %v", req.nullSource, t.Validate())}
 		}
-		return req.Sources, nil
+		return req.canon, req.hashes, nil
 	default:
-		return nil, &apiError{http.StatusBadRequest, codeBadRequest, "no source interfaces: provide sources or a builtin domain"}
+		return nil, nil, &apiError{http.StatusBadRequest, codeBadRequest, "no source interfaces: provide sources or a builtin domain"}
 	}
+}
+
+// builtinSet is a builtin corpus as an integrate body's sources are
+// keyed: its canonical encoding and hashes.
+type builtinSet struct {
+	canon  []byte
+	hashes []string
+}
+
+// builtinSets encodes every builtin corpus once per process, keyed by
+// dataset.Key of its name: the corpora are constant.
+var builtinSets = sync.OnceValue(func() map[string]builtinSet {
+	sets := make(map[string]builtinSet)
+	for _, d := range dataset.Domains() {
+		canon, hashes := schema.EncodeCanonical(d.Generate())
+		sets[dataset.Key(d.Name)] = builtinSet{canon, hashes}
+	}
+	return sets
+})
+
+// builtinSources returns the builtin corpus a request names, matched as
+// qilabel.BuiltinDomain matches names.
+func builtinSources(name string) (builtinSet, error) {
+	if set, ok := builtinSets()[dataset.Key(name)]; ok {
+		return set, nil
+	}
+	_, err := dataset.ByName(name)
+	return builtinSet{}, err
 }
 
 // integrate serves one integration request through the shared coalesced
@@ -505,7 +543,7 @@ func resolveSources(req integrateRequest) ([]*qilabel.Tree, *apiError) {
 // the flight for their key. A timed-out or disconnected request answers
 // immediately, but the shared run keeps going while other requests still
 // wait on it; only the last waiter leaving cancels the pipeline.
-func (s *Server) integrate(r *http.Request, w http.ResponseWriter, sources []*qilabel.Tree, domain string, ropts requestOptions) {
+func (s *Server) integrate(r *http.Request, w http.ResponseWriter, canon []byte, hashes []string, domain string, ropts requestOptions) {
 	ropts, apiErr := s.resolveLexicon(lexiconFromRequest(r, ropts))
 	if apiErr != nil {
 		writeAPIError(w, apiErr)
@@ -516,7 +554,7 @@ func (s *Server) integrate(r *http.Request, w http.ResponseWriter, sources []*qi
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
-	e, status, apiErr := s.integrateShared(r.Context(), newPending(ig, sources, domain, ropts), false)
+	e, status, apiErr := s.integrateShared(r.Context(), newPending(ig, canon, hashes, domain, ropts), false)
 	if apiErr != nil {
 		writeAPIError(w, apiErr)
 		return
@@ -584,7 +622,8 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	// Extracted trees carry no cluster annotations; the matcher is
 	// mandatory on this path.
 	req.Options.Matcher = true
-	s.integrate(r, w, trees, "", req.Options)
+	canon, hashes := schema.EncodeCanonical(trees)
+	s.integrate(r, w, canon, hashes, "", req.Options)
 }
 
 func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
@@ -654,15 +693,11 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDomains(w http.ResponseWriter, r *http.Request) {
-	s.domainsOnce.Do(func() {
-		for _, d := range dataset.Domains() {
-			s.domainsList = append(s.domainsList, domainInfo{
-				Name:       d.Name,
-				Interfaces: len(d.Generate()),
-			})
-		}
-	})
-	writeJSON(w, http.StatusOK, map[string][]domainInfo{"domains": s.domainsList})
+	var list []domainInfo
+	for _, d := range dataset.Domains() {
+		list = append(list, domainInfo{Name: d.Name, Interfaces: len(builtinSets()[dataset.Key(d.Name)].hashes)})
+	}
+	writeJSON(w, http.StatusOK, map[string][]domainInfo{"domains": list})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

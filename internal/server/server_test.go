@@ -46,6 +46,21 @@ func fixtureSources() []*qilabel.Tree {
 	}
 }
 
+// integrateBody is the JSON shape of an integrate body (and of a batch
+// item), which tests encode and encoding/json decodes as the reference of
+// the hand decoder (wire.go).
+type integrateBody struct {
+	Sources []*qilabel.Tree `json:"sources,omitempty"`
+	Domain  string          `json:"domain,omitempty"`
+	Options requestOptions  `json:"options"`
+}
+
+// batchBody is the JSON shape of a batch body.
+type batchBody struct {
+	Items       []integrateBody `json:"items"`
+	Parallelism int             `json:"parallelism,omitempty"`
+}
+
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
@@ -104,7 +119,7 @@ func holdHook(t *testing.T) (<-chan struct{}, func()) {
 
 func TestIntegrateHappyPathAndWarmCache(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	req := integrateRequest{Sources: fixtureSources()}
+	req := integrateBody{Sources: fixtureSources()}
 
 	resp := postJSON(t, ts.URL+"/v1/integrate", req)
 	if resp.StatusCode != http.StatusOK {
@@ -126,7 +141,7 @@ func TestIntegrateHappyPathAndWarmCache(t *testing.T) {
 	shuffled := fixtureSources()
 	shuffled[0], shuffled[2] = shuffled[2], shuffled[0]
 	var warm integrateResponse
-	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Sources: shuffled}), &warm)
+	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate", integrateBody{Sources: shuffled}), &warm)
 	if !warm.Cached {
 		t.Fatal("reordered identical pool was not served from the cache")
 	}
@@ -143,7 +158,7 @@ func TestIntegrateHappyPathAndWarmCache(t *testing.T) {
 // to every Integrator, whose Config rejects it on each integration.
 func TestNegativeParallelismServes(t *testing.T) {
 	_, ts := newTestServer(t, Config{Parallelism: -1})
-	resp := postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Domain: "Airline"})
+	resp := postJSON(t, ts.URL+"/v1/integrate", integrateBody{Domain: "Airline"})
 	var out integrateResponse
 	decodeBody(t, resp, &out)
 	if resp.StatusCode != http.StatusOK || out.Tree == nil {
@@ -154,7 +169,7 @@ func TestNegativeParallelismServes(t *testing.T) {
 func TestIntegrateBuiltinDomain(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var out integrateResponse
-	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Domain: "Airline"}), &out)
+	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate", integrateBody{Domain: "Airline"}), &out)
 	if out.Key == "" || out.Tree == nil || out.Report.IntLeaves == 0 {
 		t.Fatalf("bad domain response: %+v", out.Report)
 	}
@@ -205,7 +220,7 @@ func TestIntegrateBadRequests(t *testing.T) {
 func TestErrorEnvelopeCodes(t *testing.T) {
 	t.Run("too_large", func(t *testing.T) {
 		_, ts := newTestServer(t, Config{MaxBodyBytes: 64})
-		resp := postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Sources: fixtureSources()})
+		resp := postJSON(t, ts.URL+"/v1/integrate", integrateBody{Sources: fixtureSources()})
 		var env errorEnvelope
 		decodeBody(t, resp, &env)
 		if resp.StatusCode != http.StatusRequestEntityTooLarge || env.Error.Code != codeTooLarge {
@@ -225,7 +240,7 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 
 func TestOversizedBody(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 64})
-	resp := postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Sources: fixtureSources()})
+	resp := postJSON(t, ts.URL+"/v1/integrate", integrateBody{Sources: fixtureSources()})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413", resp.StatusCode)
@@ -243,7 +258,7 @@ func TestSaturationReturns503(t *testing.T) {
 
 	errCh := make(chan error, 1)
 	go func() {
-		resp, err := tryPostJSON(ts.URL+"/v1/integrate", integrateRequest{Sources: fixtureSources()})
+		resp, err := tryPostJSON(ts.URL+"/v1/integrate", integrateBody{Sources: fixtureSources()})
 		if err != nil {
 			errCh <- fmt.Errorf("first request: %w", err)
 			return
@@ -261,7 +276,7 @@ func TestSaturationReturns503(t *testing.T) {
 		t.Fatalf("first request finished without holding the slot: %v", err)
 	}
 
-	resp := postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Domain: "Book"})
+	resp := postJSON(t, ts.URL+"/v1/integrate", integrateBody{Domain: "Book"})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503", resp.StatusCode)
 	}
@@ -288,7 +303,7 @@ func TestTimeoutCancelsAndCachesNothing(t *testing.T) {
 	s, ts := newTestServer(t, Config{RequestTimeout: 30 * time.Millisecond})
 	s.testHookSlow = func() { time.Sleep(150 * time.Millisecond) }
 
-	resp := postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Sources: fixtureSources()})
+	resp := postJSON(t, ts.URL+"/v1/integrate", integrateBody{Sources: fixtureSources()})
 	var env errorEnvelope
 	decodeBody(t, resp, &env)
 	if resp.StatusCode != http.StatusGatewayTimeout {
@@ -310,7 +325,7 @@ func TestTimeoutCancelsAndCachesNothing(t *testing.T) {
 	s.testHookSlow = nil
 	s.cfg.RequestTimeout = 5 * time.Second
 	var retry integrateResponse
-	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Sources: fixtureSources()}), &retry)
+	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate", integrateBody{Sources: fixtureSources()}), &retry)
 	if retry.Cached {
 		t.Fatal("retry was a cache hit: the timed-out run must not have cached")
 	}
@@ -343,7 +358,7 @@ func TestClientCancelDoesNotCache(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 
-	data, _ := json.Marshal(integrateRequest{Sources: fixtureSources()})
+	data, _ := json.Marshal(integrateBody{Sources: fixtureSources()})
 	ctx, cancel := context.WithCancel(context.Background())
 	req, _ := http.NewRequestWithContext(ctx, http.MethodPost,
 		ts.URL+"/v1/integrate", bytes.NewReader(data))
@@ -408,7 +423,7 @@ func TestExtract(t *testing.T) {
 func TestTranslate(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var integrated integrateResponse
-	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Sources: fixtureSources()}), &integrated)
+	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate", integrateBody{Sources: fixtureSources()}), &integrated)
 
 	var out translateResponse
 	decodeBody(t, postJSON(t, ts.URL+"/v1/translate", translateRequest{
@@ -459,7 +474,7 @@ func TestDomainsHealthzMetrics(t *testing.T) {
 	}
 
 	// Generate one integration, then check the counters surface.
-	postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Sources: fixtureSources()}).Body.Close()
+	postJSON(t, ts.URL+"/v1/integrate", integrateBody{Sources: fixtureSources()}).Body.Close()
 	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -521,7 +536,7 @@ func TestConcurrentIntegrate(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				resp, err := tryPostJSON(ts.URL+"/v1/integrate",
-					integrateRequest{Sources: pools[(g+i)%len(pools)]})
+					integrateBody{Sources: pools[(g+i)%len(pools)]})
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d: %w", g, err)
 					continue
@@ -573,7 +588,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		resp, err := tryPostJSON("http://"+ln.Addr().String()+"/v1/integrate",
-			integrateRequest{Sources: fixtureSources()})
+			integrateBody{Sources: fixtureSources()})
 		if err != nil {
 			done <- err
 			return

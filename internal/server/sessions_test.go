@@ -96,7 +96,7 @@ func TestSessionLifecycleHTTP(t *testing.T) {
 		t.Fatalf("result: status %d", resp.StatusCode)
 	}
 	var want integrateResponse
-	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Sources: sources}), &want)
+	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate", integrateBody{Sources: sources}), &want)
 	if !want.Cached {
 		t.Fatal("integrate after session result was not a cache hit — keys diverge")
 	}
@@ -317,7 +317,7 @@ func TestSessionMatcherDeltaReuse(t *testing.T) {
 	}
 	var want integrateResponse
 	decodeBody(t, postJSON(t, ts.URL+"/v1/integrate",
-		integrateRequest{Sources: unannotated, Options: requestOptions{Matcher: true}}), &want)
+		integrateBody{Sources: unannotated, Options: requestOptions{Matcher: true}}), &want)
 	if got.Key != want.Key || !want.Cached {
 		t.Fatalf("matcher session key mismatch: session %s integrate %s (cached=%v)", got.Key, want.Key, want.Cached)
 	}

@@ -29,7 +29,7 @@ func synthSets(t *testing.T, seed uint64, n int) [][]*qilabel.Tree {
 func TestIntegrateSynthCorpus(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for i, sources := range synthSets(t, 41, 5) {
-		resp := postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Sources: sources})
+		resp := postJSON(t, ts.URL+"/v1/integrate", integrateBody{Sources: sources})
 		if resp.StatusCode != 200 {
 			t.Fatalf("set %d: status %d", i, resp.StatusCode)
 		}
@@ -44,7 +44,7 @@ func TestIntegrateSynthCorpus(t *testing.T) {
 
 		// Rotate the source order and resubmit.
 		permuted := append(append([]*qilabel.Tree{}, sources[1:]...), sources[0])
-		resp = postJSON(t, ts.URL+"/v1/integrate", integrateRequest{Sources: permuted})
+		resp = postJSON(t, ts.URL+"/v1/integrate", integrateBody{Sources: permuted})
 		if resp.StatusCode != 200 {
 			t.Fatalf("set %d permuted: status %d", i, resp.StatusCode)
 		}
@@ -67,13 +67,13 @@ func TestIntegrateSynthCorpus(t *testing.T) {
 func TestBatchSynthCorpus(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	corpus := synthSets(t, 99, 4)
-	var items []integrateRequest
+	var items []integrateBody
 	for round := 0; round < 2; round++ { // every set appears twice
 		for _, sources := range corpus {
-			items = append(items, integrateRequest{Sources: sources})
+			items = append(items, integrateBody{Sources: sources})
 		}
 	}
-	status, results, summary := postBatch(t, ts.URL, batchRequest{Items: items})
+	status, results, summary := postBatch(t, ts.URL, batchBody{Items: items})
 	if status != 200 {
 		t.Fatalf("status %d", status)
 	}

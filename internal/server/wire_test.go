@@ -5,15 +5,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"qilabel"
+	"qilabel/internal/schema"
 )
 
 // sameAsJSONDecoder fails unless decodeRequest accepts data exactly when
@@ -122,6 +125,18 @@ var wireSeeds = []string{
 	`{"options":{"matcher":true},"options":{"maxLevel":2},"options":null,"domain":"a","domain":"b","domain":null}`,
 	`{"items":[{"domain":"a"},{"domain":"b"}],"items":[{"sources":[]}],"items":[null,{"domain":"c"}],"parallelism":1,"parallelism":null}`,
 	`{"source":{"interface":"a","root":{"children":[{"label":"x"}]}},"source":{"root":{"children":[{},{}]}},"source":{"root":null}}`,
+	// Repeated and case-folded sources, root, children and instances keys
+	// decoding into the trees, nodes and lists already there, with null
+	// sources and children among them.
+	`{"sources":[{"interface":"a","root":{"label":"r","children":[{"label":"x","instances":["1","2"]},null]}}],"Sources":[{"ROOT":{"Children":[{"instances":[null,"3"]},{"label":"y"}],"children":[null,{}]}},null]}`,
+	`{"sources":[null,{"interface":"b","root":null,"Root":{"label":"l","instances":["i","j","k"],"INSTANCES":[],"instances":[null]}}],"sources":[{"interface":"c"},{}]}`,
+	`{"sources":[{"interface":"a","root":{"children":[{"label":"x","cluster":"c"},{"label":"y"}],"children":[{"multiClusters":["m"]}],"children":[{},{},{}]}}],"sources":[{"root":{"children":null}}]}`,
+	`{"source":{"interface":"a","root":{"label":"r"}},"SOURCE":{"root":{"cluster":"c","instances":["x"],"instances":null}},"ſource":{"root":{"aggregated":true}}}`,
+	// Escapes and invalid UTF-8 in the strings of trees, which the walker
+	// unescapes into its scratch while plain strings stay spans of the body.
+	`{"sources":[{"interface":"\u00e9\n\"q\"","root":{"label":"\ud83d\ude00 \ud83d x","instances":["\\","\/","plain"],"cluster":"c\u0000"}}]}`,
+	"{\"sources\":[{\"interface\":\"\xff\",\"root\":{\"label\":\"a\xc3\",\"children\":[{\"label\":\"\xed\xa0\x80\",\"multiClusters\":[\"\\t\",null]}]}}]}",
+	`{"items":[{"sources":[{"interface":"a","root":{}}]},{"domain":"Airline"}],"items":[{"domain":"x"},{"sources":null}],"items":[{},{},{"sources":[{"interface":"c","root":{"children":[]}}]}]}`,
 	// Every escape, lone and paired surrogates, and invalid UTF-8.
 	`{"domain":"\"\\\/\b\f\n\r\té€","html":"😀 \ud83d \ude00 \ud83dA \udc00\ud83d"}`,
 	"{\"domain\":\"\xff\xfe a\xc3 \xed\xa0\x80 \xef\xbf\xbd\",\"sources\":[{\"interface\":\"\xe2\x82\"}]}",
@@ -145,35 +160,200 @@ var wireSeeds = []string{
 	`{"x":01}`, `{"x":1.}`, `{"x":-}`, `{"x":1e}`, `{"x":tru}`, `{"x":[1,]}`, "{\"x\":\x00}",
 }
 
-// FuzzWireDecode is the differential check of the hand-walked request
-// decoders (wire.go, over schema.Decoder) against encoding/json. Every
-// tree-carrying body must be accepted exactly when json.Decoder accepts
-// it, decoding to a reflect.DeepEqual value, and qilabel.DecodeTrees must
-// accept exactly what json.Unmarshal accepts (and validation passes),
-// building equal trees. Each input is tried as a whole body, as
-// DecodeTrees input, and as the trees of an integrate, batch and session
-// or ingest body.
-func FuzzWireDecode(f *testing.F) {
+// wireBodies returns the bodies a fuzz input is tried as: itself, and the
+// trees of an integrate, batch and session or ingest body.
+func wireBodies(data []byte) [][]byte {
+	return [][]byte{
+		data,
+		append(append([]byte(`{"sources":`), data...), '}'),
+		append(append([]byte(`{"items":[{"sources":`), data...), `}],"parallelism":2}`...),
+		append(append([]byte(`{"source":`), data...), '}'),
+	}
+}
+
+// addWireSeeds seeds a fuzz target with FuzzTreeJSON's corpus and
+// wireSeeds.
+func addWireSeeds(f *testing.F) {
 	for _, seed := range treeJSONCorpus(f) {
 		f.Add(seed)
 	}
 	for _, seed := range wireSeeds {
 		f.Add([]byte(seed))
 	}
+}
+
+// FuzzWireDecode is the differential check of the hand-walked request
+// decoders that build trees (wire.go, over schema.Decoder) against
+// encoding/json. Session and ingest bodies must be accepted exactly when
+// json.Decoder accepts them, decoding to a reflect.DeepEqual value, and
+// qilabel.DecodeTrees must accept exactly what json.Unmarshal accepts (and
+// validation passes), building equal trees. Each input is tried as
+// DecodeTrees input and as each of wireBodies. FuzzWireKey checks the
+// integrate and batch bodies, which build no tree.
+func FuzzWireDecode(f *testing.F) {
+	addWireSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sameAsUnmarshal(t, data)
-		for _, body := range [][]byte{
-			data,
-			append(append([]byte(`{"sources":`), data...), '}'),
-			append(append([]byte(`{"items":[{"sources":`), data...), `}],"parallelism":2}`...),
-			append(append([]byte(`{"source":`), data...), '}'),
-		} {
-			sameAsJSONDecoder[integrateRequest](t, body)
-			sameAsJSONDecoder[batchRequest](t, body)
+		for _, body := range wireBodies(data) {
 			sameAsJSONDecoder[sessionSourceRequest](t, body)
 			sameAsJSONDecoder[ingestRequest](t, body)
 		}
 	})
+}
+
+// FuzzWireKey is the differential check of the walker that keys integrate
+// and batch bodies without building a tree (schema.Decoder.RawTrees and
+// AppendCanonical). Each of wireBodies, read as an integrate and as a
+// batch body, must be accepted exactly when json.Decoder accepts it, fail
+// with the error the tree decoder (schema.Decoder.Trees) gives, and key
+// what encoding/json decodes: the same domain, options and number of
+// sources, the same first null source, and otherwise the canonical
+// encoding and hashes schema.EncodeCanonical computes from encoding/json's
+// trees and the key Integrator.CacheKey gives them.
+func FuzzWireKey(f *testing.F) {
+	addWireSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, body := range wireBodies(data) {
+			if err := integrateKeyedLikeJSON(body, decodeRequest); err != nil {
+				t.Fatal(err)
+			}
+			if err := batchKeyedLikeJSON(body, decodeRequest); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// integrateKeyedLikeJSON reports how decode, the hand decoder or a
+// wrapping of it, reads an integrate body other than encoding/json and the
+// tree decoder do.
+func integrateKeyedLikeJSON(body []byte, decode func([]byte, any) error) error {
+	var want integrateBody
+	var got integrateRequest
+	defer got.release()
+	if ok, err := acceptedLikeJSON(body, &want, &got, new(treesRequest), decode); !ok {
+		return err
+	}
+	return keyedDiff(&got, want)
+}
+
+// batchKeyedLikeJSON is integrateKeyedLikeJSON for a batch body.
+func batchKeyedLikeJSON(body []byte, decode func([]byte, any) error) error {
+	var want batchBody
+	var got batchRequest
+	defer got.release()
+	if ok, err := acceptedLikeJSON(body, &want, &got, new(treesBatchRequest), decode); !ok {
+		return err
+	}
+	if got.Parallelism != want.Parallelism || len(got.Items) != len(want.Items) {
+		return fmt.Errorf("batch from %q: parallelism %d and %d items, encoding/json %d and %d",
+			body, got.Parallelism, len(got.Items), want.Parallelism, len(want.Items))
+	}
+	for i := range got.Items {
+		if err := keyedDiff(&got.Items[i], want.Items[i]); err != nil {
+			return fmt.Errorf("batch from %q: item %d: %w", body, i, err)
+		}
+	}
+	return nil
+}
+
+// acceptedLikeJSON decodes body into want with json.Decoder, into got with
+// decode and into trees with decodeRequest, and reports whether got
+// decoded, or how its acceptance differs from json.Decoder's or its error
+// from the tree decoder's.
+func acceptedLikeJSON(body []byte, want any, got, trees wireRequest, decode func([]byte, any) error) (bool, error) {
+	wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(want)
+	gotErr := decode(body, got)
+	treeErr := decodeRequest(body, trees)
+	if (wantErr == nil) != (gotErr == nil) {
+		return false, fmt.Errorf("%T from %q: json.Decoder error %v, hand decoder error %v", got, body, wantErr, gotErr)
+	}
+	if fmt.Sprint(gotErr) != fmt.Sprint(treeErr) {
+		return false, fmt.Errorf("%T from %q: hand decoder error %v, tree decoder error %v", got, body, gotErr, treeErr)
+	}
+	return gotErr == nil, nil
+}
+
+// treesRequest and treesBatchRequest are integrate and batch bodies read
+// with the tree decoder, whose errors the walker's must equal.
+type treesRequest struct{ sources []*qilabel.Tree }
+
+func (req *treesRequest) decodeWire(d *schema.Decoder) error {
+	return d.Object(func(key []byte) error {
+		switch schema.MatchField(key, "sources", "domain", "options") {
+		case 0:
+			return d.Trees(&req.sources)
+		case 1:
+			var domain string
+			return d.String(&domain)
+		case 2:
+			var o requestOptions
+			return decodeOptions(d, &o)
+		}
+		return d.Skip()
+	})
+}
+
+type treesBatchRequest struct{ items []treesRequest }
+
+func (req *treesBatchRequest) decodeWire(d *schema.Decoder) error {
+	return d.Object(func(key []byte) error {
+		switch schema.MatchField(key, "items", "parallelism") {
+		case 0:
+			return schema.DecodeSlice(d, &req.items, func(item treesRequest) (treesRequest, error) {
+				err := item.decodeWire(d)
+				return item, err
+			})
+		case 1:
+			var n int
+			return d.Int(&n)
+		}
+		return d.Skip()
+	})
+}
+
+// keyIntegrator is the Integrator whose CacheKey the walker's keys are
+// checked against.
+var keyIntegrator = sync.OnceValue(func() *qilabel.Integrator {
+	ig, err := qilabel.NewIntegrator(qilabel.Config{})
+	if err != nil {
+		panic(err)
+	}
+	return ig
+})
+
+// keyedDiff reports how got, an integrate body as the hand decoder keyed
+// it, differs from want, encoding/json's decoding of the same body: in its
+// domain, options or number of sources, in its first null source, and,
+// without one, in the canonical encoding and hashes of want's trees or in
+// the cache key Integrator.CacheKey gives them.
+func keyedDiff(got *integrateRequest, want integrateBody) error {
+	if got.Domain != want.Domain || got.Options != want.Options || got.sources.Len() != len(want.Sources) {
+		return fmt.Errorf("keyed domain %q, options %+v and %d sources; encoding/json %q, %+v and %d",
+			got.Domain, got.Options, got.sources.Len(), want.Domain, want.Options, len(want.Sources))
+	}
+	if len(want.Sources) == 0 {
+		return nil
+	}
+	null := slices.Index(want.Sources, nil)
+	if got.nullSource != null {
+		return fmt.Errorf("first null source %d, encoding/json's %d", got.nullSource, null)
+	}
+	if null >= 0 {
+		return nil
+	}
+	canon, hashes := schema.EncodeCanonical(want.Sources)
+	if !bytes.Equal(got.canon, canon) {
+		return fmt.Errorf("canonical encoding %x, encoding/json's trees' %x", got.canon, canon)
+	}
+	if !slices.Equal(got.hashes, hashes) {
+		return fmt.Errorf("hashes %v, encoding/json's trees' %v", got.hashes, hashes)
+	}
+	ig := keyIntegrator()
+	if key, wantKey := newPending(ig, got.canon, got.hashes, "", got.Options).key, ig.CacheKey(want.Sources); key != wantKey {
+		return fmt.Errorf("key %s, Integrator.CacheKey %s", key, wantKey)
+	}
+	return nil
 }
 
 // postRaw posts body to url and returns the status.
@@ -232,7 +412,7 @@ func TestDeepBodiesRejected(t *testing.T) {
 			t.Fatalf("%s with a %d-byte deep body: status %d, want 400", c.path, len(c.body), got)
 		}
 	}
-	if got := integrateOnce(t, ts.URL, integrateRequest{Sources: fixtureSources()}); got.Key == "" {
+	if got := integrateOnce(t, ts.URL, integrateBody{Sources: fixtureSources()}); got.Key == "" {
 		t.Fatal("no key after the deep bodies")
 	}
 }
@@ -259,7 +439,7 @@ func TestParentSnapshotLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hit := integrateOnce(t, ts.URL, integrateRequest{Sources: fixtureSources()})
+	hit := integrateOnce(t, ts.URL, integrateBody{Sources: fixtureSources()})
 	if !hit.Cached || hit.Key != file.Entries[0].Key {
 		t.Fatalf("integrate: cached=%v key %s, want a hit on %s", hit.Cached, hit.Key, file.Entries[0].Key)
 	}
@@ -313,26 +493,35 @@ func TestParentSnapshotLoads(t *testing.T) {
 	}
 }
 
-// decodePooled decodes data into a T through a pooled body buffer, as
+// decodeScribbled decodes data into v through a pooled body buffer, as
 // Server.decode does, then overwrites the whole buffer and returns it to
-// the pool, and reports whether the decoded value still equals what
-// json.Unmarshal builds from a copy of data.
+// the pool.
+func decodeScribbled(data []byte, v any) error {
+	buf, err := readBody(bytes.NewReader(data), int64(len(data)))
+	if err == nil {
+		err = decodeRequest(buf.Bytes(), v)
+	}
+	scribble(buf.Bytes()[:buf.Cap()])
+	bodyBuffers.Put(buf)
+	return err
+}
+
+// scribble overwrites b.
+func scribble(b []byte) {
+	for i := range b {
+		b[i] = '#'
+	}
+}
+
+// decodePooled decodes data into a T with decodeScribbled and reports
+// whether the decoded value still equals what json.Unmarshal builds from
+// a copy of data.
 func decodePooled[T any](data []byte) error {
 	var got, want T
 	if err := json.Unmarshal(bytes.Clone(data), &want); err != nil {
 		return err
 	}
-	buf, err := readBody(bytes.NewReader(data), int64(len(data)))
-	if err == nil {
-		err = decodeRequest(buf.Bytes(), &got)
-	}
-	scribble := buf.Bytes()
-	scribble = scribble[:cap(scribble)]
-	for i := range scribble {
-		scribble[i] = '#'
-	}
-	bodyBuffers.Put(buf)
-	if err != nil {
+	if err := decodeScribbled(data, &got); err != nil {
 		return err
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -344,8 +533,10 @@ func decodePooled[T any](data []byte) error {
 // TestDecodedRequestsSurviveBufferReuse decodes every request body type
 // from pooled buffers on eight goroutines at once and overwrites each
 // buffer once its body is decoded: a decoded request must not alias the
-// buffer that the next request reuses. Labels and instances carry escapes,
-// which the tree decoder unescapes through its own scratch space.
+// buffer that the next request reuses, and an integrate or batch body
+// must still key as encoding/json's trees do while the other goroutines
+// reuse the walker's scratch. Labels and instances carry escapes, which
+// the walker unescapes into its scratch.
 func TestDecodedRequestsSurviveBufferReuse(t *testing.T) {
 	escaped := qilabel.NewTree("café",
 		qilabel.NewGroup("Who \"goes\"\n",
@@ -365,9 +556,11 @@ func TestDecodedRequestsSurviveBufferReuse(t *testing.T) {
 		bodies = append(bodies, data)
 		decoders = append(decoders, decode)
 	}
-	add(integrateRequest{Sources: sources, Options: opts}, decodePooled[integrateRequest])
-	add(integrateRequest{Domain: "Airline"}, decodePooled[integrateRequest])
-	add(batchRequest{Items: []integrateRequest{{Sources: sources}, {Domain: "Hotels", Options: opts}}, Parallelism: 2}, decodePooled[batchRequest])
+	keyPooled := func(data []byte) error { return integrateKeyedLikeJSON(data, decodeScribbled) }
+	keyPooledBatch := func(data []byte) error { return batchKeyedLikeJSON(data, decodeScribbled) }
+	add(integrateBody{Sources: sources, Options: opts}, keyPooled)
+	add(integrateBody{Domain: "Airline"}, keyPooled)
+	add(batchBody{Items: []integrateBody{{Sources: sources}, {Domain: "Hotels", Options: opts}}, Parallelism: 2}, keyPooledBatch)
 	add(sessionSourceRequest{Source: escaped}, decodePooled[sessionSourceRequest])
 	add(ingestRequest{Source: escaped, Lexicon: "vé"}, decodePooled[ingestRequest])
 	add(ingestRequest{HTML: "<form id=\"f\"><label>Café</label><input name=\"a\"></form>", Interface: "f"}, decodePooled[ingestRequest])
@@ -390,4 +583,111 @@ func TestDecodedRequestsSurviveBufferReuse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestComputedEntrySurvivesBufferReuse integrates a body whose labels and
+// instances carry escapes (a cache miss), then overwrites every body and
+// canonical buffer the free lists hold and sends other bodies through the
+// walker's scratch. The computed entry must not change: its canonical
+// encoding, which has no spare capacity and equals that of
+// encoding/json's trees, its snapshot, and a translate against it, also
+// once its index is dropped and rehydrated from the encoding.
+func TestComputedEntrySurvivesBufferReuse(t *testing.T) {
+	s := New(Config{})
+	serve := func(path string, body []byte) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body.String())
+		}
+		return rec.Body.Bytes()
+	}
+	escaped := qilabel.NewTree("café",
+		qilabel.NewGroup("Who \"goes\"\n",
+			qilabel.NewField("Adults\t", "c_Adult", "1", "2 "),
+			qilabel.NewMultiField("Kids", "c_Child", "c_Infant"),
+		),
+	)
+	sources := append(fixtureSources(), escaped)
+	body, err := json.Marshal(integrateBody{Sources: sources})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first integrateResponse
+	if err := json.Unmarshal(serve("/v1/integrate", body), &first); err != nil || first.Cached {
+		t.Fatalf("first integration: cached=%v, error %v", first.Cached, err)
+	}
+	e, ok := s.cache.Get(first.Key)
+	if !ok {
+		t.Fatal("the computed entry is not cached")
+	}
+	if len(e.canon) != cap(e.canon) || len(e.reply) != cap(e.reply) {
+		t.Fatalf("entry canon has length %d, capacity %d; reply %d, %d", len(e.canon), cap(e.canon), len(e.reply), cap(e.reply))
+	}
+	var again integrateBody
+	if err := json.Unmarshal(body, &again); err != nil {
+		t.Fatal(err)
+	}
+	canon, _ := schema.EncodeCanonical(again.Sources)
+	snapshot := func() string {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "cache.json")
+		if _, err := s.SaveCache(path); err != nil {
+			t.Fatal(err)
+		}
+		var file cacheSnapshotFile
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(data, &file)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, entry := range file.Entries {
+			if entry.Key == first.Key {
+				data, _ := json.Marshal(entry)
+				return string(data)
+			}
+		}
+		t.Fatal("the computed entry is not in the snapshot")
+		return ""
+	}
+	query, err := json.Marshal(translateRequest{Key: first.Key, Query: map[string]string{"c_Adult": "2", "c_Child": "1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSnapshot, wantTranslate := snapshot(), string(serve("/v1/translate", query))
+
+	for i := 0; i < 8; i++ {
+		buf := bodyBuffers.Get().(*bytes.Buffer)
+		scribble(buf.Bytes()[:buf.Cap()])
+		defer bodyBuffers.Put(buf)
+		canonBuf := canonBuffers.Get()
+		scribble((*canonBuf)[:cap(*canonBuf)])
+		defer canonBuffers.Put(canonBuf)
+	}
+	for i := 0; i < 3; i++ {
+		other, err := json.Marshal(integrateBody{Sources: disjointSources(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		serve("/v1/integrate", other)
+	}
+
+	if !bytes.Equal(e.canon, canon) {
+		t.Fatal("the entry's canonical encoding changed, or never equaled encoding/json's trees'")
+	}
+	if got := snapshot(); got != wantSnapshot {
+		t.Fatalf("snapshot entry changed:\n%s\nwant\n%s", got, wantSnapshot)
+	}
+	if got := string(serve("/v1/translate", query)); got != wantTranslate {
+		t.Fatalf("translate changed:\n%s\nwant\n%s", got, wantTranslate)
+	}
+	dropped := *e
+	dropped.index = nil
+	s.cache.Put(first.Key, &dropped)
+	if got := string(serve("/v1/translate", query)); got != wantTranslate {
+		t.Fatalf("rehydrated translate differs:\n%s\nwant\n%s", got, wantTranslate)
+	}
 }
